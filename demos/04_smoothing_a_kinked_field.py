@@ -31,7 +31,9 @@ except BudgetNotMetError as exc:
     print(f"max_degree = 0 -> {exc}\n")
 
 report, smooth, poly = smooth_field(t, X, max_degree=16, fit_grid=(64, 64))
-print(f"degrees tried: {list(report.degrees_tried)}")
+print("degrees tried: " + ", ".join(
+    f"{d} (sup error {e:.4f})"
+    for d, e in zip(report.degrees_tried, report.sup_errors)))
 print(f"certified at degree {report.final_degree}: "
       f"sup |P - Z| = {report.sup_error:.4f} < 0.5 on a "
       f"{poly.verify_grid[0]}x{poly.verify_grid[1]} verification grid")

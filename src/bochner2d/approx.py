@@ -13,10 +13,16 @@ Monomials restricted to an algebraic surface are linearly dependent (the
 sphere satisfies a quadric, the torus a quartic), so the scaled normal
 equations are solved by a truncated eigendecomposition: a minimum-norm
 least-squares solution that is immune to the exact rank deficiency.
+
+The monomial basis is built one total degree at a time.  In graded
+lexicographic order, the degree-t monomials free of x_0..x_{j-1} are a suffix
+of degree layer t, so layer t+1 is the concatenation over j of x_j times that
+suffix: one contiguous multiply per entry, with no power tables or gathers.
+The exponent rows come from the same recursion.
 """
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -50,7 +56,8 @@ class PolynomialField:
     """Component polynomials in ambient coordinates with a certified error.
 
     Monomial ordering is graded lexicographic: ascending total degree,
-    ties broken by descending exponent tuple.
+    ties broken by descending exponent tuple.  The basis is implied by
+    (ambient_dim, degree); `exponents` is monomial_exponents of that pair.
     """
     ambient_dim: int
     degree: int
@@ -71,17 +78,50 @@ class SmoothedFieldReport:
     target: float
     passed: bool
     degrees_tried: tuple
+    sup_errors: tuple          # certified sup error of each degree tried
+
+
+def _layer_sources(ambient_dim, t):
+    """(j, k) pairs building layer t+1: x_j times the last k entries of layer t."""
+    n = ambient_dim
+    return [(j, comb(t + n - 1 - j, n - 1 - j)) for j in range(n)]
 
 
 def monomial_exponents(ambient_dim, degree):
     """Exponent rows in graded lexicographic order."""
-    exps = []
-    for total in range(degree + 1):
-        layer = [e for e in itertools.product(range(total + 1), repeat=ambient_dim)
-                 if sum(e) == total]
-        layer.sort(reverse=True)
-        exps.extend(layer)
-    return np.array(exps, dtype=int)
+    if degree < 0:
+        return np.zeros((0, ambient_dim), dtype=int)
+    layer = np.zeros((1, ambient_dim), dtype=int)
+    layers = [layer]
+    for t in range(degree):
+        parts = []
+        for j, k in _layer_sources(ambient_dim, t):
+            part = layer[-k:].copy()
+            part[:, j] += 1
+            parts.append(part)
+        layer = np.concatenate(parts)
+        layers.append(layer)
+    return np.concatenate(layers)
+
+
+def _monomial_layers(points, degree):
+    """Yield the degree-t column blocks of the graded-lex basis, t = 0..degree.
+
+    Concatenated, the blocks equal monomial_matrix(points, monomial_exponents(
+    n, degree)).  Only two layers are referenced at a time, so a consumer
+    that reduces each block as it arrives holds O(m * max K_t) memory.
+    """
+    m, n = points.shape
+    layer = np.ones((m, 1))
+    yield layer
+    for t in range(degree):
+        nxt = np.empty((m, comb(t + n, n - 1)))
+        col = 0
+        for j, k in _layer_sources(n, t):
+            np.multiply(points[:, j, None], layer[:, -k:], out=nxt[:, col:col + k])
+            col += k
+        layer = nxt
+        yield layer
 
 
 def monomial_matrix(points, exponents):
@@ -97,13 +137,21 @@ def monomial_matrix(points, exponents):
 
 
 def evaluate_polynomial_field(poly, points):
-    """Values of the component polynomials at ambient points, (m, n_components)."""
+    """Values of the component polynomials at ambient points, (m, n_components).
+
+    Rows are streamed in EVAL_CHUNK blocks and each degree layer of the basis
+    is contracted with its coefficient block as soon as it is built.
+    """
     points = np.asarray(points, dtype=float)
-    out = np.zeros((points.shape[0], poly.coefficients.shape[0]))
+    coeff = poly.coefficients
+    out = np.zeros((points.shape[0], coeff.shape[0]))
     for lo in range(0, points.shape[0], EVAL_CHUNK):
-        block = slice(lo, min(lo + EVAL_CHUNK, points.shape[0]))
-        V = monomial_matrix(points[block], poly.exponents)
-        out[block] = V @ poly.coefficients.T
+        block = slice(lo, lo + EVAL_CHUNK)
+        col = 0
+        for layer in _monomial_layers(points[block], poly.degree):
+            k = layer.shape[1]
+            out[block] += layer @ coeff[:, col:col + k].T
+            col += k
     return out
 
 
@@ -153,12 +201,17 @@ def fit_polynomial_field(samples, degree, verify_samples=None):
     is raised only when the system is degenerate beyond that remedy
     (non-finite data or an identically zero basis).
     """
+    return _fit_and_verify(samples, degree, verify_samples)[0]
+
+
+def _fit_and_verify(samples, degree, verify_samples=None):
+    """fit_polynomial_field, also returning its prediction on the verify grid."""
     if samples.positions.shape[0] == 0:
         raise RankDeficientFitError("no samples to fit")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    exps = monomial_exponents(samples.positions.shape[1], degree)
-    V = monomial_matrix(samples.positions, exps)
+    points = np.asarray(samples.positions, dtype=float)
+    V = np.concatenate(list(_monomial_layers(points, degree)), axis=1)
     if not np.all(np.isfinite(V)):
         raise RankDeficientFitError("monomial matrix contains non-finite entries")
 
@@ -183,16 +236,14 @@ def fit_polynomial_field(samples, degree, verify_samples=None):
     if verify_samples is None:
         verify_samples = _dense_resample(samples)
     poly = PolynomialField(
-        ambient_dim=samples.positions.shape[1], degree=degree, exponents=exps,
+        ambient_dim=points.shape[1], degree=degree,
+        exponents=monomial_exponents(points.shape[1], degree),
         coefficients=coefficients, sup_error=np.nan,
         fit_grid=samples.grid_shape, verify_grid=verify_samples.grid_shape,
         rcond=rcond)
     pred = evaluate_polynomial_field(poly, verify_samples.positions)
     err = np.linalg.norm(pred - verify_samples.values, axis=1)
-    return PolynomialField(
-        ambient_dim=poly.ambient_dim, degree=degree, exponents=exps,
-        coefficients=coefficients, sup_error=float(np.max(err)),
-        fit_grid=poly.fit_grid, verify_grid=poly.verify_grid, rcond=rcond)
+    return replace(poly, sup_error=float(np.max(err))), pred
 
 
 def project_to_tangent(surface, vectors, u, v):
@@ -253,13 +304,15 @@ def smooth_field(surface, X, max_degree=16, fit_grid=(64, 64), verify_grid=None,
                                        chart_grid(surface, *verify_grid), floor)
 
     degrees = list(range(2, max_degree + 1, 2))
-    best = None
+    best = best_pred = None
     tried = []
+    errors = []
     for d in degrees:
-        poly = fit_polynomial_field(fit_samples, d, verify_samples)
+        poly, pred = _fit_and_verify(fit_samples, d, verify_samples)
         tried.append(d)
+        errors.append(poly.sup_error)
         if best is None or poly.sup_error < best.sup_error:
-            best = poly
+            best, best_pred = poly, pred
         if poly.sup_error < ERROR_BUDGET:
             break
     if best is None or best.sup_error >= ERROR_BUDGET:
@@ -267,22 +320,20 @@ def smooth_field(surface, X, max_degree=16, fit_grid=(64, 64), verify_grid=None,
         report = SmoothedFieldReport(
             final_degree=-1 if best is None else best.degree,
             sup_error=achieved, min_tangential_norm=0.0, target=ERROR_BUDGET,
-            passed=False, degrees_tried=tuple(tried))
+            passed=False, degrees_tried=tuple(tried), sup_errors=tuple(errors))
         raise BudgetNotMetError(
             f"no degree <= {max_degree} certified sup error < {ERROR_BUDGET:g} "
             f"(best achieved {achieved:.6g})", report=report)
 
-    proj = project_to_tangent(
-        surface,
-        evaluate_polynomial_field(best, verify_samples.positions),
-        verify_samples.chart_u, verify_samples.chart_v)
+    proj = project_to_tangent(surface, best_pred,
+                              verify_samples.chart_u, verify_samples.chart_v)
     min_tan = float(np.min(np.linalg.norm(proj, axis=-1)))
     report = SmoothedFieldReport(
         final_degree=best.degree, sup_error=best.sup_error,
         min_tangential_norm=min_tan, target=ERROR_BUDGET,
         passed=bool(best.sup_error < ERROR_BUDGET
                     and min_tan > ERROR_BUDGET - 1e-9),
-        degrees_tried=tuple(tried))
+        degrees_tried=tuple(tried), sup_errors=tuple(errors))
     smooth = chart_coefficients_field(surface, best, name=f"smooth({X.name})")
     return report, smooth, best
 

@@ -256,7 +256,8 @@ def render_report(report, fmt):
         for node in check.get("nodes", ()):
             rows.append(f"residual,{check['name']},{node['u']:.17g},"
                         f"{node['v']:.17g},{node['residual']:.17g}")
-        rows.append(f"summary,{check['name']},,,{check['sup']:.17g}")
+        sup = "nan" if check["sup"] is None else f"{check['sup']:.17g}"
+        rows.append(f"summary,{check['name']},,,{sup}")
     for key, val in report.get("integrals", {}).items():
         rows.append(f"integral,{key},,,{val['value']:.17g}")
     if "chi" in report:
@@ -290,6 +291,12 @@ def _config_echo(args, surface, grid_shape, tols):
 
 
 def _check_entry(name, values, U, V, tol, keep_nodes):
+    if np.size(values) == 0:
+        entry = {"name": name, "sup": None, "mean": None, "worst_node": None,
+                 "tolerance": float(tol), "pass": False, "n_points": 0}
+        if keep_nodes:
+            entry["nodes"] = []
+        return entry
     rep = bochner.residual_report(name, values, U, V, tol)
     entry = {
         "name": name,
@@ -332,7 +339,7 @@ def cmd_verify(args):
     # locate zero-field nodes first; identity checks run on the clean subset
     norms = operators.field_norm(surface, field, grid.U, grid.V)
     floor = tols.get("zero_floor", bochner.ZERO_FLOOR)
-    zero_nodes = mask & (norms < floor)
+    zero_nodes = mask & ~(norms >= floor)     # a NaN norm is no usable node
     usable = mask & ~zero_nodes
     report["zero_field_nodes"] = [
         {"u": float(a), "v": float(b)}
@@ -366,11 +373,15 @@ def cmd_verify(args):
     for name, fn, tol in checks:
         values, failed = guarded_eval(fn, U, V, threads)
         ok = np.isfinite(values)
-        entry = _check_entry(name, np.where(ok, values, 0.0), U, V, tol, keep_nodes)
+        raised = {(f["u"], f["v"]) for f in failed}
+        failed += [{"u": float(a), "v": float(b), "error": "non-finite residual"}
+                   for a, b in zip(U[~ok], V[~ok])
+                   if (float(a), float(b)) not in raised]
+        entry = _check_entry(name, values[ok], U[ok], V[ok], tol, keep_nodes)
         if failed:
             entry["failed_nodes"] = failed[:64]
             entry["n_failed"] = len(failed)
-            entry["pass"] = bool(entry["pass"] and len(failed) == 0)
+            entry["pass"] = False
         report["checks"].append(entry)
         overall = overall and entry["pass"]
 
@@ -414,18 +425,15 @@ def cmd_gauss_bonnet(args):
         "value": total.value, "estimated_error": total.estimated_error,
         "rule": total.rule, "resolution": list(total.resolution)}
 
-    raw = total.value / (2.0 * np.pi)
-    rounded = int(np.rint(raw))
-    margin = abs(raw - rounded)
-    indeterminate = margin >= chi_margin
-    report["chi"] = {"raw": raw, "rounded": rounded, "margin": margin,
-                     "margin_limit": chi_margin,
-                     "indeterminate": bool(indeterminate)}
+    chi = integrate.chi_from_total(total.value, chi_margin)
+    report["chi"] = {"raw": chi.raw, "rounded": chi.rounded, "margin": chi.margin,
+                     "margin_limit": chi.margin_limit,
+                     "indeterminate": chi.indeterminate}
     if surface.known_chi is not None:
         # echoed for reference; the pass verdict rests on determinacy alone
         report["chi"]["declared"] = surface.known_chi
 
-    overall = not indeterminate
+    overall = not chi.indeterminate
 
     if args.field:
         field = parse_field(args.field)
@@ -490,6 +498,7 @@ def _smooth_section(rep):
         "target": rep.target,
         "pass": rep.passed,
         "degrees_tried": list(rep.degrees_tried),
+        "sup_errors": [e if np.isfinite(e) else None for e in rep.sup_errors],
     }
 
 

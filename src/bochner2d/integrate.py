@@ -38,6 +38,11 @@ class ChiEstimate:
     raw: float
     rounded: int
     margin: float
+    margin_limit: float = CHI_MARGIN
+
+    @property
+    def indeterminate(self):
+        return bool(self.margin >= self.margin_limit)
 
 
 def _weighted_sum(surface, f, grid):
@@ -71,16 +76,20 @@ def euler_characteristic(surface, grid):
     Raises ChiIndeterminateError when the raw value sits further than
     CHI_MARGIN from every integer, which signals an under-resolved grid.
     """
-    total = total_curvature(surface, grid)
-    raw = total.value / (2.0 * np.pi)
-    rounded = int(np.rint(raw))
-    margin = abs(raw - rounded)
-    est = ChiEstimate(raw=raw, rounded=rounded, margin=margin)
-    if margin >= CHI_MARGIN:
+    est = chi_from_total(total_curvature(surface, grid).value)
+    if est.indeterminate:
         raise ChiIndeterminateError(
-            f"chi estimate {raw:.6f} is {margin:.3f} from the nearest integer "
-            f"(limit {CHI_MARGIN:g}); refine the grid", estimate=est)
+            f"chi estimate {est.raw:.6f} is {est.margin:.3f} from the nearest "
+            f"integer (limit {est.margin_limit:g}); refine the grid", estimate=est)
     return est
+
+
+def chi_from_total(total, margin_limit=CHI_MARGIN):
+    """Round total / (2 pi) to the nearest integer, recording the margin."""
+    raw = total / (2.0 * np.pi)
+    rounded = int(np.rint(raw))
+    return ChiEstimate(raw=raw, rounded=rounded, margin=abs(raw - rounded),
+                       margin_limit=margin_limit)
 
 
 def divergence_theorem_residual(surface, X, grid):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from bochner2d import surfaces as surf
+
+# Property tests run on shared, loaded machines: a wall-clock deadline only
+# adds flakes, and derandomized examples make every run check the same cases.
+settings.register_profile("bochner2d", deadline=None, derandomize=True)
+settings.load_profile("bochner2d")
 
 
 @pytest.fixture

@@ -1,11 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bochner2d import _stencils
 from bochner2d import approx as ap
 from bochner2d import operators as op
 from bochner2d import surfaces as surf
-from bochner2d.cli import kinked_mixture_field
+from bochner2d.cli import expression_field, kinked_mixture_field
 from bochner2d.errors import (
     BudgetNotMetError,
     RankDeficientFitError,
@@ -80,6 +85,47 @@ class TestMonomials:
         exps = ap.monomial_exponents(2, 2)
         V = ap.monomial_matrix(pts, exps)
         np.testing.assert_allclose(V[0], [1, 2, 3, 4, 6, 9])
+
+    def test_exponents_match_sorted_reference(self):
+        for n in range(1, 5):
+            for d in range(13):
+                ref = sorted((e for e in itertools.product(range(d + 1), repeat=n)
+                              if sum(e) <= d),
+                             key=lambda e: (sum(e), tuple(-x for x in e)))
+                np.testing.assert_array_equal(ap.monomial_exponents(n, d),
+                                              np.array(ref, dtype=int).reshape(-1, n))
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.integers(0, 12),
+        hnp.arrays(float, st.tuples(st.integers(1, 16), st.just(n)),
+                   elements=st.floats(-3.0, 3.0)))))
+    def test_layered_basis_matches_matrix(self, case):
+        degree, pts = case
+        layered = np.concatenate(list(ap._monomial_layers(pts, degree)), axis=1)
+        ref = ap.monomial_matrix(pts, ap.monomial_exponents(pts.shape[1], degree))
+        # atol only absorbs subnormal partial products of tiny coordinates
+        np.testing.assert_allclose(layered, ref, rtol=1e-13, atol=1e-290)
+
+
+class TestEvaluation:
+    @settings(max_examples=20)
+    @given(st.integers(1, 4), st.integers(0, 6),
+           st.sampled_from([0, 1, ap.EVAL_CHUNK, ap.EVAL_CHUNK + 1]),
+           st.integers(0, 2**32 - 1))
+    def test_chunking_matches_unchunked_reference(self, n, degree, rows, seed):
+        rng = np.random.default_rng(seed)
+        exps = ap.monomial_exponents(n, degree)
+        coeff = rng.standard_normal((n, len(exps)))
+        pts = rng.uniform(-3.0, 3.0, (rows, n))
+        poly = ap.PolynomialField(
+            ambient_dim=n, degree=degree, exponents=exps, coefficients=coeff,
+            sup_error=np.nan, fit_grid=(), verify_grid=(), rcond=np.nan)
+        V = ap.monomial_matrix(pts, exps)
+        out = ap.evaluate_polynomial_field(poly, pts)
+        assert out.shape == (rows, n)
+        bound = 1e-13 * (np.abs(V) @ np.abs(coeff).T)
+        assert np.all(np.abs(out - V @ coeff.T) <= bound)
 
 
 class TestFit:
@@ -182,6 +228,24 @@ class TestSmoothField:
             ap.smooth_field(torus21, kinked_mixture_field(), max_degree=0)
         assert exc.value.report is not None
         assert not exc.value.report.passed
+
+    def test_sup_error_history_on_pass(self, torus21):
+        rep, _, poly = ap.smooth_field(torus21, kinked_mixture_field(),
+                                       max_degree=16, fit_grid=(32, 32))
+        assert rep.passed
+        assert len(rep.sup_errors) == len(rep.degrees_tried)
+        assert rep.sup_errors[-1] == rep.sup_error == poly.sup_error
+        assert all(e >= ap.ERROR_BUDGET for e in rep.sup_errors[:-1])
+
+    def test_sup_error_history_on_budget_not_met(self, torus21):
+        X = expression_field("cos(4*u+v)", "sin(4*u+v)")
+        with pytest.raises(BudgetNotMetError) as exc:
+            ap.smooth_field(torus21, X, max_degree=4, fit_grid=(32, 32))
+        rep = exc.value.report
+        assert rep.degrees_tried == (2, 4)
+        assert len(rep.sup_errors) == 2
+        assert rep.sup_error == min(rep.sup_errors)
+        assert all(e >= ap.ERROR_BUDGET for e in rep.sup_errors)
 
     def test_projection_nonexpansive_forces_nonvanishing(self, torus21):
         # |T - Z| <= |P - Z| pointwise, Z unit, so sup < 1/2 keeps |T| > 1/2

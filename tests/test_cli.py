@@ -61,6 +61,39 @@ class TestVerify:
         assert rep["zero_field_nodes"]
         assert rep["overall_pass"] is False
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
+    def test_nan_field_nodes_fail_the_run(self, capsys):
+        # u/u is NaN on the u = 0 column; those nodes must not count as passes
+        status, rep = run_json(capsys, "verify", "--surface", "torus:2,1",
+                               "--field", "u/u,0", "--grid", "32x32")
+        assert status == 1
+        assert rep["overall_pass"] is False
+        assert rep["n_zero_field_nodes"] == 32
+        for c in rep["checks"]:
+            assert c["n_points"] == 32 * 32 - 32
+
+    @pytest.mark.parametrize("n_bad", [3, 16 * 16])
+    def test_non_finite_residual_is_a_named_failure(self, capsys, monkeypatch,
+                                                    n_bad):
+        original = cli.bochner.bochner_residual
+
+        def poisoned(surface, unit, u, v):
+            out = np.array(original(surface, unit, u, v), dtype=float)
+            out[:n_bad] = np.nan
+            return out
+
+        monkeypatch.setattr(cli.bochner, "bochner_residual", poisoned)
+        status, rep = run_json(capsys, "verify", "--surface", "torus:2,1",
+                               "--field", "du", "--grid", "16x16")
+        assert status == 1
+        assert rep["overall_pass"] is False
+        check = next(c for c in rep["checks"] if c["name"] == "bochner")
+        assert check["pass"] is False
+        assert check["n_failed"] == n_bad
+        assert check["n_points"] == 16 * 16 - n_bad
+        assert (check["sup"] is None) == (n_bad == 16 * 16)
+        assert {f["error"] for f in check["failed_nodes"]} == {"non-finite residual"}
+
     def test_tolerance_override_forces_failure(self, capsys):
         status, rep = run_json(capsys, "verify", "--surface", "torus:2,1",
                                "--field", "du", "--grid", "16x16",
@@ -142,6 +175,8 @@ class TestSmooth:
         sm = rep["smoothing"]
         assert sm["pass"] and sm["sup_error"] < 0.5
         assert sm["min_tangential_norm"] > 0.5
+        assert len(sm["sup_errors"]) == len(sm["degrees_tried"])
+        assert sm["sup_errors"][-1] == sm["sup_error"]
         assert coeffs.exists()
 
     def test_smooth_input_field(self, capsys):
@@ -158,6 +193,16 @@ class TestSmooth:
         assert status == 1
         assert rep["smoothing"]["pass"] is False
         assert "error" in rep
+
+    def test_budget_not_met_keeps_history(self, capsys):
+        status, rep = run_json(capsys, "smooth", "--surface", "torus:2,1",
+                               "--field", "cos(4*u+v),sin(4*u+v)",
+                               "--grid", "32x32", "--max-degree", "4")
+        assert status == 1
+        sm = rep["smoothing"]
+        assert sm["degrees_tried"] == [2, 4]
+        assert len(sm["sup_errors"]) == 2
+        assert sm["sup_error"] == min(sm["sup_errors"]) >= 0.5
 
 
 class TestConfigErrors:

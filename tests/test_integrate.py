@@ -74,6 +74,14 @@ class TestEulerCharacteristic:
         assert exc.value.estimate is not None
         assert exc.value.estimate.margin >= 0.01
 
+    def test_rounding_against_margin_limit(self):
+        est = ig.chi_from_total(2 * np.pi * 1.996)
+        assert est.rounded == 2
+        assert est.margin == pytest.approx(0.004)
+        assert est.margin_limit == ig.CHI_MARGIN
+        assert not est.indeterminate
+        assert ig.chi_from_total(2 * np.pi * 1.996, margin_limit=0.004).indeterminate
+
     def test_definitional_consistency(self, sphere1):
         # 2 pi * raw must be the total-curvature integral, no rewiring allowed
         grid = surf.chart_grid(sphere1, 32, 64)

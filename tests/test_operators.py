@@ -53,7 +53,7 @@ class TestChristoffel:
         u, v = interior_points(clifford1, 10)
         np.testing.assert_allclose(op.christoffel_at(clifford1, u, v), 0.0, atol=1e-15)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.floats(0.3, 2.8), st.floats(0.05, 6.2))
     def test_lower_index_symmetry(self, u, v):
         for s in (surf.torus(2.0, 1.0), surf.sphere(1.0), surf.ellipsoid(1.0, 1.3, 0.7)):

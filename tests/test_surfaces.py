@@ -71,7 +71,7 @@ def test_sphere_pole_is_degenerate(sphere1):
         surf.metric_at(sphere1, 1e-7, 0.3)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.floats(0.05, 6.2), st.floats(0.05, 6.2))
 def test_metric_invariants_torus(u, v):
     t = surf.torus(2.0, 1.0)
