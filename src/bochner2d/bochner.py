@@ -18,25 +18,23 @@ analytic backends and 1e-3 for finite-difference backends.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import NotUnitFieldError, ZeroFieldPointError
+from . import _jets
+from .errors import ZeroFieldPointError
 from .operators import (
-    H_OUTER,
-    TangentField,
-    christoffel_derivative_from_metric,
-    christoffel_from_metric,
-    covariant_gradient_at,
-    divergence_at,
-    divergence_scalar_field,
+    _check_unit,
+    _covariant_gradient,
+    _derived,
+    _divergence,
+    _jet,
+    _levi_civita,
+    _metric,
+    _metric_jet,
+    _ricci,
     field_jet,
     gauss_curvature_from_metric,
-    require_unit,
-    ricci_tensor_from_metric,
-    scalar_jet,
-    scalar_times_field,
 )
 from .surfaces import ChartPoint, metric_data, metric_only
 
@@ -102,16 +100,10 @@ def normalize_field(surface, X, floor=ZERO_FLOOR):
 
     Raises ZeroFieldPointError lazily whenever an evaluation meets a point
     where the metric norm of X falls below `floor`: the input is then not
-    nowhere-zero at working precision.  Derivative callbacks are assembled
-    exactly when the input field carries them and the surface is analytic.
+    nowhere-zero at working precision.
     """
     if floor <= 0:
         raise ValueError("floor must be positive")
-
-    def norm2(u, v):
-        g = metric_only(surface, u, v)
-        a = np.asarray(X.coeff(u, v), dtype=float)
-        return np.einsum("...ij,...i,...j->...", g, a, a), a
 
     def check(n2, u, v):
         bad = n2 < floor**2
@@ -126,96 +118,37 @@ def normalize_field(surface, X, floor=ZERO_FLOOR):
                 f"field {X.name!r} has norm below floor {floor:g} at "
                 f"{int(np.count_nonzero(bad))} point(s), first {pts[0]}", points=pts)
 
-    def coeff(u, v):
-        n2, a = norm2(u, v)
-        check(n2, u, v)
-        return a / np.sqrt(n2)[..., None]
+    def jet(_, u, v, order):
+        g = _metric(surface, u, v, order)
+        x = _jet(surface, X, u, v, order)
+        n2 = _jets.einsum("...ij,...i,...j->...", g, x, x)
+        check(n2.v, u, v)
+        return x / _jets.sqrt(n2)[..., None]
 
-    d_coeff = dd_coeff = None
-    analytic = surface.derivative_mode == "analytic"
-    if analytic and X.d_coeff is not None:
-        def d_coeff(u, v):
-            md = metric_data(surface, u, v, order=1)
-            a, dX = field_jet(surface, X, u, v, order=1)
-            n2 = np.einsum("...ij,...i,...j->...", md.g, a, a)
-            check(n2, u, v)
-            dn2 = (np.einsum("...mij,...i,...j->...m", md.dg, a, a)
-                   + 2.0 * np.einsum("...ij,...mi,...j->...m", md.g, dX, a))
-            inv = 1.0 / np.sqrt(n2)
-            return (dX * inv[..., None, None]
-                    - 0.5 * a[..., None, :] * dn2[..., :, None]
-                    * (inv**3)[..., None, None])
-
-    if analytic and X.d_coeff is not None and X.dd_coeff is not None:
-        def dd_coeff(u, v):
-            md = metric_data(surface, u, v, order=2)
-            a, dX, ddX = field_jet(surface, X, u, v, order=2)
-            n2 = np.einsum("...ij,...i,...j->...", md.g, a, a)
-            check(n2, u, v)
-            dn2 = (np.einsum("...mij,...i,...j->...m", md.dg, a, a)
-                   + 2.0 * np.einsum("...ij,...mi,...j->...m", md.g, dX, a))
-            inv = 1.0 / np.sqrt(n2)
-            out = np.empty(a.shape[:-1] + (3, 2), dtype=float)
-            pairs = ((0, 0), (0, 1), (1, 1))
-            for row, (l, m) in enumerate(pairs):
-                ddn2 = (md.ddg[..., row, :, :] * a[..., :, None] * a[..., None, :]
-                        ).sum((-1, -2))
-                ddn2 += 2.0 * np.einsum("...ij,...i,...j->...",
-                                        md.dg[..., m, :, :], dX[..., l, :], a)
-                ddn2 += 2.0 * np.einsum("...ij,...i,...j->...",
-                                        md.dg[..., l, :, :], dX[..., m, :], a)
-                ddn2 += 2.0 * np.einsum("...ij,...i,...j->...",
-                                        md.g, ddX[..., row, :], a)
-                ddn2 += 2.0 * np.einsum("...ij,...i,...j->...",
-                                        md.g, dX[..., m, :], dX[..., l, :])
-                out[..., row, :] = (
-                    ddX[..., row, :] * inv[..., None]
-                    - 0.5 * dX[..., m, :] * (dn2[..., l] * inv**3)[..., None]
-                    - 0.5 * dX[..., l, :] * (dn2[..., m] * inv**3)[..., None]
-                    - 0.5 * a * (ddn2 * inv**3)[..., None]
-                    + 0.75 * a * (dn2[..., l] * dn2[..., m] * inv**5)[..., None])
-            return out
-
-    return TangentField(coeff, d_coeff, dd_coeff,
-                        name=f"unit({X.name})",
-                        fd_step=H_OUTER if d_coeff is None else X.fd_step)
+    return _derived(jet, f"unit({X.name})")
 
 
 # ---------------------------------------------------------------------------
 # field constructions
 # ---------------------------------------------------------------------------
 
+def _self_transport(t, gamma):
+    """Jet of grad_T T, one order below t."""
+    return _jets.einsum("...ki,...i->...k", _covariant_gradient(t, gamma), t)
+
+
+def _curvature_potential(t, gamma, dlogs):
+    """Jet of grad_T T - (div T) T, one order below t."""
+    return _self_transport(t, gamma) - _divergence(t, dlogs)[..., None] * t
+
+
 def self_covariant_derivative(surface, T):
-    """grad_T T as a tangent field; exact partials when T carries them."""
-    def coeff(u, v):
-        md = metric_data(surface, u, v, order=1)
-        a, dX = field_jet(surface, T, u, v, order=1)
-        gamma = christoffel_from_metric(md)
-        return (np.einsum("...i,...ik->...k", a, dX)
-                + np.einsum("...kij,...i,...j->...k", gamma, a, a))
+    """grad_T T as a tangent field."""
+    def jet(_, u, v, order):
+        gamma, _ = _levi_civita(_metric(surface, u, v, order + 1))
+        return _self_transport(_jet(surface, T, u, v, order + 1), gamma)
 
-    d_coeff = None
-    if (surface.derivative_mode == "analytic" and T.d_coeff is not None
-            and T.dd_coeff is not None):
-        def d_coeff(u, v):
-            md = metric_data(surface, u, v, order=2)
-            a, dX, ddX = field_jet(surface, T, u, v, order=2)
-            gamma = christoffel_from_metric(md)
-            dgamma = christoffel_derivative_from_metric(md)
-            out = np.empty(a.shape[:-1] + (2, 2), dtype=float)
-            for m in range(2):
-                dd_rows = ddX[..., [m + 0, m + 1], :]  # d_m d_i a^k rows i=0,1
-                out[..., m, :] = (
-                    np.einsum("...i,...ik->...k", dX[..., m, :], dX)
-                    + np.einsum("...i,...ik->...k", a, dd_rows)
-                    + np.einsum("...kij,...i,...j->...k",
-                                dgamma[..., m, :, :, :], a, a)
-                    + 2.0 * np.einsum("...kij,...i,...j->...k",
-                                      gamma, dX[..., m, :], a))
-            return out
-
-    return TangentField(coeff, d_coeff, None,
-                        name=f"selfgrad({T.name})", fd_step=H_OUTER)
+    return _derived(jet, f"selfgrad({T.name})")
 
 
 def curvature_potential_field(surface, T):
@@ -225,83 +158,66 @@ def curvature_potential_field(surface, T):
     wherever T is defined.  Requires g(T, T) = 1 within the unit tolerance at
     every evaluated point.
     """
-    grad_tt = self_covariant_derivative(surface, T)
-    div_t = divergence_scalar_field(surface, T)
-    scaled = scalar_times_field(div_t, T)
+    def jet(_, u, v, order):
+        g = _metric(surface, u, v, order + 1)
+        t = _jet(surface, T, u, v, order + 1)
+        _check_unit(g.v, t.v, T.name)
+        return _curvature_potential(t, *_levi_civita(g))
 
-    def coeff(u, v):
-        require_unit(surface, T, u, v)
-        return grad_tt.coeff(u, v) - scaled.coeff(u, v)
-
-    d_coeff = None
-    if grad_tt.d_coeff is not None and scaled.d_coeff is not None:
-        def d_coeff(u, v):
-            return grad_tt.d_coeff(u, v) - scaled.d_coeff(u, v)
-
-    return TangentField(coeff, d_coeff, None,
-                        name=f"curvpot({T.name})", fd_step=H_OUTER)
+    return _derived(jet, f"curvpot({T.name})")
 
 
 # ---------------------------------------------------------------------------
 # identity residuals
 # ---------------------------------------------------------------------------
 
+def _inputs(surface, X, u, v, order):
+    """One metric assembly and one jet of X: every term of a residual uses these."""
+    md = metric_data(surface, u, v, order=order)
+    x = _jets.from_parts(field_jet(surface, X, u, v, order=order),
+                         np.broadcast(u, v).ndim)
+    return md, x, *_levi_civita(_metric_jet(md))
+
+
 def bochner_residual(surface, X, u, v):
     """|X(div X) + Ric(X,X) - div(grad_X X) + trace(A_X^2)| pointwise.
 
     X need not be unit; it must be twice differentiable near the evaluation
-    points (callbacks or stencil fallback).
+    points.
     """
-    md = metric_data(surface, u, v, order=2)
-    jet = field_jet(surface, X, u, v, order=2)
-    a, dX = jet[0], jet[1]
-
-    div_x = divergence_scalar_field(surface, X)
-    _, grad_div = scalar_jet(surface, div_x, u, v, order=1)
-    lhs = np.einsum("...i,...i->...", a, grad_div)
-
-    ric = ricci_tensor_from_metric(md)
-    ric_xx = np.einsum("...ij,...i,...j->...", ric, a, a)
-
-    grad_xx = self_covariant_derivative(surface, X)
-    div_grad_xx = divergence_at(surface, grad_xx, u, v, md=md)
-
-    m = covariant_gradient_at(surface, X, u, v, md=md, jet=(a, dX))
-    trace_a2 = np.einsum("...ki,...ik->...", m, m)
-
+    _, x, gamma, dlogs = _inputs(surface, X, u, v, order=2)
+    m = _covariant_gradient(x, gamma)
+    lhs = np.einsum("...i,...i->...", x.v, _jets.gradient(_divergence(x, dlogs)).v)
+    ric_xx = np.einsum("...ij,...i,...j->...", _ricci(gamma), x.v, x.v)
+    div_grad_xx = _divergence(_jets.einsum("...ki,...i->...k", m, x), dlogs).v
+    trace_a2 = np.einsum("...ki,...ik->...", m.v, m.v)
     return np.abs(lhs - (-ric_xx + div_grad_xx - trace_a2))
 
 
 def trace_identity_residual(surface, T, u, v):
     """|trace(A_T^2) - (div T)^2| for a unit field T."""
-    require_unit(surface, T, u, v)
-    md = metric_data(surface, u, v, order=1)
-    jet = field_jet(surface, T, u, v, order=1)
-    m = covariant_gradient_at(surface, T, u, v, md=md, jet=jet)
+    md, t, gamma, dlogs = _inputs(surface, T, u, v, order=1)
+    _check_unit(md.g, t.v, T.name)
+    m = _covariant_gradient(t, gamma).v
     trace_a2 = np.einsum("...ki,...ik->...", m, m)
-    div_t = divergence_at(surface, T, u, v, md=md, jet=jet)
-    return np.abs(trace_a2 - div_t**2)
+    return np.abs(trace_a2 - _divergence(t, dlogs).v ** 2)
 
 
 def divergence_scaling_residual(surface, T, u, v):
     """|(div T)^2 - div((div T) T) + T(div T)|, the product-rule link."""
-    div_t = divergence_scalar_field(surface, T)
-    val, grad = scalar_jet(surface, div_t, u, v, order=1)
-    a = np.asarray(T.coeff(u, v), dtype=float)
-    t_of_div = np.einsum("...i,...i->...", a, grad)
-    scaled = scalar_times_field(div_t, T)
-    div_scaled = divergence_at(surface, scaled, u, v)
-    return np.abs(val**2 - div_scaled + t_of_div)
+    _, t, _, dlogs = _inputs(surface, T, u, v, order=2)
+    div_t = _divergence(t, dlogs)
+    t_of_div = np.einsum("...i,...i->...", t.v, _jets.gradient(div_t).v)
+    div_scaled = _divergence(div_t[..., None] * t, dlogs).v
+    return np.abs(div_t.v ** 2 - div_scaled + t_of_div)
 
 
-def curvature_identity_residual(surface, T, u, v, potential=None):
+def curvature_identity_residual(surface, T, u, v):
     """|K - div(grad_T T - (div T) T)| for a unit field T."""
-    require_unit(surface, T, u, v)
-    md = metric_data(surface, u, v, order=2)
-    K = gauss_curvature_from_metric(md)
-    Y = potential if potential is not None else curvature_potential_field(surface, T)
-    div_y = divergence_at(surface, Y, u, v, md=md)
-    return np.abs(K - div_y)
+    md, t, gamma, dlogs = _inputs(surface, T, u, v, order=2)
+    _check_unit(md.g, t.v, T.name)
+    div_y = _divergence(_curvature_potential(t, gamma, dlogs), dlogs).v
+    return np.abs(gauss_curvature_from_metric(md) - div_y)
 
 
 def chained_residuals(surface, T, u, v):
@@ -357,12 +273,11 @@ def unit_frame_operator_matrix(surface, T, u, v):
     For a unit field the first row vanishes identically: differentiate
     g(T, T) = 1 to see g(grad_v T, T) = 0 for every direction v.
     """
-    require_unit(surface, T, u, v)
-    md = metric_data(surface, u, v, order=1)
-    m = -covariant_gradient_at(surface, T, u, v, md=md)
-    t = np.asarray(T.coeff(u, v), dtype=float)
+    md, t, gamma, _ = _inputs(surface, T, u, v, order=1)
+    _check_unit(md.g, t.v, T.name)
+    m = -_covariant_gradient(t, gamma).v
     e = unit_frame_companion(surface, T, u, v)
-    basis = np.stack([t, e], axis=-1)              # columns T, E
+    basis = np.stack([t.v, e], axis=-1)            # columns T, E
     # entries M[i, j] = g(A(b_j), b_i)
     a_cols = np.einsum("...ki,...ij->...kj", m, basis)
     return np.einsum("...ij,...ik,...kl->...jl", basis, md.g, a_cols)

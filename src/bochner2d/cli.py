@@ -15,21 +15,23 @@ Reports are JSON (schema 1) on stdout, optionally duplicated to --out; CSV
 emits flat per-node residual rows for plotting.  Exit status: 0 all checks
 passed, 1 an identity/budget/rounding check failed, 2 configuration error.
 Identical configurations produce byte-identical JSON except for the
-"timings" section.  BOCHNER_THREADS caps the worker threads used for grid
-sweeps (default 1; reductions keep a fixed order either way).
+"timings" section.
+
+Field expressions ("expr_u,expr_v") use a whitelisted grammar of u, v,
+numeric constants, + - * / and sin, cos.  Values are evaluated on plain
+arrays; the exact partials an expression field declares come from
+evaluating the same compiled expression on jets of u and v.
 """
 
 import argparse
 import ast
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import approx, bochner, integrate, operators
+from . import _jets, approx, bochner, integrate, operators
 from . import surfaces as surf
 from .errors import (
     BudgetNotMetError,
@@ -48,7 +50,7 @@ _SURFACE_KINDS = {
     "ellipsoid": ("ellipsoid", 3),
 }
 
-_ALLOWED_CALLS = {"sin": np.sin, "cos": np.cos}
+_ALLOWED_CALLS = {"sin": _jets.sin, "cos": _jets.cos}
 _ALLOWED_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Call, ast.Name,
                   ast.Constant, ast.Add, ast.Sub, ast.Mult, ast.Div,
                   ast.USub, ast.UAdd, ast.Load)
@@ -82,20 +84,36 @@ def _parse_expression(text):
     def fn(u, v):
         return eval(code, {"__builtins__": {}},
                     {"u": u, "v": v, **_ALLOWED_CALLS})
+
+    # constant sub-expressions are Python numbers, which raise where arrays
+    # would give inf or nan: reject them here rather than mid-run
+    try:
+        with np.errstate(all="ignore"):
+            fn(np.float64(0.5), np.float64(0.5))
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ConfigError(f"expression {text!r} cannot be evaluated: {exc}") from exc
     return fn
 
 
 def expression_field(expr_u, expr_v):
+    """Base field of two chart expressions, with exact partials from jets."""
     fu = _parse_expression(expr_u)
     fv = _parse_expression(expr_v)
 
     def coeff(u, v):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        return np.stack(np.broadcast_arrays(fu(u, v) + 0.0 * u, fv(u, v) + 0.0 * u),
-                        axis=-1)
+        zero = 0.0 * (u + v)        # every component takes the shape of (u, v)
+        return np.stack(np.broadcast_arrays(fu(u, v) + zero, fv(u, v) + zero), axis=-1)
 
-    return operators.TangentField(coeff, name=f"expr({expr_u},{expr_v})")
+    def partials(u, v, order):
+        U, V = _jets.variables(u, v)
+        jet = _jets.stack([fu(U, V) + 0.0 * U, fv(U, V) + 0.0 * U])
+        return _jets.to_parts(jet, np.broadcast(u, v).ndim)[order]
+
+    return operators.TangentField(coeff, lambda u, v: partials(u, v, 1),
+                                  lambda u, v: partials(u, v, 2),
+                                  name=f"expr({expr_u},{expr_v})")
 
 
 def kinked_mixture_field():
@@ -195,51 +213,26 @@ def parse_tols(pairs):
     return out
 
 
-def thread_count():
-    raw = os.environ.get("BOCHNER_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"BOCHNER_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
+def guarded_eval(fn, U, V):
+    """Vectorized sweep that isolates the nodes raising geometry errors.
 
-
-def sweep_chunks(fn, U, V, threads, chunk=1024):
-    """Evaluate fn over flat node arrays, optionally in a thread pool.
-
-    Chunks are concatenated in index order, so the result is deterministic
-    for any thread count.
+    Returns (values, failed) where failed lists, in node order, the nodes
+    whose evaluation raised; their residual slots are NaN.  A failing batch
+    is halved until each failure is a single node, so k failures among n
+    nodes cost at most 2 k (log2 n + 1) + 1 calls of fn.
     """
     U = np.asarray(U).ravel()
     V = np.asarray(V).ravel()
-    if threads <= 1 or U.size <= chunk:
-        return fn(U, V)
-    blocks = [slice(i, min(i + chunk, U.size)) for i in range(0, U.size, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda b: fn(U[b], V[b]), blocks))
-    return np.concatenate(parts, axis=0)
-
-
-def guarded_eval(fn, U, V, threads):
-    """Vectorized sweep with a per-node fallback on geometry errors.
-
-    Returns (values, failed) where failed lists nodes whose evaluation
-    raised; their residual slots are NaN.  A node failure is not fatal to
-    the sweep.
-    """
     try:
-        return sweep_chunks(fn, U, V, threads), []
-    except GeometryError:
-        pass
-    Uf, Vf = np.asarray(U).ravel(), np.asarray(V).ravel()
-    values = np.full(Uf.shape, np.nan)
-    failed = []
-    for i, (uu, vv) in enumerate(zip(Uf, Vf)):
-        try:
-            values[i] = float(fn(np.asarray(uu), np.asarray(vv)))
-        except GeometryError as exc:
-            failed.append({"u": float(uu), "v": float(vv), "error": str(exc)})
-    return values, failed
+        return np.asarray(fn(U, V), dtype=float), []
+    except GeometryError as exc:
+        if U.size == 1:
+            return np.full(1, np.nan), [{"u": float(U[0]), "v": float(V[0]),
+                                         "error": str(exc)}]
+    half = U.size // 2
+    lo, failed_lo = guarded_eval(fn, U[:half], V[:half])
+    hi, failed_hi = guarded_eval(fn, U[half:], V[half:])
+    return np.concatenate([lo, hi]), failed_lo + failed_hi
 
 
 def _json_default(obj):
@@ -285,7 +278,6 @@ def _config_echo(args, surface, grid_shape, tols):
         "grid": f"{grid_shape[0]}x{grid_shape[1]}",
         "backend": backend,
         "tolerances": {k: tols[k] for k in sorted(tols)},
-        "threads": thread_count(),
         "format": args.format,
     }
 
@@ -322,7 +314,9 @@ def cmd_verify(args):
     field = parse_field(args.field)
     nu, nv = parse_grid(args.grid)
     tols = parse_tols(args.tol)
-    threads = thread_count()
+    floor = tols.get("zero_floor", bochner.ZERO_FLOOR)
+    if not floor > 0:
+        raise ConfigError(f"zero_floor must be positive, got {floor:g}")
     keep_nodes = args.format == "csv"
 
     base = bochner.default_tolerance(surface)
@@ -338,7 +332,6 @@ def cmd_verify(args):
 
     # locate zero-field nodes first; identity checks run on the clean subset
     norms = operators.field_norm(surface, field, grid.U, grid.V)
-    floor = tols.get("zero_floor", bochner.ZERO_FLOOR)
     zero_nodes = mask & ~(norms >= floor)     # a NaN norm is no usable node
     usable = mask & ~zero_nodes
     report["zero_field_nodes"] = [
@@ -371,7 +364,7 @@ def cmd_verify(args):
          tol_of("curvature_identity", base)),
     ]
     for name, fn, tol in checks:
-        values, failed = guarded_eval(fn, U, V, threads)
+        values, failed = guarded_eval(fn, U, V)
         ok = np.isfinite(values)
         raised = {(f["u"], f["v"]) for f in failed}
         failed += [{"u": float(a), "v": float(b), "error": "non-finite residual"}

@@ -8,26 +8,26 @@ Chart-coefficient conventions (trailing axes):
   Christoffel       gamma  -> (..., 2, 2, 2)    gamma[..., k, i, j] = G^k_ij
   operator matrix   m      -> (..., 2, 2)       m[..., k, i] = (grad_{e_i} X)^k
 
-Fields may register exact partial-derivative callbacks.  Callbacks are used
-only when the surface runs in analytic mode; a finite-difference run treats
-the whole pipeline as method-under-test and differentiates coefficients with
-the same stencil order as the metric.  Fields without callbacks are
-differentiated numerically: composite fields built by this package carry a
-smaller step (H_OUTER) because their coefficients already contain one level
-of differentiation.
+Every derivative comes from one mechanism, the second-order jets of
+``_jets``.  A base field is a coefficient function that may declare exact
+partials (``d_coeff``/``dd_coeff``, or ``grad``/``hess`` for a scalar).  They
+are used when the surface runs in analytic mode; otherwise, and always on the
+finite-difference backend, which treats the whole pipeline as the method
+under test, the coefficients are differenced by 4th-order stencils at the
+surface's step.  A field built from other fields (sums, multiples, products,
+the unit field, grad_T T, div T, ...) carries a jet function instead: its
+partials follow exactly from the jets of its inputs and of the metric, on
+both backends, and are never differenced.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import _stencils
+from . import _jets, _stencils
 from .errors import NotUnitFieldError
-from .surfaces import DEFAULT_FD_STEP, metric_data, metric_only
-
-H_OUTER = 1e-4   # first-derivative step for composite (derived) quantities
-H_HESS = 1e-3    # second-derivative step; optimal region for 4th-order stencils
+from .surfaces import COFACTOR_SIGNS, metric_data, metric_only
 
 UNIT_TOL = 1e-8  # allowed deviation of g(T, T) from 1 for unit-field inputs
 
@@ -39,13 +39,14 @@ class TangentField:
     coeff(u, v)    -> (..., 2)
     d_coeff(u, v)  -> (..., 2, 2), optional exact first partials
     dd_coeff(u, v) -> (..., 3, 2), optional exact second partials
-    fd_step        -> step override when coefficients are differenced
+    jet            -> (surface, u, v, order) -> Jet of the coefficients; set
+                      on fields built from other fields
     """
     coeff: Callable
     d_coeff: Optional[Callable] = None
     dd_coeff: Optional[Callable] = None
     name: str = "field"
-    fd_step: Optional[float] = None
+    jet: Optional[Callable] = None
 
     def __call__(self, u, v):
         return np.asarray(self.coeff(u, v), dtype=float)
@@ -58,109 +59,74 @@ class ScalarField:
     grad: Optional[Callable] = None
     hess: Optional[Callable] = None
     name: str = "scalar"
-    fd_step: Optional[float] = None
+    jet: Optional[Callable] = None
 
     def __call__(self, u, v):
         return np.asarray(self.value(u, v), dtype=float)
 
 
+def _derived(jet, name, kind=TangentField):
+    """A field whose values and partials all come from `jet`.
+
+    Values need no surface: only partials depend on the backend.
+    """
+    return kind(lambda u, v: jet(None, u, v, 0).v, name=name, jet=jet)
+
+
+def _jet(surface, f, u, v, order):
+    """Jet of a TangentField's coefficients or a ScalarField's values."""
+    if f.jet is not None:
+        return f.jet(surface, u, v, order)
+    if order > 2:
+        raise ValueError(f"{f.name!r} declares partials up to second order only")
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if isinstance(f, TangentField):
+        value, exact = f.coeff, (f.d_coeff, f.dd_coeff)
+    else:
+        value, exact = f.value, (f.grad, f.hess)
+    parts = [np.asarray(value(u, v), dtype=float)]
+    for k, stencil in enumerate((_stencils.gradient, _stencils.hessian)[:order]):
+        if surface.derivative_mode == "analytic" and exact[k] is not None:
+            parts.append(np.asarray(exact[k](u, v), dtype=float))
+        else:
+            parts.append(stencil(value, u, v, surface.step))
+    return _jets.from_parts(parts, np.broadcast(u, v).ndim)
+
+
 def coordinate_field(axis, name=None):
     """The coordinate field d/du (axis 0) or d/dv (axis 1)."""
-    e = np.zeros(2)
-    e[axis] = 1.0
-
-    def coeff(u, v):
-        shape = np.broadcast(np.asarray(u), np.asarray(v)).shape
-        return np.broadcast_to(e, shape + (2,)).copy()
-
-    def d_coeff(u, v):
-        shape = np.broadcast(np.asarray(u), np.asarray(v)).shape
-        return np.zeros(shape + (2, 2))
-
-    def dd_coeff(u, v):
-        shape = np.broadcast(np.asarray(u), np.asarray(v)).shape
-        return np.zeros(shape + (3, 2))
-
-    return TangentField(coeff, d_coeff, dd_coeff,
-                        name=name or ("du" if axis == 0 else "dv"))
+    return constant_field(1.0 - axis, float(axis),
+                          name=name or ("du" if axis == 0 else "dv"))
 
 
 def constant_field(au, av, name="constant"):
-    base = np.array([float(au), float(av)])
+    """Field with constant coefficients (au, av), whose exact partials vanish."""
+    def filled(x):
+        return lambda u, v: np.broadcast_to(
+            x, np.broadcast(np.asarray(u), np.asarray(v)).shape + x.shape).copy()
 
-    def coeff(u, v):
-        shape = np.broadcast(np.asarray(u), np.asarray(v)).shape
-        return np.broadcast_to(base, shape + (2,)).copy()
-
-    def d_coeff(u, v):
-        shape = np.broadcast(np.asarray(u), np.asarray(v)).shape
-        return np.zeros(shape + (2, 2))
-
-    def dd_coeff(u, v):
-        shape = np.broadcast(np.asarray(u), np.asarray(v)).shape
-        return np.zeros(shape + (3, 2))
-
-    return TangentField(coeff, d_coeff, dd_coeff, name=name)
+    values = (np.array([float(au), float(av)]), np.zeros((2, 2)), np.zeros((3, 2)))
+    return TangentField(*map(filled, values), name=name)
 
 
 def add_fields(x, y, name=None):
-    """Pointwise sum; derivative callbacks survive when both sides have them."""
-    d = dd = None
-    if x.d_coeff and y.d_coeff:
-        d = lambda u, v: x.d_coeff(u, v) + y.d_coeff(u, v)
-    if x.dd_coeff and y.dd_coeff:
-        dd = lambda u, v: x.dd_coeff(u, v) + y.dd_coeff(u, v)
-    step = max(filter(None, (x.fd_step, y.fd_step)), default=None)
-    return TangentField(lambda u, v: x.coeff(u, v) + y.coeff(u, v), d, dd,
-                        name=name or f"{x.name}+{y.name}", fd_step=step)
+    """Pointwise sum."""
+    return _derived(lambda s, u, v, k: _jet(s, x, u, v, k) + _jet(s, y, u, v, k),
+                    name or f"{x.name}+{y.name}")
 
 
 def scale_field(c, x, name=None):
     """Constant multiple of a field."""
     c = float(c)
-    d = (lambda u, v: c * x.d_coeff(u, v)) if x.d_coeff else None
-    dd = (lambda u, v: c * x.dd_coeff(u, v)) if x.dd_coeff else None
-    return TangentField(lambda u, v: c * x.coeff(u, v), d, dd,
-                        name=name or f"{c:g}*{x.name}", fd_step=x.fd_step)
+    return _derived(lambda s, u, v, k: c * _jet(s, x, u, v, k),
+                    name or f"{c:g}*{x.name}")
 
 
 def scalar_times_field(f, x, name=None):
-    """Product field f*X with derivative callbacks assembled by product rule."""
-    def coeff(u, v):
-        return np.asarray(f.value(u, v))[..., None] * x.coeff(u, v)
-
-    d = dd = None
-    if f.grad is not None and x.d_coeff is not None:
-        def d(u, v):
-            fv = np.asarray(f.value(u, v))
-            return (np.asarray(f.grad(u, v))[..., :, None] * x.coeff(u, v)[..., None, :]
-                    + fv[..., None, None] * x.d_coeff(u, v))
-    if f.hess is not None and f.grad is not None and x.dd_coeff is not None \
-            and x.d_coeff is not None:
-        def dd(u, v):
-            fv = np.asarray(f.value(u, v))
-            gf = np.asarray(f.grad(u, v))
-            hf = np.asarray(f.hess(u, v))
-            a = x.coeff(u, v)
-            dX = x.d_coeff(u, v)
-            ddX = x.dd_coeff(u, v)
-            out = hf[..., :, None] * a[..., None, :] + fv[..., None, None] * ddX
-            # cross terms d_m f d_l X + d_l f d_m X for (m,l) in (uu, uv, vv)
-            pairs = ((0, 0), (0, 1), (1, 1))
-            for row, (m, l) in enumerate(pairs):
-                out[..., row, :] += (gf[..., m, None] * dX[..., l, :]
-                                     + gf[..., l, None] * dX[..., m, :])
-            return out
-
-    step = max(filter(None, (f.fd_step, x.fd_step)), default=None)
-    return TangentField(coeff, d, dd, name=name or f"{f.name}*{x.name}", fd_step=step)
-
-
-def _field_steps(surface, fd_step):
-    if surface.derivative_mode == "fd":
-        return surface.fd_step, surface.fd_step
-    step1 = fd_step if fd_step is not None else DEFAULT_FD_STEP
-    return step1, H_HESS
+    """Product field f*X of a ScalarField and a TangentField."""
+    return _derived(lambda s, u, v, k: _jet(s, f, u, v, k)[..., None]
+                    * _jet(s, x, u, v, k), name or f"{f.name}*{x.name}")
 
 
 def field_jet(surface, field, u, v, order=1):
@@ -168,46 +134,53 @@ def field_jet(surface, field, u, v, order=1):
 
     Returns (a, dX) for order 1 and (a, dX, ddX) for order 2.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    a = np.asarray(field.coeff(u, v), dtype=float)
-    analytic = surface.derivative_mode == "analytic"
-    step1, step2 = _field_steps(surface, field.fd_step)
-
-    if analytic and field.d_coeff is not None:
-        dX = np.asarray(field.d_coeff(u, v), dtype=float)
-    else:
-        dX = _stencils.gradient(field.coeff, u, v, step1)
-    if order == 1:
-        return a, dX
-
-    if analytic and field.dd_coeff is not None:
-        ddX = np.asarray(field.dd_coeff(u, v), dtype=float)
-    else:
-        ddX = _stencils.hessian(field.coeff, u, v, step2)
-    return a, dX, ddX
+    return _jets.to_parts(_jet(surface, field, u, v, order), np.broadcast(u, v).ndim)
 
 
 def scalar_jet(surface, f, u, v, order=1):
     """Scalar analogue of field_jet; returns (val, grad[, hess])."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    val = np.asarray(f.value(u, v), dtype=float)
-    analytic = surface.derivative_mode == "analytic"
-    step1, step2 = _field_steps(surface, f.fd_step)
+    return _jets.to_parts(_jet(surface, f, u, v, order), np.broadcast(u, v).ndim)
 
-    if analytic and f.grad is not None:
-        grad = np.asarray(f.grad(u, v), dtype=float)
-    else:
-        grad = _stencils.gradient(f.value, u, v, step1)
-    if order == 1:
-        return val, grad
 
-    if analytic and f.hess is not None:
-        hess = np.asarray(f.hess(u, v), dtype=float)
-    else:
-        hess = _stencils.hessian(f.value, u, v, step2)
-    return val, grad, hess
+# ---------------------------------------------------------------------------
+# metric jets
+# ---------------------------------------------------------------------------
+
+def _metric_jet(md):
+    """The metric of `md` as a jet of the order it was assembled to."""
+    ders = tuple(x for x in (md.dg, md.ddg) if x is not None)
+    return _jets.from_parts((md.g,) + ders, md.g.ndim - 2)
+
+
+def _metric(surface, u, v, order):
+    """The metric as a jet of `order`; values alone come from metric_only."""
+    if order == 0:
+        return _jets.Jet(metric_only(surface, u, v))
+    return _metric_jet(metric_data(surface, u, v, order=order))
+
+
+def _levi_civita(g):
+    """Christoffel symbols and d_i log sqrt(det g), one order below the jet g."""
+    low = _jets.Jet(g.v, *(g.d, g.dd)[:g.order - 1])     # all that g^-1 needs
+    det = low[..., 0, 0] * low[..., 1, 1] - low[..., 0, 1] * low[..., 1, 0]
+    half_inv = 0.5 * low[..., ::-1, ::-1] * COFACTOR_SIGNS / det[..., None, None]
+    dg = _jets.gradient(g)                  # dg[..., i, j, m] = d_m g_ij
+    # S[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
+    s = (_jets.einsum("...jli->...lij", dg) + _jets.einsum("...ilj->...lij", dg)
+         - _jets.einsum("...ijl->...lij", dg))
+    return (_jets.einsum("...kl,...lij->...kij", half_inv, s),
+            _jets.einsum("...ab,...abi->...i", half_inv, dg))
+
+
+def _covariant_gradient(x, gamma):
+    """Jet of m[..., k, i] = (grad_{e_i} X)^k, one order below x."""
+    return _jets.gradient(x) + _jets.einsum("...kij,...j->...ki", gamma, x)
+
+
+def _divergence(x, dlogs):
+    """Jet of div X = d_i X^i + X^i d_i log sqrt(det g), one order below x."""
+    return (_jets.einsum("...ii->...", _jets.gradient(x))
+            + _jets.einsum("...i,...i->...", x, dlogs))
 
 
 # ---------------------------------------------------------------------------
@@ -216,27 +189,12 @@ def scalar_jet(surface, f, u, v, order=1):
 
 def christoffel_from_metric(md):
     """Levi-Civita symbols gamma[..., k, i, j] from metric data (order >= 1)."""
-    # S[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    dg = md.dg
-    S = (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg)
-    return 0.5 * np.einsum("...kl,...lij->...kij", md.g_inv, S)
+    return _levi_civita(_metric_jet(md))[0].v
 
 
 def christoffel_derivative_from_metric(md):
     """d_m gamma^k_ij, shape (..., 2, 2, 2, 2); needs order-2 metric data."""
-    dg, ddg, g_inv = md.dg, md.ddg, md.g_inv
-    S = (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg)
-    dginv = -np.einsum("...ka,...mab,...bl->...mkl", g_inv, dg, g_inv)
-    dS = np.empty(dg.shape[:-3] + (2, 2, 2, 2), dtype=dg.dtype)
-    for m in range(2):
-        for l in range(2):
-            for i in range(2):
-                for j in range(2):
-                    dS[..., m, l, i, j] = (ddg[..., m + i, j, l]
-                                           + ddg[..., m + j, i, l]
-                                           - ddg[..., m + l, i, j])
-    return 0.5 * (np.einsum("...mkl,...lij->...mkij", dginv, S)
-                  + np.einsum("...kl,...mlij->...mkij", g_inv, dS))
+    return np.moveaxis(_levi_civita(_metric_jet(md))[0].d, 0, -4)
 
 
 def christoffel_at(surface, u, v):
@@ -278,18 +236,23 @@ def gauss_curvature_at(surface, u, v):
 
 def riemann_tensor_from_metric(md):
     """R^l_{kij} from the connection, shape (..., 2, 2, 2, 2)."""
-    gamma = christoffel_from_metric(md)
-    dgamma = christoffel_derivative_from_metric(md)
-    quad = np.einsum("...lim,...mjk->...lkij", gamma, gamma)
-    return (np.einsum("...iljk->...lkij", dgamma)
-            - np.einsum("...jlik->...lkij", dgamma)
+    return _riemann(_levi_civita(_metric_jet(md))[0])
+
+
+def _riemann(gamma):
+    quad = np.einsum("...lim,...mjk->...lkij", gamma.v, gamma.v)
+    return (np.einsum("i...ljk->...lkij", gamma.d)
+            - np.einsum("j...lik->...lkij", gamma.d)
             + quad - np.einsum("...lkji->...lkij", quad))
 
 
 def ricci_tensor_from_metric(md):
     """Ric_{kj} by contracting the curvature tensor of the connection."""
-    riem = riemann_tensor_from_metric(md)
-    return np.einsum("...ikij->...kj", riem)
+    return _ricci(_levi_civita(_metric_jet(md))[0])
+
+
+def _ricci(gamma):
+    return np.einsum("...ikij->...kj", _riemann(gamma))
 
 
 def ricci_tensor_at(surface, u, v):
@@ -300,34 +263,14 @@ def ricci_tensor_at(surface, u, v):
 # first-order field operators
 # ---------------------------------------------------------------------------
 
-def log_volume_gradient(md):
-    """d_i log sqrt(det g), shape (..., 2)."""
-    return 0.5 * np.einsum("...ab,...iab->...i", md.g_inv, md.dg)
-
-
-def log_volume_hessian(md):
-    """Second partials of log sqrt(det g), rows (uu, uv, vv)."""
-    dginv = -np.einsum("...ka,...mab,...bl->...mkl", md.g_inv, md.dg, md.g_inv)
-    out = np.empty(md.det_g.shape + (3,), dtype=md.g.dtype)
-    for row, (m, i) in enumerate(((0, 0), (0, 1), (1, 1))):
-        out[..., row] = 0.5 * (
-            np.einsum("...ab,...ab->...", dginv[..., m, :, :], md.dg[..., i, :, :])
-            + np.einsum("...ab,...ab->...", md.g_inv, md.ddg[..., m + i, :, :]))
-    return out
-
-
-def covariant_gradient_at(surface, X, u, v, md=None, jet=None):
+def covariant_gradient_at(surface, X, u, v):
     """Matrix of v -> grad_v X in the chart basis; columns are directions.
 
     Its negative is the operator whose trace equals -div X and whose square
     enters the curvature identities.
     """
-    if md is None:
-        md = metric_data(surface, u, v, order=1)
-    gamma = christoffel_from_metric(md)
-    a, dX = jet if jet is not None else field_jet(surface, X, u, v, order=1)
-    return (np.einsum("...ik->...ki", dX)
-            + np.einsum("...kij,...j->...ki", gamma, a))
+    gamma, _ = _levi_civita(_metric(surface, u, v, 1))
+    return _covariant_gradient(_jet(surface, X, u, v, 1), gamma).v
 
 
 def covariant_derivative(surface, X, direction, u, v):
@@ -337,44 +280,19 @@ def covariant_derivative(surface, X, direction, u, v):
     return np.einsum("...ki,...i->...k", m, direction)
 
 
-def divergence_at(surface, X, u, v, md=None, jet=None):
+def divergence_at(surface, X, u, v):
     """div X via the volume-weighted coordinate formula."""
-    if md is None:
-        md = metric_data(surface, u, v, order=1)
-    a, dX = jet if jet is not None else field_jet(surface, X, u, v, order=1)
-    return (np.einsum("...ii->...", dX)
-            + np.einsum("...i,...i->...", a, log_volume_gradient(md)))
+    _, dlogs = _levi_civita(_metric(surface, u, v, 1))
+    return _divergence(_jet(surface, X, u, v, 1), dlogs).v
 
 
 def divergence_scalar_field(surface, X, name=None):
-    """div X packaged as a ScalarField with exact gradient when available.
+    """div X as a ScalarField; its partials come from the jets of X and g."""
+    def jet(_, u, v, order):
+        _, dlogs = _levi_civita(_metric(surface, u, v, order + 1))
+        return _divergence(_jet(surface, X, u, v, order + 1), dlogs)
 
-    The gradient needs second field partials and second metric partials;
-    without callbacks the value function is differenced at the composite step.
-    """
-    def value(u, v):
-        return divergence_at(surface, X, u, v)
-
-    grad = None
-    if (surface.derivative_mode == "analytic" and X.d_coeff is not None
-            and X.dd_coeff is not None):
-        def grad(u, v):
-            md = metric_data(surface, u, v, order=2)
-            a, dX, ddX = field_jet(surface, X, u, v, order=2)
-            dlogs = log_volume_gradient(md)
-            ddlogs = log_volume_hessian(md)
-            # d_m div = d_m d_i X^i + d_m X^i dlogs_i + X^i d_m dlogs_i
-            out = np.empty(a.shape, dtype=float)
-            for m in range(2):
-                out[..., m] = (ddX[..., m + 0, 0] + ddX[..., m + 1, 1]
-                               + dX[..., m, 0] * dlogs[..., 0]
-                               + dX[..., m, 1] * dlogs[..., 1]
-                               + a[..., 0] * ddlogs[..., m + 0]
-                               + a[..., 1] * ddlogs[..., m + 1])
-            return out
-
-    return ScalarField(value, grad, None, name=name or f"div({X.name})",
-                       fd_step=H_OUTER)
+    return _derived(jet, name or f"div({X.name})", ScalarField)
 
 
 def field_norm(surface, X, u, v):
@@ -384,15 +302,12 @@ def field_norm(surface, X, u, v):
     return np.sqrt(np.einsum("...ij,...i,...j->...", g, a, a))
 
 
-def require_unit(surface, X, u, v, tol=UNIT_TOL):
-    """Raise NotUnitFieldError unless g(X, X) = 1 within tol at all points."""
-    g = metric_only(surface, u, v)
-    a = np.asarray(X.coeff(u, v), dtype=float)
+def _check_unit(g, a, name, tol=UNIT_TOL):
     n2 = np.einsum("...ij,...i,...j->...", g, a, a)
     worst = float(np.max(np.abs(n2 - 1.0)))
     if worst > tol:
         raise NotUnitFieldError(
-            f"field {X.name!r} is not unit: max |g(T,T)-1| = {worst:.3e} > {tol:g}")
+            f"field {name!r} is not unit: max |g(T,T)-1| = {worst:.3e} > {tol:g}")
 
 
 def ricci_residual_at(surface, X, Y, u, v):
@@ -409,11 +324,9 @@ def ricci_residual_at(surface, X, Y, u, v):
 
 def product_rule_residual_at(surface, f, X, u, v):
     """|div(fX) - X(f) - f div(X)| for a scalar f and tangent field X."""
-    md = metric_data(surface, u, v, order=1)
-    fX = scalar_times_field(f, X)
-    lhs = divergence_at(surface, fX, u, v, md=md)
-    val, grad = scalar_jet(surface, f, u, v, order=1)
-    a = np.asarray(X.coeff(u, v), dtype=float)
-    x_of_f = np.einsum("...i,...i->...", a, grad)
-    rhs = x_of_f + val * divergence_at(surface, X, u, v, md=md)
-    return np.abs(lhs - rhs)
+    _, dlogs = _levi_civita(_metric(surface, u, v, 1))
+    fj = _jet(surface, f, u, v, 1)
+    x = _jet(surface, X, u, v, 1)
+    lhs = _divergence(fj[..., None] * x, dlogs).v
+    x_of_f = np.einsum("...i,...i->...", x.v, _jets.gradient(fj).v)
+    return np.abs(lhs - (x_of_f + fj.v * _divergence(x, dlogs).v))

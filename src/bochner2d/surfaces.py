@@ -23,12 +23,14 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import _stencils
+from . import _jets, _stencils
 from .errors import DegenerateMetricError, InvalidParameterError
 
 DET_EPS = 1e-12          # below this, det g signals a chart singularity
 GUARD_BAND = 1e-3        # half-width of the excluded band at non-periodic chart ends
 DEFAULT_FD_STEP = 1e-3   # balances truncation vs round-off for second derivatives
+# the inverse of a symmetric 2x2 matrix g is g[..., ::-1, ::-1] * COFACTOR_SIGNS / det g
+COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 class ChartPoint(NamedTuple):
@@ -74,7 +76,7 @@ class SurfaceSpec:
     ambient_dim: int
     chart_rect: ChartRect
     derivative_mode: str          # "analytic" | "fd"
-    fd_step: float
+    step: float
     known_chi: Optional[int]
     params: dict
     maps: _ChartMaps = field(repr=False)
@@ -256,7 +258,7 @@ def make_surface(kind, params=(), mode="analytic", step=DEFAULT_FD_STEP):
         return SurfaceSpec(
             name=f"sphere({r:g})", ambient_dim=3,
             chart_rect=ChartRect(0.0, np.pi, 0.0, TWO_PI, False, True),
-            derivative_mode=mode, fd_step=step, known_chi=2,
+            derivative_mode=mode, step=step, known_chi=2,
             params={"r": r}, maps=_polar_maps(r, r, r))
     if kind == "torus":
         if len(params) != 2:
@@ -268,14 +270,14 @@ def make_surface(kind, params=(), mode="analytic", step=DEFAULT_FD_STEP):
         return SurfaceSpec(
             name=f"torus({big_r:g},{small_r:g})", ambient_dim=3,
             chart_rect=ChartRect(0.0, TWO_PI, 0.0, TWO_PI, True, True),
-            derivative_mode=mode, fd_step=step, known_chi=0,
+            derivative_mode=mode, step=step, known_chi=0,
             params={"R": big_r, "r": small_r}, maps=_torus_maps(big_r, small_r))
     if kind == "clifford_torus":
         (r,) = params or (1.0,)
         return SurfaceSpec(
             name=f"clifford_torus({r:g})", ambient_dim=4,
             chart_rect=ChartRect(0.0, TWO_PI, 0.0, TWO_PI, True, True),
-            derivative_mode=mode, fd_step=step, known_chi=0,
+            derivative_mode=mode, step=step, known_chi=0,
             params={"r": r}, maps=_clifford_maps(r))
     if kind == "ellipsoid":
         if len(params) != 3:
@@ -284,7 +286,7 @@ def make_surface(kind, params=(), mode="analytic", step=DEFAULT_FD_STEP):
         return SurfaceSpec(
             name=f"ellipsoid({a:g},{b:g},{c:g})", ambient_dim=3,
             chart_rect=ChartRect(0.0, np.pi, 0.0, TWO_PI, False, True),
-            derivative_mode=mode, fd_step=step, known_chi=2,
+            derivative_mode=mode, step=step, known_chi=2,
             params={"a": a, "b": b, "c": c}, maps=_polar_maps(a, b, c))
     raise InvalidParameterError(f"unknown surface kind {kind!r}")
 
@@ -310,41 +312,17 @@ def _first_form(maps, u, v):
     return np.einsum("...ai,...aj->...ij", jac, jac)
 
 
-def _idx2(i, j):
-    # symmetric pair (i, j) -> position in the (uu, uv, vv) axis
-    return i + j
-
-
-def _idx3(i, j, k):
-    # symmetric triple -> position in the (uuu, uuv, uvv, vvv) axis
-    return i + j + k
-
-
 def _analytic_metric(maps, u, v, order):
-    jac = maps.d1(u, v)
-    g = np.einsum("...ai,...aj->...ij", jac, jac)
-    dg = ddg = None
-    if order >= 1:
-        d2 = maps.d2(u, v)
-        dg = np.empty(g.shape[:-2] + (2, 2, 2), dtype=g.dtype)
-        for k in range(2):
-            for i in range(2):
-                for j in range(2):
-                    dg[..., k, i, j] = (
-                        np.einsum("...a,...a->...", d2[..., _idx2(k, i)], jac[..., j])
-                        + np.einsum("...a,...a->...", jac[..., i], d2[..., _idx2(k, j)]))
-    if order >= 2:
-        d3 = maps.d3(u, v)
-        ddg = np.empty(g.shape[:-2] + (3, 2, 2), dtype=g.dtype)
-        for m, (k, l) in enumerate(((0, 0), (0, 1), (1, 1))):
-            for i in range(2):
-                for j in range(2):
-                    ddg[..., m, i, j] = (
-                        np.einsum("...a,...a->...", d3[..., _idx3(k, l, i)], jac[..., j])
-                        + np.einsum("...a,...a->...", d2[..., _idx2(l, i)], d2[..., _idx2(k, j)])
-                        + np.einsum("...a,...a->...", d2[..., _idx2(k, i)], d2[..., _idx2(l, j)])
-                        + np.einsum("...a,...a->...", jac[..., i], d3[..., _idx3(k, l, j)]))
-    return g, dg, ddg
+    # g = J^T J on the jet of the Jacobian: d_m J[..., a, i] = d2[..., a, m + i]
+    # and row r = m + l of its second partials is d3[..., a, r + i], so both
+    # are sliding windows over the last axis of the closed-form maps
+    def window(d):
+        return np.moveaxis(np.lib.stride_tricks.sliding_window_view(d, 2, axis=-1), -2, 0)
+
+    ders = [window(d(u, v)) for d in (maps.d2, maps.d3)[:order]]
+    jac = _jets.Jet(maps.d1(u, v), *ders)
+    g = _jets.einsum("...ai,...aj->...ij", jac, jac)
+    return (_jets.to_parts(g, g.v.ndim - 2) + (None, None))[:3]
 
 
 def _fd_metric(maps, u, v, order, h):
@@ -380,7 +358,7 @@ def metric_data(surface, u, v, order=2):
     if surface.derivative_mode == "analytic":
         g, dg, ddg = _analytic_metric(surface.maps, u, v, order)
     else:
-        g, dg, ddg = _fd_metric(surface.maps, u, v, order, surface.fd_step)
+        g, dg, ddg = _fd_metric(surface.maps, u, v, order, surface.step)
 
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
     if np.any(det <= DET_EPS):
@@ -391,11 +369,7 @@ def metric_data(surface, u, v, order=2):
             f"metric degenerate on {surface.name}: det g = {np.min(det):.3e} "
             f"at (u, v) = ({pt.u:.6g}, {pt.v:.6g})", point=pt)
 
-    g_inv = np.empty_like(g)
-    g_inv[..., 0, 0] = g[..., 1, 1] / det
-    g_inv[..., 1, 1] = g[..., 0, 0] / det
-    g_inv[..., 0, 1] = -g[..., 0, 1] / det
-    g_inv[..., 1, 0] = -g[..., 1, 0] / det
+    g_inv = g[..., ::-1, ::-1] * COFACTOR_SIGNS / det[..., None, None]
     return MetricData(g=g, g_inv=g_inv, dg=dg, ddg=ddg,
                       det_g=det, sqrt_det_g=np.sqrt(det))
 
@@ -407,8 +381,8 @@ def metric_at(surface, u, v):
 
 def metric_only(surface, u, v):
     """Just g, shape (..., 2, 2); exact in both backends."""
-    jac = surface.maps.d1(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    return np.einsum("...ai,...aj->...ij", jac, jac)
+    return _first_form(surface.maps, np.asarray(u, dtype=float),
+                       np.asarray(v, dtype=float))
 
 
 def _axis_rule(lo, hi, n, periodic):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bochner2d import cli
-from bochner2d.errors import ConfigError
+from bochner2d.errors import ConfigError, GeometryError
 
 
 def run_cli(capsys, *argv):
@@ -226,19 +226,47 @@ class TestConfigErrors:
             with pytest.raises(ConfigError):
                 cli._parse_expression(bad)
 
-    def test_thread_env_validation(self, monkeypatch):
-        monkeypatch.setenv("BOCHNER_THREADS", "junk")
-        assert cli.main(["verify", "--surface", "torus:2,1", "--field", "du",
-                         "--grid", "8x8"]) == 2
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--surface", "torus:2,1", "--field", "du", "--grid", "8x8",
+         "--tol", "zero_floor=0"),
+        ("verify", "--surface", "torus:2,1", "--field", "1/0,1", "--grid", "8x8"),
+        ("gauss-bonnet", "--surface", "torus:2,1", "--field", "1/0,1",
+         "--grid", "8x8"),
+        ("smooth", "--surface", "torus:2,1", "--field", "1/0,1", "--grid", "8x8"),
+    ])
+    def test_config_error_instead_of_traceback(self, capsys, argv):
+        assert cli.main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert captured.out == ""
 
-    def test_threaded_sweep_matches_serial(self, capsys, monkeypatch):
-        argv = ("verify", "--surface", "torus:2,1", "--field", "du",
-                "--grid", "24x24")
-        status1, out1 = run_cli(capsys, *argv)
-        monkeypatch.setenv("BOCHNER_THREADS", "4")
-        status2, out2 = run_cli(capsys, *argv)
-        assert status1 == status2 == 0
-        r1, r2 = json.loads(out1), json.loads(out2)
-        r1.pop("timings"); r2.pop("timings")
-        r1["config"].pop("threads"); r2["config"].pop("threads")
-        assert json.dumps(r1) == json.dumps(r2)
+
+class TestGuardedEval:
+    def test_halving_matches_per_node_loop(self):
+        n = 4096
+        U = np.linspace(0.0, 1.0, n)
+        V = np.linspace(2.0, 3.0, n)
+        bad = {17, 2048, 4095}
+        calls = []
+
+        def fn(u, v):
+            calls.append(u.size)
+            hit = [i for i in bad if U[i] in u]
+            if hit:
+                raise GeometryError(f"bad node {min(hit)}")
+            return u + v
+
+        values, failed = cli.guarded_eval(fn, U, V)
+        n_calls = len(calls)
+
+        ref_values = np.full(n, np.nan)
+        ref_failed = []
+        for i in range(n):      # the per-node reference
+            try:
+                ref_values[i] = float(fn(U[i:i + 1], V[i:i + 1])[0])
+            except GeometryError as exc:
+                ref_failed.append({"u": float(U[i]), "v": float(V[i]),
+                                   "error": str(exc)})
+        np.testing.assert_array_equal(values, ref_values)
+        assert failed == ref_failed
+        assert n_calls <= 2 * len(bad) * (np.log2(n) + 1) + 1
