@@ -25,6 +25,7 @@ from .bochner import (
     curvature_identity_residual,
     curvature_potential_field,
     divergence_scaling_residual,
+    gauss_bonnet_integrands,
     normalize_field,
     trace_identity_residual,
     unit_frame_operator_matrix,
@@ -56,6 +57,7 @@ from .integrate import (
     euler_characteristic,
     surface_area,
     surface_integral,
+    surface_integrals,
     total_curvature,
 )
 from .operators import (

@@ -12,12 +12,23 @@ with A_X(v) = -grad_v X.  Every identity is evaluated numerically on grids
 and reported as |LHS - RHS| with a tolerance verdict; the toolkit certifies
 rather than proves.
 
+All of them are algebra over one set of pointwise objects, which a private
+node batch (`_NodeBatch`) builds once per batch of nodes: one metric
+assembly, the Levi-Civita connection from it, and the jet of the field,
+which takes that same metric jet.  Each residual formula is written once
+on a batch.  The public residual functions build one batch each;
+`chained_residuals` builds one for all four; the `verify` command makes a
+single pass per block of `cli.BATCH_NODES` nodes for all its checks, and
+`gauss-bonnet` takes K and div(grad_T T - (div T) T) from one batch per
+quadrature grid (`gauss_bonnet_integrands`).
+
 Residual functions return plain arrays over the broadcast shape of (u, v);
 `residual_report` summarizes a sweep.  Tolerances default to 1e-6 for
 analytic backends and 1e-3 for finite-difference backends.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,8 +43,11 @@ from .operators import (
     _levi_civita,
     _metric,
     _metric_jet,
+    _not_unit_message,
+    _product_rule,
     _ricci,
-    field_jet,
+    _unit_deviation,
+    UNIT_TOL,
     gauss_curvature_from_metric,
 )
 from .surfaces import ChartPoint, metric_data, metric_only
@@ -118,9 +132,9 @@ def normalize_field(surface, X, floor=ZERO_FLOOR):
                 f"field {X.name!r} has norm below floor {floor:g} at "
                 f"{int(np.count_nonzero(bad))} point(s), first {pts[0]}", points=pts)
 
-    def jet(_, u, v, order):
-        g = _metric(surface, u, v, order)
-        x = _jet(surface, X, u, v, order)
+    def jet(_, u, v, order, g):
+        g = _metric(surface, u, v, order, g)
+        x = _jet(surface, X, u, v, order, g)
         n2 = _jets.einsum("...ij,...i,...j->...", g, x, x)
         check(n2.v, u, v)
         return x / _jets.sqrt(n2)[..., None]
@@ -129,24 +143,71 @@ def normalize_field(surface, X, floor=ZERO_FLOOR):
 
 
 # ---------------------------------------------------------------------------
+# the node batch
+# ---------------------------------------------------------------------------
+
+class _NodeBatch:
+    """The metric, the connection and the jet of a field X at a batch of nodes.
+
+    The metric is assembled once (or taken as the jet `g` when that is of
+    at least `order`), the connection comes from it, and X's jet takes that
+    same metric jet, so a derived X such as the unit field assembles nothing
+    again.  Every term shared by the identities is computed at most once
+    per batch.
+    """
+
+    def __init__(self, surface, X, u, v, order=2, g=None):
+        self.md = None
+        if g is None or g.order < order:
+            self.md = metric_data(surface, u, v, order=order)
+            g = _metric_jet(self.md)
+        self.g, self.name = g, X.name
+        self.x = _jet(surface, X, u, v, order, g)
+        self.gamma, self.dlogs = _levi_civita(g)
+
+    def check_unit(self):
+        _check_unit(self.g.v, self.x.v, self.name)
+
+    @cached_property
+    def grad_x(self):
+        """Jet of m[..., k, i] = (grad_{e_i} X)^k, one order below x."""
+        return _covariant_gradient(self.x, self.gamma)
+
+    @cached_property
+    def div_x(self):
+        """Jet of div X, one order below x."""
+        return _divergence(self.x, self.dlogs)
+
+    @cached_property
+    def transport(self):
+        """Jet of grad_X X, one order below x."""
+        return _jets.einsum("...ki,...i->...k", self.grad_x, self.x)
+
+    @cached_property
+    def potential(self):
+        """Jet of grad_X X - (div X) X, one order below x."""
+        return self.transport - self.div_x[..., None] * self.x
+
+    @cached_property
+    def x_of_div(self):
+        """X(div X)."""
+        return np.einsum("...i,...i->...", self.x.v, _jets.gradient(self.div_x).v)
+
+    @cached_property
+    def trace_a2(self):
+        """trace(A_X^2) with A_X(v) = -grad_v X."""
+        m = self.grad_x.v
+        return np.einsum("...ki,...ik->...", m, m)
+
+
+# ---------------------------------------------------------------------------
 # field constructions
 # ---------------------------------------------------------------------------
 
-def _self_transport(t, gamma):
-    """Jet of grad_T T, one order below t."""
-    return _jets.einsum("...ki,...i->...k", _covariant_gradient(t, gamma), t)
-
-
-def _curvature_potential(t, gamma, dlogs):
-    """Jet of grad_T T - (div T) T, one order below t."""
-    return _self_transport(t, gamma) - _divergence(t, dlogs)[..., None] * t
-
-
 def self_covariant_derivative(surface, T):
     """grad_T T as a tangent field."""
-    def jet(_, u, v, order):
-        gamma, _ = _levi_civita(_metric(surface, u, v, order + 1))
-        return _self_transport(_jet(surface, T, u, v, order + 1), gamma)
+    def jet(_, u, v, order, g):
+        return _NodeBatch(surface, T, u, v, order + 1, g).transport
 
     return _derived(jet, f"selfgrad({T.name})")
 
@@ -158,25 +219,45 @@ def curvature_potential_field(surface, T):
     wherever T is defined.  Requires g(T, T) = 1 within the unit tolerance at
     every evaluated point.
     """
-    def jet(_, u, v, order):
-        g = _metric(surface, u, v, order + 1)
-        t = _jet(surface, T, u, v, order + 1)
-        _check_unit(g.v, t.v, T.name)
-        return _curvature_potential(t, *_levi_civita(g))
+    def jet(_, u, v, order, g):
+        batch = _NodeBatch(surface, T, u, v, order + 1, g)
+        batch.check_unit()
+        return batch.potential
 
     return _derived(jet, f"curvpot({T.name})")
 
 
 # ---------------------------------------------------------------------------
-# identity residuals
+# identity residuals: each formula once, on a node batch of order 2
+# (the trace identity needs order 1 only)
 # ---------------------------------------------------------------------------
 
-def _inputs(surface, X, u, v, order):
-    """One metric assembly and one jet of X: every term of a residual uses these."""
-    md = metric_data(surface, u, v, order=order)
-    x = _jets.from_parts(field_jet(surface, X, u, v, order=order),
-                         np.broadcast(u, v).ndim)
-    return md, x, *_levi_civita(_metric_jet(md))
+def _bochner(b):
+    ric_xx = np.einsum("...ij,...i,...j->...", _ricci(b.gamma), b.x.v, b.x.v)
+    div_grad_xx = _divergence(b.transport, b.dlogs).v
+    return np.abs(b.x_of_div - (-ric_xx + div_grad_xx - b.trace_a2))
+
+
+def _trace(b):
+    return np.abs(b.trace_a2 - b.div_x.v ** 2)
+
+
+def _product(b):
+    div_scaled = _divergence(b.div_x[..., None] * b.x, b.dlogs).v
+    return np.abs(b.div_x.v ** 2 - div_scaled + b.x_of_div)
+
+
+def _curvature_divergence(b):
+    return _divergence(b.potential, b.dlogs).v
+
+
+def _curvature(b):
+    return np.abs(gauss_curvature_from_metric(b.md) - _curvature_divergence(b))
+
+
+def _chain(b):
+    """The residuals of identities (1)-(4), in order, from one node batch."""
+    return _bochner(b), _trace(b), _product(b), _curvature(b)
 
 
 def bochner_residual(surface, X, u, v):
@@ -185,54 +266,83 @@ def bochner_residual(surface, X, u, v):
     X need not be unit; it must be twice differentiable near the evaluation
     points.
     """
-    _, x, gamma, dlogs = _inputs(surface, X, u, v, order=2)
-    m = _covariant_gradient(x, gamma)
-    lhs = np.einsum("...i,...i->...", x.v, _jets.gradient(_divergence(x, dlogs)).v)
-    ric_xx = np.einsum("...ij,...i,...j->...", _ricci(gamma), x.v, x.v)
-    div_grad_xx = _divergence(_jets.einsum("...ki,...i->...k", m, x), dlogs).v
-    trace_a2 = np.einsum("...ki,...ik->...", m.v, m.v)
-    return np.abs(lhs - (-ric_xx + div_grad_xx - trace_a2))
+    return _bochner(_NodeBatch(surface, X, u, v))
 
 
 def trace_identity_residual(surface, T, u, v):
     """|trace(A_T^2) - (div T)^2| for a unit field T."""
-    md, t, gamma, dlogs = _inputs(surface, T, u, v, order=1)
-    _check_unit(md.g, t.v, T.name)
-    m = _covariant_gradient(t, gamma).v
-    trace_a2 = np.einsum("...ki,...ik->...", m, m)
-    return np.abs(trace_a2 - _divergence(t, dlogs).v ** 2)
+    batch = _NodeBatch(surface, T, u, v, order=1)
+    batch.check_unit()
+    return _trace(batch)
 
 
 def divergence_scaling_residual(surface, T, u, v):
     """|(div T)^2 - div((div T) T) + T(div T)|, the product-rule link."""
-    _, t, _, dlogs = _inputs(surface, T, u, v, order=2)
-    div_t = _divergence(t, dlogs)
-    t_of_div = np.einsum("...i,...i->...", t.v, _jets.gradient(div_t).v)
-    div_scaled = _divergence(div_t[..., None] * t, dlogs).v
-    return np.abs(div_t.v ** 2 - div_scaled + t_of_div)
+    return _product(_NodeBatch(surface, T, u, v))
 
 
 def curvature_identity_residual(surface, T, u, v):
     """|K - div(grad_T T - (div T) T)| for a unit field T."""
-    md, t, gamma, dlogs = _inputs(surface, T, u, v, order=2)
-    _check_unit(md.g, t.v, T.name)
-    div_y = _divergence(_curvature_potential(t, gamma, dlogs), dlogs).v
-    return np.abs(gauss_curvature_from_metric(md) - div_y)
+    batch = _NodeBatch(surface, T, u, v)
+    batch.check_unit()
+    return _curvature(batch)
 
 
 def chained_residuals(surface, T, u, v):
     """All four residuals of the identity chain at the given points.
 
-    Returns a dict with keys "bochner", "trace", "product", "curvature" and
-    "bound_slack": curvature residual minus the sum of the other three.  The
-    derivation makes the slack at most numerical-linearity noise (~1e-9).
+    One node batch serves all four.  Returns a dict with keys "bochner",
+    "trace", "product", "curvature" and "bound_slack": curvature residual
+    minus the sum of the other three.  The derivation makes the slack at
+    most numerical-linearity noise (~1e-9).
     """
-    r1 = bochner_residual(surface, T, u, v)
-    r2 = trace_identity_residual(surface, T, u, v)
-    r3 = divergence_scaling_residual(surface, T, u, v)
-    r4 = curvature_identity_residual(surface, T, u, v)
+    batch = _NodeBatch(surface, T, u, v)
+    batch.check_unit()
+    r1, r2, r3, r4 = _chain(batch)
     return {"bochner": r1, "trace": r2, "product": r3, "curvature": r4,
             "bound_slack": r4 - (r1 + r2 + r3)}
+
+
+# the checks of `verify`, in the column order of `_verify_pass`
+VERIFY_CHECKS = ("bochner", "trace_identity", "divergence_product_rule",
+                 "curvature_identity", "product_rule")
+# those whose identity holds for a unit T only, as in their residual functions
+_UNIT_CHECKS = ("trace_identity", "curvature_identity")
+
+
+def _verify_pass(surface, T, f, Y, u, v):
+    """Every residual of `verify` at one node batch, from one metric assembly.
+
+    Returns shape (..., 6): the four residuals of the chain for T, the
+    product-rule residual |div(fY) - Y(f) - f div(Y)|, and |g(T,T) - 1|,
+    which `_unit_failures` reads.
+    """
+    batch = _NodeBatch(surface, T, u, v)
+    product_rule = _product_rule(_jet(surface, f, u, v, 1, batch.g),
+                                 _jet(surface, Y, u, v, 1, batch.g), batch.dlogs)
+    return np.stack([*_chain(batch), product_rule,
+                     _unit_deviation(batch.g.v, batch.x.v)], axis=-1)
+
+
+def _unit_failures(T, values):
+    """The nodes where a check of `verify` fails because T is not unit.
+
+    `values` holds one row of `_verify_pass` per node.  Returns one
+    {node index: message} per check of VERIFY_CHECKS, empty for the checks
+    that do not need a unit T; the message is the NotUnitFieldError that the
+    check's residual function raises at that node alone.
+    """
+    deviation = values[:, -1]
+    failed = {int(i): _not_unit_message(T.name, float(deviation[i]))
+              for i in np.flatnonzero(deviation > UNIT_TOL)}
+    return [failed if name in _UNIT_CHECKS else {} for name in VERIFY_CHECKS]
+
+
+def gauss_bonnet_integrands(surface, T, u, v):
+    """K and div(grad_T T - (div T) T) for a unit field T, one metric assembly."""
+    batch = _NodeBatch(surface, T, u, v)
+    batch.check_unit()
+    return gauss_curvature_from_metric(batch.md), _curvature_divergence(batch)
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +383,11 @@ def unit_frame_operator_matrix(surface, T, u, v):
     For a unit field the first row vanishes identically: differentiate
     g(T, T) = 1 to see g(grad_v T, T) = 0 for every direction v.
     """
-    md, t, gamma, _ = _inputs(surface, T, u, v, order=1)
-    _check_unit(md.g, t.v, T.name)
-    m = -_covariant_gradient(t, gamma).v
+    batch = _NodeBatch(surface, T, u, v, order=1)
+    batch.check_unit()
+    m = -batch.grad_x.v
     e = unit_frame_companion(surface, T, u, v)
-    basis = np.stack([t.v, e], axis=-1)            # columns T, E
+    basis = np.stack([batch.x.v, e], axis=-1)      # columns T, E
     # entries M[i, j] = g(A(b_j), b_i)
     a_cols = np.einsum("...ki,...ij->...kj", m, basis)
-    return np.einsum("...ij,...ik,...kl->...jl", basis, md.g, a_cols)
+    return np.einsum("...ij,...ik,...kl->...jl", basis, batch.g.v, a_cols)

@@ -4,7 +4,8 @@ Subcommands
 -----------
 verify       -- normalize the selected field and sweep the identity chain
                 (Bochner, trace, product-rule link, curvature-divergence)
-                over a guarded grid
+                and a scalar product rule over a guarded grid, in one pass
+                per block of BATCH_NODES nodes
 gauss-bonnet -- total-curvature integral, Euler-characteristic estimate and,
                 when a field is given, the divergence-theorem residual of its
                 curvature-potential field
@@ -43,6 +44,7 @@ from .errors import (
 
 SCHEMA_VERSION = 1
 PRODUCT_RULE_TOL = 1e-8
+BATCH_NODES = 4096      # nodes per verify pass; bounds the memory of its jets
 
 _SURFACE_KINDS = {
     "sphere": ("sphere", 1), "torus": ("torus", 2),
@@ -213,26 +215,28 @@ def parse_tols(pairs):
     return out
 
 
-def guarded_eval(fn, U, V):
+def guarded_eval(fn, U, V, out):
     """Vectorized sweep that isolates the nodes raising geometry errors.
 
-    Returns (values, failed) where failed lists, in node order, the nodes
-    whose evaluation raised; their residual slots are NaN.  A failing batch
-    is halved until each failure is a single node, so k failures among n
-    nodes cost at most 2 k (log2 n + 1) + 1 calls of fn.
+    Writes fn(U, V) into out, one row per node; the rows of the nodes whose
+    evaluation raised are NaN.  Returns {node index: error message} of those
+    nodes, in node order.  A failing batch is halved until each failure is a
+    single node, so k failures among n nodes cost at most
+    2 k (log2 n + 1) + 1 calls of fn.
     """
     U = np.asarray(U).ravel()
     V = np.asarray(V).ravel()
     try:
-        return np.asarray(fn(U, V), dtype=float), []
+        out[...] = fn(U, V)
+        return {}
     except GeometryError as exc:
         if U.size == 1:
-            return np.full(1, np.nan), [{"u": float(U[0]), "v": float(V[0]),
-                                         "error": str(exc)}]
+            out[...] = np.nan
+            return {0: str(exc)}
     half = U.size // 2
-    lo, failed_lo = guarded_eval(fn, U[:half], V[:half])
-    hi, failed_hi = guarded_eval(fn, U[half:], V[half:])
-    return np.concatenate([lo, hi]), failed_lo + failed_hi
+    failed = guarded_eval(fn, U[:half], V[:half], out[:half])
+    hi = guarded_eval(fn, U[half:], V[half:], out[half:])
+    return {**failed, **{half + i: error for i, error in hi.items()}}
 
 
 def _json_default(obj):
@@ -308,6 +312,36 @@ def _check_entry(name, values, U, V, tol, keep_nodes):
     return entry
 
 
+def _product_rule_pair():
+    """The canonical scalar product rule of verify: f = cos u + sin v, X = du + dv."""
+    f = operators.ScalarField(
+        value=lambda uu, vv: np.cos(uu) + np.sin(vv),
+        grad=lambda uu, vv: np.stack(
+            np.broadcast_arrays(-np.sin(uu), np.cos(vv)), axis=-1),
+        name="cos(u)+sin(v)")
+    return f, operators.add_fields(operators.coordinate_field(0),
+                                   operators.coordinate_field(1))
+
+
+def _verify_sweep(fn, U, V):
+    """fn over blocks of BATCH_NODES nodes, each through guarded_eval.
+
+    Returns the values, one row of len(bochner.VERIFY_CHECKS) + 1 per node,
+    and {node index: message} of the geometry errors raised.
+    """
+    values = np.empty((U.size, len(bochner.VERIFY_CHECKS) + 1))
+    errors = {}
+    for s in range(0, U.size, BATCH_NODES):
+        block = slice(s, s + BATCH_NODES)
+        failed = guarded_eval(fn, U[block], V[block], values[block])
+        errors.update({s + i: error for i, error in failed.items()})
+    return values, errors
+
+
+def _node(U, V, i, error):
+    return {"u": float(U[i]), "v": float(V[i]), "error": error}
+
+
 def cmd_verify(args):
     backend = parse_backend(args.backend)
     surface = parse_surface(args.surface, backend)
@@ -349,50 +383,26 @@ def cmd_verify(args):
 
     U, V = grid.U[usable], grid.V[usable]
     unit = bochner.normalize_field(surface, field, floor=floor)
-
-    checks = [
-        ("bochner", lambda uu, vv: bochner.bochner_residual(surface, unit, uu, vv),
-         tol_of("bochner", base)),
-        ("trace_identity",
-         lambda uu, vv: bochner.trace_identity_residual(surface, unit, uu, vv),
-         tol_of("trace_identity", base)),
-        ("divergence_product_rule",
-         lambda uu, vv: bochner.divergence_scaling_residual(surface, unit, uu, vv),
-         tol_of("divergence_product_rule", base)),
-        ("curvature_identity",
-         lambda uu, vv: bochner.curvature_identity_residual(surface, unit, uu, vv),
-         tol_of("curvature_identity", base)),
-    ]
-    for name, fn, tol in checks:
-        values, failed = guarded_eval(fn, U, V)
-        ok = np.isfinite(values)
-        raised = {(f["u"], f["v"]) for f in failed}
-        failed += [{"u": float(a), "v": float(b), "error": "non-finite residual"}
-                   for a, b in zip(U[~ok], V[~ok])
-                   if (float(a), float(b)) not in raised]
-        entry = _check_entry(name, values[ok], U[ok], V[ok], tol, keep_nodes)
+    f, xsum = _product_rule_pair()
+    values, errors = _verify_sweep(
+        lambda uu, vv: bochner._verify_pass(surface, unit, f, xsum, uu, vv), U, V)
+    pr_tol = (PRODUCT_RULE_TOL if surface.derivative_mode == "analytic" else base)
+    for k, (name, unit_failed) in enumerate(zip(
+            bochner.VERIFY_CHECKS, bochner._unit_failures(unit, values))):
+        tol = tol_of(name, pr_tol if name == "product_rule" else base)
+        errs = {**errors, **unit_failed}
+        ok = np.isfinite(values[:, k])
+        ok[list(errs)] = False
+        failed = [_node(U, V, i, errs[i]) for i in sorted(errs)]
+        failed += [_node(U, V, i, "non-finite residual")
+                   for i in np.flatnonzero(~ok) if i not in errs]
+        entry = _check_entry(name, values[ok, k], U[ok], V[ok], tol, keep_nodes)
         if failed:
             entry["failed_nodes"] = failed[:64]
             entry["n_failed"] = len(failed)
             entry["pass"] = False
         report["checks"].append(entry)
         overall = overall and entry["pass"]
-
-    # canonical scalar product rule: f = cos u + sin v against du + dv
-    f = operators.ScalarField(
-        value=lambda uu, vv: np.cos(uu) + np.sin(vv),
-        grad=lambda uu, vv: np.stack(
-            np.broadcast_arrays(-np.sin(uu), np.cos(vv)), axis=-1),
-        name="cos(u)+sin(v)")
-    xsum = operators.add_fields(operators.coordinate_field(0),
-                                operators.coordinate_field(1))
-    pr_tol = tol_of("product_rule",
-                    PRODUCT_RULE_TOL if surface.derivative_mode == "analytic"
-                    else base)
-    pr_vals = operators.product_rule_residual_at(surface, f, xsum, U, V)
-    entry = _check_entry("product_rule", pr_vals, U, V, pr_tol, keep_nodes)
-    report["checks"].append(entry)
-    overall = overall and entry["pass"]
 
     report["overall_pass"] = bool(overall)
     report["timings"] = {"total_s": time.perf_counter() - t_start}
@@ -413,7 +423,15 @@ def cmd_gauss_bonnet(args):
     t_start = time.perf_counter()
     grid = surf.chart_grid(surface, nu, nv)
 
-    total = integrate.total_curvature(surface, grid)
+    # with a field, K and div(grad_T T - (div T) T) come from one metric
+    # assembly per quadrature grid
+    if args.field:
+        unit = bochner.normalize_field(surface, parse_field(args.field))
+        total, res = integrate.surface_integrals(
+            surface, lambda u, v: bochner.gauss_bonnet_integrands(surface, unit, u, v),
+            grid)
+    else:
+        total = integrate.total_curvature(surface, grid)
     report["integrals"]["total_curvature"] = {
         "value": total.value, "estimated_error": total.estimated_error,
         "rule": total.rule, "resolution": list(total.resolution)}
@@ -429,10 +447,6 @@ def cmd_gauss_bonnet(args):
     overall = not chi.indeterminate
 
     if args.field:
-        field = parse_field(args.field)
-        unit = bochner.normalize_field(surface, field)
-        pot = bochner.curvature_potential_field(surface, unit)
-        res = integrate.divergence_theorem_residual(surface, pot, grid)
         div_tol = tols.get("divergence_theorem",
                            1e-8 if surface.derivative_mode == "analytic"
                            else bochner.FD_TOL)

@@ -45,19 +45,29 @@ class ChiEstimate:
         return bool(self.margin >= self.margin_limit)
 
 
-def _weighted_sum(surface, f, grid):
+def _weighted_sums(surface, fs, grid):
     area_elem = np.sqrt(np.linalg.det(metric_only(surface, grid.U, grid.V)))
-    vals = np.asarray(f(grid.U, grid.V), dtype=float)
-    return float(np.sum(grid.weights * vals * area_elem))
+    return [float(np.sum(grid.weights * np.asarray(vals, dtype=float) * area_elem))
+            for vals in fs(grid.U, grid.V)]
+
+
+def surface_integrals(surface, fs, grid):
+    """Integrals of each scalar that fs(u, v) returns, against the area element.
+
+    fs is evaluated once per grid (the given one and the coarser one of the
+    error estimate), so integrands that share their pointwise work share it
+    here too.  Returns one IntegralResult per integrand.
+    """
+    fine = _weighted_sums(surface, fs, grid)
+    coarse = chart_grid(surface, max(4, grid.nu // 2), max(4, grid.nv // 2))
+    return [IntegralResult(value=value, resolution=(grid.nu, grid.nv),
+                           rule=grid.rule, estimated_error=abs(value - rough))
+            for value, rough in zip(fine, _weighted_sums(surface, fs, coarse))]
 
 
 def surface_integral(surface, f, grid):
     """Integral of the scalar chart function f against the area element."""
-    value = _weighted_sum(surface, f, grid)
-    coarse = chart_grid(surface, max(4, grid.nu // 2), max(4, grid.nv // 2))
-    est = abs(value - _weighted_sum(surface, f, coarse))
-    return IntegralResult(value=value, resolution=(grid.nu, grid.nv),
-                          rule=grid.rule, estimated_error=est)
+    return surface_integrals(surface, lambda u, v: (f(u, v),), grid)[0]
 
 
 def surface_area(surface, grid):

@@ -39,8 +39,9 @@ class TangentField:
     coeff(u, v)    -> (..., 2)
     d_coeff(u, v)  -> (..., 2, 2), optional exact first partials
     dd_coeff(u, v) -> (..., 3, 2), optional exact second partials
-    jet            -> (surface, u, v, order) -> Jet of the coefficients; set
-                      on fields built from other fields
+    jet            -> (surface, u, v, order, g) -> Jet of the coefficients;
+                      set on fields built from other fields.  g is the metric
+                      jet at (u, v) when the caller has assembled it, else None
     """
     coeff: Callable
     d_coeff: Optional[Callable] = None
@@ -70,13 +71,17 @@ def _derived(jet, name, kind=TangentField):
 
     Values need no surface: only partials depend on the backend.
     """
-    return kind(lambda u, v: jet(None, u, v, 0).v, name=name, jet=jet)
+    return kind(lambda u, v: jet(None, u, v, 0, None).v, name=name, jet=jet)
 
 
-def _jet(surface, f, u, v, order):
-    """Jet of a TangentField's coefficients or a ScalarField's values."""
+def _jet(surface, f, u, v, order, g=None):
+    """Jet of a TangentField's coefficients or a ScalarField's values.
+
+    A derived field takes the metric jet `g` at (u, v), when given, instead
+    of assembling the metric again; a base field needs no metric.
+    """
     if f.jet is not None:
-        return f.jet(surface, u, v, order)
+        return f.jet(surface, u, v, order, g)
     if order > 2:
         raise ValueError(f"{f.name!r} declares partials up to second order only")
     u = np.asarray(u, dtype=float)
@@ -112,21 +117,22 @@ def constant_field(au, av, name="constant"):
 
 def add_fields(x, y, name=None):
     """Pointwise sum."""
-    return _derived(lambda s, u, v, k: _jet(s, x, u, v, k) + _jet(s, y, u, v, k),
+    return _derived(lambda s, u, v, k, g: (_jet(s, x, u, v, k, g)
+                                           + _jet(s, y, u, v, k, g)),
                     name or f"{x.name}+{y.name}")
 
 
 def scale_field(c, x, name=None):
     """Constant multiple of a field."""
     c = float(c)
-    return _derived(lambda s, u, v, k: c * _jet(s, x, u, v, k),
+    return _derived(lambda s, u, v, k, g: c * _jet(s, x, u, v, k, g),
                     name or f"{c:g}*{x.name}")
 
 
 def scalar_times_field(f, x, name=None):
     """Product field f*X of a ScalarField and a TangentField."""
-    return _derived(lambda s, u, v, k: _jet(s, f, u, v, k)[..., None]
-                    * _jet(s, x, u, v, k), name or f"{f.name}*{x.name}")
+    return _derived(lambda s, u, v, k, g: _jet(s, f, u, v, k, g)[..., None]
+                    * _jet(s, x, u, v, k, g), name or f"{f.name}*{x.name}")
 
 
 def field_jet(surface, field, u, v, order=1):
@@ -152,8 +158,14 @@ def _metric_jet(md):
     return _jets.from_parts((md.g,) + ders, md.g.ndim - 2)
 
 
-def _metric(surface, u, v, order):
-    """The metric as a jet of `order`; values alone come from metric_only."""
+def _metric(surface, u, v, order, g=None):
+    """The metric as a jet of `order`, or `g` when the caller assembled it
+    to at least that order.
+
+    Values alone come from metric_only.
+    """
+    if g is not None and g.order >= order:
+        return g
     if order == 0:
         return _jets.Jet(metric_only(surface, u, v))
     return _metric_jet(metric_data(surface, u, v, order=order))
@@ -288,9 +300,9 @@ def divergence_at(surface, X, u, v):
 
 def divergence_scalar_field(surface, X, name=None):
     """div X as a ScalarField; its partials come from the jets of X and g."""
-    def jet(_, u, v, order):
-        _, dlogs = _levi_civita(_metric(surface, u, v, order + 1))
-        return _divergence(_jet(surface, X, u, v, order + 1), dlogs)
+    def jet(_, u, v, order, g):
+        g = _metric(surface, u, v, order + 1, g)
+        return _divergence(_jet(surface, X, u, v, order + 1, g), _levi_civita(g)[1])
 
     return _derived(jet, name or f"div({X.name})", ScalarField)
 
@@ -302,12 +314,19 @@ def field_norm(surface, X, u, v):
     return np.sqrt(np.einsum("...ij,...i,...j->...", g, a, a))
 
 
+def _unit_deviation(g, a):
+    """|g(a, a) - 1| pointwise."""
+    return np.abs(np.einsum("...ij,...i,...j->...", g, a, a) - 1.0)
+
+
+def _not_unit_message(name, worst, tol=UNIT_TOL):
+    return f"field {name!r} is not unit: max |g(T,T)-1| = {worst:.3e} > {tol:g}"
+
+
 def _check_unit(g, a, name, tol=UNIT_TOL):
-    n2 = np.einsum("...ij,...i,...j->...", g, a, a)
-    worst = float(np.max(np.abs(n2 - 1.0)))
+    worst = float(np.max(_unit_deviation(g, a)))
     if worst > tol:
-        raise NotUnitFieldError(
-            f"field {name!r} is not unit: max |g(T,T)-1| = {worst:.3e} > {tol:g}")
+        raise NotUnitFieldError(_not_unit_message(name, worst, tol))
 
 
 def ricci_residual_at(surface, X, Y, u, v):
@@ -324,9 +343,13 @@ def ricci_residual_at(surface, X, Y, u, v):
 
 def product_rule_residual_at(surface, f, X, u, v):
     """|div(fX) - X(f) - f div(X)| for a scalar f and tangent field X."""
-    _, dlogs = _levi_civita(_metric(surface, u, v, 1))
-    fj = _jet(surface, f, u, v, 1)
-    x = _jet(surface, X, u, v, 1)
-    lhs = _divergence(fj[..., None] * x, dlogs).v
-    x_of_f = np.einsum("...i,...i->...", x.v, _jets.gradient(fj).v)
-    return np.abs(lhs - (x_of_f + fj.v * _divergence(x, dlogs).v))
+    g = _metric(surface, u, v, 1)
+    return _product_rule(_jet(surface, f, u, v, 1, g), _jet(surface, X, u, v, 1, g),
+                         _levi_civita(g)[1])
+
+
+def _product_rule(f, x, dlogs):
+    """|div(fX) - X(f) - f div(X)| from the jets of f and X (order >= 1)."""
+    lhs = _divergence(f[..., None] * x, dlogs).v
+    x_of_f = np.einsum("...i,...i->...", x.v, _jets.gradient(f).v)
+    return np.abs(lhs - (x_of_f + f.v * _divergence(x, dlogs).v))

@@ -223,6 +223,32 @@ class TestChainedConsistency:
                 assert np.max(res) < 1e-6, (s.name, T.name)
 
 
+class TestNestedDerivedFields:
+    """Derived fields inside callers that assemble a metric of lower order:
+    each must still get its partials to the order it was asked for."""
+
+    def test_product_rule_of_derived_fields(self, all_surfaces):
+        for s in all_surfaces:
+            u, v = interior_points(s, 20, seed=3)
+            T = unit_mix(s)
+            pot = bo.curvature_potential_field(s, T)
+            for f in (op.divergence_scalar_field(s, op.coordinate_field(0)),
+                      op.divergence_scalar_field(s, T)):
+                for X in (op.coordinate_field(1), pot,
+                          bo.self_covariant_derivative(s, T)):
+                    res = op.product_rule_residual_at(s, f, X, u, v)
+                    assert np.max(res) < 1e-12, (s.name, f.name, X.name)
+
+    def test_unit_field_of_the_curvature_potential(self, torus21, sphere1,
+                                                   ellipsoid_abc):
+        for s in (torus21, sphere1, ellipsoid_abc):
+            u, v = interior_points(s, 20, seed=3)
+            T = bo.normalize_field(s, bo.curvature_potential_field(s, unit_mix(s)))
+            assert np.max(bo.trace_identity_residual(s, T, u, v)) < 1e-12, s.name
+            m = bo.unit_frame_operator_matrix(s, T, u, v)
+            assert np.max(np.abs(m[..., 0, :])) < 1e-12, s.name
+
+
 class TestOrthogonality:
     def test_self_transport_orthogonal_to_unit_field(self, all_surfaces):
         # differentiate g(T, T) = 1: grad_T T is g-orthogonal to T

@@ -1,9 +1,11 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from bochner2d import cli
+from bochner2d import surfaces as surf
 from bochner2d.errors import ConfigError, GeometryError
 
 
@@ -75,14 +77,15 @@ class TestVerify:
     @pytest.mark.parametrize("n_bad", [3, 16 * 16])
     def test_non_finite_residual_is_a_named_failure(self, capsys, monkeypatch,
                                                     n_bad):
-        original = cli.bochner.bochner_residual
+        original = cli.bochner._verify_pass
+        column = cli.bochner.VERIFY_CHECKS.index("bochner")
 
-        def poisoned(surface, unit, u, v):
-            out = np.array(original(surface, unit, u, v), dtype=float)
-            out[:n_bad] = np.nan
+        def poisoned(*args):
+            out = np.array(original(*args), dtype=float)
+            out[:n_bad, column] = np.nan
             return out
 
-        monkeypatch.setattr(cli.bochner, "bochner_residual", poisoned)
+        monkeypatch.setattr(cli.bochner, "_verify_pass", poisoned)
         status, rep = run_json(capsys, "verify", "--surface", "torus:2,1",
                                "--field", "du", "--grid", "16x16")
         assert status == 1
@@ -256,17 +259,56 @@ class TestGuardedEval:
                 raise GeometryError(f"bad node {min(hit)}")
             return u + v
 
-        values, failed = cli.guarded_eval(fn, U, V)
+        values = np.empty(n)
+        failed = cli.guarded_eval(fn, U, V, values)
         n_calls = len(calls)
 
         ref_values = np.full(n, np.nan)
-        ref_failed = []
+        ref_failed = {}
         for i in range(n):      # the per-node reference
             try:
                 ref_values[i] = float(fn(U[i:i + 1], V[i:i + 1])[0])
             except GeometryError as exc:
-                ref_failed.append({"u": float(U[i]), "v": float(V[i]),
-                                   "error": str(exc)})
+                ref_failed[i] = str(exc)
         np.testing.assert_array_equal(values, ref_values)
-        assert failed == ref_failed
+        assert list(failed.items()) == list(ref_failed.items())
         assert n_calls <= 2 * len(bad) * (np.log2(n) + 1) + 1
+
+
+@pytest.fixture
+def metric_assemblies(monkeypatch):
+    """Counts calls of surfaces.metric_data under every name the package binds."""
+    original = surf.metric_data
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bochner2d" and \
+                getattr(module, "metric_data", None) is original:
+            monkeypatch.setattr(module, "metric_data", counted)
+    return calls
+
+
+class TestMetricAssemblies:
+    def test_verify_assembles_the_metric_once(self, capsys, metric_assemblies):
+        status, _ = run_json(capsys, "verify", "--surface", "torus:2,1",
+                             "--field", "du", "--grid", "64x64")
+        assert status == 0
+        assert len(metric_assemblies) == 1
+
+    def test_gauss_bonnet_assembles_once_per_grid(self, capsys, metric_assemblies):
+        status, _ = run_json(capsys, "gauss-bonnet", "--surface", "torus:2,1",
+                             "--field", "du", "--grid", "64x64")
+        assert status == 0
+        assert len(metric_assemblies) == 2         # the grid and its coarse half
+
+    def test_verify_assembles_once_per_block(self, capsys, metric_assemblies):
+        status, rep = run_json(capsys, "verify", "--surface", "torus:2,1",
+                               "--field", "du", "--grid", "128x128")
+        assert status == 0
+        nodes = rep["checks"][0]["n_points"]
+        assert nodes == 128 * 128 > cli.BATCH_NODES
+        assert len(metric_assemblies) == -(-nodes // cli.BATCH_NODES)

@@ -1,8 +1,10 @@
 """Properties of the command line over random fields from its grammar.
 
 (a) exit status 0 means every check is finite, within its tolerance and free
-    of failed nodes; (b) `main` returns 0, 1 or 2 and never raises; (c) two
-    identical runs give identical reports apart from `timings`.
+    of failed nodes, and each `verify` check's sup is, bit for bit, the max
+    of the matching public residual function on the same nodes; (b) `main`
+    returns 0, 1 or 2 and never raises; (c) two identical runs give identical
+    reports apart from `timings`.
 """
 
 import contextlib
@@ -15,7 +17,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bochner2d import cli
+from bochner2d import bochner, cli, operators
+from bochner2d import surfaces as surf
 
 SURFACES = ("torus:2,1", "sphere:1", "clifford:1", "ellipsoid:1,1.3,0.7")
 
@@ -48,11 +51,17 @@ def commands(draw):
     return argv
 
 
+@contextlib.contextmanager
+def _quiet():
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        yield
+
+
 def _run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), \
-            warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.simplefilter("ignore")
+            _quiet():
         status = cli.main(list(argv))
     text = out.getvalue()
     report = json.loads(text) if text else None
@@ -63,6 +72,30 @@ def _run(argv):
 
 def _finite_within(value, tolerance):
     return value is not None and math.isfinite(value) and abs(value) <= tolerance
+
+
+def _public_residuals(argv):
+    """Each verify check's public residual function on the nodes verify uses."""
+    args = cli.build_parser().parse_args(argv)
+    surface = cli.parse_surface(args.surface, cli.parse_backend(args.backend))
+    field = cli.parse_field(args.field)
+    grid = surf.chart_grid(surface, *cli.parse_grid(args.grid))
+    usable = (surf.guarded_mask(surface, grid.U, grid.V)
+              & (operators.field_norm(surface, field, grid.U, grid.V)
+                 >= bochner.ZERO_FLOOR))
+    U, V = grid.U[usable], grid.V[usable]
+    unit = bochner.normalize_field(surface, field)
+    f, xsum = cli._product_rule_pair()
+    with _quiet():
+        return {
+            "bochner": bochner.bochner_residual(surface, unit, U, V),
+            "trace_identity": bochner.trace_identity_residual(surface, unit, U, V),
+            "divergence_product_rule":
+                bochner.divergence_scaling_residual(surface, unit, U, V),
+            "curvature_identity":
+                bochner.curvature_identity_residual(surface, unit, U, V),
+            "product_rule": operators.product_rule_residual_at(surface, f, xsum, U, V),
+        }
 
 
 def _assert_pass_is_sound(report):
@@ -89,6 +122,10 @@ def test_cli_exit_status_is_sound_and_reports_are_deterministic(argv):
     assert status in (0, 1, 2)
     if status == 0:
         _assert_pass_is_sound(report)
+        if argv[0] == "verify":
+            public = _public_residuals(argv)
+            for check in report["checks"]:
+                assert check["sup"] == float(np.max(public[check["name"]])), check
     again = _run(argv)
     assert again[0] == status
     assert json.dumps(again[1]) == json.dumps(report)

@@ -144,6 +144,18 @@ class TestDivergenceTheorem:
                                              surf.chart_grid(sphere1, 32, 64))
         assert abs(res.value - 4 * np.pi) < 1e-6
 
+    def test_shared_integrands_match_the_separate_integrals(self, all_surfaces):
+        # one metric assembly per grid gives, bit for bit, the integrals that
+        # total_curvature and divergence_theorem_residual assemble on their own
+        for s in all_surfaces:
+            grid = surf.chart_grid(s, 24, 20)
+            T = bo.normalize_field(s, op.coordinate_field(1))
+            total, div = ig.surface_integrals(
+                s, lambda u, v: bo.gauss_bonnet_integrands(s, T, u, v), grid)
+            assert total == ig.total_curvature(s, grid), s.name
+            assert div == ig.divergence_theorem_residual(
+                s, bo.curvature_potential_field(s, T), grid), s.name
+
     def test_chi_zero_iff_torus(self, all_surfaces):
         for s in all_surfaces:
             chi = ig.euler_characteristic(s, surf.chart_grid(s, 48, 48))
