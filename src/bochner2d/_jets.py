@@ -4,18 +4,25 @@ A Jet carries an array value together with its first and second partials in
 (u, v), propagated through arithmetic by the product, quotient and chain
 rules (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).
 
-Derivative axes lead, so elementwise arithmetic broadcasts as it does on the
-values:
+Layouts.  Inside the derivative pipeline every array keeps the nodes as its
+trailing, contiguous axes, with the value axes before them and the
+derivative axis of a jet in front:
 
-  v   -> S           the value
-  d   -> (2, *S)     d[i] = d_i v
-  dd  -> (3, *S)     rows ordered (uu, uv, vv)
+  v   -> (*S, *N)      the value; S the value axes, N the node axes
+  d   -> (2, *S, *N)   d[i] = d_i v
+  dd  -> (3, *S, *N)   rows ordered (uu, uv, vv)
+
+so contractions over the tiny value axes (2x2 metrics, 2x2x2 connection
+symbols) run their inner loops over the nodes.  The public functions of the
+package keep the value axes trailing, (*N, *S) and (*N, 2, *S); they convert
+at the boundary with `value_last` and `value_first`, which are views, or
+with `to_parts` and `from_parts`.
 
 A jet of order 1 has ``dd`` None and a jet of order 0 has ``d`` None as well;
 combining jets keeps the lower order, so one formula computes values only,
 first partials or second partials.  Plain numbers and arrays act as
-constants; they must not add axes to a jet's value.  Jets are never
-modified in place.
+constants; they broadcast against the value and must not add axes to it.
+Jets are never modified in place.
 """
 
 import numpy as np
@@ -49,7 +56,7 @@ class Jet:
         return Jet(fn(self.v), *(None if x is None else fn(x) for x in (self.d, self.dd)))
 
     def __getitem__(self, idx):
-        """Index the value axes; the derivative axis is kept."""
+        """Index the value axes from the front; the derivative axis is kept."""
         idx = idx if isinstance(idx, tuple) else (idx,)
         return Jet(self.v[idx],
                    *(None if x is None else x[(slice(None),) + idx]
@@ -135,8 +142,8 @@ cos = _elementary(np.cos, lambda x, c: (-np.sin(x), -c))
 def einsum(subscripts, *operands):
     """np.einsum over jets and constant arrays, differentiated by the product rule.
 
-    Every term must use an ellipsis for the batch axes; the letter Z is
-    reserved for the derivative axis.
+    Every term must end with an ellipsis for the node axes; the letter Z is
+    reserved for the derivative axis, which the derivative terms put in front.
     """
     inputs, output = subscripts.split("->")
     terms = inputs.split(",")
@@ -170,14 +177,14 @@ def einsum(subscripts, *operands):
 
 
 def stack(parts):
-    """Jets of one shape stacked along a new last value axis."""
+    """Jets of one shape stacked along a new first value axis."""
     order = min(p.order for p in parts)
-    return Jet(*(np.stack([(p.v, p.d, p.dd)[k] for p in parts], axis=-1)
+    return Jet(*(np.stack([(p.v, p.d, p.dd)[k] for p in parts], axis=min(k, 1))
                  for k in range(order + 1)))
 
 
 def gradient(f):
-    """Jet of the partials of f, one order lower, on a new last axis."""
+    """Jet of the partials of f, one order lower, on a new first value axis."""
     return stack([f.partial(0), f.partial(1)])
 
 
@@ -189,12 +196,29 @@ def variables(u, v):
     return Jet(u, np.stack([one, zero]), dd), Jet(v, np.stack([zero, one]), dd)
 
 
-def from_parts(parts, axis):
-    """Jet from (value, d[, dd]) arrays whose derivative axis sits at `axis`."""
-    value, *ders = parts
-    return Jet(value, *(np.moveaxis(x, axis, 0) for x in ders))
+def value_last(x, k):
+    """View of a node-last array with its k leading axes moved behind the nodes."""
+    return np.moveaxis(x, range(k), range(-k, 0))
 
 
-def to_parts(jet, axis):
-    """(value, d[, dd]) with the derivative axis moved to `axis`."""
-    return (jet.v,) + tuple(np.moveaxis(x, 0, axis) for x in (jet.d, jet.dd)[:jet.order])
+def value_first(x, k):
+    """View of an array with its k trailing axes moved in front of the nodes."""
+    return np.moveaxis(x, range(-k, 0), range(k))
+
+
+def from_parts(parts, ndim):
+    """Jet from public (value, d[, dd]) arrays over `ndim` node axes.
+
+    The value is (*N, *S) and each derivative (*N, rows, *S).  The jet's
+    arrays are contiguous: no copy is made of parts that are `to_parts` views.
+    """
+    k = np.ndim(parts[0]) - ndim
+    return Jet(*(np.asarray(value_first(x, k + (n > 0)), order="C")
+                 for n, x in enumerate(parts)))
+
+
+def to_parts(jet, ndim):
+    """Public (value, d[, dd]) views of a jet over `ndim` node axes."""
+    k = jet.v.ndim - ndim
+    return (value_last(jet.v, k),) + tuple(
+        value_last(x, k + 1) for x in (jet.d, jet.dd)[:jet.order])

@@ -423,15 +423,27 @@ def cmd_gauss_bonnet(args):
     t_start = time.perf_counter()
     grid = surf.chart_grid(surface, nu, nv)
 
+    field = parse_field(args.field) if args.field else None
     # with a field, K and div(grad_T T - (div T) T) come from one metric
     # assembly per quadrature grid
-    if args.field:
-        unit = bochner.normalize_field(surface, parse_field(args.field))
-        total, res = integrate.surface_integrals(
-            surface, lambda u, v: bochner.gauss_bonnet_integrands(surface, unit, u, v),
-            grid)
-    else:
-        total = integrate.total_curvature(surface, grid)
+    try:
+        if field:
+            unit = bochner.normalize_field(surface, field)
+            total, res = integrate.surface_integrals(
+                surface,
+                lambda u, v: bochner.gauss_bonnet_integrands(surface, unit, u, v), grid)
+        else:
+            total = integrate.total_curvature(surface, grid)
+    except GeometryError as exc:
+        # a degenerate metric, a zero or a non-unit normalized field at some
+        # node: no integral exists, and the report says why
+        report["error"] = str(exc)
+        point = getattr(exc, "point", None) or next(iter(getattr(exc, "points", ())), None)
+        if point is not None:
+            report["failed_node"] = {"u": point.u, "v": point.v}
+        report["overall_pass"] = False
+        report["timings"] = {"total_s": time.perf_counter() - t_start}
+        return report, 1
     report["integrals"]["total_curvature"] = {
         "value": total.value, "estimated_error": total.estimated_error,
         "rule": total.rule, "resolution": list(total.resolution)}
@@ -446,7 +458,7 @@ def cmd_gauss_bonnet(args):
 
     overall = not chi.indeterminate
 
-    if args.field:
+    if field:
         div_tol = tols.get("divergence_theorem",
                            1e-8 if surface.derivative_mode == "analytic"
                            else bochner.FD_TOL)

@@ -1,12 +1,20 @@
 """Pointwise Riemannian operators on an embedded surface.
 
-Chart-coefficient conventions (trailing axes):
+Chart-coefficient conventions.  Public functions take and return the value
+axes trailing, after the node axes (...):
 
   field values      a      -> (..., 2)          a[..., k] = k-th coefficient
   first partials    dX     -> (..., 2, 2)       dX[..., i, k] = d_i X^k
   second partials   ddX    -> (..., 3, 2)       rows ordered (uu, uv, vv)
   Christoffel       gamma  -> (..., 2, 2, 2)    gamma[..., k, i, j] = G^k_ij
   operator matrix   m      -> (..., 2, 2)       m[..., k, i] = (grad_{e_i} X)^k
+
+The private jets and arrays behind them keep the same index order with the
+node axes last instead, a -> (2, ...), gamma -> (2, 2, 2, ...), and a jet's
+derivative axis in front (see ``_jets``); so the private code indexes value
+axes from the front, g[0, 0], and its einsum terms end with the ellipsis.
+User callbacks are in the public layout and are converted once, when their
+jet is built.
 
 Every derivative comes from one mechanism, the second-order jets of
 ``_jets``.  A base field is a coefficient function that may declare exact
@@ -27,7 +35,7 @@ import numpy as np
 
 from . import _jets, _stencils
 from .errors import NotUnitFieldError
-from .surfaces import COFACTOR_SIGNS, metric_data, metric_only
+from .surfaces import cofactor_signs, metric_data, metric_only
 
 UNIT_TOL = 1e-8  # allowed deviation of g(T, T) from 1 for unit-field inputs
 
@@ -69,16 +77,20 @@ class ScalarField:
 def _derived(jet, name, kind=TangentField):
     """A field whose values and partials all come from `jet`.
 
-    Values need no surface: only partials depend on the backend.
+    Values need no surface: only partials depend on the backend.  They are
+    returned in the public layout, coefficient axis trailing.
     """
-    return kind(lambda u, v: jet(None, u, v, 0, None).v, name=name, jet=jet)
+    rank = int(kind is TangentField)
+    return kind(lambda u, v: _jets.value_last(jet(None, u, v, 0, None).v, rank),
+                name=name, jet=jet)
 
 
 def _jet(surface, f, u, v, order, g=None):
     """Jet of a TangentField's coefficients or a ScalarField's values.
 
     A derived field takes the metric jet `g` at (u, v), when given, instead
-    of assembling the metric again; a base field needs no metric.
+    of assembling the metric again; a base field needs no metric.  A base
+    field's callbacks are in the public layout and are converted here.
     """
     if f.jet is not None:
         return f.jet(surface, u, v, order, g)
@@ -86,17 +98,22 @@ def _jet(surface, f, u, v, order, g=None):
         raise ValueError(f"{f.name!r} declares partials up to second order only")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if isinstance(f, TangentField):
+    rank = int(isinstance(f, TangentField))        # value axes of the callbacks
+    if rank:
         value, exact = f.coeff, (f.d_coeff, f.dd_coeff)
     else:
         value, exact = f.value, (f.grad, f.hess)
-    parts = [np.asarray(value(u, v), dtype=float)]
+
+    def node_last(fn, k):
+        return lambda uu, vv: _jets.value_first(np.asarray(fn(uu, vv), dtype=float), k)
+
+    parts = [node_last(value, rank)(u, v)]
     for k, stencil in enumerate((_stencils.gradient, _stencils.hessian)[:order]):
         if surface.derivative_mode == "analytic" and exact[k] is not None:
-            parts.append(np.asarray(exact[k](u, v), dtype=float))
+            parts.append(node_last(exact[k], rank + 1)(u, v))
         else:
-            parts.append(stencil(value, u, v, surface.step))
-    return _jets.from_parts(parts, np.broadcast(u, v).ndim)
+            parts.append(stencil(node_last(value, rank), u, v, surface.step))
+    return _jets.Jet(*(np.asarray(x, order="C") for x in parts))
 
 
 def coordinate_field(axis, name=None):
@@ -131,7 +148,7 @@ def scale_field(c, x, name=None):
 
 def scalar_times_field(f, x, name=None):
     """Product field f*X of a ScalarField and a TangentField."""
-    return _derived(lambda s, u, v, k, g: _jet(s, f, u, v, k, g)[..., None]
+    return _derived(lambda s, u, v, k, g: _jet(s, f, u, v, k, g)[None]
                     * _jet(s, x, u, v, k, g), name or f"{f.name}*{x.name}")
 
 
@@ -167,32 +184,33 @@ def _metric(surface, u, v, order, g=None):
     if g is not None and g.order >= order:
         return g
     if order == 0:
-        return _jets.Jet(metric_only(surface, u, v))
+        values = metric_only(surface, u, v)
+        return _jets.from_parts((values,), values.ndim - 2)
     return _metric_jet(metric_data(surface, u, v, order=order))
 
 
 def _levi_civita(g):
     """Christoffel symbols and d_i log sqrt(det g), one order below the jet g."""
     low = _jets.Jet(g.v, *(g.d, g.dd)[:g.order - 1])     # all that g^-1 needs
-    det = low[..., 0, 0] * low[..., 1, 1] - low[..., 0, 1] * low[..., 1, 0]
-    half_inv = 0.5 * low[..., ::-1, ::-1] * COFACTOR_SIGNS / det[..., None, None]
-    dg = _jets.gradient(g)                  # dg[..., i, j, m] = d_m g_ij
-    # S[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    s = (_jets.einsum("...jli->...lij", dg) + _jets.einsum("...ilj->...lij", dg)
-         - _jets.einsum("...ijl->...lij", dg))
-    return (_jets.einsum("...kl,...lij->...kij", half_inv, s),
-            _jets.einsum("...ab,...abi->...i", half_inv, dg))
+    det = low[0, 0] * low[1, 1] - low[0, 1] * low[1, 0]
+    half_inv = 0.5 * low[::-1, ::-1] * cofactor_signs(det.v.ndim) / det[None, None]
+    dg = _jets.gradient(g)                  # dg[m, i, j] = d_m g_ij
+    # S[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
+    s = _jets.einsum("ijl...->lij...", dg) + _jets.einsum("jil...->lij...", dg) - dg
+    return (_jets.einsum("kl...,lij...->kij...", half_inv, s),
+            _jets.einsum("ab...,iab...->i...", half_inv, dg))
 
 
 def _covariant_gradient(x, gamma):
-    """Jet of m[..., k, i] = (grad_{e_i} X)^k, one order below x."""
-    return _jets.gradient(x) + _jets.einsum("...kij,...j->...ki", gamma, x)
+    """Jet of m[k, i] = (grad_{e_i} X)^k, one order below x."""
+    return (_jets.einsum("ik...->ki...", _jets.gradient(x))
+            + _jets.einsum("kij...,j...->ki...", gamma, x))
 
 
 def _divergence(x, dlogs):
     """Jet of div X = d_i X^i + X^i d_i log sqrt(det g), one order below x."""
-    return (_jets.einsum("...ii->...", _jets.gradient(x))
-            + _jets.einsum("...i,...i->...", x, dlogs))
+    return (_jets.einsum("ii...->...", _jets.gradient(x))
+            + _jets.einsum("i...,i...->...", x, dlogs))
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +219,12 @@ def _divergence(x, dlogs):
 
 def christoffel_from_metric(md):
     """Levi-Civita symbols gamma[..., k, i, j] from metric data (order >= 1)."""
-    return _levi_civita(_metric_jet(md))[0].v
+    return _jets.value_last(_levi_civita(_metric_jet(md))[0].v, 3)
 
 
 def christoffel_derivative_from_metric(md):
     """d_m gamma^k_ij, shape (..., 2, 2, 2, 2); needs order-2 metric data."""
-    return np.moveaxis(_levi_civita(_metric_jet(md))[0].d, 0, -4)
+    return _jets.value_last(_levi_civita(_metric_jet(md))[0].d, 4)
 
 
 def christoffel_at(surface, u, v):
@@ -220,12 +238,15 @@ def gauss_curvature_from_metric(md):
     Uses only the metric and its first and second partials, so it applies
     unchanged to surfaces with no distinguished unit normal (ambient R^4).
     """
-    g, dg, ddg = md.g, md.dg, md.ddg
-    E, F, G = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
-    E_u, E_v = dg[..., 0, 0, 0], dg[..., 1, 0, 0]
-    F_u, F_v = dg[..., 0, 0, 1], dg[..., 1, 0, 1]
-    G_u, G_v = dg[..., 0, 1, 1], dg[..., 1, 1, 1]
-    E_vv, F_uv, G_uu = ddg[..., 2, 0, 0], ddg[..., 1, 0, 1], ddg[..., 0, 1, 1]
+    return _gauss_curvature(_metric_jet(md))
+
+
+def _gauss_curvature(g):
+    """K from the metric jet g (order 2), by the determinant identity."""
+    (E, F), (F2, G) = g.v
+    (E_u, F_u), (_, G_u) = g.d[0]
+    (E_v, F_v), (_, G_v) = g.d[1]
+    E_vv, F_uv, G_uu = g.dd[2, 0, 0], g.dd[1, 0, 1], g.dd[0, 1, 1]
 
     def det3(a11, a12, a13, a21, a22, a23, a31, a32, a33):
         return (a11 * (a22 * a33 - a23 * a32)
@@ -238,7 +259,7 @@ def gauss_curvature_from_metric(md):
     m2 = det3(np.zeros_like(E), 0.5 * E_v, 0.5 * G_u,
               0.5 * E_v, E, F,
               0.5 * G_u, F, G)
-    return (m1 - m2) / md.det_g**2
+    return (m1 - m2) / (E * G - F * F2)**2
 
 
 def gauss_curvature_at(surface, u, v):
@@ -248,23 +269,23 @@ def gauss_curvature_at(surface, u, v):
 
 def riemann_tensor_from_metric(md):
     """R^l_{kij} from the connection, shape (..., 2, 2, 2, 2)."""
-    return _riemann(_levi_civita(_metric_jet(md))[0])
+    return _jets.value_last(_riemann(_levi_civita(_metric_jet(md))[0]), 4)
 
 
 def _riemann(gamma):
-    quad = np.einsum("...lim,...mjk->...lkij", gamma.v, gamma.v)
-    return (np.einsum("i...ljk->...lkij", gamma.d)
-            - np.einsum("j...lik->...lkij", gamma.d)
-            + quad - np.einsum("...lkji->...lkij", quad))
+    quad = np.einsum("lim...,mjk...->lkij...", gamma.v, gamma.v)
+    return (np.einsum("iljk...->lkij...", gamma.d)
+            - np.einsum("jlik...->lkij...", gamma.d)
+            + quad - np.einsum("lkji...->lkij...", quad))
 
 
 def ricci_tensor_from_metric(md):
     """Ric_{kj} by contracting the curvature tensor of the connection."""
-    return _ricci(_levi_civita(_metric_jet(md))[0])
+    return _jets.value_last(_ricci(_levi_civita(_metric_jet(md))[0]), 2)
 
 
 def _ricci(gamma):
-    return np.einsum("...ikij->...kj", _riemann(gamma))
+    return np.einsum("ikij...->kj...", _riemann(gamma))
 
 
 def ricci_tensor_at(surface, u, v):
@@ -282,7 +303,7 @@ def covariant_gradient_at(surface, X, u, v):
     enters the curvature identities.
     """
     gamma, _ = _levi_civita(_metric(surface, u, v, 1))
-    return _covariant_gradient(_jet(surface, X, u, v, 1), gamma).v
+    return _jets.value_last(_covariant_gradient(_jet(surface, X, u, v, 1), gamma).v, 2)
 
 
 def covariant_derivative(surface, X, direction, u, v):
@@ -309,14 +330,17 @@ def divergence_scalar_field(surface, X, name=None):
 
 def field_norm(surface, X, u, v):
     """Pointwise metric norm g(X, X)^(1/2)."""
-    g = metric_only(surface, u, v)
-    a = np.asarray(X.coeff(u, v), dtype=float)
-    return np.sqrt(np.einsum("...ij,...i,...j->...", g, a, a))
+    return np.sqrt(_quadratic(_metric(surface, u, v, 0).v, _jet(surface, X, u, v, 0).v))
+
+
+def _quadratic(g, a, b=None):
+    """g(a, b) at every node, from node-last arrays; b defaults to a."""
+    return np.einsum("ij...,i...,j...->...", g, a, a if b is None else b)
 
 
 def _unit_deviation(g, a):
     """|g(a, a) - 1| pointwise."""
-    return np.abs(np.einsum("...ij,...i,...j->...", g, a, a) - 1.0)
+    return np.abs(_quadratic(g, a) - 1.0)
 
 
 def _not_unit_message(name, worst, tol=UNIT_TOL):
@@ -331,14 +355,10 @@ def _check_unit(g, a, name, tol=UNIT_TOL):
 
 def ricci_residual_at(surface, X, Y, u, v):
     """|Ric(X, Y) - K g(X, Y)| with Ric taken from the curvature tensor."""
-    md = metric_data(surface, u, v, order=2)
-    ric = ricci_tensor_from_metric(md)
-    K = gauss_curvature_from_metric(md)
-    a = np.asarray(X.coeff(u, v), dtype=float)
-    b = np.asarray(Y.coeff(u, v), dtype=float)
-    lhs = np.einsum("...ij,...i,...j->...", ric, a, b)
-    rhs = K * np.einsum("...ij,...i,...j->...", md.g, a, b)
-    return np.abs(lhs - rhs)
+    g = _metric(surface, u, v, 2)
+    a, b = (_jet(surface, F, u, v, 0, g).v for F in (X, Y))
+    lhs = _quadratic(_ricci(_levi_civita(g)[0]), a, b)
+    return np.abs(lhs - _gauss_curvature(g) * _quadratic(g.v, a, b))
 
 
 def product_rule_residual_at(surface, f, X, u, v):
@@ -350,6 +370,6 @@ def product_rule_residual_at(surface, f, X, u, v):
 
 def _product_rule(f, x, dlogs):
     """|div(fX) - X(f) - f div(X)| from the jets of f and X (order >= 1)."""
-    lhs = _divergence(f[..., None] * x, dlogs).v
-    x_of_f = np.einsum("...i,...i->...", x.v, _jets.gradient(f).v)
+    lhs = _divergence(f[None] * x, dlogs).v
+    x_of_f = np.einsum("i...,i...->...", x.v, _jets.gradient(f).v)
     return np.abs(lhs - (x_of_f + f.v * _divergence(x, dlogs).v))

@@ -14,6 +14,10 @@ route ("analytic") and 4th-order central finite differences of the metric
 components ("fd"); the finite-difference stencils are evaluated in extended
 precision so that truncation, not round-off, dominates down to small steps.
 
+The maps and the assembly keep the nodes as the trailing axes (the private
+layout of ``_jets``); ``SurfaceSpec`` methods and ``MetricData`` present the
+public layout, value axes trailing.
+
 All evaluation functions accept scalars or broadcastable arrays for (u, v).
 Everything is pure and free of shared mutable state.
 """
@@ -29,8 +33,14 @@ from .errors import DegenerateMetricError, InvalidParameterError
 DET_EPS = 1e-12          # below this, det g signals a chart singularity
 GUARD_BAND = 1e-3        # half-width of the excluded band at non-periodic chart ends
 DEFAULT_FD_STEP = 1e-3   # balances truncation vs round-off for second derivatives
-# the inverse of a symmetric 2x2 matrix g is g[..., ::-1, ::-1] * COFACTOR_SIGNS / det g
+# the inverse of a symmetric 2x2 matrix g is g[::-1, ::-1] * signs / det g, with
+# signs = COFACTOR_SIGNS shaped by `cofactor_signs` to broadcast over the nodes
 COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def cofactor_signs(ndim):
+    """COFACTOR_SIGNS broadcasting against a node-last (2, 2, *N) array, len(N) = ndim."""
+    return COFACTOR_SIGNS.reshape((2, 2) + (1,) * ndim)
 
 
 class ChartPoint(NamedTuple):
@@ -57,11 +67,11 @@ class ChartRect:
 class _ChartMaps:
     """Closed-form embedding and its chart partials up to third order.
 
-    Index conventions (trailing axes):
-      embed -> (..., n)
-      d1    -> (..., n, 2)   columns d/du, d/dv
-      d2    -> (..., n, 3)   order (uu, uv, vv)
-      d3    -> (..., n, 4)   order (uuu, uuv, uvv, vvv)
+    Index conventions (node axes last):
+      embed -> (n, ...)
+      d1    -> (n, 2, ...)   columns d/du, d/dv
+      d2    -> (n, 3, ...)   order (uu, uv, vv)
+      d3    -> (n, 4, ...)   order (uuu, uuv, uvv, vvv)
     """
     embed: Callable
     d1: Callable
@@ -83,15 +93,15 @@ class SurfaceSpec:
 
     def embed(self, u, v):
         """Ambient position of the chart point, shape (..., n)."""
-        return self.maps.embed(u, v)
+        return _public(self.maps.embed(u, v), 1)
 
     def jacobian(self, u, v):
         """Embedding Jacobian, shape (..., n, 2); exact in both backends."""
-        return self.maps.d1(u, v)
+        return _public(self.maps.d1(u, v), 2)
 
     def embedding_hessian(self, u, v):
         """Exact second chart partials of the embedding, shape (..., n, 3)."""
-        return self.maps.d2(u, v)
+        return _public(self.maps.d2(u, v), 2)
 
 
 @dataclass(frozen=True)
@@ -101,6 +111,9 @@ class MetricData:
     g, g_inv  -> (..., 2, 2)
     dg        -> (..., 2, 2, 2), dg[..., k, i, j] = d_k g_ij
     ddg       -> (..., 3, 2, 2), first axis ordered (uu, uv, vv)
+
+    The arrays are views of node-last storage (see ``_jets``), which
+    ``_jets.from_parts`` recovers without a copy.
     """
     g: np.ndarray
     g_inv: np.ndarray
@@ -129,7 +142,12 @@ class GridSampling:
 
 
 def _stack(*comps):
-    return np.stack(np.broadcast_arrays(*comps), axis=-1)
+    return np.stack(np.broadcast_arrays(*comps))
+
+
+def _public(x, k):
+    """A map's node-last output as a contiguous array, value axes trailing."""
+    return np.asarray(_jets.value_last(x, k), order="C")
 
 
 def _torus_maps(big_r, small_r):
@@ -144,7 +162,7 @@ def _torus_maps(big_r, small_r):
         du = _stack(-w * np.sin(u), w * np.cos(u), 0.0 * (u + v))
         dv = _stack(-r * np.sin(v) * np.cos(u), -r * np.sin(v) * np.sin(u),
                     r * np.cos(v) + 0.0 * u)
-        return np.stack([du, dv], axis=-1)
+        return np.stack([du, dv], axis=1)
 
     def d2(u, v):
         w = R + r * np.cos(v)
@@ -153,7 +171,7 @@ def _torus_maps(big_r, small_r):
         duv = _stack(r * np.sin(v) * np.sin(u), -r * np.sin(v) * np.cos(u), zero)
         dvv = _stack(-r * np.cos(v) * np.cos(u), -r * np.cos(v) * np.sin(u),
                      -r * np.sin(v) + zero)
-        return np.stack([duu, duv, dvv], axis=-1)
+        return np.stack([duu, duv, dvv], axis=1)
 
     def d3(u, v):
         w = R + r * np.cos(v)
@@ -163,7 +181,7 @@ def _torus_maps(big_r, small_r):
         duvv = _stack(r * np.cos(v) * np.sin(u), -r * np.cos(v) * np.cos(u), zero)
         dvvv = _stack(r * np.sin(v) * np.cos(u), r * np.sin(v) * np.sin(u),
                       -r * np.cos(v) + zero)
-        return np.stack([duuu, duuv, duvv, dvvv], axis=-1)
+        return np.stack([duuu, duuv, duvv, dvvv], axis=1)
 
     return _ChartMaps(embed, d1, d2, d3)
 
@@ -180,7 +198,7 @@ def _polar_maps(a, b, c):
                     -c * np.sin(u) + 0.0 * v)
         dv = _stack(-a * np.sin(u) * np.sin(v), b * np.sin(u) * np.cos(v),
                     0.0 * (u + v))
-        return np.stack([du, dv], axis=-1)
+        return np.stack([du, dv], axis=1)
 
     def d2(u, v):
         zero = 0.0 * (u + v)
@@ -188,7 +206,7 @@ def _polar_maps(a, b, c):
                      -c * np.cos(u) + zero)
         duv = _stack(-a * np.cos(u) * np.sin(v), b * np.cos(u) * np.cos(v), zero)
         dvv = _stack(-a * np.sin(u) * np.cos(v), -b * np.sin(u) * np.sin(v), zero)
-        return np.stack([duu, duv, dvv], axis=-1)
+        return np.stack([duu, duv, dvv], axis=1)
 
     def d3(u, v):
         zero = 0.0 * (u + v)
@@ -197,7 +215,7 @@ def _polar_maps(a, b, c):
         duuv = _stack(a * np.sin(u) * np.sin(v), -b * np.sin(u) * np.cos(v), zero)
         duvv = _stack(-a * np.cos(u) * np.cos(v), -b * np.cos(u) * np.sin(v), zero)
         dvvv = _stack(a * np.sin(u) * np.sin(v), -b * np.sin(u) * np.cos(v), zero)
-        return np.stack([duuu, duuv, duvv, dvvv], axis=-1)
+        return np.stack([duuu, duuv, duvv, dvvv], axis=1)
 
     return _ChartMaps(embed, d1, d2, d3)
 
@@ -212,14 +230,14 @@ def _clifford_maps(radius):
         zero = 0.0 * (u + v)
         du = _stack(-s * np.sin(u), s * np.cos(u), zero, zero)
         dv = _stack(zero, zero, -s * np.sin(v), s * np.cos(v))
-        return np.stack([du, dv], axis=-1)
+        return np.stack([du, dv], axis=1)
 
     def d2(u, v):
         zero = 0.0 * (u + v)
         duu = _stack(-s * np.cos(u), -s * np.sin(u), zero, zero)
         duv = _stack(zero, zero, zero, zero)
         dvv = _stack(zero, zero, -s * np.cos(v), -s * np.sin(v))
-        return np.stack([duu, duv, dvv], axis=-1)
+        return np.stack([duu, duv, dvv], axis=1)
 
     def d3(u, v):
         zero = 0.0 * (u + v)
@@ -227,7 +245,7 @@ def _clifford_maps(radius):
         duuv = _stack(zero, zero, zero, zero)
         duvv = _stack(zero, zero, zero, zero)
         dvvv = _stack(zero, zero, s * np.sin(v), -s * np.cos(v))
-        return np.stack([duuu, duuv, duvv, dvvv], axis=-1)
+        return np.stack([duuu, duuv, duvv, dvvv], axis=1)
 
     return _ChartMaps(embed, d1, d2, d3)
 
@@ -307,22 +325,48 @@ def ellipsoid(a, b, c, mode="analytic", step=DEFAULT_FD_STEP):
     return make_surface("ellipsoid", (a, b, c), mode, step)
 
 
+def _gram(a, b):
+    """a^T b at every node: sum over the ambient axis of a[a, i] b[a, j]."""
+    return np.einsum("ai...,aj...->ij...", a, b)
+
+
 def _first_form(maps, u, v):
     jac = maps.d1(u, v)
-    return np.einsum("...ai,...aj->...ij", jac, jac)
+    return _gram(jac, jac)
+
+
+def _jacobian_jet(maps, u, v, order):
+    """The Jacobian J[a, i] as a jet of `order`, node axes last.
+
+    d_m J[a, i] = d2[a, m + i] and row r = m + l of its second partials is
+    d3[a, r + i], so both are sliding windows over axis 1 of the closed-form
+    maps, moved to the front as the jet's derivative axis.
+    """
+    def window(d):
+        view = np.lib.stride_tricks.sliding_window_view(d, 2, axis=1)
+        return np.moveaxis(view, (1, -1), (0, 2))
+
+    return _jets.Jet(maps.d1(u, v), *(window(d(u, v)) for d in (maps.d2, maps.d3)[:order]))
 
 
 def _analytic_metric(maps, u, v, order):
-    # g = J^T J on the jet of the Jacobian: d_m J[..., a, i] = d2[..., a, m + i]
-    # and row r = m + l of its second partials is d3[..., a, r + i], so both
-    # are sliding windows over the last axis of the closed-form maps
-    def window(d):
-        return np.moveaxis(np.lib.stride_tricks.sliding_window_view(d, 2, axis=-1), -2, 0)
-
-    ders = [window(d(u, v)) for d in (maps.d2, maps.d3)[:order]]
-    jac = _jets.Jet(maps.d1(u, v), *ders)
-    g = _jets.einsum("...ai,...aj->...ij", jac, jac)
-    return (_jets.to_parts(g, g.v.ndim - 2) + (None, None))[:3]
+    # the jet of g = J^T J by the product rule, each pair of terms being one
+    # product and its transpose: dg = S + S^T with S = dJ^T J, and the mixed
+    # row of the second partials holds P + P^T with P = d_u J^T d_v J.  The
+    # sums keep the generic jet einsum's order, so the result is the same
+    jac = _jacobian_jet(maps, u, v, order)
+    g = _gram(jac.v, jac.v)
+    if order == 0:
+        return g, None, None
+    s = np.einsum("Zai...,aj...->Zij...", jac.d, jac.v)
+    dg = s + s.swapaxes(1, 2)
+    if order == 1:
+        return g, dg, None
+    s = np.einsum("Zai...,aj...->Zij...", jac.dd, jac.v)
+    ju, jv = jac.d
+    p = _gram(ju, jv)
+    cross = np.stack([2 * _gram(ju, ju), p + p.swapaxes(0, 1), 2 * _gram(jv, jv)])
+    return g, dg, s + s.swapaxes(1, 2) + cross
 
 
 def _fd_metric(maps, u, v, order, h):
@@ -330,20 +374,9 @@ def _fd_metric(maps, u, v, order, h):
     ul = np.asarray(u, dtype=np.longdouble)
     vl = np.asarray(v, dtype=np.longdouble)
     g_fn = lambda uu, vv: _first_form(maps, uu, vv)
-    g = g_fn(ul, vl)
-    dg = ddg = None
-    if order >= 1:
-        dg = np.stack([_stencils.diff1(g_fn, ul, vl, 0, h),
-                       _stencils.diff1(g_fn, ul, vl, 1, h)], axis=g.ndim - 2)
-    if order >= 2:
-        ddg = np.stack([_stencils.diff2(g_fn, ul, vl, 0, h),
-                        _stencils.diff_cross(g_fn, ul, vl, h),
-                        _stencils.diff2(g_fn, ul, vl, 1, h)], axis=g.ndim - 2)
-        ddg = ddg.astype(np.float64)
-    g = g.astype(np.float64)
-    if dg is not None:
-        dg = dg.astype(np.float64)
-    return g, dg, ddg
+    ders = [stencil(g_fn, ul, vl, h).astype(np.float64)
+            for stencil in (_stencils.gradient, _stencils.hessian)[:order]]
+    return (g_fn(ul, vl).astype(np.float64), *ders, None, None)[:3]
 
 
 def metric_data(surface, u, v, order=2):
@@ -360,7 +393,7 @@ def metric_data(surface, u, v, order=2):
     else:
         g, dg, ddg = _fd_metric(surface.maps, u, v, order, surface.step)
 
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
     if np.any(det <= DET_EPS):
         bad = np.argmin(det)
         uu, vv = np.broadcast_arrays(u, v)
@@ -369,9 +402,10 @@ def metric_data(surface, u, v, order=2):
             f"metric degenerate on {surface.name}: det g = {np.min(det):.3e} "
             f"at (u, v) = ({pt.u:.6g}, {pt.v:.6g})", point=pt)
 
-    g_inv = g[..., ::-1, ::-1] * COFACTOR_SIGNS / det[..., None, None]
-    return MetricData(g=g, g_inv=g_inv, dg=dg, ddg=ddg,
-                      det_g=det, sqrt_det_g=np.sqrt(det))
+    g_inv = g[::-1, ::-1] * cofactor_signs(det.ndim) / det
+    dg, ddg = (None if x is None else _jets.value_last(x, 3) for x in (dg, ddg))
+    return MetricData(g=_jets.value_last(g, 2), g_inv=_jets.value_last(g_inv, 2),
+                      dg=dg, ddg=ddg, det_g=det, sqrt_det_g=np.sqrt(det))
 
 
 def metric_at(surface, u, v):
@@ -381,8 +415,8 @@ def metric_at(surface, u, v):
 
 def metric_only(surface, u, v):
     """Just g, shape (..., 2, 2); exact in both backends."""
-    return _first_form(surface.maps, np.asarray(u, dtype=float),
-                       np.asarray(v, dtype=float))
+    return _jets.value_last(_first_form(surface.maps, np.asarray(u, dtype=float),
+                                        np.asarray(v, dtype=float)), 2)
 
 
 def _axis_rule(lo, hi, n, periodic):

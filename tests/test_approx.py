@@ -284,8 +284,9 @@ class TestSmoothField:
                                         max_degree=16, fit_grid=(32, 32))
         # second-order convergence of difference quotients certifies
         # differentiability of the output coefficients
-        ref = _stencils.gradient(field.coeff, 1.234, 2.345, 5e-4)
-        errs = [np.max(np.abs(_stencils.gradient(field.coeff, 1.234, 2.345, h) - ref))
+        coeff = lambda u, v: np.moveaxis(field.coeff(u, v), -1, 0)   # node-last
+        ref = _stencils.gradient(coeff, 1.234, 2.345, 5e-4)
+        errs = [np.max(np.abs(_stencils.gradient(coeff, 1.234, 2.345, h) - ref))
                 for h in (4e-2, 2e-2, 1e-2)]
         order = np.polyfit(np.log([4e-2, 2e-2, 1e-2]), np.log(errs), 1)[0]
         assert order >= 2.0

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bochner2d import bochner as bo
+from bochner2d import cli
 from bochner2d import operators as op
 from bochner2d import surfaces as surf
 from bochner2d.errors import NotUnitFieldError, ZeroFieldPointError
@@ -275,3 +278,36 @@ class TestReports:
         assert not r.passed
         r2 = bo.point_residual("x", 0.5, 0.1, 0.2, 1.0)
         assert r2.passed
+
+
+class TestBatchComposition:
+    """A node's residuals do not depend on the other nodes of its batch.
+
+    `verify` evaluates blocks of `cli.BATCH_NODES` nodes and halves a failing
+    block, and its sup must equal the public residual functions' max bit for
+    bit; both hold only if every node's arithmetic is independent of which
+    nodes share its batch and where it sits in it.
+    """
+
+    @settings(max_examples=40)
+    @given(surface=st.sampled_from(("torus:2,1", "sphere:1", "clifford:1",
+                                    "ellipsoid:1,1.3,0.7")),
+           backend=st.sampled_from(("analytic", "fd")),
+           field=st.sampled_from(("du", "dv", "du+dv", "sin(u)+2,cos(v)")),
+           nu=st.integers(4, 12), nv=st.integers(4, 12),
+           data=st.data())
+    def test_subset_rows_match_the_full_batch(self, surface, backend, field,
+                                              nu, nv, data):
+        s = cli.parse_surface(surface, cli.parse_backend(backend))
+        X = cli.parse_field(field)
+        g = surf.chart_grid(s, nu, nv)
+        usable = (surf.guarded_mask(s, g.U, g.V)
+                  & (op.field_norm(s, X, g.U, g.V) >= bo.ZERO_FLOOR))
+        U, V = g.U[usable], g.V[usable]
+        T = bo.normalize_field(s, X)
+        f, Y = cli._product_rule_pair()
+        full = bo._verify_pass(s, T, f, Y, U, V)
+        order = data.draw(st.permutations(range(U.size)))
+        idx = np.array(order[:data.draw(st.integers(1, U.size))])
+        part = bo._verify_pass(s, T, f, Y, U[idx], V[idx])
+        assert np.array_equal(part, full[idx], equal_nan=True)

@@ -167,6 +167,27 @@ class TestGaussBonnet:
         assert abs(res["value"] - 4 * np.pi) < 1e-6
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("argv,reason,has_node", [
+        # the normalized field overflows to a non-unit one
+        (("--surface", "torus:2,1", "--field", "1e200*sin(u)+1,0"), "is not unit",
+         False),
+        # a tiny sphere's Gauss-Legendre nodes near the poles are chart-singular
+        (("--surface", "sphere:0.002", "--field", "dv"), "metric degenerate", True),
+        (("--surface", "sphere:0.002"), "metric degenerate", True),
+    ])
+    def test_failure_is_reported(self, capsys, argv, reason, has_node):
+        status, rep = run_json(capsys, "gauss-bonnet", *argv, "--grid", "16x16")
+        assert status == 1
+        assert rep["overall_pass"] is False
+        assert reason in rep["error"]
+        assert rep["integrals"] == {}
+        assert ("failed_node" in rep) == has_node
+        if has_node:
+            node = rep["failed_node"]
+            assert f"({node['u']:.6g}, {node['v']:.6g})" in rep["error"]
+
+
 class TestSmooth:
     def test_kinked_field_passes(self, capsys, tmp_path):
         coeffs = tmp_path / "poly.txt"
@@ -206,6 +227,22 @@ class TestSmooth:
         assert sm["degrees_tried"] == [2, 4]
         assert len(sm["sup_errors"]) == 2
         assert sm["sup_error"] == min(sm["sup_errors"]) >= 0.5
+
+
+class TestVerifyFailures:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("argv,reason", [
+        (("--surface", "torus:2,1", "--field", "1e200*sin(u)+1,0"), "is not unit"),
+        (("--surface", "sphere:0.002", "--field", "dv"), "metric degenerate"),
+    ])
+    def test_failure_is_reported(self, capsys, argv, reason):
+        status, rep = run_json(capsys, "verify", *argv, "--grid", "16x16")
+        assert status == 1
+        assert rep["overall_pass"] is False
+        failed = [c for c in rep["checks"] if not c["pass"]]
+        assert failed and all(c["n_failed"] > 0 for c in failed)
+        errors = {node["error"] for c in failed for node in c["failed_nodes"]}
+        assert any(reason in error for error in errors), errors
 
 
 class TestConfigErrors:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bochner2d import _stencils
+from bochner2d import _jets, _stencils
 from bochner2d import surfaces as surf
 from bochner2d.errors import DegenerateMetricError, InvalidParameterError
 
@@ -92,32 +92,51 @@ def test_metric_invariants_all(all_surfaces):
 
 
 def test_embedding_derivative_closed_forms(all_surfaces):
-    # the registered d1/d2/d3 maps must match stencils of the embedding itself
+    # the registered d1/d2/d3 maps must match stencils of the embedding itself;
+    # maps and stencils both keep the nodes last, the stencils' derivative
+    # axis first: d1 is (n, 2, nodes) and fd1 is (2, n, nodes)
     for s in all_surfaces:
         u, v = interior_points(s, 8, seed=5)
         d1 = s.maps.d1(u, v)
         fd1 = _stencils.gradient(s.maps.embed, u, v, 1e-4)
-        np.testing.assert_allclose(np.stack([fd1[:, 0], fd1[:, 1]], axis=-1), d1,
-                                   atol=1e-10, err_msg=s.name)
+        np.testing.assert_allclose(fd1.swapaxes(0, 1), d1, atol=1e-10, err_msg=s.name)
         d2 = s.maps.d2(u, v)
         fd2 = _stencils.hessian(s.maps.embed, u, v, 1e-3)
-        np.testing.assert_allclose(np.stack([fd2[:, 0], fd2[:, 1], fd2[:, 2]], axis=-1),
-                                   d2, atol=1e-8, err_msg=s.name)
+        np.testing.assert_allclose(fd2.swapaxes(0, 1), d2, atol=1e-8, err_msg=s.name)
         # nested stencils: inner first derivative at 1e-3, outer second at 5e-3
         # keeps the eps/h^3-style noise of the composition under the tolerance
         d3 = s.maps.d3(u, v)
         fd3_uuu = _stencils.diff2(lambda a, b: _stencils.diff1(s.maps.embed, a, b, 0, 1e-3),
                                   u, v, 0, 5e-3)
-        np.testing.assert_allclose(fd3_uuu, d3[..., 0], atol=1e-6, err_msg=s.name)
+        np.testing.assert_allclose(fd3_uuu, d3[:, 0], atol=1e-6, err_msg=s.name)
         fd3_vvv = _stencils.diff2(lambda a, b: _stencils.diff1(s.maps.embed, a, b, 1, 1e-3),
                                   u, v, 1, 5e-3)
-        np.testing.assert_allclose(fd3_vvv, d3[..., 3], atol=1e-6, err_msg=s.name)
+        np.testing.assert_allclose(fd3_vvv, d3[:, 3], atol=1e-6, err_msg=s.name)
         fd3_uuv = _stencils.diff2(lambda a, b: _stencils.diff1(s.maps.embed, a, b, 1, 1e-3),
                                   u, v, 0, 5e-3)
-        np.testing.assert_allclose(fd3_uuv, d3[..., 1], atol=1e-6, err_msg=s.name)
+        np.testing.assert_allclose(fd3_uuv, d3[:, 1], atol=1e-6, err_msg=s.name)
         fd3_uvv = _stencils.diff2(lambda a, b: _stencils.diff1(s.maps.embed, a, b, 0, 1e-3),
                                   u, v, 1, 5e-3)
-        np.testing.assert_allclose(fd3_uvv, d3[..., 2], atol=1e-6, err_msg=s.name)
+        np.testing.assert_allclose(fd3_uvv, d3[:, 2], atol=1e-6, err_msg=s.name)
+
+
+def test_symmetric_metric_jet_matches_generic_jet_einsum(all_surfaces):
+    # the analytic metric forms one product of each transposed pair of the
+    # product rule; IEEE products commute and the sums keep their order, so
+    # it must agree bit for bit with the generic jet einsum of J^T J
+    for s in all_surfaces:
+        u, v = interior_points(s, 33, seed=9)
+        U, V = np.meshgrid(u, v[:5], indexing="ij")
+        for uu, vv in ((u, v), (U, V), (u[0], v[0])):
+            for order in (0, 1, 2):
+                jac = surf._jacobian_jet(s.maps, uu, vv, order)
+                g = _jets.einsum("ai...,aj...->ij...", jac, jac)
+                parts = surf._analytic_metric(s.maps, uu, vv, order)
+                for mine, generic in zip(parts, (g.v, g.d, g.dd)):
+                    if generic is None:
+                        assert mine is None
+                    else:
+                        assert np.array_equal(mine, generic), (s.name, order)
 
 
 def test_periodic_edges_identified(all_surfaces):
