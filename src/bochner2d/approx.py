@@ -19,23 +19,30 @@ lexicographic order, the degree-t monomials free of x_0..x_{j-1} are a suffix
 of degree layer t, so layer t+1 is the concatenation over j of x_j times that
 suffix: one contiguous multiply per entry, with no power tables or gathers.
 The exponent rows come from the same recursion.
+
+Layout.  As in the derivative pipeline (see ``_jets``), the private arrays
+keep the nodes as their trailing, contiguous axis: points enter the layers
+as (n, m), each layer is a (K_t, m) block, and the tangent projection works
+on (n, m) ambient and (2, m) chart vectors.  Only the gram matrix of the
+fit takes the basis row-major, (m, K).  The public functions keep the nodes
+leading.
 """
 
 from dataclasses import dataclass, replace
 from math import comb
-from typing import Optional
 
 import numpy as np
 
+from . import surfaces as surf
 from .errors import BudgetNotMetError, RankDeficientFitError, ZeroFieldPointError
 from .operators import TangentField
-from .surfaces import ChartPoint, chart_grid, metric_only
+from .surfaces import ChartPoint, chart_grid
 
 SAMPLE_FLOOR = 1e-9        # ambient norm below this flags a zero of the field
 ERROR_BUDGET = 0.5         # certified sup error target for the vector fit
 RCOND_CUTOFF = 1e-10       # eigenvalue truncation for the scaled normal system
 VERIFY_FACTOR = 4          # verification grid density per axis vs fit grid
-EVAL_CHUNK = 8192          # rows per block when streaming large point sets
+EVAL_CHUNK = 8192          # nodes per block when streaming large point sets
 
 
 @dataclass(frozen=True)
@@ -105,21 +112,22 @@ def monomial_exponents(ambient_dim, degree):
 
 
 def _monomial_layers(points, degree):
-    """Yield the degree-t column blocks of the graded-lex basis, t = 0..degree.
+    """Yield the degree-t blocks of the graded-lex basis, t = 0..degree, node-last.
 
-    Concatenated, the blocks equal monomial_matrix(points, monomial_exponents(
-    n, degree)).  Only two layers are referenced at a time, so a consumer
-    that reduces each block as it arrives holds O(m * max K_t) memory.
+    points is (n, m); block t is a C-contiguous (K_t, m) array.  Stacked, the
+    blocks equal monomial_matrix(points.T, monomial_exponents(n, degree)).T.
+    Only two layers are referenced at a time, so a consumer that reduces
+    each block as it arrives holds O(max K_t * m) memory.
     """
-    m, n = points.shape
-    layer = np.ones((m, 1))
+    n, m = points.shape
+    layer = np.ones((1, m))
     yield layer
     for t in range(degree):
-        nxt = np.empty((m, comb(t + n, n - 1)))
-        col = 0
+        nxt = np.empty((comb(t + n, n - 1), m))
+        row = 0
         for j, k in _layer_sources(n, t):
-            np.multiply(points[:, j, None], layer[:, -k:], out=nxt[:, col:col + k])
-            col += k
+            np.multiply(points[j], layer[-k:], out=nxt[row:row + k])
+            row += k
         layer = nxt
         yield layer
 
@@ -139,20 +147,21 @@ def monomial_matrix(points, exponents):
 def evaluate_polynomial_field(poly, points):
     """Values of the component polynomials at ambient points, (m, n_components).
 
-    Rows are streamed in EVAL_CHUNK blocks and each degree layer of the basis
-    is contracted with its coefficient block as soon as it is built.
+    Nodes are streamed in EVAL_CHUNK blocks and each (K_t, nodes) degree
+    layer of the basis is contracted with its coefficient block as soon as
+    it is built.  The result is a view of node-last storage.
     """
-    points = np.asarray(points, dtype=float)
+    points = np.asarray(points, dtype=float).T
     coeff = poly.coefficients
-    out = np.zeros((points.shape[0], coeff.shape[0]))
-    for lo in range(0, points.shape[0], EVAL_CHUNK):
+    out = np.zeros((coeff.shape[0], points.shape[1]))
+    for lo in range(0, points.shape[1], EVAL_CHUNK):
         block = slice(lo, lo + EVAL_CHUNK)
-        col = 0
-        for layer in _monomial_layers(points[block], poly.degree):
-            k = layer.shape[1]
-            out[block] += layer @ coeff[:, col:col + k].T
-            col += k
-    return out
+        row = 0
+        for layer in _monomial_layers(points[:, block], poly.degree):
+            k = layer.shape[0]
+            out[:, block] += coeff[:, row:row + k] @ layer
+            row += k
+    return out.T
 
 
 def sample_unit_field(surface, X, grid, floor=SAMPLE_FLOOR):
@@ -168,13 +177,19 @@ def sample_unit_field(surface, X, grid, floor=SAMPLE_FLOOR):
     coeff = np.asarray(X.coeff(U, V), dtype=float)    # (..., 2)
     ambient = np.einsum("...ai,...i->...a", jac, coeff)
     norms = np.linalg.norm(ambient, axis=-1)
-    bad = norms < floor
+    bad = ~(norms >= floor)               # a NaN norm is no usable node either
     if np.any(bad):
         pts = [ChartPoint(float(a), float(b))
                for a, b in zip(U[bad].ravel()[:16], V[bad].ravel()[:16])]
-        raise ZeroFieldPointError(
-            f"field {X.name!r} has ambient norm below {floor:g} at "
-            f"{int(np.count_nonzero(bad))} grid node(s)", points=pts)
+        n_nan = int(np.count_nonzero(np.isnan(norms)))
+        n_low = int(np.count_nonzero(bad)) - n_nan
+        counts = []
+        if n_low:
+            counts.append(f"ambient norm below {floor:g} at {n_low} grid node(s)")
+        if n_nan:
+            counts.append(f"a non-finite ambient norm at {n_nan} grid node(s)")
+        raise ZeroFieldPointError(f"field {X.name!r} has {' and '.join(counts)}",
+                                  points=pts)
     values = ambient / norms[..., None]
     positions = surface.embed(U, V)
     m = U.size
@@ -211,13 +226,16 @@ def _fit_and_verify(samples, degree, verify_samples=None):
     if degree < 0:
         raise ValueError("degree must be >= 0")
     points = np.asarray(samples.positions, dtype=float)
-    V = np.concatenate(list(_monomial_layers(points, degree)), axis=1)
-    if not np.all(np.isfinite(V)):
+    Vt = np.concatenate(list(_monomial_layers(points.T, degree)))      # (K, m)
+    if not np.all(np.isfinite(Vt)):
         raise RankDeficientFitError("monomial matrix contains non-finite entries")
 
-    scale = np.max(np.abs(V), axis=0)
+    scale = np.max(np.abs(Vt), axis=1)
     scale = np.where(scale > 0.0, scale, 1.0)
-    Vs = V / scale
+    Vt /= scale[:, None]
+    # the truncated-eigh fit is sensitive to the gram's last bits, so the
+    # products run on row-major (m, K) operands: one transpose copy
+    Vs = np.ascontiguousarray(Vt.T)
     A = Vs.T @ Vs
     b = Vs.T @ samples.values                 # (K, n_components)
     if not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
@@ -246,15 +264,33 @@ def _fit_and_verify(samples, degree, verify_samples=None):
     return replace(poly, sup_error=float(np.max(err))), pred
 
 
+def _tangent_coefficients(surface, w, u, v):
+    """Chart coefficients g^-1 J^T w of the tangential part of w, node-last.
+
+    w is (n, *N) over the broadcast node shape N of (u, v); returns the
+    (2, *N) coefficients and the (n, 2, *N) Jacobian.  Raises
+    DegenerateMetricError where det g falls to surfaces.DET_EPS.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    jac = surface.maps.d1(u, v)
+    g = surf._gram(jac, jac)
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    surf._require_nondegenerate(surface, det, u, v)
+    g_inv = g[::-1, ::-1] * surf.cofactor_signs(det.ndim) / det
+    jtw = np.einsum("ai...,a...->i...", jac, w)
+    return np.einsum("ij...,j...->i...", g_inv, jtw), jac
+
+
 def project_to_tangent(surface, vectors, u, v):
     """Orthogonal projection of ambient vectors onto tangent planes.
 
     vectors has shape (..., n) aligned with the broadcast shape of (u, v).
+    Raises DegenerateMetricError at a chart singularity.
     """
-    jac = surface.jacobian(u, v)
-    g_inv = np.linalg.inv(np.einsum("...ai,...aj->...ij", jac, jac))
-    coeff = np.einsum("...ij,...aj,...a->...i", g_inv, jac, vectors)
-    return np.einsum("...ai,...i->...a", jac, coeff)
+    w = np.moveaxis(np.asarray(vectors, dtype=float), -1, 0)
+    coeff, jac = _tangent_coefficients(surface, w, u, v)
+    return np.moveaxis(np.einsum("ai...,i...->a...", jac, coeff), 0, -1)
 
 
 def tangential_projection(surface, poly, u, v):
@@ -276,12 +312,10 @@ def chart_coefficients_field(surface, poly, name="smoothed"):
     def coeff(u, v):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        pos = surface.embed(u, v)
-        flat = pos.reshape(-1, surface.ambient_dim)
-        vals = evaluate_polynomial_field(poly, flat).reshape(pos.shape)
-        jac = surface.jacobian(u, v)
-        g_inv = np.linalg.inv(np.einsum("...ai,...aj->...ij", jac, jac))
-        return np.einsum("...ij,...aj,...a->...i", g_inv, jac, vals)
+        pos = surface.maps.embed(u, v)                    # (n, *N)
+        vals = evaluate_polynomial_field(poly, pos.reshape(pos.shape[0], -1).T)
+        w = vals.T.reshape(pos.shape)
+        return np.moveaxis(_tangent_coefficients(surface, w, u, v)[0], 0, -1)
 
     return TangentField(coeff, name=name)
 

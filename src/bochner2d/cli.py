@@ -36,7 +36,6 @@ from . import _jets, approx, bochner, integrate, operators
 from . import surfaces as surf
 from .errors import (
     BudgetNotMetError,
-    ChiIndeterminateError,
     ConfigError,
     GeometryError,
     ZeroFieldPointError,

@@ -158,10 +158,10 @@ def _torus_maps(big_r, small_r):
         return _stack(w * np.cos(u), w * np.sin(u), r * np.sin(v) + 0.0 * u)
 
     def d1(u, v):
-        w = R + r * np.cos(v)
-        du = _stack(-w * np.sin(u), w * np.cos(u), 0.0 * (u + v))
-        dv = _stack(-r * np.sin(v) * np.cos(u), -r * np.sin(v) * np.sin(u),
-                    r * np.cos(v) + 0.0 * u)
+        su, cu, sv, cv = np.sin(u), np.cos(u), np.sin(v), np.cos(v)
+        w = R + r * cv
+        du = _stack(-w * su, w * cu, 0.0 * (u + v))
+        dv = _stack(-r * sv * cu, -r * sv * su, r * cv + 0.0 * u)
         return np.stack([du, dv], axis=1)
 
     def d2(u, v):
@@ -194,10 +194,9 @@ def _polar_maps(a, b, c):
                       c * np.cos(u) + 0.0 * v)
 
     def d1(u, v):
-        du = _stack(a * np.cos(u) * np.cos(v), b * np.cos(u) * np.sin(v),
-                    -c * np.sin(u) + 0.0 * v)
-        dv = _stack(-a * np.sin(u) * np.sin(v), b * np.sin(u) * np.cos(v),
-                    0.0 * (u + v))
+        su, cu, sv, cv = np.sin(u), np.cos(u), np.sin(v), np.cos(v)
+        du = _stack(a * cu * cv, b * cu * sv, -c * su + 0.0 * v)
+        dv = _stack(-a * su * sv, b * su * cv, 0.0 * (u + v))
         return np.stack([du, dv], axis=1)
 
     def d2(u, v):
@@ -379,6 +378,17 @@ def _fd_metric(maps, u, v, order, h):
     return (g_fn(ul, vl).astype(np.float64), *ders, None, None)[:3]
 
 
+def _require_nondegenerate(surface, det, u, v):
+    """Raise DegenerateMetricError, naming the worst node, where det <= DET_EPS."""
+    if np.any(det <= DET_EPS):
+        bad = np.argmin(det)
+        uu, vv = np.broadcast_arrays(u, v)
+        pt = ChartPoint(float(np.ravel(uu)[bad]), float(np.ravel(vv)[bad]))
+        raise DegenerateMetricError(
+            f"metric degenerate on {surface.name}: det g = {np.min(det):.3e} "
+            f"at (u, v) = ({pt.u:.6g}, {pt.v:.6g})", point=pt)
+
+
 def metric_data(surface, u, v, order=2):
     """First fundamental form with derivatives up to the requested order.
 
@@ -394,14 +404,7 @@ def metric_data(surface, u, v, order=2):
         g, dg, ddg = _fd_metric(surface.maps, u, v, order, surface.step)
 
     det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if np.any(det <= DET_EPS):
-        bad = np.argmin(det)
-        uu, vv = np.broadcast_arrays(u, v)
-        pt = ChartPoint(float(np.ravel(uu)[bad]), float(np.ravel(vv)[bad]))
-        raise DegenerateMetricError(
-            f"metric degenerate on {surface.name}: det g = {np.min(det):.3e} "
-            f"at (u, v) = ({pt.u:.6g}, {pt.v:.6g})", point=pt)
-
+    _require_nondegenerate(surface, det, u, v)
     g_inv = g[::-1, ::-1] * cofactor_signs(det.ndim) / det
     dg, ddg = (None if x is None else _jets.value_last(x, 3) for x in (dg, ddg))
     return MetricData(g=_jets.value_last(g, 2), g_inv=_jets.value_last(g_inv, 2),

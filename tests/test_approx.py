@@ -13,6 +13,7 @@ from bochner2d import surfaces as surf
 from bochner2d.cli import expression_field, kinked_mixture_field
 from bochner2d.errors import (
     BudgetNotMetError,
+    DegenerateMetricError,
     RankDeficientFitError,
     ZeroFieldPointError,
 )
@@ -68,6 +69,19 @@ class TestSampling:
         with pytest.raises(ZeroFieldPointError):
             ap.sample_unit_field(torus21, X, surf.chart_grid(torus21, 8, 8))
 
+    def test_non_finite_samples_counted_apart(self, torus21):
+        # NaN on the line u = 0 (8 nodes), zero on the line u = pi (8 nodes)
+        X = op.TangentField(
+            lambda u, v: np.stack(np.broadcast_arrays(
+                np.where(u == 0.0, np.nan, np.sin(u)), 0.0 * v), axis=-1),
+            name="nan-and-zero")
+        with pytest.raises(ZeroFieldPointError) as exc:
+            ap.sample_unit_field(torus21, X, surf.chart_grid(torus21, 8, 8))
+        msg = str(exc.value)
+        assert "ambient norm below 1e-09 at 8 grid node(s)" in msg
+        assert "a non-finite ambient norm at 8 grid node(s)" in msg
+        assert len(exc.value.points) == 16
+
 
 class TestMonomials:
     def test_graded_lexicographic_order(self):
@@ -102,10 +116,12 @@ class TestMonomials:
                    elements=st.floats(-3.0, 3.0)))))
     def test_layered_basis_matches_matrix(self, case):
         degree, pts = case
-        layered = np.concatenate(list(ap._monomial_layers(pts, degree)), axis=1)
+        layers = list(ap._monomial_layers(pts.T, degree))
+        assert all(b.flags.c_contiguous and b.shape[1] == len(pts) for b in layers)
+        layered = np.concatenate(layers)            # (K, m), node-last
         ref = ap.monomial_matrix(pts, ap.monomial_exponents(pts.shape[1], degree))
         # atol only absorbs subnormal partial products of tiny coordinates
-        np.testing.assert_allclose(layered, ref, rtol=1e-13, atol=1e-290)
+        np.testing.assert_allclose(layered, ref.T, rtol=1e-13, atol=1e-290)
 
 
 class TestEvaluation:
@@ -172,7 +188,55 @@ class TestFit:
             ap.fit_polynomial_field(broken, 2, samples)
 
 
+def _inverse_projection(surface, vectors, u, v):
+    """Reference projection J (J^T J)^-1 J^T w by matrix inversion."""
+    jac = surface.jacobian(u, v)
+    g_inv = np.linalg.inv(np.einsum("...ai,...aj->...ij", jac, jac))
+    coeff = np.einsum("...ij,...aj,...a->...i", g_inv, jac, vectors)
+    return np.einsum("...ai,...i->...a", jac, coeff)
+
+
+SURFACES = (("torus", (2.0, 1.0)), ("sphere", (1.0,)), ("clifford_torus", (1.0,)),
+            ("ellipsoid", (1.0, 1.3, 0.7)))
+
+
 class TestProjection:
+    @settings(max_examples=40)
+    @given(st.sampled_from(SURFACES), st.sampled_from(("analytic", "fd")),
+           st.integers(1, 64), st.integers(0, 2**32 - 1))
+    def test_matches_inverse_formula_and_is_idempotent(self, kind, mode, m, seed):
+        surface = surf.make_surface(*kind, mode=mode)
+        rect = surface.chart_rect
+        rng = np.random.default_rng(seed)
+        # nodes anywhere in the guarded chart, the guard band's edges included
+        pad_u = 0.0 if rect.periodic_u else surf.GUARD_BAND
+        u = rng.uniform(rect.u0 + pad_u, rect.u1 - pad_u, m)
+        u[:2] = [rect.u0 + pad_u, rect.u1 - pad_u][:m]
+        v = rng.uniform(rect.v0, rect.v1, m)
+        w = (rng.standard_normal((m, surface.ambient_dim))
+             * 10.0 ** rng.uniform(-6, 6, (m, 1)))
+        out = ap.project_to_tangent(surface, w, u, v)
+        ref = _inverse_projection(surface, w, u, v)
+        assert out.shape == (m, surface.ambient_dim)
+        # relative to the input: projected components may cancel to zero
+        scale = np.linalg.norm(w, axis=-1)
+        assert np.all(np.linalg.norm(out - ref, axis=-1) <= 1e-13 * scale)
+        again = ap.project_to_tangent(surface, out, u, v)
+        assert np.all(np.linalg.norm(again - out, axis=-1) <= 1e-13 * scale)
+
+    def test_degenerate_point_raises(self, sphere1):
+        w = np.array([0.3, -0.2, 0.9])
+        with pytest.raises(DegenerateMetricError) as exc:
+            ap.project_to_tangent(sphere1, w, 0.0, 0.3)
+        assert exc.value.point == surf.ChartPoint(0.0, 0.3)
+        assert "(u, v) = (0, 0.3)" in str(exc.value)
+        field = ap.chart_coefficients_field(sphere1, ap.PolynomialField(
+            ambient_dim=3, degree=0, exponents=ap.monomial_exponents(3, 0),
+            coefficients=w[:, None], sup_error=np.nan, fit_grid=(),
+            verify_grid=(), rcond=np.nan))
+        with pytest.raises(DegenerateMetricError):
+            field.coeff(np.array([0.5, np.pi]), np.array([0.1, 0.3]))
+
     def test_fixes_tangent_vectors(self, torus21):
         jac = torus21.jacobian(0.7, 1.1)
         w = jac @ np.array([0.3, -0.8])

@@ -228,6 +228,17 @@ class TestSmooth:
         assert len(sm["sup_errors"]) == 2
         assert sm["sup_error"] == min(sm["sup_errors"]) >= 0.5
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_field_is_a_zero_field_point(self, capsys):
+        # u/u is 0/0 on the grid line u = 0
+        status = cli.main(["smooth", "--surface", "torus:2,1", "--field", "u/u,1",
+                           "--grid", "16x16"])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.startswith("zero-field-point:")
+        assert "non-finite ambient norm at 16 grid node(s)" in captured.err
+
 
 class TestVerifyFailures:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
