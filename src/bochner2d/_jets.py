@@ -120,23 +120,35 @@ def _quotient(a_v, a_d, a_dd, b):
     return Jet(q, d, dd)
 
 
+def _chain(x, f, f1, f2):
+    """Jet of fn(x) from the value f = fn(x.v) and fn', fn'' at x.v."""
+    if x.d is None:
+        return Jet(f)
+    return Jet(f, f1 * x.d,
+               None if x.dd is None else f1 * x.dd + 0.5 * f2 * _cross(x.d, x.d))
+
+
 def _elementary(fn, derivatives):
     """fn lifted to jets; derivatives(x, fn(x)) gives fn' and fn'' at x."""
     def apply(x):
         if not isinstance(x, Jet):
             return fn(x)
         f = fn(x.v)
-        if x.d is None:
-            return Jet(f)
-        f1, f2 = derivatives(x.v, f)
-        return Jet(f, f1 * x.d,
-                   None if x.dd is None else f1 * x.dd + 0.5 * f2 * _cross(x.d, x.d))
+        return Jet(f) if x.d is None else _chain(x, f, *derivatives(x.v, f))
     return apply
 
 
 sqrt = _elementary(np.sqrt, lambda x, s: (0.5 / s, -0.25 / (s * x)))
 sin = _elementary(np.sin, lambda x, s: (np.cos(x), -s))
 cos = _elementary(np.cos, lambda x, c: (-np.sin(x), -c))
+
+
+def sincos(x):
+    """(sin x, cos x) of an array or a jet, evaluating np.sin and np.cos once each."""
+    if not isinstance(x, Jet):
+        return np.sin(x), np.cos(x)
+    s, c = np.sin(x.v), np.cos(x.v)
+    return _chain(x, s, c, -s), _chain(x, c, -s, -c)
 
 
 def einsum(subscripts, *operands):
@@ -176,10 +188,12 @@ def einsum(subscripts, *operands):
     return Jet(v, d, dd)
 
 
-def stack(parts):
-    """Jets of one shape stacked along a new first value axis."""
+def stack(parts, axis=0):
+    """Jets of one shape, or broadcastable arrays, stacked along a new value axis."""
+    if not isinstance(parts[0], Jet):
+        return np.stack(np.broadcast_arrays(*parts), axis=axis)
     order = min(p.order for p in parts)
-    return Jet(*(np.stack([(p.v, p.d, p.dd)[k] for p in parts], axis=min(k, 1))
+    return Jet(*(np.stack([(p.v, p.d, p.dd)[k] for p in parts], axis=axis + min(k, 1))
                  for k in range(order + 1)))
 
 

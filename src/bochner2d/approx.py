@@ -170,18 +170,20 @@ def sample_unit_field(surface, X, grid, floor=SAMPLE_FLOOR):
     The chart coefficients are pushed forward through the embedding Jacobian
     and normalized by their ambient norm; the input field is only evaluated,
     never differentiated.  Raises ZeroFieldPointError when the ambient norm
-    falls below `floor` anywhere on the grid.
+    falls below `floor` or is not finite anywhere on the grid.
     """
     U, V = grid.U, grid.V
     jac = surface.jacobian(U, V)                      # (..., n, 2)
     coeff = np.asarray(X.coeff(U, V), dtype=float)    # (..., 2)
-    ambient = np.einsum("...ai,...i->...a", jac, coeff)
-    norms = np.linalg.norm(ambient, axis=-1)
-    bad = ~(norms >= floor)               # a NaN norm is no usable node either
+    with np.errstate(over="ignore"):      # an overflowing norm is flagged below
+        ambient = np.einsum("...ai,...i->...a", jac, coeff)
+        norms = np.linalg.norm(ambient, axis=-1)
+    finite = np.isfinite(norms)
+    bad = ~(finite & (norms >= floor))    # a NaN or inf norm is no usable node
     if np.any(bad):
         pts = [ChartPoint(float(a), float(b))
                for a, b in zip(U[bad].ravel()[:16], V[bad].ravel()[:16])]
-        n_nan = int(np.count_nonzero(np.isnan(norms)))
+        n_nan = int(np.count_nonzero(~finite))
         n_low = int(np.count_nonzero(bad)) - n_nan
         counts = []
         if n_low:

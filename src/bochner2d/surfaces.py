@@ -7,12 +7,14 @@ Four closed-form embeddings are built in:
 * ``clifford_torus(radius)``    -- flat torus in R^4 on the 3-sphere of that radius
 * ``ellipsoid(a, b, c)``        -- triaxial ellipsoid in R^3, same chart as the sphere
 
-Each surface carries exact chart derivatives of its embedding up to third
-order, from which the first fundamental form and its first and second
-partials are assembled.  ``derivative_mode`` selects between that closed-form
-route ("analytic") and 4th-order central finite differences of the metric
-components ("fd"); the finite-difference stencils are evaluated in extended
-precision so that truncation, not round-off, dominates down to small steps.
+Each surface hand-writes one derivative, the Jacobian ``d1`` of its
+embedding; evaluated on second-order jets of (u, v) it gives the exact
+second and third chart partials, from which the first fundamental form and
+its first and second partials are assembled.  ``derivative_mode`` selects
+between that exact route ("analytic") and 4th-order central finite
+differences of the metric components ("fd"); the finite-difference stencils
+are evaluated in extended precision so that truncation, not round-off,
+dominates down to small steps.
 
 The maps and the assembly keep the nodes as the trailing axes (the private
 layout of ``_jets``); ``SurfaceSpec`` methods and ``MetricData`` present the
@@ -65,18 +67,17 @@ class ChartRect:
 
 @dataclass(frozen=True)
 class _ChartMaps:
-    """Closed-form embedding and its chart partials up to third order.
+    """Closed-form embedding and its Jacobian, the one hand-written derivative.
 
     Index conventions (node axes last):
       embed -> (n, ...)
       d1    -> (n, 2, ...)   columns d/du, d/dv
-      d2    -> (n, 3, ...)   order (uu, uv, vv)
-      d3    -> (n, 4, ...)   order (uuu, uuv, uvv, vvv)
+
+    d1 accepts arrays or jets of (u, v); the second and third chart partials
+    of the embedding are the partials of its jet (see `_jacobian_jet`).
     """
     embed: Callable
     d1: Callable
-    d2: Callable
-    d3: Callable
 
 
 @dataclass(frozen=True)
@@ -100,8 +101,13 @@ class SurfaceSpec:
         return _public(self.maps.d1(u, v), 2)
 
     def embedding_hessian(self, u, v):
-        """Exact second chart partials of the embedding, shape (..., n, 3)."""
-        return _public(self.maps.d2(u, v), 2)
+        """Exact second chart partials of the embedding, shape (..., n, 3).
+
+        Rows (uu, uv, vv) are d_u J[:, (u, v)] and d_v J[:, v] of the
+        Jacobian's jet.
+        """
+        d = _jacobian_jet(self.maps, u, v, 1).d
+        return _public(np.concatenate([d[0], d[1][:, 1:]], axis=1), 2)
 
 
 @dataclass(frozen=True)
@@ -141,112 +147,63 @@ class GridSampling:
     rule: str
 
 
-def _stack(*comps):
-    return np.stack(np.broadcast_arrays(*comps))
-
-
 def _public(x, k):
     """A map's node-last output as a contiguous array, value axes trailing."""
     return np.asarray(_jets.value_last(x, k), order="C")
 
+
+# Each d1 runs unchanged on float64 arrays, on long-double arrays (the fd
+# metric's stencils) and on jets; `_jets.stack` broadcasts arrays and stacks
+# jets alike, and `_jets.sincos` evaluates each of sin u, cos u, sin v and
+# cos v once per call.
 
 def _torus_maps(big_r, small_r):
     R, r = big_r, small_r
 
     def embed(u, v):
         w = R + r * np.cos(v)
-        return _stack(w * np.cos(u), w * np.sin(u), r * np.sin(v) + 0.0 * u)
+        return _jets.stack([w * np.cos(u), w * np.sin(u), r * np.sin(v) + 0.0 * u])
 
     def d1(u, v):
-        su, cu, sv, cv = np.sin(u), np.cos(u), np.sin(v), np.cos(v)
+        (su, cu), (sv, cv) = _jets.sincos(u), _jets.sincos(v)
         w = R + r * cv
-        du = _stack(-w * su, w * cu, 0.0 * (u + v))
-        dv = _stack(-r * sv * cu, -r * sv * su, r * cv + 0.0 * u)
-        return np.stack([du, dv], axis=1)
+        du = _jets.stack([-w * su, w * cu, 0.0 * (u + v)])
+        dv = _jets.stack([-r * sv * cu, -r * sv * su, r * cv + 0.0 * u])
+        return _jets.stack([du, dv], axis=1)
 
-    def d2(u, v):
-        w = R + r * np.cos(v)
-        zero = 0.0 * (u + v)
-        duu = _stack(-w * np.cos(u), -w * np.sin(u), zero)
-        duv = _stack(r * np.sin(v) * np.sin(u), -r * np.sin(v) * np.cos(u), zero)
-        dvv = _stack(-r * np.cos(v) * np.cos(u), -r * np.cos(v) * np.sin(u),
-                     -r * np.sin(v) + zero)
-        return np.stack([duu, duv, dvv], axis=1)
-
-    def d3(u, v):
-        w = R + r * np.cos(v)
-        zero = 0.0 * (u + v)
-        duuu = _stack(w * np.sin(u), -w * np.cos(u), zero)
-        duuv = _stack(r * np.sin(v) * np.cos(u), r * np.sin(v) * np.sin(u), zero)
-        duvv = _stack(r * np.cos(v) * np.sin(u), -r * np.cos(v) * np.cos(u), zero)
-        dvvv = _stack(r * np.sin(v) * np.cos(u), r * np.sin(v) * np.sin(u),
-                      -r * np.cos(v) + zero)
-        return np.stack([duuu, duuv, duvv, dvvv], axis=1)
-
-    return _ChartMaps(embed, d1, d2, d3)
+    return _ChartMaps(embed, d1)
 
 
 def _polar_maps(a, b, c):
     """Maps for (a sin u cos v, b sin u sin v, c cos u); sphere is a = b = c."""
 
     def embed(u, v):
-        return _stack(a * np.sin(u) * np.cos(v), b * np.sin(u) * np.sin(v),
-                      c * np.cos(u) + 0.0 * v)
+        return _jets.stack([a * np.sin(u) * np.cos(v), b * np.sin(u) * np.sin(v),
+                            c * np.cos(u) + 0.0 * v])
 
     def d1(u, v):
-        su, cu, sv, cv = np.sin(u), np.cos(u), np.sin(v), np.cos(v)
-        du = _stack(a * cu * cv, b * cu * sv, -c * su + 0.0 * v)
-        dv = _stack(-a * su * sv, b * su * cv, 0.0 * (u + v))
-        return np.stack([du, dv], axis=1)
+        (su, cu), (sv, cv) = _jets.sincos(u), _jets.sincos(v)
+        du = _jets.stack([a * cu * cv, b * cu * sv, -c * su + 0.0 * v])
+        dv = _jets.stack([-a * su * sv, b * su * cv, 0.0 * (u + v)])
+        return _jets.stack([du, dv], axis=1)
 
-    def d2(u, v):
-        zero = 0.0 * (u + v)
-        duu = _stack(-a * np.sin(u) * np.cos(v), -b * np.sin(u) * np.sin(v),
-                     -c * np.cos(u) + zero)
-        duv = _stack(-a * np.cos(u) * np.sin(v), b * np.cos(u) * np.cos(v), zero)
-        dvv = _stack(-a * np.sin(u) * np.cos(v), -b * np.sin(u) * np.sin(v), zero)
-        return np.stack([duu, duv, dvv], axis=1)
-
-    def d3(u, v):
-        zero = 0.0 * (u + v)
-        duuu = _stack(-a * np.cos(u) * np.cos(v), -b * np.cos(u) * np.sin(v),
-                      c * np.sin(u) + zero)
-        duuv = _stack(a * np.sin(u) * np.sin(v), -b * np.sin(u) * np.cos(v), zero)
-        duvv = _stack(-a * np.cos(u) * np.cos(v), -b * np.cos(u) * np.sin(v), zero)
-        dvvv = _stack(a * np.sin(u) * np.sin(v), -b * np.sin(u) * np.cos(v), zero)
-        return np.stack([duuu, duuv, duvv, dvvv], axis=1)
-
-    return _ChartMaps(embed, d1, d2, d3)
+    return _ChartMaps(embed, d1)
 
 
 def _clifford_maps(radius):
     s = radius / np.sqrt(2.0)
 
     def embed(u, v):
-        return _stack(s * np.cos(u), s * np.sin(u), s * np.cos(v), s * np.sin(v))
+        return _jets.stack([s * np.cos(u), s * np.sin(u), s * np.cos(v), s * np.sin(v)])
 
     def d1(u, v):
+        (su, cu), (sv, cv) = _jets.sincos(u), _jets.sincos(v)
         zero = 0.0 * (u + v)
-        du = _stack(-s * np.sin(u), s * np.cos(u), zero, zero)
-        dv = _stack(zero, zero, -s * np.sin(v), s * np.cos(v))
-        return np.stack([du, dv], axis=1)
+        du = _jets.stack([-s * su, s * cu, zero, zero])
+        dv = _jets.stack([zero, zero, -s * sv, s * cv])
+        return _jets.stack([du, dv], axis=1)
 
-    def d2(u, v):
-        zero = 0.0 * (u + v)
-        duu = _stack(-s * np.cos(u), -s * np.sin(u), zero, zero)
-        duv = _stack(zero, zero, zero, zero)
-        dvv = _stack(zero, zero, -s * np.cos(v), -s * np.sin(v))
-        return np.stack([duu, duv, dvv], axis=1)
-
-    def d3(u, v):
-        zero = 0.0 * (u + v)
-        duuu = _stack(s * np.sin(u), -s * np.cos(u), zero, zero)
-        duuv = _stack(zero, zero, zero, zero)
-        duvv = _stack(zero, zero, zero, zero)
-        dvvv = _stack(zero, zero, s * np.sin(v), -s * np.cos(v))
-        return np.stack([duuu, duuv, duvv, dvvv], axis=1)
-
-    return _ChartMaps(embed, d1, d2, d3)
+    return _ChartMaps(embed, d1)
 
 
 TWO_PI = 2.0 * np.pi
@@ -337,15 +294,13 @@ def _first_form(maps, u, v):
 def _jacobian_jet(maps, u, v, order):
     """The Jacobian J[a, i] as a jet of `order`, node axes last.
 
-    d_m J[a, i] = d2[a, m + i] and row r = m + l of its second partials is
-    d3[a, r + i], so both are sliding windows over axis 1 of the closed-form
-    maps, moved to the front as the jet's derivative axis.
+    It is `d1` evaluated on the seed jets of (u, v): d_m J[a, i] is the
+    embedding's second partial in rows m + i of (uu, uv, vv), and row r of
+    the jet's second partials holds the third partials r + i of
+    (uuu, uuv, uvv, vvv).
     """
-    def window(d):
-        view = np.lib.stride_tricks.sliding_window_view(d, 2, axis=1)
-        return np.moveaxis(view, (1, -1), (0, 2))
-
-    return _jets.Jet(maps.d1(u, v), *(window(d(u, v)) for d in (maps.d2, maps.d3)[:order]))
+    seeds = (_jets.Jet(x.v, *(x.d, x.dd)[:order]) for x in _jets.variables(u, v))
+    return maps.d1(*seeds)
 
 
 def _analytic_metric(maps, u, v, order):

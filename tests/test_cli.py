@@ -239,6 +239,18 @@ class TestSmooth:
         assert captured.err.startswith("zero-field-point:")
         assert "non-finite ambient norm at 16 grid node(s)" in captured.err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_norm_is_a_zero_field_point(self, capsys):
+        # a finite, nowhere-zero field whose ambient norm overflows to inf:
+        # no node may be normalized to the zero vector and certified unit
+        status = cli.main(["smooth", "--surface", "torus:2,1", "--field", "1e200,1e200",
+                           "--grid", "16x16"])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err == ("zero-field-point: field 'expr(1e200,1e200)' has a "
+                                "non-finite ambient norm at 256 grid node(s)\n")
+
 
 class TestVerifyFailures:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

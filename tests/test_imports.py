@@ -1,12 +1,19 @@
-"""Every module-level import of the package is used in its module."""
+"""Every module-level import of the package, its tests and demos is used."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bochner2d"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "bochner2d"
+MODULES = (sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+           + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py")))
+
+
+def module_id(path):
+    """Package modules by file name, test and demo files by directory/name."""
+    return path.name if path.parent == PACKAGE else f"{path.parent.name}/{path.name}"
 
 
 def unused_imports(source):
@@ -27,6 +34,6 @@ def test_detector_flags_only_unused_names():
     assert unused_imports(source) == [(1, "os"), (3, "Optional")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=module_id)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []

@@ -91,21 +91,97 @@ def test_metric_invariants_all(all_surfaces):
         np.testing.assert_allclose(md.g @ md.g_inv, ident, atol=1e-10)
 
 
+# Closed-form first, second and third chart partials of the three map
+# families, node axes last: d1 (n, 2, ...), d2 (n, 3, ...) rows (uu, uv, vv),
+# d3 (n, 4, ...) rows (uuu, uuv, uvv, vvv).  The package writes d1 only and
+# takes the rest from jets of it; these are the oracle for that route.
+
+def _stack(*comps):
+    return np.stack(np.broadcast_arrays(*comps))
+
+
+def torus_partials(R, r, u, v):
+    su, cu, sv, cv = np.sin(u), np.cos(u), np.sin(v), np.cos(v)
+    w = R + r * cv
+    zero = 0.0 * (u + v)
+    d1 = np.stack([_stack(-w * su, w * cu, zero),
+                   _stack(-r * sv * cu, -r * sv * su, r * cv + 0.0 * u)], axis=1)
+    d2 = np.stack([_stack(-w * cu, -w * su, zero),
+                   _stack(r * sv * su, -r * sv * cu, zero),
+                   _stack(-r * cv * cu, -r * cv * su, -r * sv + zero)], axis=1)
+    d3 = np.stack([_stack(w * su, -w * cu, zero),
+                   _stack(r * sv * cu, r * sv * su, zero),
+                   _stack(r * cv * su, -r * cv * cu, zero),
+                   _stack(r * sv * cu, r * sv * su, -r * cv + zero)], axis=1)
+    return d1, d2, d3
+
+
+def polar_partials(a, b, c, u, v):
+    su, cu, sv, cv = np.sin(u), np.cos(u), np.sin(v), np.cos(v)
+    zero = 0.0 * (u + v)
+    d1 = np.stack([_stack(a * cu * cv, b * cu * sv, -c * su + 0.0 * v),
+                   _stack(-a * su * sv, b * su * cv, zero)], axis=1)
+    d2 = np.stack([_stack(-a * su * cv, -b * su * sv, -c * cu + zero),
+                   _stack(-a * cu * sv, b * cu * cv, zero),
+                   _stack(-a * su * cv, -b * su * sv, zero)], axis=1)
+    d3 = np.stack([_stack(-a * cu * cv, -b * cu * sv, c * su + zero),
+                   _stack(a * su * sv, -b * su * cv, zero),
+                   _stack(-a * cu * cv, -b * cu * sv, zero),
+                   _stack(a * su * sv, -b * su * cv, zero)], axis=1)
+    return d1, d2, d3
+
+
+def clifford_partials(radius, u, v):
+    s = radius / np.sqrt(2.0)
+    su, cu, sv, cv = np.sin(u), np.cos(u), np.sin(v), np.cos(v)
+    zero = 0.0 * (u + v)
+    d1 = np.stack([_stack(-s * su, s * cu, zero, zero),
+                   _stack(zero, zero, -s * sv, s * cv)], axis=1)
+    d2 = np.stack([_stack(-s * cu, -s * su, zero, zero),
+                   _stack(zero, zero, zero, zero),
+                   _stack(zero, zero, -s * cv, -s * sv)], axis=1)
+    d3 = np.stack([_stack(s * su, -s * cu, zero, zero),
+                   _stack(zero, zero, zero, zero),
+                   _stack(zero, zero, zero, zero),
+                   _stack(zero, zero, s * sv, -s * cv)], axis=1)
+    return d1, d2, d3
+
+
+def reference_partials(s, u, v):
+    """(d1, d2, d3) of surface s from the closed forms above."""
+    p = s.params
+    if "R" in p:
+        return torus_partials(p["R"], p["r"], u, v)
+    if "a" in p:
+        return polar_partials(p["a"], p["b"], p["c"], u, v)
+    if s.ambient_dim == 4:
+        return clifford_partials(p["r"], u, v)
+    return polar_partials(p["r"], p["r"], p["r"], u, v)
+
+
+def reference_jacobian_jet(s, u, v):
+    """(J, dJ, ddJ) from the closed forms: d_m J[a, i] = d2[a, m + i] and
+    row r of the second partials is d3[a, r + i]."""
+    d1, d2, d3 = reference_partials(s, u, v)
+    return (d1, np.stack([d2[:, m:m + 2] for m in range(2)]),
+            np.stack([d3[:, r:r + 2] for r in range(3)]))
+
+
 def test_embedding_derivative_closed_forms(all_surfaces):
-    # the registered d1/d2/d3 maps must match stencils of the embedding itself;
-    # maps and stencils both keep the nodes last, the stencils' derivative
-    # axis first: d1 is (n, 2, nodes) and fd1 is (2, n, nodes)
+    # the closed forms must match stencils of the embedding itself, and the
+    # Jacobian jet must match the closed forms; maps and stencils both keep
+    # the nodes last, the stencils' derivative axis first: d1 is
+    # (n, 2, nodes) and fd1 is (2, n, nodes)
     for s in all_surfaces:
         u, v = interior_points(s, 8, seed=5)
-        d1 = s.maps.d1(u, v)
+        d1, d2, d3 = reference_partials(s, u, v)
+        assert np.array_equal(s.maps.d1(u, v), d1), s.name
         fd1 = _stencils.gradient(s.maps.embed, u, v, 1e-4)
         np.testing.assert_allclose(fd1.swapaxes(0, 1), d1, atol=1e-10, err_msg=s.name)
-        d2 = s.maps.d2(u, v)
         fd2 = _stencils.hessian(s.maps.embed, u, v, 1e-3)
         np.testing.assert_allclose(fd2.swapaxes(0, 1), d2, atol=1e-8, err_msg=s.name)
         # nested stencils: inner first derivative at 1e-3, outer second at 5e-3
         # keeps the eps/h^3-style noise of the composition under the tolerance
-        d3 = s.maps.d3(u, v)
         fd3_uuu = _stencils.diff2(lambda a, b: _stencils.diff1(s.maps.embed, a, b, 0, 1e-3),
                                   u, v, 0, 5e-3)
         np.testing.assert_allclose(fd3_uuu, d3[:, 0], atol=1e-6, err_msg=s.name)
@@ -118,6 +194,51 @@ def test_embedding_derivative_closed_forms(all_surfaces):
         fd3_uvv = _stencils.diff2(lambda a, b: _stencils.diff1(s.maps.embed, a, b, 0, 1e-3),
                                   u, v, 1, 5e-3)
         np.testing.assert_allclose(fd3_uvv, d3[:, 2], atol=1e-6, err_msg=s.name)
+        jac = surf._jacobian_jet(s.maps, u, v, 2)
+        _, d_ref, dd_ref = reference_jacobian_jet(s, u, v)
+        assert np.array_equal(jac.d, d_ref), s.name
+        assert np.array_equal(jac.dd, dd_ref), s.name
+        assert np.array_equal(s.embedding_hessian(u, v),
+                              np.moveaxis(d2, (0, 1), (1, 2))), s.name
+
+
+_RADIUS = st.floats(0.05, 20.0)
+
+
+@st.composite
+def _surfaces(draw):
+    kind = draw(st.sampled_from(["torus", "sphere", "ellipsoid", "clifford_torus"]))
+    if kind == "torus":
+        r = draw(_RADIUS)
+        return surf.torus(r * draw(st.floats(1.01, 10.0)), r)
+    if kind == "ellipsoid":
+        return surf.ellipsoid(draw(_RADIUS), draw(_RADIUS), draw(_RADIUS))
+    return surf.make_surface(kind, (draw(_RADIUS),))
+
+
+@settings(max_examples=60)
+@given(_surfaces(),
+       st.sampled_from([((), ()), ((6,), (6,)), ((3, 4), (3, 4)), ((3, 1), (5,))]),
+       st.integers(0, 2 ** 32 - 1))
+def test_jacobian_jet_equals_closed_forms(s, shapes, seed):
+    # bit for bit at every order, over shape parameters and 0-d, 1-D and
+    # 2-D (also broadcast) nodes; the long-double d1 of the fd metric stays
+    # long double
+    rng = np.random.default_rng(seed)
+    rect = s.chart_rect
+    u = rng.uniform(rect.u0, rect.u1, shapes[0])
+    v = rng.uniform(rect.v0, rect.v1, shapes[1])
+    ref = reference_jacobian_jet(s, u, v)
+    for order in (0, 1, 2):
+        jac = surf._jacobian_jet(s.maps, u, v, order)
+        assert jac.order == order
+        for mine, expected in zip((jac.v, jac.d, jac.dd), ref[:order + 1]):
+            assert mine.shape == expected.shape
+            assert np.array_equal(mine, expected), (s.name, order)
+    d1 = s.maps.d1(np.asarray(u, np.longdouble), np.asarray(v, np.longdouble))
+    assert d1.dtype == np.longdouble
+    np.testing.assert_allclose(d1.astype(float), ref[0], rtol=0,
+                               atol=1e-14 * max(s.params.values()))
 
 
 def test_symmetric_metric_jet_matches_generic_jet_einsum(all_surfaces):
