@@ -114,14 +114,16 @@ def normalize_field(surface, X, floor=ZERO_FLOOR):
     """Pointwise unit field X / g(X, X)^(1/2).
 
     Raises ZeroFieldPointError lazily whenever an evaluation meets a point
-    where the metric norm of X falls below `floor`: the input is then not
-    nowhere-zero at working precision.
+    where the metric norm of X falls below `floor` (the input is then not
+    nowhere-zero at working precision) or is not finite (g(X, X) overflowed
+    or is NaN); the message counts the two kinds of node apart.
     """
     if floor <= 0:
         raise ValueError("floor must be positive")
 
     def check(n2, u, v):
-        bad = n2 < floor**2
+        finite = np.isfinite(n2)
+        bad = ~(finite & (n2 >= floor**2))
         if np.any(bad):
             U, V = np.broadcast_arrays(np.asarray(u, dtype=float),
                                        np.asarray(v, dtype=float))
@@ -129,14 +131,20 @@ def normalize_field(surface, X, floor=ZERO_FLOOR):
             Vb = np.broadcast_to(V, bad.shape)[bad]
             pts = [ChartPoint(float(a), float(b)) for a, b in zip(Ub.ravel()[:16],
                                                                   Vb.ravel()[:16])]
+            n_inf = int(np.count_nonzero(~finite))
+            n_low = int(np.count_nonzero(bad)) - n_inf
+            counts = [f"norm below floor {floor:g} at {n_low} point(s)"] if n_low else []
+            if n_inf:
+                counts.append(f"a non-finite norm at {n_inf} point(s)")
             raise ZeroFieldPointError(
-                f"field {X.name!r} has norm below floor {floor:g} at "
-                f"{int(np.count_nonzero(bad))} point(s), first {pts[0]}", points=pts)
+                f"field {X.name!r} has {' and '.join(counts)}, first at (u, v) = "
+                f"({pts[0].u:.6g}, {pts[0].v:.6g})", points=pts)
 
     def jet(_, u, v, order, g):
         g = _metric(surface, u, v, order, g)
         x = _jet(surface, X, u, v, order, g)
-        n2 = _jets.einsum("ij...,i...,j...->...", g, x, x)
+        with np.errstate(over="ignore", invalid="ignore"):   # flagged by check
+            n2 = _jets.einsum("ij...,i...,j...->...", g, x, x)
         check(n2.v, u, v)
         return x / _jets.sqrt(n2)[None]
 

@@ -13,10 +13,19 @@ smooth       -- run the polynomial smoothing pipeline and report the
                 certified budget
 
 Reports are JSON (schema 1) on stdout, optionally duplicated to --out; CSV
-emits flat per-node residual rows for plotting.  Exit status: 0 all checks
-passed, 1 an identity/budget/rounding check failed, 2 configuration error.
-Identical configurations produce byte-identical JSON except for the
-"timings" section.
+emits flat per-node residual rows for plotting.  Exit status: 0 exactly when
+the report's "overall_pass" is true, 1 when a check failed or the run met a
+named failure, 2 configuration error (stderr only).  Identical
+configurations produce byte-identical JSON except for the "timings" section.
+
+--tol NAME=VAL takes the names of TOLERANCE_NAMES, any other being a
+configuration error: verify takes bochner, trace_identity,
+divergence_product_rule, curvature_identity, product_rule and zero_floor;
+gauss-bonnet chi_margin and divergence_theorem; smooth none.  A field norm
+below zero_floor or not finite (NaN, or an overflow to inf) leaves no unit
+field at its node: verify counts such nodes in "zero_field_nodes" and names
+non-finite norms when no usable node is left, gauss-bonnet names the first
+such node in its "error".
 
 Field expressions ("expr_u,expr_v") use a whitelisted grammar of u, v,
 numeric constants, + - * / and sin, cos.  Values are evaluated on plain
@@ -45,10 +54,12 @@ SCHEMA_VERSION = 1
 PRODUCT_RULE_TOL = 1e-8
 BATCH_NODES = 4096      # nodes per verify pass; bounds the memory of its jets
 
-_SURFACE_KINDS = {
-    "sphere": ("sphere", 1), "torus": ("torus", 2),
-    "clifford": ("clifford_torus", 1), "clifford_torus": ("clifford_torus", 1),
-    "ellipsoid": ("ellipsoid", 3),
+_SURFACE_ALIASES = {"clifford": "clifford_torus"}
+# the names --tol accepts, per command
+TOLERANCE_NAMES = {
+    "verify": (*bochner.VERIFY_CHECKS, "zero_floor"),
+    "gauss-bonnet": ("chi_margin", "divergence_theorem"),
+    "smooth": (),
 }
 
 _ALLOWED_CALLS = {"sin": _jets.sin, "cos": _jets.cos}
@@ -154,17 +165,15 @@ def parse_field(text):
 def parse_surface(text, backend):
     name, _, params = text.partition(":")
     name = name.strip().lower()
-    if name not in _SURFACE_KINDS:
+    kind = _SURFACE_ALIASES.get(name, name)
+    if kind not in surf.SURFACE_KINDS:
         raise ConfigError(f"unknown surface {name!r}; "
-                          f"choose from {sorted(_SURFACE_KINDS)}")
-    kind, nparams = _SURFACE_KINDS[name]
-    if params:
-        try:
-            values = tuple(float(p) for p in params.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad surface parameters {params!r}") from exc
-    else:
-        values = ()
+                          f"choose from {sorted([*surf.SURFACE_KINDS, *_SURFACE_ALIASES])}")
+    try:
+        values = tuple(float(p) for p in params.split(",")) if params else ()
+    except ValueError as exc:
+        raise ConfigError(f"bad surface parameters {params!r}") from exc
+    nparams = len(surf.SURFACE_KINDS[kind].params)
     if values and len(values) != nparams:
         raise ConfigError(f"surface {name!r} takes {nparams} parameter(s), "
                           f"got {len(values)}")
@@ -201,16 +210,23 @@ def parse_grid(text):
     return nu, nv
 
 
-def parse_tols(pairs):
+def parse_tols(pairs, accepted):
+    """NAME=VAL overrides as {name: value}; each name must be in `accepted`."""
     out = {}
     for pair in pairs or ():
         name, _, val = pair.partition("=")
+        name = name.strip()
         if not val:
             raise ConfigError(f"bad tolerance override {pair!r}; expected NAME=VAL")
         try:
-            out[name.strip()] = float(val)
+            out[name] = float(val)
         except ValueError as exc:
             raise ConfigError(f"bad tolerance value in {pair!r}") from exc
+        if not np.isfinite(out[name]):  # JSON has neither; a NaN chi margin passes all
+            raise ConfigError(f"tolerance value in {pair!r} must be finite")
+        if name not in accepted:
+            raise ConfigError(f"unknown tolerance {name!r}; accepted names: "
+                              f"{', '.join(accepted) or 'none'}")
     return out
 
 
@@ -244,6 +260,10 @@ def _json_default(obj):
     raise TypeError(f"unserializable {type(obj)}")
 
 
+def _csv_float(x):
+    return "nan" if x is None else f"{x:.17g}"
+
+
 def render_report(report, fmt):
     if fmt == "json":
         return json.dumps(report, indent=2, default=_json_default) + "\n"
@@ -252,10 +272,9 @@ def render_report(report, fmt):
         for node in check.get("nodes", ()):
             rows.append(f"residual,{check['name']},{node['u']:.17g},"
                         f"{node['v']:.17g},{node['residual']:.17g}")
-        sup = "nan" if check["sup"] is None else f"{check['sup']:.17g}"
-        rows.append(f"summary,{check['name']},,,{sup}")
+        rows.append(f"summary,{check['name']},,,{_csv_float(check['sup'])}")
     for key, val in report.get("integrals", {}).items():
-        rows.append(f"integral,{key},,,{val['value']:.17g}")
+        rows.append(f"integral,{key},,,{_csv_float(val['value'])}")
     if "chi" in report:
         rows.append(f"chi,raw,,,{report['chi']['raw']:.17g}")
         rows.append(f"chi,rounded,,,{report['chi']['rounded']}")
@@ -274,12 +293,11 @@ def emit(report, args):
 
 
 def _config_echo(args, surface, grid_shape, tols):
-    backend = args.backend
     return {
         "surface": surface.name,
         "field": args.field,
         "grid": f"{grid_shape[0]}x{grid_shape[1]}",
-        "backend": backend,
+        "backend": args.backend,
         "tolerances": {k: tols[k] for k in sorted(tols)},
         "format": args.format,
     }
@@ -341,44 +359,35 @@ def _node(U, V, i, error):
     return {"u": float(U[i]), "v": float(V[i]), "error": error}
 
 
-def cmd_verify(args):
-    backend = parse_backend(args.backend)
-    surface = parse_surface(args.surface, backend)
-    field = parse_field(args.field)
-    nu, nv = parse_grid(args.grid)
-    tols = parse_tols(args.tol)
+def cmd_verify(args, surface, field, grid_shape, tols, report):
+    report["checks"] = []
     floor = tols.get("zero_floor", bochner.ZERO_FLOOR)
     if not floor > 0:
         raise ConfigError(f"zero_floor must be positive, got {floor:g}")
     keep_nodes = args.format == "csv"
-
     base = bochner.default_tolerance(surface)
-    tol_of = lambda name, dflt: tols.get(name, dflt)
-    grid = surf.chart_grid(surface, nu, nv)
+    grid = surf.chart_grid(surface, *grid_shape)
     mask = surf.guarded_mask(surface, grid.U, grid.V)
 
-    report = {"schema": SCHEMA_VERSION,
-              "command": "verify",
-              "config": _config_echo(args, surface, (nu, nv), tols),
-              "checks": []}
-    t_start = time.perf_counter()
-
-    # locate zero-field nodes first; identity checks run on the clean subset
+    # locate zero-field nodes first, a NaN or infinite norm being no usable
+    # node either; identity checks run on the clean subset
     norms = operators.field_norm(surface, field, grid.U, grid.V)
-    zero_nodes = mask & ~(norms >= floor)     # a NaN norm is no usable node
+    zero_nodes = mask & ~(np.isfinite(norms) & (norms >= floor))
     usable = mask & ~zero_nodes
     report["zero_field_nodes"] = [
         {"u": float(a), "v": float(b)}
         for a, b in zip(grid.U[zero_nodes].ravel()[:64],
                         grid.V[zero_nodes].ravel()[:64])]
     report["n_zero_field_nodes"] = int(np.count_nonzero(zero_nodes))
-
-    overall = report["n_zero_field_nodes"] == 0
     if not np.any(usable):
-        report["error"] = "no usable grid nodes: field vanishes everywhere"
-        report["overall_pass"] = False
-        report["timings"] = {"total_s": time.perf_counter() - t_start}
-        return report, 1
+        n_inf = int(np.count_nonzero(zero_nodes & ~np.isfinite(norms)))
+        n_low = report["n_zero_field_nodes"] - n_inf
+        reason = "field vanishes everywhere"
+        if n_inf:
+            reason = f"field has a non-finite norm at {n_inf} node(s)" + (
+                f" and vanishes at {n_low} node(s)" if n_low else "")
+        report["error"] = "no usable grid nodes: " + reason
+        return False
 
     U, V = grid.U[usable], grid.V[usable]
     unit = bochner.normalize_field(surface, field, floor=floor)
@@ -386,9 +395,10 @@ def cmd_verify(args):
     values, errors = _verify_sweep(
         lambda uu, vv: bochner._verify_pass(surface, unit, f, xsum, uu, vv), U, V)
     pr_tol = (PRODUCT_RULE_TOL if surface.derivative_mode == "analytic" else base)
+    passed = report["n_zero_field_nodes"] == 0
     for k, (name, unit_failed) in enumerate(zip(
             bochner.VERIFY_CHECKS, bochner._unit_failures(unit, values))):
-        tol = tol_of(name, pr_tol if name == "product_rule" else base)
+        tol = tols.get(name, pr_tol if name == "product_rule" else base)
         errs = {**errors, **unit_failed}
         ok = np.isfinite(values[:, k])
         ok[list(errs)] = False
@@ -401,32 +411,17 @@ def cmd_verify(args):
             entry["n_failed"] = len(failed)
             entry["pass"] = False
         report["checks"].append(entry)
-        overall = overall and entry["pass"]
-
-    report["overall_pass"] = bool(overall)
-    report["timings"] = {"total_s": time.perf_counter() - t_start}
-    return report, 0 if overall else 1
+        passed = passed and entry["pass"]
+    return passed
 
 
-def cmd_gauss_bonnet(args):
-    backend = parse_backend(args.backend)
-    surface = parse_surface(args.surface, backend)
-    nu, nv = parse_grid(args.grid)
-    tols = parse_tols(args.tol)
-    chi_margin = tols.get("chi_margin", integrate.CHI_MARGIN)
-
-    report = {"schema": SCHEMA_VERSION,
-              "command": "gauss-bonnet",
-              "config": _config_echo(args, surface, (nu, nv), tols),
-              "integrals": {}}
-    t_start = time.perf_counter()
-    grid = surf.chart_grid(surface, nu, nv)
-
-    field = parse_field(args.field) if args.field else None
+def cmd_gauss_bonnet(args, surface, field, grid_shape, tols, report):
+    report["integrals"] = {}
+    grid = surf.chart_grid(surface, *grid_shape)
     # with a field, K and div(grad_T T - (div T) T) come from one metric
     # assembly per quadrature grid
     try:
-        if field:
+        if field is not None:
             unit = bochner.normalize_field(surface, field)
             total, res = integrate.surface_integrals(
                 surface,
@@ -434,89 +429,74 @@ def cmd_gauss_bonnet(args):
         else:
             total = integrate.total_curvature(surface, grid)
     except GeometryError as exc:
-        # a degenerate metric, a zero or a non-unit normalized field at some
-        # node: no integral exists, and the report says why
+        # a degenerate metric, a zero, non-finite or non-unit normalized field
+        # at some node: no integral exists, and the report says why
         report["error"] = str(exc)
         point = getattr(exc, "point", None) or next(iter(getattr(exc, "points", ())), None)
         if point is not None:
             report["failed_node"] = {"u": point.u, "v": point.v}
-        report["overall_pass"] = False
-        report["timings"] = {"total_s": time.perf_counter() - t_start}
-        return report, 1
+        return False
     report["integrals"]["total_curvature"] = {
         "value": total.value, "estimated_error": total.estimated_error,
         "rule": total.rule, "resolution": list(total.resolution)}
 
-    chi = integrate.chi_from_total(total.value, chi_margin)
+    chi = integrate.chi_from_total(total.value,
+                                   tols.get("chi_margin", integrate.CHI_MARGIN))
     report["chi"] = {"raw": chi.raw, "rounded": chi.rounded, "margin": chi.margin,
                      "margin_limit": chi.margin_limit,
                      "indeterminate": chi.indeterminate}
     if surface.known_chi is not None:
         # echoed for reference; the pass verdict rests on determinacy alone
         report["chi"]["declared"] = surface.known_chi
+    passed = not chi.indeterminate
 
-    overall = not chi.indeterminate
-
-    if field:
+    if field is not None:
         div_tol = tols.get("divergence_theorem",
                            1e-8 if surface.derivative_mode == "analytic"
                            else bochner.FD_TOL)
+        ok = bool(abs(res.value) <= div_tol)
         report["integrals"]["divergence_theorem_residual"] = {
-            "value": res.value, "estimated_error": res.estimated_error,
+            "value": _finite_or_none(res.value),
+            "estimated_error": _finite_or_none(res.estimated_error),
             "rule": res.rule, "resolution": list(res.resolution),
-            "tolerance": div_tol, "pass": bool(abs(res.value) <= div_tol)}
-        overall = overall and abs(res.value) <= div_tol
-
-    report["overall_pass"] = bool(overall)
-    report["timings"] = {"total_s": time.perf_counter() - t_start}
-    return report, 0 if overall else 1
+            "tolerance": div_tol, "pass": ok}
+        passed = passed and ok
+    return passed
 
 
-def cmd_smooth(args):
-    backend = parse_backend(args.backend)
-    surface = parse_surface(args.surface, backend)
-    field = parse_field(args.field)
-    nu, nv = parse_grid(args.grid)
-    tols = parse_tols(args.tol)
+def cmd_smooth(args, surface, field, grid_shape, tols, report):
+    report["config_extra"] = {"max_degree": args.max_degree}
     if args.max_degree < 0:
         raise ConfigError("--max-degree must be >= 0")
-
-    report = {"schema": SCHEMA_VERSION,
-              "command": "smooth",
-              "config": _config_echo(args, surface, (nu, nv), tols),
-              "config_extra": {"max_degree": args.max_degree}}
-    t_start = time.perf_counter()
-
     try:
-        rep, _, poly = approx.smooth_field(surface, field,
-                                           max_degree=args.max_degree,
-                                           fit_grid=(nu, nv))
+        rep, _, poly = approx.smooth_field(surface, field, max_degree=args.max_degree,
+                                           fit_grid=grid_shape)
     except BudgetNotMetError as exc:
-        rep = exc.report
-        report["smoothing"] = _smooth_section(rep)
+        report["smoothing"] = _smooth_section(exc.report)
         report["error"] = str(exc)
-        report["overall_pass"] = False
-        report["timings"] = {"total_s": time.perf_counter() - t_start}
-        return report, 1
+        return False
 
     report["smoothing"] = _smooth_section(rep)
     if args.coeff_out:
         approx.write_coefficient_file(poly, args.coeff_out)
         report["smoothing"]["coefficient_file"] = args.coeff_out
-    report["overall_pass"] = bool(rep.passed)
-    report["timings"] = {"total_s": time.perf_counter() - t_start}
-    return report, 0 if rep.passed else 1
+    return rep.passed
+
+
+def _finite_or_none(x):
+    """x, or None (JSON null) where x is NaN or infinite."""
+    return x if np.isfinite(x) else None
 
 
 def _smooth_section(rep):
     return {
         "final_degree": rep.final_degree,
-        "sup_error": rep.sup_error if np.isfinite(rep.sup_error) else None,
+        "sup_error": _finite_or_none(rep.sup_error),
         "min_tangential_norm": rep.min_tangential_norm,
         "target": rep.target,
         "pass": rep.passed,
         "degrees_tried": list(rep.degrees_tried),
-        "sup_errors": [e if np.isfinite(e) else None for e in rep.sup_errors],
+        "sup_errors": [_finite_or_none(e) for e in rep.sup_errors],
     }
 
 
@@ -527,10 +507,10 @@ def build_parser():
                     "field smoothing on built-in embedded surfaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, field_required, field_default=None):
+    def common(p, field_required):
         p.add_argument("--surface", required=True,
                        help="NAME[:p1,p2,...], e.g. torus:2,1 or sphere:1")
-        p.add_argument("--field", required=field_required, default=field_default,
+        p.add_argument("--field", required=field_required,
                        help="named field (du, dv, du+dv, kinked) or \"expr_u,expr_v\"")
         p.add_argument("--grid", default="64x64", help="NUxNV grid resolution")
         p.add_argument("--backend", default="analytic",
@@ -557,12 +537,24 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; returns its exit status.
+
+    The shared options are parsed here, in one order for every command, and
+    the report's header, verdict and timings are written here too; a handler
+    adds only its own keys and returns whether everything it checked passed.
+    """
+    args = build_parser().parse_args(argv)
     handlers = {"verify": cmd_verify, "gauss-bonnet": cmd_gauss_bonnet,
                 "smooth": cmd_smooth}
     try:
-        report, status = handlers[args.command](args)
+        surface = parse_surface(args.surface, parse_backend(args.backend))
+        field = None if args.field is None else parse_field(args.field)
+        grid_shape = parse_grid(args.grid)
+        tols = parse_tols(args.tol, TOLERANCE_NAMES[args.command])
+        report = {"schema": SCHEMA_VERSION, "command": args.command,
+                  "config": _config_echo(args, surface, grid_shape, tols)}
+        t_start = time.perf_counter()
+        passed = handlers[args.command](args, surface, field, grid_shape, tols, report)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
@@ -572,8 +564,10 @@ def main(argv=None):
     except GeometryError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    report["overall_pass"] = bool(passed)
+    report["timings"] = {"total_s": time.perf_counter() - t_start}
     emit(report, args)
-    return status
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -146,12 +146,6 @@ def scale_field(c, x, name=None):
                     name or f"{c:g}*{x.name}")
 
 
-def scalar_times_field(f, x, name=None):
-    """Product field f*X of a ScalarField and a TangentField."""
-    return _derived(lambda s, u, v, k, g: _jet(s, f, u, v, k, g)[None]
-                    * _jet(s, x, u, v, k, g), name or f"{f.name}*{x.name}")
-
-
 def field_jet(surface, field, u, v, order=1):
     """Field values with partials up to `order`, honoring callbacks.
 
@@ -349,7 +343,7 @@ def _not_unit_message(name, worst, tol=UNIT_TOL):
 
 def _check_unit(g, a, name, tol=UNIT_TOL):
     worst = float(np.max(_unit_deviation(g, a)))
-    if worst > tol:
+    if not worst <= tol:        # a NaN deviation is no unit field either
         raise NotUnitFieldError(_not_unit_message(name, worst, tol))
 
 

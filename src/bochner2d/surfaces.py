@@ -7,6 +7,9 @@ Four closed-form embeddings are built in:
 * ``clifford_torus(radius)``    -- flat torus in R^4 on the 3-sphere of that radius
 * ``ellipsoid(a, b, c)``        -- triaxial ellipsoid in R^3, same chart as the sphere
 
+``SURFACE_KINDS`` is the one table of these families: parameter names and
+defaults, chart rectangle, ambient dimension, Euler characteristic and maps.
+
 Each surface hand-writes one derivative, the Jacobian ``d1`` of its
 embedding; evaluated on second-order jets of (u, v) it gives the exact
 second and third chart partials, from which the first fundamental form and
@@ -59,10 +62,6 @@ class ChartRect:
     v1: float
     periodic_u: bool
     periodic_v: bool
-
-    def contains(self, u, v):
-        return (np.all(u >= self.u0) and np.all(u <= self.u1)
-                and np.all(v >= self.v0) and np.all(v <= self.v1))
 
 
 @dataclass(frozen=True)
@@ -209,11 +208,35 @@ def _clifford_maps(radius):
 TWO_PI = 2.0 * np.pi
 
 
+class SurfaceKind(NamedTuple):
+    """One built-in family: its parameters and what does not depend on them."""
+    params: tuple                 # parameter names, in order
+    defaults: tuple               # values taken when none are given, or ()
+    chart_rect: ChartRect
+    ambient_dim: int
+    known_chi: int
+    maps: Callable                # parameter values -> _ChartMaps
+
+
+_POLAR_RECT = ChartRect(0.0, np.pi, 0.0, TWO_PI, False, True)
+_ANGLES_RECT = ChartRect(0.0, TWO_PI, 0.0, TWO_PI, True, True)
+
+SURFACE_KINDS = {
+    "sphere": SurfaceKind(("r",), (1.0,), _POLAR_RECT, 3, 2,
+                          lambda r: _polar_maps(r, r, r)),
+    "torus": SurfaceKind(("R", "r"), (), _ANGLES_RECT, 3, 0, _torus_maps),
+    "clifford_torus": SurfaceKind(("r",), (1.0,), _ANGLES_RECT, 4, 0, _clifford_maps),
+    "ellipsoid": SurfaceKind(("a", "b", "c"), (), _POLAR_RECT, 3, 2, _polar_maps),
+}
+
+
 def make_surface(kind, params=(), mode="analytic", step=DEFAULT_FD_STEP):
     """Construct a built-in surface.
 
-    kind    -- "sphere", "torus", "clifford_torus" or "ellipsoid"
-    params  -- shape parameters: (r,), (R, r), (r,), (a, b, c) respectively
+    kind    -- a key of SURFACE_KINDS: "sphere", "torus", "clifford_torus"
+               or "ellipsoid"
+    params  -- shape parameters: (r,), (R, r), (r,), (a, b, c) respectively;
+               sphere and clifford_torus default to r = 1
     mode    -- "analytic" (closed-form metric derivatives) or "fd" (stencils)
     step    -- finite-difference step used when mode == "fd"
     """
@@ -224,45 +247,20 @@ def make_surface(kind, params=(), mode="analytic", step=DEFAULT_FD_STEP):
         raise InvalidParameterError("finite-difference step must be positive")
     if any(p <= 0 for p in params):
         raise InvalidParameterError(f"{kind} parameters must be positive, got {params}")
-
-    if kind == "sphere":
-        (r,) = params or (1.0,)
-        if r <= 0:
-            raise InvalidParameterError("sphere radius must be positive")
-        return SurfaceSpec(
-            name=f"sphere({r:g})", ambient_dim=3,
-            chart_rect=ChartRect(0.0, np.pi, 0.0, TWO_PI, False, True),
-            derivative_mode=mode, step=step, known_chi=2,
-            params={"r": r}, maps=_polar_maps(r, r, r))
-    if kind == "torus":
-        if len(params) != 2:
-            raise InvalidParameterError("torus takes parameters (R, r)")
-        big_r, small_r = params
-        if big_r <= small_r:
-            raise InvalidParameterError(
-                f"torus requires R > r for an embedded tube, got R={big_r}, r={small_r}")
-        return SurfaceSpec(
-            name=f"torus({big_r:g},{small_r:g})", ambient_dim=3,
-            chart_rect=ChartRect(0.0, TWO_PI, 0.0, TWO_PI, True, True),
-            derivative_mode=mode, step=step, known_chi=0,
-            params={"R": big_r, "r": small_r}, maps=_torus_maps(big_r, small_r))
-    if kind == "clifford_torus":
-        (r,) = params or (1.0,)
-        return SurfaceSpec(
-            name=f"clifford_torus({r:g})", ambient_dim=4,
-            chart_rect=ChartRect(0.0, TWO_PI, 0.0, TWO_PI, True, True),
-            derivative_mode=mode, step=step, known_chi=0,
-            params={"r": r}, maps=_clifford_maps(r))
-    if kind == "ellipsoid":
-        if len(params) != 3:
-            raise InvalidParameterError("ellipsoid takes parameters (a, b, c)")
-        a, b, c = params
-        return SurfaceSpec(
-            name=f"ellipsoid({a:g},{b:g},{c:g})", ambient_dim=3,
-            chart_rect=ChartRect(0.0, np.pi, 0.0, TWO_PI, False, True),
-            derivative_mode=mode, step=step, known_chi=2,
-            params={"a": a, "b": b, "c": c}, maps=_polar_maps(a, b, c))
-    raise InvalidParameterError(f"unknown surface kind {kind!r}")
+    if kind not in SURFACE_KINDS:
+        raise InvalidParameterError(f"unknown surface kind {kind!r}")
+    family = SURFACE_KINDS[kind]
+    params = params or family.defaults
+    if len(params) != len(family.params):
+        raise InvalidParameterError(f"{kind} takes parameters ({', '.join(family.params)})")
+    if kind == "torus" and params[0] <= params[1]:
+        raise InvalidParameterError(
+            f"torus requires R > r for an embedded tube, got R={params[0]}, r={params[1]}")
+    return SurfaceSpec(
+        name=f"{kind}({','.join(f'{p:g}' for p in params)})",
+        ambient_dim=family.ambient_dim, chart_rect=family.chart_rect,
+        derivative_mode=mode, step=step, known_chi=family.known_chi,
+        params=dict(zip(family.params, params)), maps=family.maps(*params))
 
 
 def sphere(radius=1.0, mode="analytic", step=DEFAULT_FD_STEP):

@@ -59,6 +59,19 @@ class TestNormalize:
             T.coeff(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
         assert exc.value.points
 
+    def test_non_finite_norm_counted_apart(self, torus21):
+        # g(X, X) is 0 at u = 0 and overflows to inf elsewhere
+        X = op.TangentField(
+            lambda u, v: np.stack(np.broadcast_arrays(1e200 * np.sin(u), 0.0 * v),
+                                  axis=-1), name="big")
+        T = bo.normalize_field(torus21, X)
+        with pytest.raises(ZeroFieldPointError) as exc:
+            T.coeff(np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.5, 0.5]))
+        assert str(exc.value) == (
+            "field 'big' has norm below floor 1e-09 at 1 point(s) and a non-finite "
+            "norm at 2 point(s), first at (u, v) = (0, 0.5)")
+        assert len(exc.value.points) == 3
+
     def test_floor_validation(self, torus21):
         with pytest.raises(ValueError):
             bo.normalize_field(torus21, op.coordinate_field(0), floor=0.0)
@@ -102,6 +115,14 @@ class TestTraceIdentity:
     def test_rejects_non_unit(self, torus21):
         with pytest.raises(NotUnitFieldError):
             bo.trace_identity_residual(torus21, op.coordinate_field(0), 0.3, 0.4)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rejects_nan_unit_deviation(self, torus21):
+        # g(X, X) is inf or NaN at these nodes: a NaN deviation is no unit field
+        grid = surf.chart_grid(torus21, 16, 16)
+        with pytest.raises(NotUnitFieldError):
+            bo.trace_identity_residual(torus21, cli.parse_field("1e200,1e200"),
+                                       grid.U, grid.V)
 
     def test_all_unit_fields(self, all_surfaces):
         for s in all_surfaces:

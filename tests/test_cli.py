@@ -20,6 +20,12 @@ def run_json(capsys, *argv):
     return status, json.loads(out)
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 class TestVerify:
     def test_torus_du_passes(self, capsys):
         status, rep = run_json(capsys, "verify", "--surface", "torus:2,1",
@@ -62,6 +68,12 @@ class TestVerify:
         assert rep["n_zero_field_nodes"] > 0
         assert rep["zero_field_nodes"]
         assert rep["overall_pass"] is False
+
+    def test_vanishing_field_leaves_no_usable_node(self, capsys):
+        status, rep = run_json(capsys, "verify", "--surface", "torus:2,1",
+                               "--field", "0,0", "--grid", "8x8")
+        assert status == 1
+        assert rep["error"] == "no usable grid nodes: field vanishes everywhere"
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
     def test_nan_field_nodes_fail_the_run(self, capsys):
@@ -166,12 +178,26 @@ class TestGaussBonnet:
         res = rep["integrals"]["divergence_theorem_residual"]
         assert abs(res["value"] - 4 * np.pi) < 1e-6
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_residual_is_null(self, capsys, fmt):
+        # a unit field with overflowing second partials: div Y is NaN
+        status, out = run_cli(capsys, "gauss-bonnet", "--surface", "torus:2,1",
+                              "--field", "sin(1e300*u),2", "--grid", "16x16",
+                              "--format", fmt)
+        assert status == 1
+        if fmt == "csv":
+            assert "integral,divergence_theorem_residual,,,nan\n" in out
+            return
+        res = _strict_json(out)["integrals"]["divergence_theorem_residual"]
+        assert res["value"] is None and res["estimated_error"] is None
+        assert res["pass"] is False
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("argv,reason,has_node", [
-        # the normalized field overflows to a non-unit one
-        (("--surface", "torus:2,1", "--field", "1e200*sin(u)+1,0"), "is not unit",
-         False),
+        # g(X, X) overflows to inf off the u = 0 grid line
+        (("--surface", "torus:2,1", "--field", "1e200*sin(u)+1,0"), "non-finite norm",
+         True),
         # a tiny sphere's Gauss-Legendre nodes near the poles are chart-singular
         (("--surface", "sphere:0.002", "--field", "dv"), "metric degenerate", True),
         (("--surface", "sphere:0.002"), "metric degenerate", True),
@@ -255,7 +281,10 @@ class TestSmooth:
 class TestVerifyFailures:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("argv,reason", [
-        (("--surface", "torus:2,1", "--field", "1e200*sin(u)+1,0"), "is not unit"),
+        # g(X, X) overflows off the u = 0 grid line, so only its nodes are
+        # usable, and there the unit field's second partials overflow
+        (("--surface", "torus:2,1", "--field", "1e200*sin(u)+1,0"),
+         "non-finite residual"),
         (("--surface", "sphere:0.002", "--field", "dv"), "metric degenerate"),
     ])
     def test_failure_is_reported(self, capsys, argv, reason):
@@ -268,6 +297,34 @@ class TestVerifyFailures:
         assert any(reason in error for error in errors), errors
 
 
+class TestOverflowingNorm:
+    """A finite field whose g(X, X) overflows to inf at every node."""
+
+    ARGV = ("--surface", "torus:2,1", "--field", "1e200,1e200", "--grid", "16x16")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_verify_names_it(self, capsys):
+        status, out = run_cli(capsys, "verify", *self.ARGV)
+        rep = _strict_json(out)
+        assert status == 1
+        assert rep["overall_pass"] is False
+        assert rep["error"] == ("no usable grid nodes: field has a non-finite "
+                                "norm at 256 node(s)")
+        assert rep["n_zero_field_nodes"] == 256
+        assert rep["checks"] == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gauss_bonnet_names_it(self, capsys):
+        status, out = run_cli(capsys, "gauss-bonnet", *self.ARGV)
+        rep = _strict_json(out)
+        assert status == 1
+        assert rep["overall_pass"] is False
+        assert rep["error"] == ("field 'expr(1e200,1e200)' has a non-finite norm "
+                                "at 256 point(s), first at (u, v) = (0, 0)")
+        assert rep["failed_node"] == {"u": 0.0, "v": 0.0}
+        assert rep["integrals"] == {}
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("argv", [
         ("verify", "--surface", "mobius", "--field", "du"),
@@ -278,9 +335,39 @@ class TestConfigErrors:
         ("verify", "--surface", "torus:2,1", "--field", "du", "--tol", "oops"),
         ("verify", "--surface", "torus:2,1", "--field", "__import__('os'),0"),
         ("verify", "--surface", "torus:2,1", "--field", "u**2,0"),
+        # a wrong parameter count for each surface kind and the clifford alias
+        ("verify", "--surface", "sphere:1,2", "--field", "du"),
+        ("verify", "--surface", "torus:2", "--field", "du"),
+        ("verify", "--surface", "clifford:1,2", "--field", "du"),
+        ("verify", "--surface", "clifford_torus:1,2", "--field", "du"),
+        ("verify", "--surface", "ellipsoid:1,2", "--field", "du"),
     ])
     def test_rejected_before_compute(self, capsys, argv):
         assert cli.main(list(argv)) == 2
+
+    @pytest.mark.parametrize("command,name,accepted", [
+        ("verify", "bochnr", "bochner, trace_identity, divergence_product_rule, "
+                             "curvature_identity, product_rule, zero_floor"),
+        ("gauss-bonnet", "bochner", "chi_margin, divergence_theorem"),
+        ("smooth", "bochner", "none"),
+    ])
+    def test_unknown_tolerance_name(self, capsys, command, name, accepted):
+        status = cli.main([command, "--surface", "torus:2,1", "--field", "du",
+                           "--grid", "8x8", "--tol", f"{name}=1"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == (f"config error: unknown tolerance {name!r}; "
+                                f"accepted names: {accepted}\n")
+
+    @pytest.mark.parametrize("command", ["verify", "gauss-bonnet"])
+    def test_accepted_tolerance_names_are_echoed(self, capsys, command):
+        names = cli.TOLERANCE_NAMES[command]
+        tols = [arg for name in names for arg in ("--tol", f"{name}=0.25")]
+        status, rep = run_json(capsys, command, "--surface", "torus:2,1",
+                               "--field", "du", "--grid", "8x8", *tols)
+        assert status in (0, 1)
+        assert rep["config"]["tolerances"] == {name: 0.25 for name in sorted(names)}
 
     def test_expression_grammar_whitelist(self):
         fn = cli._parse_expression("sin(u) + 2*cos(v) - 1/2")
@@ -296,6 +383,11 @@ class TestConfigErrors:
         ("gauss-bonnet", "--surface", "torus:2,1", "--field", "1/0,1",
          "--grid", "8x8"),
         ("smooth", "--surface", "torus:2,1", "--field", "1/0,1", "--grid", "8x8"),
+        # a NaN margin would make every chi estimate determinate
+        ("gauss-bonnet", "--surface", "torus:2,1", "--grid", "8x8",
+         "--tol", "chi_margin=nan"),
+        ("verify", "--surface", "torus:2,1", "--field", "du", "--grid", "8x8",
+         "--tol", "bochner=inf"),
     ])
     def test_config_error_instead_of_traceback(self, capsys, argv):
         assert cli.main(list(argv)) == 2

@@ -4,7 +4,8 @@
     of failed nodes, and each `verify` check's sup is, bit for bit, the max
     of the matching public residual function on the same nodes; (b) `main`
     returns 0, 1 or 2 and never raises; (c) two identical runs give identical
-    reports apart from `timings`.
+    reports apart from `timings`; (d) a report is strict JSON (no NaN or
+    Infinity) and the exit status is 0 exactly when its `overall_pass` is true.
 """
 
 import contextlib
@@ -58,13 +59,17 @@ def _quiet():
         yield
 
 
+def _reject_constant(name):
+    raise ValueError(f"report holds {name}, which is not valid JSON")
+
+
 def _run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), \
             _quiet():
         status = cli.main(list(argv))
     text = out.getvalue()
-    report = json.loads(text) if text else None
+    report = json.loads(text, parse_constant=_reject_constant) if text else None
     if report is not None:
         report.pop("timings")
     return status, report
@@ -120,6 +125,8 @@ def _assert_pass_is_sound(report):
 def test_cli_exit_status_is_sound_and_reports_are_deterministic(argv):
     status, report = _run(argv)
     assert status in (0, 1, 2)
+    if report is not None:
+        assert (status == 0) == report["overall_pass"]
     if status == 0:
         _assert_pass_is_sound(report)
         if argv[0] == "verify":

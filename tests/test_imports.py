@@ -1,6 +1,8 @@
-"""Every module-level import of the package, its tests and demos is used."""
+"""Every module-level import of the package, its tests and demos is used, and
+every definition of the package is referenced somewhere in the repository."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,58 @@ def test_detector_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=module_id)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# where a definition of the package may be referenced
+REFERENCE_DIRS = ("src", "tests", "demos", "bench")
+
+
+def definitions(source):
+    """(line, name) of the module-level functions and classes and of the
+    classes' non-dunder methods, the latter named Class.method."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [(m.lineno, f"{node.name}.{m.name}") for m in node.body
+                    if isinstance(m, ast.FunctionDef)
+                    and not (m.name.startswith("__") and m.name.endswith("__"))]
+    return out
+
+
+def referenced_names(sources):
+    """Names read by a Name or an Attribute, or bound by an import alias."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update(filter(None, (node.name.split(".")[-1], node.asname)))
+    return names
+
+
+@functools.lru_cache(maxsize=None)
+def repository_names():
+    return frozenset(referenced_names(
+        path.read_text() for d in REFERENCE_DIRS for path in sorted((ROOT / d).rglob("*.py"))))
+
+
+def unreferenced(source, names):
+    return [(line, name) for line, name in definitions(source)
+            if name.split(".")[-1] not in names]
+
+
+def test_definition_detector():
+    source = ("class A:\n    def __init__(self): pass\n    def m(self): pass\n"
+              "def f(): pass\ndef g(): A().m()\n")
+    assert definitions(source) == [(1, "A"), (3, "A.m"), (4, "f"), (5, "g")]
+    assert unreferenced(source, referenced_names([source])) == [(4, "f"), (5, "g")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=module_id)
+def test_every_definition_is_referenced(path):
+    assert unreferenced(path.read_text(), repository_names()) == []

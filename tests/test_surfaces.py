@@ -33,6 +33,33 @@ def test_invalid_parameters(kind, params):
         surf.make_surface(kind, params)
 
 
+@pytest.mark.parametrize("kind", sorted(surf.SURFACE_KINDS))
+def test_wrong_parameter_count(kind):
+    spec = surf.SURFACE_KINDS[kind]
+    for count in range(5):
+        if count == len(spec.params) or (count == 0 and spec.defaults):
+            continue
+        with pytest.raises(InvalidParameterError, match="takes parameters"):
+            surf.make_surface(kind, (4.0, 3.0, 2.0, 1.0)[:count])
+
+
+@pytest.mark.parametrize("kind,params,name", [
+    ("sphere", (), "sphere(1)"),
+    ("sphere", [2.5], "sphere(2.5)"),
+    ("torus", [2, 1], "torus(2,1)"),
+    ("clifford_torus", (), "clifford_torus(1)"),
+    ("ellipsoid", (1.0, 1.3, 0.7), "ellipsoid(1,1.3,0.7)"),
+])
+def test_names_and_parameters(kind, params, name):
+    s = surf.make_surface(kind, params)
+    spec = surf.SURFACE_KINDS[kind]
+    assert s.name == name
+    assert tuple(s.params) == spec.params
+    assert tuple(s.params.values()) == (tuple(map(float, params)) or spec.defaults)
+    assert (s.ambient_dim, s.known_chi, s.chart_rect) == (
+        spec.ambient_dim, spec.known_chi, spec.chart_rect)
+
+
 def test_unknown_kind_and_mode():
     with pytest.raises(InvalidParameterError):
         surf.make_surface("mobius", (1.0,))
