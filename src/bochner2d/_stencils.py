@@ -1,14 +1,21 @@
 """Fourth-order central finite-difference stencils on chart coordinates.
 
-All helpers accept callables ``f(u, v)`` returning arrays in the node-last
-layout of ``_jets``: value axes first, then the broadcast shape of their
-arguments.  The stencil points of a node sit on new leading axes of (u, v),
-so f returns them just before the node axes, where a weighted sum in fixed
-order contracts them; no BLAS kernel is involved, whose summation order
-could depend on how many nodes are in the batch.  The broadcast shape of
-``(u, v)`` is preserved.  Stencil nodes may leave the chart rectangle: the
-built-in embeddings are entire functions of (u, v), so off-chart evaluation
-is well defined.
+One evaluator, ``partials``, serves every stencil of the package.  It calls
+``f(u, v)`` once on the 5x5 grid of offsets ``(u + k h, v + l h)``,
+``k, l in -2..2``, passed as ``u + offs[:, None]`` and ``v + offs[None, :]``
+so that anything f computes from u or v alone runs on 5 points per node, not
+25.  The value is the grid centre; both first partials, both pure second
+partials and the mixed partial (the tensor product of first-derivative
+stencils) are read off slices of that one array.  The nodes are flattened
+and walked in blocks of BLOCK_NODES, which bounds the memory of the grid.
+
+f must return an array in the node-last layout of ``_jets``: value axes
+first, then the broadcast shape of its arguments, here the two grid axes
+and the nodes of a block, so a weighted sum in fixed order contracts the
+grid axes; no BLAS kernel is involved, whose summation order could depend
+on how many nodes are in the batch.  Stencil nodes may leave the chart
+rectangle: the built-in embeddings are entire functions of (u, v), so
+off-chart evaluation is well defined.
 
 Weights are formed from exact integer numerators in the dtype of the
 evaluation points; precomputing them in float64 would put an eps/h^2 noise
@@ -17,69 +24,62 @@ floor under extended-precision runs.
 
 import numpy as np
 
-D1_OFFSETS = np.array([-2, -1, 1, 2])
-D1_NUM = np.array([1, -8, 8, -1])          # /12h
+BLOCK_NODES = 256       # nodes per call of f; bounds the memory of its 5x5 grid
 
-D2_OFFSETS = np.array([-2, -1, 0, 1, 2])
+OFFSETS = np.arange(-2, 3)                 # grid offsets, in units of h
+D1_POINTS = [0, 1, 3, 4]                   # the first-derivative stencil's offsets
+D1_NUM = np.array([1, -8, 8, -1])          # /12h
 D2_NUM = np.array([-1, 16, -30, 16, -1])   # /12h^2
 
 
-def _weights(num, dtype):
-    return num.astype(dtype) / dtype.type(12)
-
-
-def _contract(vals, num, ndim):
-    """sum_j w_j vals_j over the stencil axis, just before the ndim node axes."""
-    w = _weights(num, vals.dtype)
-    terms = np.moveaxis(vals, -ndim - 1, 0)
-    out = w[0] * terms[0]
-    for wj, x in zip(w[1:], terms[1:]):
-        out = out + wj * x
+def _contract(vals, num, points):
+    """sum_j w_j vals[..., points_j, :], the weights w_j = num_j / 12 in fixed order."""
+    w = num.astype(vals.dtype) / vals.dtype.type(12)
+    out = w[0] * vals[..., points[0], :]
+    for wj, p in zip(w[1:], points[1:]):
+        out = out + wj * vals[..., p, :]
     return out
 
 
-def _offsets(offsets, u, h, ndim):
-    return (offsets.astype(u.dtype) * u.dtype.type(h)).reshape((-1,) + (1,) * ndim)
-
-
-def _apply(f, u, v, axis, offsets, num, h):
-    u = np.asarray(u)
-    v = np.asarray(v)
-    ndim = np.broadcast(u, v).ndim
-    offs = _offsets(offsets, u, h, ndim)
-    vals = np.asarray(f(u + offs, v) if axis == 0 else f(u, v + offs))
-    return _contract(vals, num, ndim)
-
-
-def diff1(f, u, v, axis, h):
-    """First partial of f along the given chart axis."""
-    out = _apply(f, u, v, axis, D1_OFFSETS, D1_NUM, h)
-    return out / out.dtype.type(h)
-
-
-def diff2(f, u, v, axis, h):
-    """Second partial of f along the given chart axis."""
-    out = _apply(f, u, v, axis, D2_OFFSETS, D2_NUM, h)
-    return out / out.dtype.type(h) ** 2
-
-
-def diff_cross(f, u, v, h):
-    """Mixed partial d^2 f / du dv via tensor-product first-derivative stencils."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    ndim = np.broadcast(u, v).ndim
-    offs = _offsets(D1_OFFSETS, u, h, ndim)
+def _block(f, u, v, h, order):
+    """`partials` at 1-D nodes, from one call of f on their 5x5 grid."""
+    offs = (OFFSETS.astype(u.dtype) * u.dtype.type(h))[:, None]
     vals = np.asarray(f(u + offs[:, None], v + offs[None, :]))
-    out = _contract(_contract(vals, D1_NUM, ndim), D1_NUM, ndim)
-    return out / out.dtype.type(h) ** 2
+    h = vals.dtype.type(h)
+    # the grid lines through the node along u and along v: (2, ..., 5, nodes)
+    lines = np.stack([vals[..., :, 2, :], vals[..., 2, :, :]])
+    parts = [vals[..., 2, 2, :], _contract(lines, D1_NUM, D1_POINTS) / h]
+    if order >= 2:
+        # sum over k of w_k sum over l of w_l vals[k, l], the inner sum on
+        # every row k of the grid
+        cross = _contract(_contract(vals, D1_NUM, D1_POINTS), D1_NUM, D1_POINTS)
+        uu, vv = _contract(lines, D2_NUM, range(5))
+        parts.append(np.stack([uu, cross, vv]) / h ** 2)
+    return parts[:order + 1]
+
+
+def partials(f, u, v, h, order):
+    """[f, d f, dd f][:order + 1] at the nodes (u, v), by steps h in both axes.
+
+    d f stacks (d_u f, d_v f) and dd f stacks (d_uu f, d_uv f, d_vv f) on a
+    new first axis, as the d and dd of a jet; every part has the value axes
+    of f, then the broadcast shape of (u, v).  The offsets take the dtype of
+    u, and the weights that of f's values.
+    """
+    u, v = np.broadcast_arrays(np.asarray(u), np.asarray(v))
+    shape = u.shape
+    u, v = u.ravel(), v.ravel()
+    blocks = [_block(f, u[s:s + BLOCK_NODES], v[s:s + BLOCK_NODES], h, order)
+              for s in range(0, max(u.size, 1), BLOCK_NODES)]
+    return [np.concatenate(part, axis=-1).reshape(part[0].shape[:-1] + shape)
+            for part in zip(*blocks)]
 
 
 def gradient(f, u, v, h):
-    """Stack (d_u f, d_v f) on a new first axis, as the d of a jet."""
-    return np.stack([diff1(f, u, v, 0, h), diff1(f, u, v, 1, h)])
+    """(d_u f, d_v f) on a new first axis, as the d of a jet."""
+    return partials(f, u, v, h, 1)[1]
 
 
 def hessian(f, u, v, h):
-    """Stack (d_uu f, d_uv f, d_vv f) on a new first axis, as the dd of a jet."""
-    return np.stack([diff2(f, u, v, 0, h), diff_cross(f, u, v, h),
-                     diff2(f, u, v, 1, h)])
+    """(d_uu f, d_uv f, d_vv f) on a new first axis, as the dd of a jet."""
+    return partials(f, u, v, h, 2)[2]

@@ -115,15 +115,21 @@ def normalize_field(surface, X, floor=ZERO_FLOOR):
 
     Raises ZeroFieldPointError lazily whenever an evaluation meets a point
     where the metric norm of X falls below `floor` (the input is then not
-    nowhere-zero at working precision) or is not finite (g(X, X) overflowed
-    or is NaN); the message counts the two kinds of node apart.
+    nowhere-zero at working precision), is not finite (g(X, X) overflowed
+    or is NaN), or where the norm is fine but a value or partial of the
+    unit field is not finite (the partials of X or of g(X, X) overflowed);
+    the message counts the three kinds of node apart.
     """
     if floor <= 0:
         raise ValueError("floor must be positive")
 
-    def check(n2, u, v):
+    def check(n2, unit, u, v):
         finite = np.isfinite(n2)
         bad = ~(finite & (n2 >= floor**2))
+        parts = [x.reshape((-1,) + n2.shape) for x in (unit.v, unit.d, unit.dd)
+                 if x is not None]
+        rough = ~bad & ~np.isfinite(np.concatenate(parts)).all(axis=0)
+        bad |= rough
         if np.any(bad):
             U, V = np.broadcast_arrays(np.asarray(u, dtype=float),
                                        np.asarray(v, dtype=float))
@@ -132,21 +138,26 @@ def normalize_field(surface, X, floor=ZERO_FLOOR):
             pts = [ChartPoint(float(a), float(b)) for a, b in zip(Ub.ravel()[:16],
                                                                   Vb.ravel()[:16])]
             n_inf = int(np.count_nonzero(~finite))
-            n_low = int(np.count_nonzero(bad)) - n_inf
+            n_rough = int(np.count_nonzero(rough))
+            n_low = int(np.count_nonzero(bad)) - n_inf - n_rough
             counts = [f"norm below floor {floor:g} at {n_low} point(s)"] if n_low else []
             if n_inf:
                 counts.append(f"a non-finite norm at {n_inf} point(s)")
+            if n_rough:
+                counts.append(f"non-finite unit-field partials at {n_rough} point(s)")
             raise ZeroFieldPointError(
                 f"field {X.name!r} has {' and '.join(counts)}, first at (u, v) = "
                 f"({pts[0].u:.6g}, {pts[0].v:.6g})", points=pts)
 
     def jet(_, u, v, order, g):
         g = _metric(surface, u, v, order, g)
-        x = _jet(surface, X, u, v, order, g)
-        with np.errstate(over="ignore", invalid="ignore"):   # flagged by check
+        # overflow in X, g(X, X) or the quotient is flagged by check
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            x = _jet(surface, X, u, v, order, g)
             n2 = _jets.einsum("ij...,i...,j...->...", g, x, x)
-        check(n2.v, u, v)
-        return x / _jets.sqrt(n2)[None]
+            unit = x / _jets.sqrt(n2)[None]
+        check(n2.v, unit, u, v)
+        return unit
 
     return _derived(jet, f"unit({X.name})")
 

@@ -22,7 +22,8 @@ partials (``d_coeff``/``dd_coeff``, or ``grad``/``hess`` for a scalar).  They
 are used when the surface runs in analytic mode; otherwise, and always on the
 finite-difference backend, which treats the whole pipeline as the method
 under test, the coefficients are differenced by 4th-order stencils at the
-surface's step.  A field built from other fields (sums, multiples, products,
+surface's step, all partials and the value from one ``_stencils.partials``
+call.  A field built from other fields (sums, multiples, products,
 the unit field, grad_T T, div T, ...) carries a jet function instead: its
 partials follow exactly from the jets of its inputs and of the metric, on
 both backends, and are never differenced.
@@ -107,12 +108,12 @@ def _jet(surface, f, u, v, order, g=None):
     def node_last(fn, k):
         return lambda uu, vv: _jets.value_first(np.asarray(fn(uu, vv), dtype=float), k)
 
-    parts = [node_last(value, rank)(u, v)]
-    for k, stencil in enumerate((_stencils.gradient, _stencils.hessian)[:order]):
-        if surface.derivative_mode == "analytic" and exact[k] is not None:
-            parts.append(node_last(exact[k], rank + 1)(u, v))
-        else:
-            parts.append(stencil(node_last(value, rank), u, v, surface.step))
+    exact = [None if fn is None or surface.derivative_mode != "analytic"
+             else node_last(fn, rank + 1) for fn in exact[:order]]
+    value = node_last(value, rank)
+    parts = (_stencils.partials(value, u, v, surface.step, order) if None in exact
+             else [value(u, v)])
+    parts[1:] = [parts[k + 1] if fn is None else fn(u, v) for k, fn in enumerate(exact)]
     return _jets.Jet(*(np.asarray(x, order="C") for x in parts))
 
 

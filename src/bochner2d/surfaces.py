@@ -17,7 +17,9 @@ its first and second partials are assembled.  ``derivative_mode`` selects
 between that exact route ("analytic") and 4th-order central finite
 differences of the metric components ("fd"); the finite-difference stencils
 are evaluated in extended precision so that truncation, not round-off,
-dominates down to small steps.
+dominates down to small steps.  The fd metric is one ``_stencils.partials``
+call: g = J^T J on the 5x5 stencil grid of each node, in blocks of
+``_stencils.BLOCK_NODES`` nodes, with g itself the grid centre.
 
 The maps and the assembly keep the nodes as the trailing axes (the private
 layout of ``_jets``); ``SurfaceSpec`` methods and ``MetricData`` present the
@@ -322,13 +324,12 @@ def _analytic_metric(maps, u, v, order):
 
 
 def _fd_metric(maps, u, v, order, h):
-    # extended precision keeps stencil round-off below O(h^4) truncation
+    # long double keeps stencil round-off below O(h^4) truncation; g is the grid centre
     ul = np.asarray(u, dtype=np.longdouble)
     vl = np.asarray(v, dtype=np.longdouble)
     g_fn = lambda uu, vv: _first_form(maps, uu, vv)
-    ders = [stencil(g_fn, ul, vl, h).astype(np.float64)
-            for stencil in (_stencils.gradient, _stencils.hessian)[:order]]
-    return (g_fn(ul, vl).astype(np.float64), *ders, None, None)[:3]
+    parts = _stencils.partials(g_fn, ul, vl, h, order) if order else [g_fn(ul, vl)]
+    return (*(x.astype(np.float64) for x in parts), None, None)[:3]
 
 
 def _require_nondegenerate(surface, det, u, v):

@@ -72,6 +72,19 @@ class TestNormalize:
             "norm at 2 point(s), first at (u, v) = (0, 0.5)")
         assert len(exc.value.points) == 3
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_unit_partials_counted_apart(self, torus21):
+        # at u = 0 the norm is finite, but d_u X = 1e200 squares to inf in
+        # the second partials of g(X, X); at u = 1 the norm overflows
+        T = bo.normalize_field(torus21, cli.parse_field("1e200*sin(u)+1,0"))
+        u, v = np.array([0.0, 1.0]), np.array([0.5, 0.5])
+        with pytest.raises(ZeroFieldPointError) as exc:
+            bo.bochner_residual(torus21, T, u, v)
+        assert str(exc.value) == (
+            "field 'expr(1e200*sin(u)+1,0)' has a non-finite norm at 1 point(s) and "
+            "non-finite unit-field partials at 1 point(s), first at (u, v) = (0, 0.5)")
+        assert len(exc.value.points) == 2
+
     def test_floor_validation(self, torus21):
         with pytest.raises(ValueError):
             bo.normalize_field(torus21, op.coordinate_field(0), floor=0.0)

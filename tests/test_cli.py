@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from bochner2d import cli
+from bochner2d import bochner, cli
 from bochner2d import surfaces as surf
 from bochner2d.errors import ConfigError, GeometryError
 
@@ -178,13 +178,15 @@ class TestGaussBonnet:
         res = rep["integrals"]["divergence_theorem_residual"]
         assert abs(res["value"] - 4 * np.pi) < 1e-6
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_non_finite_residual_is_null(self, capsys, fmt):
-        # a unit field with overflowing second partials: div Y is NaN
+    def test_non_finite_residual_is_null(self, capsys, monkeypatch, fmt):
+        # a unit field whose partials overflow is named before any integral
+        # (TestOverflowingPartials), so a NaN divergence is put in its place
+        integrands = bochner.gauss_bonnet_integrands
+        monkeypatch.setattr(bochner, "gauss_bonnet_integrands", lambda s, T, u, v: (
+            integrands(s, T, u, v)[0], np.full(np.shape(u), np.nan)))
         status, out = run_cli(capsys, "gauss-bonnet", "--surface", "torus:2,1",
-                              "--field", "sin(1e300*u),2", "--grid", "16x16",
-                              "--format", fmt)
+                              "--field", "du", "--grid", "16x16", "--format", fmt)
         assert status == 1
         if fmt == "csv":
             assert "integral,divergence_theorem_residual,,,nan\n" in out
@@ -284,7 +286,7 @@ class TestVerifyFailures:
         # g(X, X) overflows off the u = 0 grid line, so only its nodes are
         # usable, and there the unit field's second partials overflow
         (("--surface", "torus:2,1", "--field", "1e200*sin(u)+1,0"),
-         "non-finite residual"),
+         "non-finite unit-field partials"),
         (("--surface", "sphere:0.002", "--field", "dv"), "metric degenerate"),
     ])
     def test_failure_is_reported(self, capsys, argv, reason):
@@ -321,6 +323,40 @@ class TestOverflowingNorm:
         assert rep["overall_pass"] is False
         assert rep["error"] == ("field 'expr(1e200,1e200)' has a non-finite norm "
                                 "at 256 point(s), first at (u, v) = (0, 0)")
+        assert rep["failed_node"] == {"u": 0.0, "v": 0.0}
+        assert rep["integrals"] == {}
+
+
+class TestOverflowingPartials:
+    """Finite fields with finite norms whose unit field's partials overflow."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_verify_names_them(self, capsys):
+        # g(X, X) overflows off the u = 0 grid line; on it, d_u X = 1e200
+        # squares to inf in the second partials of g(X, X)
+        status, out = run_cli(capsys, "verify", "--surface", "torus:2,1",
+                              "--field", "1e200*sin(u)+1,0", "--grid", "16x16")
+        rep = _strict_json(out)
+        assert status == 1
+        assert rep["n_zero_field_nodes"] == 240
+        message = ("field 'expr(1e200*sin(u)+1,0)' has non-finite unit-field "
+                   "partials at 1 point(s), first at (u, v) = (0, {:.6g})")
+        for check in rep["checks"]:
+            assert check["pass"] is False and check["n_points"] == 0
+            assert check["n_failed"] == 16
+            assert [(n["u"], n["error"]) for n in check["failed_nodes"]] == [
+                (0.0, message.format(n["v"])) for n in check["failed_nodes"]]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gauss_bonnet_names_them(self, capsys):
+        # d_uu X = -1e600 sin(1e300 u) overflows at every node
+        status, out = run_cli(capsys, "gauss-bonnet", "--surface", "torus:2,1",
+                              "--field", "sin(1e300*u),2", "--grid", "16x16")
+        rep = _strict_json(out)
+        assert status == 1
+        assert rep["error"] == ("field 'expr(sin(1e300*u),2)' has non-finite "
+                                "unit-field partials at 256 point(s), first at "
+                                "(u, v) = (0, 0)")
         assert rep["failed_node"] == {"u": 0.0, "v": 0.0}
         assert rep["integrals"] == {}
 

@@ -1,5 +1,6 @@
-"""Every module-level import of the package, its tests and demos is used, and
-every definition of the package is referenced somewhere in the repository."""
+"""Every module-level import of the package, its tests and demos is used,
+every definition of the package is referenced somewhere in the repository,
+and the package evaluates stencils through `_stencils.partials` only."""
 
 import ast
 import functools
@@ -94,3 +95,39 @@ def test_definition_detector():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=module_id)
 def test_every_definition_is_referenced(path):
     assert unreferenced(path.read_text(), repository_names()) == []
+
+
+# the one stencil evaluator; a second evaluation path must not come back
+STENCIL_EVALUATOR = "partials"
+
+
+def stencil_uses(source):
+    """(line, name) of the `_stencils` members a module uses other than the
+    evaluator, by attribute of the module or by import."""
+    tree = ast.parse(source)
+    modules, out = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name == "_stencils":
+                    modules.add(alias.asname or alias.name)
+                elif (node.module or "").split(".")[-1] == "_stencils":
+                    out.append((node.lineno, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            out.append((node.lineno, node.attr))
+    return sorted((line, name) for line, name in out if name != STENCIL_EVALUATOR)
+
+
+def test_stencil_use_detector():
+    source = ("from . import _stencils\nfrom . import _stencils as st\n"
+              "from ._stencils import gradient, partials\n"
+              "_stencils.partials(f, u, v, h, 2)\nst.hessian(f, u, v, h)\n"
+              "_stencils.BLOCK_NODES\n")
+    assert stencil_uses(source) == [(3, "gradient"), (5, "hessian"), (6, "BLOCK_NODES")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=module_id)
+def test_package_evaluates_stencils_through_partials_only(path):
+    assert stencil_uses(path.read_text()) == []

@@ -117,8 +117,7 @@ def stencil_depth(monkeypatch):
                 state["depth"] -= 1
         return wrapper
 
-    monkeypatch.setattr(_stencils, "_apply", counted(_stencils._apply))
-    monkeypatch.setattr(_stencils, "diff_cross", counted(_stencils.diff_cross))
+    monkeypatch.setattr(_stencils, "partials", counted(_stencils.partials))
     return state
 
 

@@ -8,6 +8,7 @@ from bochner2d import surfaces as surf
 from bochner2d.errors import DegenerateMetricError, InvalidParameterError
 
 from conftest import interior_points
+from stencil_oracle import diff1, diff2
 
 
 def test_torus_embed_origin(torus21):
@@ -209,17 +210,17 @@ def test_embedding_derivative_closed_forms(all_surfaces):
         np.testing.assert_allclose(fd2.swapaxes(0, 1), d2, atol=1e-8, err_msg=s.name)
         # nested stencils: inner first derivative at 1e-3, outer second at 5e-3
         # keeps the eps/h^3-style noise of the composition under the tolerance
-        fd3_uuu = _stencils.diff2(lambda a, b: _stencils.diff1(s.maps.embed, a, b, 0, 1e-3),
-                                  u, v, 0, 5e-3)
+        fd3_uuu = diff2(lambda a, b: diff1(s.maps.embed, a, b, 0, 1e-3),
+                        u, v, 0, 5e-3)
         np.testing.assert_allclose(fd3_uuu, d3[:, 0], atol=1e-6, err_msg=s.name)
-        fd3_vvv = _stencils.diff2(lambda a, b: _stencils.diff1(s.maps.embed, a, b, 1, 1e-3),
-                                  u, v, 1, 5e-3)
+        fd3_vvv = diff2(lambda a, b: diff1(s.maps.embed, a, b, 1, 1e-3),
+                        u, v, 1, 5e-3)
         np.testing.assert_allclose(fd3_vvv, d3[:, 3], atol=1e-6, err_msg=s.name)
-        fd3_uuv = _stencils.diff2(lambda a, b: _stencils.diff1(s.maps.embed, a, b, 1, 1e-3),
-                                  u, v, 0, 5e-3)
+        fd3_uuv = diff2(lambda a, b: diff1(s.maps.embed, a, b, 1, 1e-3),
+                        u, v, 0, 5e-3)
         np.testing.assert_allclose(fd3_uuv, d3[:, 1], atol=1e-6, err_msg=s.name)
-        fd3_uvv = _stencils.diff2(lambda a, b: _stencils.diff1(s.maps.embed, a, b, 0, 1e-3),
-                                  u, v, 1, 5e-3)
+        fd3_uvv = diff2(lambda a, b: diff1(s.maps.embed, a, b, 0, 1e-3),
+                        u, v, 1, 5e-3)
         np.testing.assert_allclose(fd3_uvv, d3[:, 2], atol=1e-6, err_msg=s.name)
         jac = surf._jacobian_jet(s.maps, u, v, 2)
         _, d_ref, dd_ref = reference_jacobian_jet(s, u, v)
@@ -357,6 +358,24 @@ def test_fd_metric_matches_analytic_at_default_step(all_surfaces):
         np.testing.assert_allclose(mf.g, ma.g, atol=1e-12, err_msg=s.name)
         np.testing.assert_allclose(mf.dg, ma.dg, atol=1e-9, err_msg=s.name)
         np.testing.assert_allclose(mf.ddg, ma.ddg, atol=1e-8, err_msg=s.name)
+
+
+@settings(max_examples=40)
+@given(_surfaces(), st.sampled_from((1e-3, 1e-2)), st.sampled_from((1, 2)),
+       st.integers(1, 3 * _stencils.BLOCK_NODES), st.data())
+def test_fd_metric_rows_do_not_depend_on_the_batch(s, step, order, n, data):
+    # the stencils walk the nodes in blocks; a node's rows must not depend
+    # on the block it falls in or on the nodes beside it
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    rect = s.chart_rect
+    u = rng.uniform(rect.u0 + 0.1, rect.u1 - 0.1, n)
+    v = rng.uniform(rect.v0 + 0.1, rect.v1 - 0.1, n)
+    full = surf._fd_metric(s.maps, u, v, order, step)
+    perm = data.draw(st.permutations(range(n)))
+    idx = np.array(perm[:data.draw(st.integers(1, n))])
+    part = surf._fd_metric(s.maps, u[idx], v[idx], order, step)
+    for mine, rows in zip(part[:order + 1], full):
+        assert np.array_equal(mine, rows[..., idx]), s.name
 
 
 def test_guarded_mask(sphere1, torus21):
