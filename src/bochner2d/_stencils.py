@@ -1,13 +1,16 @@
 """Fourth-order central finite-difference stencils on chart coordinates.
 
-One evaluator, ``partials``, serves every stencil of the package.  It calls
-``f(u, v)`` once on the 5x5 grid of offsets ``(u + k h, v + l h)``,
+One evaluator, ``partials``, serves every stencil of the package.  At order
+2 it calls ``f(u, v)`` once on the 5x5 grid of offsets ``(u + k h, v + l h)``,
 ``k, l in -2..2``, passed as ``u + offs[:, None]`` and ``v + offs[None, :]``
 so that anything f computes from u or v alone runs on 5 points per node, not
 25.  The value is the grid centre; both first partials, both pure second
 partials and the mixed partial (the tensor product of first-derivative
-stencils) are read off slices of that one array.  The nodes are flattened
-and walked in blocks of BLOCK_NODES, which bounds the memory of the grid.
+stencils) are read off slices of that one array.  At order 1 only the two
+grid lines through the node are needed: f is called once on the line along
+u (centre included) and once on the four off-centre points along v, 9
+points per node.  The nodes are flattened and walked in blocks of
+BLOCK_NODES, which bounds the memory of the grid.
 
 f must return an array in the node-last layout of ``_jets``: value axes
 first, then the broadcast shape of its arguments, here the two grid axes
@@ -24,7 +27,7 @@ floor under extended-precision runs.
 
 import numpy as np
 
-BLOCK_NODES = 256       # nodes per call of f; bounds the memory of its 5x5 grid
+BLOCK_NODES = 256       # nodes per block of calls of f; bounds the memory of its grid
 
 OFFSETS = np.arange(-2, 3)                 # grid offsets, in units of h
 D1_POINTS = [0, 1, 3, 4]                   # the first-derivative stencil's offsets
@@ -42,18 +45,26 @@ def _contract(vals, num, points):
 
 
 def _block(f, u, v, h, order):
-    """`partials` at 1-D nodes, from one call of f on their 5x5 grid."""
+    """`partials` at 1-D nodes, from f on their 5x5 grid, or on its centre lines."""
     offs = (OFFSETS.astype(u.dtype) * u.dtype.type(h))[:, None]
-    vals = np.asarray(f(u + offs[:, None], v + offs[None, :]))
-    h = vals.dtype.type(h)
-    # the grid lines through the node along u and along v: (2, ..., 5, nodes)
-    lines = np.stack([vals[..., :, 2, :], vals[..., 2, :, :]])
-    parts = [vals[..., 2, 2, :], _contract(lines, D1_NUM, D1_POINTS) / h]
+    if order >= 2:
+        vals = np.asarray(f(u + offs[:, None], v + offs[None, :]))
+        # the grid lines through the node along u and along v: (..., 5, nodes)
+        along_u, along_v, v_points = vals[..., :, 2, :], vals[..., 2, :, :], D1_POINTS
+    else:
+        # the same lines, the centre only on the first; offs[2:3] is the
+        # grid's zero offset, so every point is the grid's to the bit
+        along_u = np.asarray(f(u + offs, v + offs[2:3]))
+        along_v = np.asarray(f(u + offs[2:3], v + offs[D1_POINTS]))
+        v_points = range(4)
+    h = along_u.dtype.type(h)
+    parts = [along_u[..., 2, :], np.stack([_contract(along_u, D1_NUM, D1_POINTS),
+                                           _contract(along_v, D1_NUM, v_points)]) / h]
     if order >= 2:
         # sum over k of w_k sum over l of w_l vals[k, l], the inner sum on
         # every row k of the grid
         cross = _contract(_contract(vals, D1_NUM, D1_POINTS), D1_NUM, D1_POINTS)
-        uu, vv = _contract(lines, D2_NUM, range(5))
+        uu, vv = (_contract(line, D2_NUM, range(5)) for line in (along_u, along_v))
         parts.append(np.stack([uu, cross, vv]) / h ** 2)
     return parts[:order + 1]
 

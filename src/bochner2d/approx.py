@@ -26,6 +26,15 @@ as (n, m), each layer is a (K_t, m) block, and the tangent projection works
 on (n, m) ambient and (2, m) chart vectors.  Only the gram matrix of the
 fit takes the basis row-major, (m, K).  The public functions keep the nodes
 leading.
+
+Lifetimes.  Each degree tried is fitted, then certified, and the two stages
+never hold their arrays at the same time: ``_fit`` builds the fit-grid basis,
+its gram matrix and eigendecomposition in its own frame and returns only
+the coefficients, so they are freed before the verification grid is
+evaluated.  The evaluation streams the nodes in EVAL_CHUNK blocks and
+writes the degree layers of every block into two buffers allocated once
+per call, one for the even and one for the odd degrees, so no layer is a
+fresh allocation and the heap does not grow and shrink with each layer.
 """
 
 from dataclasses import dataclass, replace
@@ -111,19 +120,29 @@ def monomial_exponents(ambient_dim, degree):
     return np.concatenate(layers)
 
 
-def _monomial_layers(points, degree):
+def _monomial_layers(points, degree, buffers=None):
     """Yield the degree-t blocks of the graded-lex basis, t = 0..degree, node-last.
 
     points is (n, m); block t is a C-contiguous (K_t, m) array.  Stacked, the
     blocks equal monomial_matrix(points.T, monomial_exponents(n, degree)).T.
     Only two layers are referenced at a time, so a consumer that reduces
-    each block as it arrives holds O(max K_t * m) memory.
+    each block as it arrives holds O(max K_t * m) memory.  Given two flat
+    buffers, layer t is written into the leading K_t * m entries of
+    buffers[t % 2] and is valid only until layer t + 2 is built; otherwise
+    every layer is a fresh array.
     """
     n, m = points.shape
-    layer = np.ones((1, m))
+
+    def block(t, rows):
+        if buffers is None:
+            return np.empty((rows, m))
+        return buffers[t % 2][:rows * m].reshape(rows, m)
+
+    layer = block(0, 1)
+    layer[...] = 1.0
     yield layer
     for t in range(degree):
-        nxt = np.empty((comb(t + n, n - 1), m))
+        nxt = block(t + 1, comb(t + n, n - 1))
         row = 0
         for j, k in _layer_sources(n, t):
             np.multiply(points[j], layer[-k:], out=nxt[row:row + k])
@@ -149,15 +168,21 @@ def evaluate_polynomial_field(poly, points):
 
     Nodes are streamed in EVAL_CHUNK blocks and each (K_t, nodes) degree
     layer of the basis is contracted with its coefficient block as soon as
-    it is built.  The result is a view of node-last storage.
+    it is built.  The layers are written into two buffers allocated once
+    per call, sized for the widest even- and odd-degree layer of a block.
+    The result is a view of node-last storage.
     """
     points = np.asarray(points, dtype=float).T
     coeff = poly.coefficients
-    out = np.zeros((coeff.shape[0], points.shape[1]))
-    for lo in range(0, points.shape[1], EVAL_CHUNK):
+    n, m = points.shape
+    out = np.zeros((coeff.shape[0], m))
+    rows = [comb(t + n - 1, n - 1) for t in range(poly.degree + 1)]     # K_t
+    buffers = [np.empty(min(EVAL_CHUNK, m) * max(rows[parity::2], default=0))
+               for parity in (0, 1)]
+    for lo in range(0, m, EVAL_CHUNK):
         block = slice(lo, lo + EVAL_CHUNK)
         row = 0
-        for layer in _monomial_layers(points[:, block], poly.degree):
+        for layer in _monomial_layers(points[:, block], poly.degree, buffers):
             k = layer.shape[0]
             out[:, block] += coeff[:, row:row + k] @ layer
             row += k
@@ -221,12 +246,12 @@ def fit_polynomial_field(samples, degree, verify_samples=None):
     return _fit_and_verify(samples, degree, verify_samples)[0]
 
 
-def _fit_and_verify(samples, degree, verify_samples=None):
-    """fit_polynomial_field, also returning its prediction on the verify grid."""
-    if samples.positions.shape[0] == 0:
-        raise RankDeficientFitError("no samples to fit")
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
+def _fit(samples, degree):
+    """Coefficients (n_components, K) of the truncated-eigh fit, and its rcond.
+
+    The basis, the gram matrix and its eigendecomposition live only in this
+    frame, so they are freed before the verification grid is evaluated.
+    """
     points = np.asarray(samples.positions, dtype=float)
     Vt = np.concatenate(list(_monomial_layers(points.T, degree)))      # (K, m)
     if not np.all(np.isfinite(Vt)):
@@ -250,14 +275,21 @@ def _fit_and_verify(samples, degree, verify_samples=None):
     keep = w > RCOND_CUTOFF * wmax
     inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
     coeff_scaled = Q @ (inv_w[:, None] * (Q.T @ b))
-    coefficients = (coeff_scaled / scale[:, None]).T   # (n_components, K)
-    rcond = float(max(w[0], 0.0) / wmax)
+    return (coeff_scaled / scale[:, None]).T, float(max(w[0], 0.0) / wmax)
 
+
+def _fit_and_verify(samples, degree, verify_samples=None):
+    """fit_polynomial_field, also returning its prediction on the verify grid."""
+    if samples.positions.shape[0] == 0:
+        raise RankDeficientFitError("no samples to fit")
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    coefficients, rcond = _fit(samples, degree)
     if verify_samples is None:
         verify_samples = _dense_resample(samples)
+    n = samples.positions.shape[1]
     poly = PolynomialField(
-        ambient_dim=points.shape[1], degree=degree,
-        exponents=monomial_exponents(points.shape[1], degree),
+        ambient_dim=n, degree=degree, exponents=monomial_exponents(n, degree),
         coefficients=coefficients, sup_error=np.nan,
         fit_grid=samples.grid_shape, verify_grid=verify_samples.grid_shape,
         rcond=rcond)

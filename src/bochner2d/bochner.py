@@ -56,6 +56,7 @@ from .surfaces import ChartPoint, metric_data, metric_only
 ANALYTIC_TOL = 1e-6
 FD_TOL = 1e-3
 ZERO_FLOOR = 1e-9
+PARTIAL_MAX = np.sqrt(np.finfo(float).max)   # a larger first partial squares to inf
 
 
 @dataclass(frozen=True)
@@ -117,8 +118,10 @@ def normalize_field(surface, X, floor=ZERO_FLOOR):
     where the metric norm of X falls below `floor` (the input is then not
     nowhere-zero at working precision), is not finite (g(X, X) overflowed
     or is NaN), or where the norm is fine but a value or partial of the
-    unit field is not finite (the partials of X or of g(X, X) overflowed);
-    the message counts the three kinds of node apart.
+    unit field is not finite (the partials of X or of g(X, X) overflowed)
+    or a first partial exceeds PARTIAL_MAX, so that any residual, quadratic
+    in the first partials, would overflow; the message counts the three
+    kinds of node apart.
     """
     if floor <= 0:
         raise ValueError("floor must be positive")
@@ -128,7 +131,10 @@ def normalize_field(surface, X, floor=ZERO_FLOOR):
         bad = ~(finite & (n2 >= floor**2))
         parts = [x.reshape((-1,) + n2.shape) for x in (unit.v, unit.d, unit.dd)
                  if x is not None]
-        rough = ~bad & ~np.isfinite(np.concatenate(parts)).all(axis=0)
+        rough = ~np.isfinite(np.concatenate(parts)).all(axis=0)
+        if unit.d is not None:    # every residual is quadratic in these
+            rough |= (np.abs(parts[1]) > PARTIAL_MAX).any(axis=0)
+        rough &= ~bad
         bad |= rough
         if np.any(bad):
             U, V = np.broadcast_arrays(np.asarray(u, dtype=float),

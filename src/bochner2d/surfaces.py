@@ -18,8 +18,9 @@ between that exact route ("analytic") and 4th-order central finite
 differences of the metric components ("fd"); the finite-difference stencils
 are evaluated in extended precision so that truncation, not round-off,
 dominates down to small steps.  The fd metric is one ``_stencils.partials``
-call: g = J^T J on the 5x5 stencil grid of each node, in blocks of
-``_stencils.BLOCK_NODES`` nodes, with g itself the grid centre.
+call: g = J^T J on the 5x5 stencil grid of each node (on its two centre
+lines at order 1), in blocks of ``_stencils.BLOCK_NODES`` nodes, with g
+itself the grid centre.
 
 The maps and the assembly keep the nodes as the trailing axes (the private
 layout of ``_jets``); ``SurfaceSpec`` methods and ``MetricData`` present the

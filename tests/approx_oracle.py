@@ -1,0 +1,89 @@
+"""Reference polynomial evaluation: a fresh array for every degree layer.
+
+These are the evaluator and the fit-and-verify step that the two reused
+layer buffers of ``approx.evaluate_polynomial_field`` and the separate fit
+stage of ``approx._fit_and_verify`` replaced.  The multiplies, the
+per-layer matmuls and their order are the same, so tests compare the
+package with them bit for bit.
+"""
+
+from dataclasses import replace
+from math import comb
+
+import numpy as np
+
+from bochner2d import approx as ap
+from bochner2d.errors import RankDeficientFitError
+
+
+def monomial_layers(points, degree):
+    """The degree-t blocks of the graded-lex basis, t = 0..degree, each a new (K_t, m) array."""
+    n, m = points.shape
+    layer = np.ones((1, m))
+    yield layer
+    for t in range(degree):
+        nxt = np.empty((comb(t + n, n - 1), m))
+        row = 0
+        for j, k in ap._layer_sources(n, t):
+            np.multiply(points[j], layer[-k:], out=nxt[row:row + k])
+            row += k
+        layer = nxt
+        yield layer
+
+
+def evaluate_polynomial_field(poly, points, chunk=ap.EVAL_CHUNK):
+    """Values of the component polynomials at ambient points, (m, n_components)."""
+    points = np.asarray(points, dtype=float).T
+    coeff = poly.coefficients
+    out = np.zeros((coeff.shape[0], points.shape[1]))
+    for lo in range(0, points.shape[1], chunk):
+        block = slice(lo, lo + chunk)
+        row = 0
+        for layer in monomial_layers(points[:, block], poly.degree):
+            k = layer.shape[0]
+            out[:, block] += coeff[:, row:row + k] @ layer
+            row += k
+    return out.T
+
+
+def fit_and_verify(samples, degree, verify_samples=None):
+    """The fit and its prediction on the verify grid, all in one frame."""
+    if samples.positions.shape[0] == 0:
+        raise RankDeficientFitError("no samples to fit")
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    points = np.asarray(samples.positions, dtype=float)
+    Vt = np.concatenate(list(monomial_layers(points.T, degree)))      # (K, m)
+    if not np.all(np.isfinite(Vt)):
+        raise RankDeficientFitError("monomial matrix contains non-finite entries")
+
+    scale = np.max(np.abs(Vt), axis=1)
+    scale = np.where(scale > 0.0, scale, 1.0)
+    Vt /= scale[:, None]
+    Vs = np.ascontiguousarray(Vt.T)
+    A = Vs.T @ Vs
+    b = Vs.T @ samples.values
+    if not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
+        raise RankDeficientFitError("normal system contains non-finite entries")
+
+    w, Q = np.linalg.eigh(A)
+    wmax = float(w[-1])
+    if wmax <= 0.0:
+        raise RankDeficientFitError("scaled normal system is identically zero")
+    keep = w > ap.RCOND_CUTOFF * wmax
+    inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
+    coeff_scaled = Q @ (inv_w[:, None] * (Q.T @ b))
+    coefficients = (coeff_scaled / scale[:, None]).T
+    rcond = float(max(w[0], 0.0) / wmax)
+
+    if verify_samples is None:
+        verify_samples = ap._dense_resample(samples)
+    poly = ap.PolynomialField(
+        ambient_dim=points.shape[1], degree=degree,
+        exponents=ap.monomial_exponents(points.shape[1], degree),
+        coefficients=coefficients, sup_error=np.nan,
+        fit_grid=samples.grid_shape, verify_grid=verify_samples.grid_shape,
+        rcond=rcond)
+    pred = evaluate_polynomial_field(poly, verify_samples.positions)
+    err = np.linalg.norm(pred - verify_samples.values, axis=1)
+    return replace(poly, sup_error=float(np.max(err))), pred

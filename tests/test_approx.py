@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +11,21 @@ from bochner2d import _stencils
 from bochner2d import approx as ap
 from bochner2d import operators as op
 from bochner2d import surfaces as surf
-from bochner2d.cli import expression_field, kinked_mixture_field
+from bochner2d.cli import (
+    expression_field,
+    kinked_mixture_field,
+    parse_backend,
+    parse_field,
+    parse_surface,
+)
 from bochner2d.errors import (
     BudgetNotMetError,
     DegenerateMetricError,
     RankDeficientFitError,
     ZeroFieldPointError,
 )
+
+import approx_oracle
 
 
 class TestSampling:
@@ -142,6 +151,77 @@ class TestEvaluation:
         assert out.shape == (rows, n)
         bound = 1e-13 * (np.abs(V) @ np.abs(coeff).T)
         assert np.all(np.abs(out - V @ coeff.T) <= bound)
+
+    @settings(max_examples=80)
+    @given(n=st.integers(1, 4), degree=st.integers(0, 10),
+           chunk=st.sampled_from([1, 5, 64, ap.EVAL_CHUNK]),
+           blocks=st.integers(0, 2), extra=st.integers(-1, 1),
+           seed=st.integers(0, 2**32 - 1))
+    def test_layer_buffers_match_fresh_layers(self, n, degree, chunk, blocks, extra,
+                                              seed):
+        # node counts on both sides of every chunk boundary
+        rows = max(0, blocks * chunk + extra)
+        rng = np.random.default_rng(seed)
+        exps = ap.monomial_exponents(n, degree)
+        coeff = rng.standard_normal((3, len(exps)))
+        pts = rng.uniform(-3.0, 3.0, (rows, n))
+        poly = ap.PolynomialField(
+            ambient_dim=n, degree=degree, exponents=exps, coefficients=coeff,
+            sup_error=np.nan, fit_grid=(), verify_grid=(), rcond=np.nan)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ap, "EVAL_CHUNK", chunk)
+            out = ap.evaluate_polynomial_field(poly, pts)
+        ref = approx_oracle.evaluate_polynomial_field(poly, pts, chunk)
+        assert out.shape == ref.shape == (rows, 3)
+        assert np.array_equal(out, ref)
+
+
+# the smooth workload's two cases: torus fit up to degree 10, clifford to 8
+BENCH_CASES = [("torus:2.2,1", "cos(4*u+v+1.3),sin(4*u+v+1.3)", (32, 32)),
+               ("clifford_torus:1", "1,3.5*sin(2*u+0.7)*cos(3*v+2.1)", (24, 24))]
+
+
+def _case(surface, field):
+    return parse_surface(surface, parse_backend("analytic")), parse_field(field)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStageLifetimes:
+    @pytest.mark.parametrize("surface,field,grid", BENCH_CASES)
+    def test_smooth_field_matches_the_fresh_layer_path(self, monkeypatch, surface,
+                                                        field, grid):
+        S, X = _case(surface, field)
+        u, v = np.meshgrid(np.linspace(0.0, 6.0, 33), np.linspace(0.0, 6.0, 31))
+        report, smooth, poly = ap.smooth_field(S, X, fit_grid=grid)
+        values = smooth.coeff(u, v)
+        monkeypatch.setattr(ap, "_fit_and_verify", approx_oracle.fit_and_verify)
+        monkeypatch.setattr(ap, "evaluate_polynomial_field",
+                            approx_oracle.evaluate_polynomial_field)
+        ref_report, ref_smooth, ref_poly = ap.smooth_field(S, X, fit_grid=grid)
+        assert report == ref_report
+        assert len(report.degrees_tried) >= 4
+        assert np.array_equal(poly.coefficients, ref_poly.coefficients)
+        assert (poly.sup_error, poly.rcond) == (ref_poly.sup_error, ref_poly.rcond)
+        assert np.array_equal(values, ref_smooth.coeff(u, v))
+
+    def test_fit_is_freed_before_verification(self):
+        S, X = _case(*BENCH_CASES[1][:2])
+        fit = ap.sample_unit_field(S, X, surf.chart_grid(S, 24, 24))
+        verify = ap.sample_unit_field(S, X, surf.chart_grid(S, 96, 96))
+        poly = ap.fit_polynomial_field(fit, 8, verify)
+        fit_peak = _traced_peak(ap._fit, fit, 8)
+        verify_peak = _traced_peak(ap.evaluate_polynomial_field, poly, verify.positions)
+        # the two stages' arrays are never alive together
+        assert _traced_peak(ap._fit_and_verify, fit, 8, verify) <= (
+            max(fit_peak, verify_peak) + 2**20)
 
 
 class TestFit:

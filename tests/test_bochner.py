@@ -85,6 +85,18 @@ class TestNormalize:
             "non-finite unit-field partials at 1 point(s), first at (u, v) = (0, 0.5)")
         assert len(exc.value.points) == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_first_partials_named_at_order_one(self, torus21):
+        # at u = 0 the order-1 unit jet is finite, but d_u T ~ 1e200 would
+        # square to inf in (div T)^2
+        T = bo.normalize_field(torus21, cli.parse_field("1e200*sin(u)+1,0"))
+        with pytest.raises(ZeroFieldPointError) as exc:
+            bo.trace_identity_residual(torus21, T, np.zeros(2), np.array([0.5, 1.0]))
+        assert str(exc.value) == (
+            "field 'expr(1e200*sin(u)+1,0)' has non-finite unit-field partials at "
+            "2 point(s), first at (u, v) = (0, 0.5)")
+        assert exc.value.points == [surf.ChartPoint(0.0, 0.5), surf.ChartPoint(0.0, 1.0)]
+
     def test_floor_validation(self, torus21):
         with pytest.raises(ValueError):
             bo.normalize_field(torus21, op.coordinate_field(0), floor=0.0)

@@ -491,7 +491,17 @@ class TestMetricAssemblies:
         status, _ = run_json(capsys, "gauss-bonnet", "--surface", "torus:2,1",
                              "--field", "du", "--grid", "64x64")
         assert status == 0
-        assert len(metric_assemblies) == 2         # the grid and its coarse half
+        # the coarse half's nodes are every other node of the grid, so its
+        # integrands are read off the grid's
+        assert len(metric_assemblies) == 1
+
+    def test_gauss_bonnet_on_a_polar_chart_assembles_both_grids(
+            self, capsys, metric_assemblies):
+        # Gauss-Legendre nodes in u are not nested: the coarse half is its own grid
+        status, _ = run_json(capsys, "gauss-bonnet", "--surface", "sphere:1",
+                             "--grid", "32x64")
+        assert status == 0
+        assert len(metric_assemblies) == 2
 
     def test_verify_assembles_once_per_block(self, capsys, metric_assemblies):
         status, rep = run_json(capsys, "verify", "--surface", "torus:2,1",

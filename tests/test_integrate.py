@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bochner2d import bochner as bo
+from bochner2d import cli
 from bochner2d import integrate as ig
 from bochner2d import operators as op
 from bochner2d import surfaces as surf
@@ -41,6 +44,46 @@ class TestSurfaceIntegral:
         res64 = ig.surface_integral(torus21, f, surf.chart_grid(torus21, 64, 64))
         assert res64.estimated_error > 0.0
         assert res32.estimated_error / res64.estimated_error >= 100.0
+
+
+def _two_evaluations(surface, fs, grid):
+    """(value, estimated_error) pairs from fs and the area element on both grids."""
+    def sums(g):
+        area = np.sqrt(np.linalg.det(surf.metric_only(surface, g.U, g.V)))
+        return [float(np.sum(g.weights * np.asarray(f, dtype=float) * area))
+                for f in fs(g.U, g.V)]
+
+    coarse = surf.chart_grid(surface, max(4, grid.nu // 2), max(4, grid.nv // 2))
+    return [(value, abs(value - rough)) for value, rough in zip(sums(grid), sums(coarse))]
+
+
+@settings(max_examples=40)
+@given(kind=st.sampled_from([("torus", (2.0, 1.0)), ("clifford_torus", (1.3,)),
+                             ("sphere", (1.0,)), ("ellipsoid", (1.0, 1.3, 0.7))]),
+       mode=st.sampled_from(["analytic", "fd"]),
+       nu=st.integers(4, 40) | st.integers(2, 20).map(lambda k: 2 * k),
+       nv=st.integers(4, 40) | st.integers(2, 20).map(lambda k: 2 * k))
+def test_coarse_estimate_matches_two_evaluations(kind, mode, nu, nv):
+    surface = surf.make_surface(*kind, mode=mode)
+    X = cli.parse_field("2+sin(u),cos(v)")
+    shapes = []
+
+    def fs(u, v):
+        shapes.append(np.shape(u))
+        return op.gauss_curvature_at(surface, u, v), op.divergence_at(surface, X, u, v)
+
+    got = ig.surface_integrals(surface, fs, surf.chart_grid(surface, nu, nv))
+    calls = list(shapes)
+    want = _two_evaluations(surface, fs, surf.chart_grid(surface, nu, nv))
+    assert [(r.value, r.estimated_error) for r in got] == want
+    # every other node of a periodic axis with an even count is a coarse node;
+    # Gauss-Legendre nodes are not nested
+    nested = (kind[0] in ("torus", "clifford_torus") and nu % 2 == nv % 2 == 0
+              and min(nu, nv) >= 8)
+    if nested:
+        assert calls == [(nu, nv)]
+    else:
+        assert len(calls) == 2
 
 
 class TestEulerCharacteristic:

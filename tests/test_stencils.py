@@ -71,6 +71,25 @@ def test_order_two_evaluates_25_points_per_node():
     assert sum(np.prod(np.broadcast_shapes(*c)) for c in calls) == 25 * u.size
 
 
+def test_order_one_evaluates_9_points_per_node():
+    points = []
+
+    def f(u, v):
+        points.append(np.broadcast_arrays(u, v))
+        return np.sin(u) + np.cos(v)
+
+    u = np.linspace(0.0, 3.0, 600)
+    _stencils.partials(f, u, 0.5, 1e-3, 1)
+    blocks = [min(_stencils.BLOCK_NODES, u.size - s)
+              for s in range(0, u.size, _stencils.BLOCK_NODES)]
+    # per block, the line along u, then the line along v without its centre
+    assert [p[0].shape for p in points] == [s for b in blocks for s in ((5, b), (4, b))]
+    assert sum(p[0].size for p in points) == 9 * u.size
+    for along_u, along_v in zip(points[::2], points[1::2]):
+        grid = np.concatenate([np.stack(along_u, -1), np.stack(along_v, -1)])  # (9, b, 2)
+        assert all(len(np.unique(grid[:, k], axis=0)) == 9 for k in range(grid.shape[1]))
+
+
 def test_gradient_and_hessian_are_views_of_partials():
     u, v = np.linspace(0.1, 2.0, 7), np.linspace(-1.0, 1.0, 7)
     _, d, dd = _stencils.partials(_vector, u, v, 1e-3, 2)
