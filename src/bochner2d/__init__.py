@@ -10,7 +10,7 @@ the polynomial smoothing of continuous nowhere-zero fields.
 Modules
 -------
 surfaces   -- built-in embeddings, chart metric data, quadrature grids
-operators  -- Christoffel symbols, curvature, covariant derivative, divergence
+operators  -- local_geometry (metric, Christoffel symbols, K, Ric), divergence, fields
 bochner    -- identity residuals and the curvature-potential field
 integrate  -- area-element quadrature, Euler characteristic, divergence theorem
 approx     -- ambient polynomial fitting and tangential projection
@@ -18,13 +18,11 @@ cli        -- batch front end (`bochner2d verify|gauss-bonnet|smooth`)
 """
 
 from .bochner import (
-    IdentityResidual,
     ResidualReport,
     bochner_residual,
     chained_residuals,
     curvature_identity_residual,
     curvature_potential_field,
-    divergence_scaling_residual,
     gauss_bonnet_integrands,
     normalize_field,
     trace_identity_residual,
@@ -34,10 +32,8 @@ from .approx import (
     AmbientFieldSamples,
     PolynomialField,
     SmoothedFieldReport,
-    fit_polynomial_field,
     sample_unit_field,
     smooth_field,
-    tangential_projection,
 )
 from .errors import (
     BudgetNotMetError,
@@ -63,15 +59,12 @@ from .integrate import (
 from .operators import (
     ScalarField,
     TangentField,
-    christoffel_at,
     coordinate_field,
-    covariant_derivative,
-    covariant_gradient_at,
     divergence_at,
     gauss_curvature_at,
+    local_geometry,
     product_rule_residual_at,
     ricci_residual_at,
-    ricci_tensor_at,
 )
 from .surfaces import (
     ChartPoint,

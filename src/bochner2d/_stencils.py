@@ -84,13 +84,3 @@ def partials(f, u, v, h, order):
               for s in range(0, max(u.size, 1), BLOCK_NODES)]
     return [np.concatenate(part, axis=-1).reshape(part[0].shape[:-1] + shape)
             for part in zip(*blocks)]
-
-
-def gradient(f, u, v, h):
-    """(d_u f, d_v f) on a new first axis, as the d of a jet."""
-    return partials(f, u, v, h, 1)[1]
-
-
-def hessian(f, u, v, h):
-    """(d_uu f, d_uv f, d_vv f) on a new first axis, as the dd of a jet."""
-    return partials(f, u, v, h, 2)[2]

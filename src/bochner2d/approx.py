@@ -64,7 +64,6 @@ class AmbientFieldSamples:
     chart_v: np.ndarray
     positions: np.ndarray      # (m, n) ambient points
     values: np.ndarray         # (m, n) ambient vectors
-    unit_certified: bool
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,8 @@ def _monomial_layers(points, degree, buffers=None):
     """Yield the degree-t blocks of the graded-lex basis, t = 0..degree, node-last.
 
     points is (n, m); block t is a C-contiguous (K_t, m) array.  Stacked, the
-    blocks equal monomial_matrix(points.T, monomial_exponents(n, degree)).T.
+    blocks are the products prod_j points[j]^e_j over the exponent rows e of
+    monomial_exponents(n, degree).
     Only two layers are referenced at a time, so a consumer that reduces
     each block as it arrives holds O(max K_t * m) memory.  Given two flat
     buffers, layer t is written into the leading K_t * m entries of
@@ -149,18 +149,6 @@ def _monomial_layers(points, degree, buffers=None):
             row += k
         layer = nxt
         yield layer
-
-
-def monomial_matrix(points, exponents):
-    """Vandermonde-style matrix V[p, k] = prod_j points[p, j]^exponents[k, j]."""
-    points = np.asarray(points, dtype=float)
-    m, n = points.shape
-    dmax = int(exponents.max()) if exponents.size else 0
-    pows = [points[:, j][:, None] ** np.arange(dmax + 1) for j in range(n)]
-    V = np.ones((m, exponents.shape[0]))
-    for j in range(n):
-        V *= pows[j][:, exponents[:, j]]
-    return V
 
 
 def evaluate_polynomial_field(poly, points):
@@ -224,26 +212,13 @@ def sample_unit_field(surface, X, grid, floor=SAMPLE_FLOOR):
         surface=surface, field=X, grid_shape=(grid.nu, grid.nv),
         chart_u=U.reshape(m), chart_v=V.reshape(m),
         positions=positions.reshape(m, surface.ambient_dim),
-        values=values.reshape(m, surface.ambient_dim),
-        unit_certified=True)
+        values=values.reshape(m, surface.ambient_dim))
 
 
 def _dense_resample(samples, factor=VERIFY_FACTOR):
     nu, nv = samples.grid_shape
     grid = chart_grid(samples.surface, factor * nu, factor * nv)
     return sample_unit_field(samples.surface, samples.field, grid)
-
-
-def fit_polynomial_field(samples, degree, verify_samples=None):
-    """Least-squares polynomial per ambient component, sup error certified.
-
-    The normal equations of the column-scaled monomial basis are solved by
-    eigendecomposition with relative cutoff RCOND_CUTOFF; directions below
-    the cutoff are discarded (minimum-norm solution).  RankDeficientFitError
-    is raised only when the system is degenerate beyond that remedy
-    (non-finite data or an identically zero basis).
-    """
-    return _fit_and_verify(samples, degree, verify_samples)[0]
 
 
 def _fit(samples, degree):
@@ -279,7 +254,15 @@ def _fit(samples, degree):
 
 
 def _fit_and_verify(samples, degree, verify_samples=None):
-    """fit_polynomial_field, also returning its prediction on the verify grid."""
+    """Least-squares polynomial per ambient component, sup error certified.
+
+    The normal equations of the column-scaled monomial basis are solved by
+    eigendecomposition with relative cutoff RCOND_CUTOFF; directions below
+    the cutoff are discarded (minimum-norm solution).  RankDeficientFitError
+    is raised only when the system is degenerate beyond that remedy
+    (non-finite data or an identically zero basis).  Returns the
+    PolynomialField and its prediction on the verification grid.
+    """
     if samples.positions.shape[0] == 0:
         raise RankDeficientFitError("no samples to fit")
     if degree < 0:
@@ -303,7 +286,7 @@ def _tangent_coefficients(surface, w, u, v):
 
     w is (n, *N) over the broadcast node shape N of (u, v); returns the
     (2, *N) coefficients and the (n, 2, *N) Jacobian.  Raises
-    DegenerateMetricError where det g falls to surfaces.DET_EPS.
+    DegenerateMetricError where det g is not in (DET_EPS, DET_MAX].
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -325,16 +308,6 @@ def project_to_tangent(surface, vectors, u, v):
     w = np.moveaxis(np.asarray(vectors, dtype=float), -1, 0)
     coeff, jac = _tangent_coefficients(surface, w, u, v)
     return np.moveaxis(np.einsum("ai...,i...->a...", jac, coeff), 0, -1)
-
-
-def tangential_projection(surface, poly, u, v):
-    """Tangential component of the polynomial map at chart points."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    pos = surface.embed(u, v)
-    flat = pos.reshape(-1, surface.ambient_dim)
-    vals = evaluate_polynomial_field(poly, flat).reshape(pos.shape)
-    return project_to_tangent(surface, vals, u, v)
 
 
 def chart_coefficients_field(surface, poly, name="smoothed"):

@@ -43,7 +43,6 @@ from .operators import (
     _jet,
     _levi_civita,
     _metric,
-    _metric_jet,
     _not_unit_message,
     _product_rule,
     _quadratic,
@@ -51,22 +50,12 @@ from .operators import (
     _unit_deviation,
     UNIT_TOL,
 )
-from .surfaces import ChartPoint, metric_data, metric_only
+from .surfaces import ChartPoint, metric_only
 
 ANALYTIC_TOL = 1e-6
 FD_TOL = 1e-3
 ZERO_FLOOR = 1e-9
 PARTIAL_MAX = np.sqrt(np.finfo(float).max)   # a larger first partial squares to inf
-
-
-@dataclass(frozen=True)
-class IdentityResidual:
-    """Absolute residual of a named identity at a single chart point."""
-    name: str
-    point: ChartPoint
-    value: float
-    tolerance: float
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -98,13 +87,6 @@ def residual_report(name, values, U, V, tolerance):
         worst_point=ChartPoint(float(U.ravel()[iworst]), float(V.ravel()[iworst])),
         tolerance=float(tolerance), passed=bool(sup <= tolerance),
         n_points=int(flat.size))
-
-
-def point_residual(name, value, u, v, tolerance):
-    value = float(value)
-    return IdentityResidual(name=name, point=ChartPoint(float(u), float(v)),
-                            value=value, tolerance=float(tolerance),
-                            passed=bool(value <= tolerance))
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +165,7 @@ class _NodeBatch:
     """
 
     def __init__(self, surface, X, u, v, order=2, g=None):
-        if g is None or g.order < order:
-            g = _metric_jet(metric_data(surface, u, v, order=order))
+        g = _metric(surface, u, v, order, g)
         self.g, self.name = g, X.name
         self.x = _jet(surface, X, u, v, order, g)
         self.gamma, self.dlogs = _levi_civita(g)
@@ -299,11 +280,6 @@ def trace_identity_residual(surface, T, u, v):
     batch = _NodeBatch(surface, T, u, v, order=1)
     batch.check_unit()
     return _trace(batch)
-
-
-def divergence_scaling_residual(surface, T, u, v):
-    """|(div T)^2 - div((div T) T) + T(div T)|, the product-rule link."""
-    return _product(_NodeBatch(surface, T, u, v))
 
 
 def curvature_identity_residual(surface, T, u, v):

@@ -194,8 +194,8 @@ def parse_backend(text):
             step = float(text[3:])
         except ValueError as exc:
             raise ConfigError(f"bad fd step in backend {text!r}") from exc
-        if step <= 0:
-            raise ConfigError("fd step must be positive")
+        if not 0 < step < np.inf:               # NaN fails too
+            raise ConfigError("fd step must be positive and finite")
         return ("fd", step)
     raise ConfigError(f"unknown backend {text!r}; use analytic or fd[:H]")
 

@@ -10,7 +10,8 @@ class InvalidParameterError(GeometryError):
 
 
 class DegenerateMetricError(GeometryError):
-    """Chart metric is singular at the requested point (det g below threshold)."""
+    """Chart metric is singular at the requested point (det g below threshold),
+    or det g is too large for the curvature formula, or NaN."""
 
     def __init__(self, message, point=None):
         super().__init__(message)

@@ -1,5 +1,11 @@
 """Pointwise Riemannian operators on an embedded surface.
 
+``local_geometry`` is the one public query of the metric's pointwise
+objects: g, its inverse and partials, det g, the Christoffel symbols and
+their partials, K and Ric, all from one order-2 metric assembly.  The
+field operators and ``bochner``'s node batch work on the private jets
+behind it.
+
 Chart-coefficient conventions.  Public functions take and return the value
 axes trailing, after the node axes (...):
 
@@ -147,19 +153,6 @@ def scale_field(c, x, name=None):
                     name or f"{c:g}*{x.name}")
 
 
-def field_jet(surface, field, u, v, order=1):
-    """Field values with partials up to `order`, honoring callbacks.
-
-    Returns (a, dX) for order 1 and (a, dX, ddX) for order 2.
-    """
-    return _jets.to_parts(_jet(surface, field, u, v, order), np.broadcast(u, v).ndim)
-
-
-def scalar_jet(surface, f, u, v, order=1):
-    """Scalar analogue of field_jet; returns (val, grad[, hess])."""
-    return _jets.to_parts(_jet(surface, f, u, v, order), np.broadcast(u, v).ndim)
-
-
 # ---------------------------------------------------------------------------
 # metric jets
 # ---------------------------------------------------------------------------
@@ -212,32 +205,12 @@ def _divergence(x, dlogs):
 # connection and curvature
 # ---------------------------------------------------------------------------
 
-def christoffel_from_metric(md):
-    """Levi-Civita symbols gamma[..., k, i, j] from metric data (order >= 1)."""
-    return _jets.value_last(_levi_civita(_metric_jet(md))[0].v, 3)
-
-
-def christoffel_derivative_from_metric(md):
-    """d_m gamma^k_ij, shape (..., 2, 2, 2, 2); needs order-2 metric data."""
-    return _jets.value_last(_levi_civita(_metric_jet(md))[0].d, 4)
-
-
-def christoffel_at(surface, u, v):
-    """Levi-Civita connection symbols at chart points."""
-    return christoffel_from_metric(metric_data(surface, u, v, order=1))
-
-
-def gauss_curvature_from_metric(md):
-    """Curvature of the first fundamental form via its determinant identity.
+def _gauss_curvature(g):
+    """K from the metric jet g (order 2), by the determinant identity.
 
     Uses only the metric and its first and second partials, so it applies
     unchanged to surfaces with no distinguished unit normal (ambient R^4).
     """
-    return _gauss_curvature(_metric_jet(md))
-
-
-def _gauss_curvature(g):
-    """K from the metric jet g (order 2), by the determinant identity."""
     (E, F), (F2, G) = g.v
     (E_u, F_u), (_, G_u) = g.d[0]
     (E_v, F_v), (_, G_v) = g.d[1]
@@ -259,12 +232,7 @@ def _gauss_curvature(g):
 
 def gauss_curvature_at(surface, u, v):
     """Gauss curvature at chart points (analytic or stencil backend)."""
-    return gauss_curvature_from_metric(metric_data(surface, u, v, order=2))
-
-
-def riemann_tensor_from_metric(md):
-    """R^l_{kij} from the connection, shape (..., 2, 2, 2, 2)."""
-    return _jets.value_last(_riemann(_levi_civita(_metric_jet(md))[0]), 4)
+    return _gauss_curvature(_metric(surface, u, v, 2))
 
 
 def _riemann(gamma):
@@ -274,39 +242,51 @@ def _riemann(gamma):
             + quad - np.einsum("lkji...->lkij...", quad))
 
 
-def ricci_tensor_from_metric(md):
-    """Ric_{kj} by contracting the curvature tensor of the connection."""
-    return _jets.value_last(_ricci(_levi_civita(_metric_jet(md))[0]), 2)
-
-
 def _ricci(gamma):
+    """Ric_{kj} by contracting the curvature tensor of the connection."""
     return np.einsum("ikij...->kj...", _riemann(gamma))
 
 
-def ricci_tensor_at(surface, u, v):
-    return ricci_tensor_from_metric(metric_data(surface, u, v, order=2))
+@dataclass(frozen=True)
+class LocalGeometry:
+    """The metric, its connection and its curvature at chart points.
+
+    g, g_inv                -> (..., 2, 2)
+    dg                      -> (..., 2, 2, 2)      dg[..., m, i, j] = d_m g_ij
+    ddg                     -> (..., 3, 2, 2)      first axis ordered (uu, uv, vv)
+    det_g                   -> (...)
+    christoffel             -> (..., 2, 2, 2)      [..., k, i, j] = G^k_ij
+    christoffel_derivative  -> (..., 2, 2, 2, 2)   [..., m, k, i, j] = d_m G^k_ij
+    gauss_curvature         -> (...)
+    ricci                   -> (..., 2, 2)         Ric_kj from the curvature tensor
+    """
+    g: np.ndarray
+    g_inv: np.ndarray
+    dg: np.ndarray
+    ddg: np.ndarray
+    det_g: np.ndarray
+    christoffel: np.ndarray
+    christoffel_derivative: np.ndarray
+    gauss_curvature: np.ndarray
+    ricci: np.ndarray
+
+
+def local_geometry(surface, u, v):
+    """Every pointwise object of the metric, from one order-2 assembly."""
+    md = metric_data(surface, u, v, order=2)
+    g = _metric_jet(md)
+    gamma = _levi_civita(g)[0]
+    return LocalGeometry(
+        md.g, md.g_inv, md.dg, md.ddg, md.det_g,
+        christoffel=_jets.value_last(gamma.v, 3),
+        christoffel_derivative=_jets.value_last(gamma.d, 4),
+        gauss_curvature=_gauss_curvature(g),
+        ricci=_jets.value_last(_ricci(gamma), 2))
 
 
 # ---------------------------------------------------------------------------
 # first-order field operators
 # ---------------------------------------------------------------------------
-
-def covariant_gradient_at(surface, X, u, v):
-    """Matrix of v -> grad_v X in the chart basis; columns are directions.
-
-    Its negative is the operator whose trace equals -div X and whose square
-    enters the curvature identities.
-    """
-    gamma, _ = _levi_civita(_metric(surface, u, v, 1))
-    return _jets.value_last(_covariant_gradient(_jet(surface, X, u, v, 1), gamma).v, 2)
-
-
-def covariant_derivative(surface, X, direction, u, v):
-    """grad_dir X as chart coefficients; `direction` is (..., 2) or length-2."""
-    m = covariant_gradient_at(surface, X, u, v)
-    direction = np.asarray(direction, dtype=float)
-    return np.einsum("...ki,...i->...k", m, direction)
-
 
 def divergence_at(surface, X, u, v):
     """div X via the volume-weighted coordinate formula."""

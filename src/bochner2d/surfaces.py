@@ -39,6 +39,7 @@ from . import _jets, _stencils
 from .errors import DegenerateMetricError, InvalidParameterError
 
 DET_EPS = 1e-12          # below this, det g signals a chart singularity
+DET_MAX = np.sqrt(np.finfo(float).max)   # above this, (det g)^2 in K overflows
 GUARD_BAND = 1e-3        # half-width of the excluded band at non-periodic chart ends
 DEFAULT_FD_STEP = 1e-3   # balances truncation vs round-off for second derivatives
 # the inverse of a symmetric 2x2 matrix g is g[::-1, ::-1] * signs / det g, with
@@ -246,10 +247,11 @@ def make_surface(kind, params=(), mode="analytic", step=DEFAULT_FD_STEP):
     params = tuple(float(p) for p in params)
     if mode not in ("analytic", "fd"):
         raise InvalidParameterError(f"unknown derivative mode {mode!r}")
-    if step <= 0:
-        raise InvalidParameterError("finite-difference step must be positive")
-    if any(p <= 0 for p in params):
-        raise InvalidParameterError(f"{kind} parameters must be positive, got {params}")
+    if not 0 < step < np.inf:                   # NaN fails too
+        raise InvalidParameterError("finite-difference step must be positive and finite")
+    if not all(0 < p < np.inf for p in params):
+        raise InvalidParameterError(
+            f"{kind} parameters must be positive and finite, got {params}")
     if kind not in SURFACE_KINDS:
         raise InvalidParameterError(f"unknown surface kind {kind!r}")
     family = SURFACE_KINDS[kind]
@@ -334,13 +336,17 @@ def _fd_metric(maps, u, v, order, h):
 
 
 def _require_nondegenerate(surface, det, u, v):
-    """Raise DegenerateMetricError, naming the worst node, where det <= DET_EPS."""
-    if np.any(det <= DET_EPS):
-        bad = np.argmin(det)
+    """Raise DegenerateMetricError unless DET_EPS < det <= DET_MAX at every node.
+
+    A NaN det fails too.  The error names the failing node of least det, NaN first.
+    """
+    ok = (det > DET_EPS) & (det <= DET_MAX)
+    if not np.all(ok):
+        bad = np.argmin(np.where(ok, np.inf, det))
         uu, vv = np.broadcast_arrays(u, v)
         pt = ChartPoint(float(np.ravel(uu)[bad]), float(np.ravel(vv)[bad]))
         raise DegenerateMetricError(
-            f"metric degenerate on {surface.name}: det g = {np.min(det):.3e} "
+            f"metric degenerate on {surface.name}: det g = {np.ravel(det)[bad]:.3e} "
             f"at (u, v) = ({pt.u:.6g}, {pt.v:.6g})", point=pt)
 
 
@@ -349,7 +355,7 @@ def metric_data(surface, u, v, order=2):
 
     order 0 -> g only; 1 -> + first partials; 2 -> + second partials.
     Raises DegenerateMetricError when det g falls to the chart-singular
-    threshold anywhere in the batch.
+    threshold DET_EPS, exceeds DET_MAX or is NaN anywhere in the batch.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)

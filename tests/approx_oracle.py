@@ -4,7 +4,8 @@ These are the evaluator and the fit-and-verify step that the two reused
 layer buffers of ``approx.evaluate_polynomial_field`` and the separate fit
 stage of ``approx._fit_and_verify`` replaced.  The multiplies, the
 per-layer matmuls and their order are the same, so tests compare the
-package with them bit for bit.
+package with them bit for bit.  ``monomial_matrix`` builds the same basis
+by another route, from powers of each coordinate, for tolerance checks.
 """
 
 from dataclasses import replace
@@ -29,6 +30,18 @@ def monomial_layers(points, degree):
             row += k
         layer = nxt
         yield layer
+
+
+def monomial_matrix(points, exponents):
+    """V[p, k] = prod_j points[p, j]^exponents[k, j], from power tables and gathers."""
+    points = np.asarray(points, dtype=float)
+    m, n = points.shape
+    dmax = int(exponents.max()) if exponents.size else 0
+    pows = [points[:, j][:, None] ** np.arange(dmax + 1) for j in range(n)]
+    V = np.ones((m, exponents.shape[0]))
+    for j in range(n):
+        V *= pows[j][:, exponents[:, j]]
+    return V
 
 
 def evaluate_polynomial_field(poly, points, chunk=ap.EVAL_CHUNK):

@@ -35,6 +35,18 @@ def all_surfaces(torus21, sphere1, clifford1, ellipsoid_abc):
     return [torus21, sphere1, clifford1, ellipsoid_abc]
 
 
+def non_finite_parameters():
+    """(kind, params) with one parameter of a family NaN, inf or -inf, every slot."""
+    cases = []
+    for kind, spec in surf.SURFACE_KINDS.items():
+        for slot in range(len(spec.params)):
+            for value in (np.nan, np.inf, -np.inf):
+                params = [3.0, 1.0, 2.0][:len(spec.params)]
+                params[slot] = value
+                cases.append((kind, tuple(params)))
+    return cases
+
+
 def interior_points(surface, n=7, seed=0):
     """Deterministic pseudo-random points well inside the guarded chart."""
     rng = np.random.default_rng(seed)

@@ -8,6 +8,8 @@ from bochner2d import bochner, cli
 from bochner2d import surfaces as surf
 from bochner2d.errors import ConfigError, GeometryError
 
+from conftest import non_finite_parameters
+
 
 def run_cli(capsys, *argv):
     status = cli.main(list(argv))
@@ -203,6 +205,9 @@ class TestGaussBonnet:
         # a tiny sphere's Gauss-Legendre nodes near the poles are chart-singular
         (("--surface", "sphere:0.002", "--field", "dv"), "metric degenerate", True),
         (("--surface", "sphere:0.002"), "metric degenerate", True),
+        # det g of a huge sphere would overflow the (det g)^2 of K to inf
+        (("--surface", "sphere:1e40"), "metric degenerate", True),
+        (("--surface", "torus:2e40,1e40", "--field", "du"), "metric degenerate", True),
     ])
     def test_failure_is_reported(self, capsys, argv, reason, has_node):
         status, rep = run_json(capsys, "gauss-bonnet", *argv, "--grid", "16x16")
@@ -288,6 +293,7 @@ class TestVerifyFailures:
         (("--surface", "torus:2,1", "--field", "1e200*sin(u)+1,0"),
          "non-finite unit-field partials"),
         (("--surface", "sphere:0.002", "--field", "dv"), "metric degenerate"),
+        (("--surface", "sphere:1e40", "--field", "du"), "metric degenerate"),
     ])
     def test_failure_is_reported(self, capsys, argv, reason):
         status, rep = run_json(capsys, "verify", *argv, "--grid", "16x16")
@@ -424,6 +430,11 @@ class TestConfigErrors:
          "--tol", "chi_margin=nan"),
         ("verify", "--surface", "torus:2,1", "--field", "du", "--grid", "8x8",
          "--tol", "bochner=inf"),
+        # a NaN or inf parameter or step reached the chi rounding as NaN
+        *(("gauss-bonnet", "--surface", "torus:2,1", "--backend", f"fd:{step}",
+           "--grid", "8x8") for step in ("nan", "inf", "-inf")),
+        *(("gauss-bonnet", "--surface", f"{kind}:{','.join(map(str, params))}",
+           "--grid", "8x8") for kind, params in non_finite_parameters()),
     ])
     def test_config_error_instead_of_traceback(self, capsys, argv):
         assert cli.main(list(argv)) == 2

@@ -5,7 +5,9 @@
     of the matching public residual function on the same nodes; (b) `main`
     returns 0, 1 or 2 and never raises; (c) two identical runs give identical
     reports apart from `timings`; (d) a report is strict JSON (no NaN or
-    Infinity) and the exit status is 0 exactly when its `overall_pass` is true.
+    Infinity) and the exit status is 0 exactly when its `overall_pass` is true;
+    (e) Gauss-Bonnet does not depend on scale: at any scale of a surface's
+    parameters, a passing `gauss-bonnet` rounds chi to the declared value.
 """
 
 import contextlib
@@ -15,7 +17,7 @@ import math
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bochner2d import bochner, cli, operators
@@ -96,7 +98,7 @@ def _public_residuals(argv):
             "bochner": bochner.bochner_residual(surface, unit, U, V),
             "trace_identity": bochner.trace_identity_residual(surface, unit, U, V),
             "divergence_product_rule":
-                bochner.divergence_scaling_residual(surface, unit, U, V),
+                bochner.chained_residuals(surface, unit, U, V)["product"],
             "curvature_identity":
                 bochner.curvature_identity_residual(surface, unit, U, V),
             "product_rule": operators.product_rule_residual_at(surface, f, xsum, U, V),
@@ -136,3 +138,25 @@ def test_cli_exit_status_is_sound_and_reports_are_deterministic(argv):
     again = _run(argv)
     assert again[0] == status
     assert json.dumps(again[1]) == json.dumps(report)
+
+
+# each family at a scale where its chi is certified
+FAMILIES = {"sphere": (1.0,), "torus": (2.0, 1.0), "clifford": (1.0,),
+            "ellipsoid": (1.0, 1.3, 0.7)}
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(sorted(FAMILIES)), st.floats(-300.0, 300.0))
+# det g overflowed K's (det g)^2 to inf here: chi 0 passed, or chi was NaN
+@example("sphere", 40.0)
+@example("ellipsoid", 50.0)
+@example("sphere", 60.0)
+@example("clifford", 80.0)
+def test_gauss_bonnet_is_scale_free(family, exponent):
+    scale = 10.0 ** exponent
+    params = ",".join(repr(p * scale) for p in FAMILIES[family])
+    status, report = _run(["gauss-bonnet", "--surface", f"{family}:{params}",
+                           "--grid", "32x64"])
+    assert status in (0, 1, 2)
+    if status == 0:
+        assert report["chi"]["rounded"] == report["chi"]["declared"], params

@@ -1,9 +1,11 @@
 """Every module-level import of the package, its tests and demos is used,
 every definition of the package is referenced somewhere in the repository,
-and the package evaluates stencils through `_stencils.partials` only."""
+every name the package exports is read outside the unit tests, and the
+package evaluates stencils through `_stencils.partials` only."""
 
 import ast
 import functools
+import re
 from pathlib import Path
 
 import pytest
@@ -95,6 +97,26 @@ def test_definition_detector():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=module_id)
 def test_every_definition_is_referenced(path):
     assert unreferenced(path.read_text(), repository_names()) == []
+
+
+# where a name that `__init__.py` exports must be read: the package (the
+# exporting module counts), the demos, the acceptance suite and the README
+EXPORT_READERS = ([p for p in MODULES if p.parent == PACKAGE]
+                  + sorted((ROOT / "demos").glob("*.py"))
+                  + [ROOT / "tests" / "test_acceptance.py"])
+
+
+def exported_names(source):
+    """The names `__init__.py` binds by its `from .module import ...` lines."""
+    return [alias.asname or alias.name for node in ast.parse(source).body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def test_every_export_is_read_outside_the_unit_tests():
+    readers = referenced_names(path.read_text() for path in EXPORT_READERS)
+    readers |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    exported = exported_names((PACKAGE / "__init__.py").read_text())
+    assert [name for name in exported if name not in readers] == []
 
 
 # the one stencil evaluator; a second evaluation path must not come back

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bochner2d import _stencils, cli
+from bochner2d import _jets, _stencils, cli
 from bochner2d import operators as op
 from bochner2d import surfaces as surf
 from bochner2d.cli import expression_field
@@ -56,10 +56,9 @@ def test_metric_and_connection_match_symbolic_derivatives():
                     for i in range(2)] for k in range(2)] for m in range(2)]
 
         U, V = interior_points(surface, 9, seed=3)
-        md = surf.metric_data(surface, U, V, order=2)
-        pairs = [(md.g, g.tolist()), (md.dg, dg), (md.ddg, ddg),
-                 (op.christoffel_from_metric(md), gamma),
-                 (op.christoffel_derivative_from_metric(md), dgamma)]
+        geo = op.local_geometry(surface, U, V)
+        pairs = [(geo.g, g.tolist()), (geo.dg, dg), (geo.ddg, ddg),
+                 (geo.christoffel, gamma), (geo.christoffel_derivative, dgamma)]
         for got, exprs in pairs:
             np.testing.assert_allclose(got, _evaluate(sp, exprs, u, v, U, V),
                                        rtol=1e-12, atol=1e-12, err_msg=surface.name)
@@ -68,7 +67,7 @@ def test_metric_and_connection_match_symbolic_derivatives():
 def test_expression_field_jet_matches_hand_partials(torus21):
     field = expression_field("sin(u)+2", "cos(v)")
     u, v = interior_points(torus21, 11)
-    a, d, dd = op.field_jet(torus21, field, u, v, order=2)
+    a, d, dd = _jets.to_parts(op._jet(torus21, field, u, v, 2), 1)
     zero = np.zeros_like(u)
     np.testing.assert_allclose(a, np.stack([np.sin(u) + 2, np.cos(v)], -1), atol=1e-14)
     # d[..., i, k] = d_i X^k
@@ -90,7 +89,7 @@ def test_expression_jet_arithmetic_matches_sympy(torus21, exprs):
     u, v = sp.symbols("u v")
     sym = [sp.sympify(e) for e in exprs]
     U, V = interior_points(torus21, 9, seed=5)
-    a, d, dd = op.field_jet(torus21, expression_field(*exprs), U, V, order=2)
+    a, d, dd = _jets.to_parts(op._jet(torus21, expression_field(*exprs), U, V, 2), 1)
     x = (u, v)
     ref_d = [[sp.diff(e, x[i]) for e in sym] for i in range(2)]
     ref_dd = [[sp.diff(e, x[i], x[j]) for e in sym] for i, j in ROWS]

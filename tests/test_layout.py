@@ -10,6 +10,8 @@ the same values.
 import numpy as np
 import pytest
 
+from bochner2d import _jets
+from bochner2d import bochner as bo
 from bochner2d import operators as op
 from bochner2d import surfaces as surf
 
@@ -34,27 +36,28 @@ def at_node(x, shape):
 
 def public_outputs(surface, u, v):
     """Every public array under test, with its value shape."""
-    md = surf.metric_data(surface, u, v, order=2)
+    geo = op.local_geometry(surface, u, v)
     X = op.TangentField(lambda a, b: np.stack(np.broadcast_arrays(np.cos(a) + 2.0,
                                                                   np.sin(b)), axis=-1),
                         name="wavy")
     f = op.ScalarField(lambda a, b: np.cos(a) * np.sin(b), name="f")
-    a, dX, ddX = op.field_jet(surface, X, u, v, order=2)
-    s, ds, dds = op.scalar_jet(surface, f, u, v, order=2)
+    a, dX, ddX = _jets.to_parts(op._jet(surface, X, u, v, 2), np.ndim(u))
+    s, ds, dds = _jets.to_parts(op._jet(surface, f, u, v, 2), np.ndim(u))
+    m = _jets.value_last(bo._NodeBatch(surface, X, u, v, order=1).grad_x.v, 2)
     n = surface.ambient_dim
     return {
-        "g": (md.g, (2, 2)), "g_inv": (md.g_inv, (2, 2)),
-        "dg": (md.dg, (2, 2, 2)), "ddg": (md.ddg, (3, 2, 2)),
-        "det_g": (md.det_g, ()),
+        "g": (geo.g, (2, 2)), "g_inv": (geo.g_inv, (2, 2)),
+        "dg": (geo.dg, (2, 2, 2)), "ddg": (geo.ddg, (3, 2, 2)),
+        "det_g": (geo.det_g, ()),
         "metric_only": (surf.metric_only(surface, u, v), (2, 2)),
-        "christoffel": (op.christoffel_from_metric(md), (2, 2, 2)),
-        "christoffel_derivative": (op.christoffel_derivative_from_metric(md),
-                                   (2, 2, 2, 2)),
-        "riemann": (op.riemann_tensor_from_metric(md), (2, 2, 2, 2)),
-        "ricci": (op.ricci_tensor_from_metric(md), (2, 2)),
-        "field_jet": (a, (2,)), "field_jet_d": (dX, (2, 2)), "field_jet_dd": (ddX, (3, 2)),
+        "christoffel": (geo.christoffel, (2, 2, 2)),
+        "christoffel_derivative": (geo.christoffel_derivative, (2, 2, 2, 2)),
+        "gauss_curvature": (geo.gauss_curvature, ()),
+        "ricci": (geo.ricci, (2, 2)),
+        "field_jet": (a, (2,)), "field_jet_d": (dX, (2, 2)),
+        "field_jet_dd": (ddX, (3, 2)),
         "scalar_jet": (s, ()), "scalar_jet_d": (ds, (2,)), "scalar_jet_dd": (dds, (3,)),
-        "covariant_gradient": (op.covariant_gradient_at(surface, X, u, v), (2, 2)),
+        "covariant_gradient": (m, (2, 2)),
         "jacobian": (surface.jacobian(u, v), (n, 2)),
         "embedding_hessian": (surface.embedding_hessian(u, v), (n, 3)),
         "embed": (surface.embed(u, v), (n,)),
@@ -78,13 +81,13 @@ def test_public_shapes_and_values_on_every_node_shape(kind, params, mode):
 def test_public_index_conventions(torus21):
     # spot values whose index order the layout could silently transpose
     u, v = np.array([0.3, 1.1]), np.array([0.7, 2.0])
-    md = surf.metric_data(torus21, u, v, order=2)
+    geo = op.local_geometry(torus21, u, v)
     w = 2.0 + np.cos(v)
-    np.testing.assert_allclose(md.g[:, 0, 0], w**2, rtol=1e-14)
-    np.testing.assert_allclose(md.dg[:, 1, 0, 0], -2.0 * w * np.sin(v), rtol=1e-14)
-    np.testing.assert_allclose(md.ddg[:, 2, 0, 0],
+    np.testing.assert_allclose(geo.g[:, 0, 0], w**2, rtol=1e-14)
+    np.testing.assert_allclose(geo.dg[:, 1, 0, 0], -2.0 * w * np.sin(v), rtol=1e-14)
+    np.testing.assert_allclose(geo.ddg[:, 2, 0, 0],
                                2.0 * np.sin(v) ** 2 - 2.0 * w * np.cos(v), rtol=1e-13)
-    gam = op.christoffel_from_metric(md)
+    gam = geo.christoffel
     np.testing.assert_allclose(gam[:, 0, 0, 1], -np.sin(v) / w, rtol=1e-14)  # G^u_uv
     np.testing.assert_allclose(gam[:, 1, 0, 0], w * np.sin(v), rtol=1e-14)   # G^v_uu
     jac = torus21.jacobian(u, v)

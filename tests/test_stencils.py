@@ -88,10 +88,3 @@ def test_order_one_evaluates_9_points_per_node():
     for along_u, along_v in zip(points[::2], points[1::2]):
         grid = np.concatenate([np.stack(along_u, -1), np.stack(along_v, -1)])  # (9, b, 2)
         assert all(len(np.unique(grid[:, k], axis=0)) == 9 for k in range(grid.shape[1]))
-
-
-def test_gradient_and_hessian_are_views_of_partials():
-    u, v = np.linspace(0.1, 2.0, 7), np.linspace(-1.0, 1.0, 7)
-    _, d, dd = _stencils.partials(_vector, u, v, 1e-3, 2)
-    assert np.array_equal(_stencils.gradient(_vector, u, v, 1e-3), d)
-    assert np.array_equal(_stencils.hessian(_vector, u, v, 1e-3), dd)

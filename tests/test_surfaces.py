@@ -7,7 +7,7 @@ from bochner2d import _jets, _stencils
 from bochner2d import surfaces as surf
 from bochner2d.errors import DegenerateMetricError, InvalidParameterError
 
-from conftest import interior_points
+from conftest import interior_points, non_finite_parameters
 from stencil_oracle import diff1, diff2
 
 
@@ -28,10 +28,17 @@ def test_clifford_points_on_unit_sphere(clifford1):
     ("sphere", (0.0,)),
     ("ellipsoid", (1.0, -1.3, 0.7)),
     ("clifford_torus", (0.0,)),
+    *non_finite_parameters(),
 ])
 def test_invalid_parameters(kind, params):
     with pytest.raises(InvalidParameterError):
         surf.make_surface(kind, params)
+
+
+@pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf, 0.0])
+def test_fd_step_must_be_positive_and_finite(step):
+    with pytest.raises(InvalidParameterError, match="positive and finite"):
+        surf.torus(2.0, 1.0, mode="fd", step=step)
 
 
 @pytest.mark.parametrize("kind", sorted(surf.SURFACE_KINDS))
@@ -97,6 +104,22 @@ def test_sphere_metric_closed_form(sphere1):
 def test_sphere_pole_is_degenerate(sphere1):
     with pytest.raises(DegenerateMetricError):
         surf.metric_at(sphere1, 1e-7, 0.3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["analytic", "fd"])
+def test_det_g_above_det_max_or_nan_is_degenerate(mode):
+    # det g = r^4 sin^2 u: 1e152 is admitted and 1e156 exceeds DET_MAX; at
+    # r = 1e160 the metric's own terms overflow and det g is inf - inf = NaN
+    ok = surf.sphere(1e38, mode=mode)
+    assert surf.metric_data(ok, np.pi / 2, 0.3).det_g <= surf.DET_MAX
+    u = np.array([0.1, np.pi / 2])
+    for order in (0, 1, 2):
+        with pytest.raises(DegenerateMetricError, match="det g = 1.000e\\+156") as exc:
+            surf.metric_data(surf.sphere(1e39, mode=mode), u, 0.3, order=order)
+        assert exc.value.point == surf.ChartPoint(np.pi / 2, 0.3)
+        with pytest.raises(DegenerateMetricError, match="det g = nan"):
+            surf.metric_data(surf.sphere(1e160, mode=mode), u, 0.3, order=order)
 
 
 @settings(max_examples=25)
@@ -204,9 +227,9 @@ def test_embedding_derivative_closed_forms(all_surfaces):
         u, v = interior_points(s, 8, seed=5)
         d1, d2, d3 = reference_partials(s, u, v)
         assert np.array_equal(s.maps.d1(u, v), d1), s.name
-        fd1 = _stencils.gradient(s.maps.embed, u, v, 1e-4)
+        fd1 = _stencils.partials(s.maps.embed, u, v, 1e-4, 1)[1]
         np.testing.assert_allclose(fd1.swapaxes(0, 1), d1, atol=1e-10, err_msg=s.name)
-        fd2 = _stencils.hessian(s.maps.embed, u, v, 1e-3)
+        fd2 = _stencils.partials(s.maps.embed, u, v, 1e-3, 2)[2]
         np.testing.assert_allclose(fd2.swapaxes(0, 1), d2, atol=1e-8, err_msg=s.name)
         # nested stencils: inner first derivative at 1e-3, outer second at 5e-3
         # keeps the eps/h^3-style noise of the composition under the tolerance
