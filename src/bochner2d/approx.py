@@ -10,15 +10,25 @@ pointwise error and the sampled field is unit, a certified sup error below
 1/2 forces the projected field to stay above 1/2 in norm, hence nowhere zero.
 
 Monomials restricted to an algebraic surface are linearly dependent (the
-sphere satisfies a quadric, the torus a quartic), so the scaled normal
-equations are solved by a truncated eigendecomposition: a minimum-norm
-least-squares solution that is immune to the exact rank deficiency.
+sphere satisfies a quadric, the torus a quartic).  Modulo the surface's
+equations, the standard monomials, those divisible by no leading term in
+graded-lex order, span every polynomial function on it, so the fit takes
+only the monomials within the surface's per-axis exponent caps
+(``SurfaceSpec.monomial_caps``): on the Clifford torus, x0 and x2 of degree
+at most 1, which cuts degree 8 from 495 columns to 145.  The torus stays
+uncapped (see ``surfaces.SurfaceKind``), so its quartic leaves the columns
+exactly dependent; the scaled normal equations are therefore solved by a
+truncated eigendecomposition: a minimum-norm least-squares solution that is
+immune to exact rank deficiency.
 
 The monomial basis is built one total degree at a time.  In graded
 lexicographic order, the degree-t monomials free of x_0..x_{j-1} are a suffix
 of degree layer t, so layer t+1 is the concatenation over j of x_j times that
 suffix: one contiguous multiply per entry, with no power tables or gathers.
-The exponent rows come from the same recursion.
+Every cap bounds a pure power, and the suffix is ordered by descending x_j
+exponent, so within the caps the part whose x_j exponent is below cap_j is
+again a suffix, and a capped layer is built the same way.  The exponent
+rows come from the same recursion.
 
 Layout.  As in the derivative pipeline (see ``_jets``), the private arrays
 keep the nodes as their trailing, contiguous axis: points enter the layers
@@ -35,10 +45,14 @@ evaluated.  The evaluation streams the nodes in EVAL_CHUNK blocks and
 writes the degree layers of every block into two buffers allocated once
 per call, one for the even and one for the odd degrees, so no layer is a
 fresh allocation and the heap does not grow and shrink with each layer.
+The buffers hold at most 2 max K_t EVAL_CHUNK doubles, K_t the width of
+the capped degree-t layer: 32 rows at Clifford degree 8, against 165 for
+the full layer.
 """
 
 from dataclasses import dataclass, replace
-from math import comb
+from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -73,6 +87,9 @@ class PolynomialField:
     Monomial ordering is graded lexicographic: ascending total degree,
     ties broken by descending exponent tuple.  The basis is implied by
     (ambient_dim, degree); `exponents` is monomial_exponents of that pair.
+    A fit in a surface's standard monomials records their `caps` and holds
+    exact zeros in the columns outside them, so every field keeps the full
+    graded-lex row; a nonzero coefficient outside the caps is rejected.
     """
     ambient_dim: int
     degree: int
@@ -82,6 +99,12 @@ class PolynomialField:
     fit_grid: tuple
     verify_grid: tuple
     rcond: float
+    caps: Optional[tuple] = None   # per-axis exponent caps of the basis used
+
+    def __post_init__(self):
+        if np.any(self.coefficients[:, ~_within_caps(self.exponents, self.caps)]):
+            raise ValueError(f"nonzero coefficient outside the monomial caps "
+                             f"{self.caps}")
 
 
 @dataclass(frozen=True)
@@ -96,21 +119,55 @@ class SmoothedFieldReport:
     sup_errors: tuple          # certified sup error of each degree tried
 
 
-def _layer_sources(ambient_dim, t):
-    """(j, k) pairs building layer t+1: x_j times the last k entries of layer t."""
-    n = ambient_dim
-    return [(j, comb(t + n - 1 - j, n - 1 - j)) for j in range(n)]
+def _axis_caps(ambient_dim, caps):
+    """caps as a tuple of one entry per axis, None for an uncapped axis."""
+    return (None,) * ambient_dim if caps is None else tuple(caps)
 
 
-def monomial_exponents(ambient_dim, degree):
-    """Exponent rows in graded lexicographic order."""
+@lru_cache(maxsize=None)
+def _suffix_counts(caps, t):
+    """counts[j], j = 0..n: how many degree-t monomials of x_j..x_{n-1} are within caps."""
+    counts = [int(t == 0)]
+    for j in reversed(range(len(caps))):
+        top = t if caps[j] is None else min(t, caps[j])
+        counts.insert(0, counts[0] + sum(_suffix_counts(caps, t - e)[j + 1]
+                                         for e in range(1, top + 1)))
+    return tuple(counts)        # cached, so shared: immutable
+
+
+def _within_caps(exponents, caps):
+    """Boolean mask of the exponent rows within the per-axis caps."""
+    caps = _axis_caps(exponents.shape[1], caps)
+    limit = np.array([np.inf if c is None else c for c in caps])
+    return np.all(exponents <= limit, axis=1)
+
+
+def _layer_sources(ambient_dim, t, caps=None):
+    """(j, k) pairs building layer t+1: x_j times the last k entries of layer t.
+
+    Those k entries are the monomials of layer t free of x_0..x_{j-1} whose
+    x_j exponent is below cap_j; pairs with k = 0 are left out.
+    """
+    caps = _axis_caps(ambient_dim, caps)
+    counts = _suffix_counts(caps, t)
+    sources = []
+    for j, cap in enumerate(caps):
+        # those at exactly x_j^cap are the degree t - cap monomials of x_{j+1}..
+        at_cap = 0 if cap is None or cap > t else _suffix_counts(caps, t - cap)[j + 1]
+        if counts[j] > at_cap:
+            sources.append((j, counts[j] - at_cap))
+    return sources
+
+
+def monomial_exponents(ambient_dim, degree, caps=None):
+    """Exponent rows in graded lexicographic order, those within the caps."""
     if degree < 0:
         return np.zeros((0, ambient_dim), dtype=int)
     layer = np.zeros((1, ambient_dim), dtype=int)
     layers = [layer]
     for t in range(degree):
-        parts = []
-        for j, k in _layer_sources(ambient_dim, t):
+        parts = [np.zeros((0, ambient_dim), dtype=int)]     # the caps may empty a layer
+        for j, k in _layer_sources(ambient_dim, t, caps):
             part = layer[-k:].copy()
             part[:, j] += 1
             parts.append(part)
@@ -119,12 +176,12 @@ def monomial_exponents(ambient_dim, degree):
     return np.concatenate(layers)
 
 
-def _monomial_layers(points, degree, buffers=None):
+def _monomial_layers(points, degree, buffers=None, caps=None):
     """Yield the degree-t blocks of the graded-lex basis, t = 0..degree, node-last.
 
     points is (n, m); block t is a C-contiguous (K_t, m) array.  Stacked, the
     blocks are the products prod_j points[j]^e_j over the exponent rows e of
-    monomial_exponents(n, degree).
+    monomial_exponents(n, degree, caps).
     Only two layers are referenced at a time, so a consumer that reduces
     each block as it arrives holds O(max K_t * m) memory.  Given two flat
     buffers, layer t is written into the leading K_t * m entries of
@@ -142,9 +199,10 @@ def _monomial_layers(points, degree, buffers=None):
     layer[...] = 1.0
     yield layer
     for t in range(degree):
-        nxt = block(t + 1, comb(t + n, n - 1))
+        sources = _layer_sources(n, t, caps)
+        nxt = block(t + 1, sum(k for _, k in sources))
         row = 0
-        for j, k in _layer_sources(n, t):
+        for j, k in sources:
             np.multiply(points[j], layer[-k:], out=nxt[row:row + k])
             row += k
         layer = nxt
@@ -155,22 +213,24 @@ def evaluate_polynomial_field(poly, points):
     """Values of the component polynomials at ambient points, (m, n_components).
 
     Nodes are streamed in EVAL_CHUNK blocks and each (K_t, nodes) degree
-    layer of the basis is contracted with its coefficient block as soon as
-    it is built.  The layers are written into two buffers allocated once
-    per call, sized for the widest even- and odd-degree layer of a block.
-    The result is a view of node-last storage.
+    layer of the basis within `poly.caps` is contracted with its
+    coefficient block as soon as it is built.  The layers are written into
+    two buffers allocated once per call, sized for the widest even- and
+    odd-degree layer of a block.  The result is a view of node-last storage.
     """
     points = np.asarray(points, dtype=float).T
-    coeff = poly.coefficients
+    coeff = poly.coefficients[:, _within_caps(poly.exponents, poly.caps)]
     n, m = points.shape
     out = np.zeros((coeff.shape[0], m))
-    rows = [comb(t + n - 1, n - 1) for t in range(poly.degree + 1)]     # K_t
+    caps = _axis_caps(n, poly.caps)
+    rows = [_suffix_counts(caps, t)[0] for t in range(poly.degree + 1)]    # K_t
     buffers = [np.empty(min(EVAL_CHUNK, m) * max(rows[parity::2], default=0))
                for parity in (0, 1)]
     for lo in range(0, m, EVAL_CHUNK):
         block = slice(lo, lo + EVAL_CHUNK)
         row = 0
-        for layer in _monomial_layers(points[:, block], poly.degree, buffers):
+        for layer in _monomial_layers(points[:, block], poly.degree, buffers,
+                                      poly.caps):
             k = layer.shape[0]
             out[:, block] += coeff[:, row:row + k] @ layer
             row += k
@@ -224,11 +284,14 @@ def _dense_resample(samples, factor=VERIFY_FACTOR):
 def _fit(samples, degree):
     """Coefficients (n_components, K) of the truncated-eigh fit, and its rcond.
 
-    The basis, the gram matrix and its eigendecomposition live only in this
-    frame, so they are freed before the verification grid is evaluated.
+    The K columns are the monomials within the caps of the samples'
+    surface.  The basis, the gram matrix and its eigendecomposition live
+    only in this frame, so they are freed before the verification grid is
+    evaluated.
     """
     points = np.asarray(samples.positions, dtype=float)
-    Vt = np.concatenate(list(_monomial_layers(points.T, degree)))      # (K, m)
+    Vt = np.concatenate(list(_monomial_layers(
+        points.T, degree, caps=samples.surface.monomial_caps)))       # (K, m)
     if not np.all(np.isfinite(Vt)):
         raise RankDeficientFitError("monomial matrix contains non-finite entries")
 
@@ -267,15 +330,19 @@ def _fit_and_verify(samples, degree, verify_samples=None):
         raise RankDeficientFitError("no samples to fit")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    coefficients, rcond = _fit(samples, degree)
+    kept, rcond = _fit(samples, degree)
     if verify_samples is None:
         verify_samples = _dense_resample(samples)
     n = samples.positions.shape[1]
+    caps = samples.surface.monomial_caps
+    exponents = monomial_exponents(n, degree)
+    coefficients = np.zeros((kept.shape[0], len(exponents)))
+    coefficients[:, _within_caps(exponents, caps)] = kept
     poly = PolynomialField(
-        ambient_dim=n, degree=degree, exponents=monomial_exponents(n, degree),
+        ambient_dim=n, degree=degree, exponents=exponents,
         coefficients=coefficients, sup_error=np.nan,
         fit_grid=samples.grid_shape, verify_grid=verify_samples.grid_shape,
-        rcond=rcond)
+        rcond=rcond, caps=caps)
     pred = evaluate_polynomial_field(poly, verify_samples.positions)
     err = np.linalg.norm(pred - verify_samples.values, axis=1)
     return replace(poly, sup_error=float(np.max(err))), pred

@@ -46,6 +46,7 @@ from . import surfaces as surf
 from .errors import (
     BudgetNotMetError,
     ConfigError,
+    DegenerateMetricError,
     GeometryError,
     ZeroFieldPointError,
 )
@@ -230,7 +231,7 @@ def parse_tols(pairs, accepted):
     return out
 
 
-def guarded_eval(fn, U, V, out):
+def guarded_eval(fn, U, V, out, screen=None):
     """Vectorized sweep that isolates the nodes raising geometry errors.
 
     Writes fn(U, V) into out, one row per node; the rows of the nodes whose
@@ -238,6 +239,10 @@ def guarded_eval(fn, U, V, out):
     nodes, in node order.  A failing batch is halved until each failure is a
     single node, so k failures among n nodes cost at most
     2 k (log2 n + 1) + 1 calls of fn.
+
+    When the batch fails with a DegenerateMetricError and a `screen` is
+    given, screen(U, V) names the degenerate nodes at once, {node index:
+    the message fn raises there alone}, and only the other nodes are halved.
     """
     U = np.asarray(U).ravel()
     V = np.asarray(V).ravel()
@@ -248,6 +253,15 @@ def guarded_eval(fn, U, V, out):
         if U.size == 1:
             out[...] = np.nan
             return {0: str(exc)}
+        if screen is not None and isinstance(exc, DegenerateMetricError):
+            failed = screen(U, V)
+            out[list(failed)] = np.nan
+            rest = np.setdiff1d(np.arange(U.size), list(failed))
+            values = out[rest]
+            more = guarded_eval(fn, U[rest], V[rest], values) if rest.size else {}
+            out[rest] = values
+            failed.update({int(rest[i]): error for i, error in more.items()})
+            return dict(sorted(failed.items()))
     half = U.size // 2
     failed = guarded_eval(fn, U[:half], V[:half], out[:half])
     hi = guarded_eval(fn, U[half:], V[half:], out[half:])
@@ -340,17 +354,21 @@ def _product_rule_pair():
                                    operators.coordinate_field(1))
 
 
-def _verify_sweep(fn, U, V):
+def _verify_sweep(surface, fn, U, V):
     """fn over blocks of BATCH_NODES nodes, each through guarded_eval.
 
-    Returns the values, one row of len(bochner.VERIFY_CHECKS) + 1 per node,
-    and {node index: message} of the geometry errors raised.
+    A block with a degenerate metric is screened by one order-0 assembly
+    (`surfaces.degenerate_nodes`), so its degenerate nodes are not halved
+    out one by one.  Returns the values, one row of
+    len(bochner.VERIFY_CHECKS) + 1 per node, and {node index: message} of
+    the geometry errors raised.
     """
     values = np.empty((U.size, len(bochner.VERIFY_CHECKS) + 1))
     errors = {}
+    screen = lambda uu, vv: surf.degenerate_nodes(surface, uu, vv)
     for s in range(0, U.size, BATCH_NODES):
         block = slice(s, s + BATCH_NODES)
-        failed = guarded_eval(fn, U[block], V[block], values[block])
+        failed = guarded_eval(fn, U[block], V[block], values[block], screen)
         errors.update({s + i: error for i, error in failed.items()})
     return values, errors
 
@@ -393,7 +411,8 @@ def cmd_verify(args, surface, field, grid_shape, tols, report):
     unit = bochner.normalize_field(surface, field, floor=floor)
     f, xsum = _product_rule_pair()
     values, errors = _verify_sweep(
-        lambda uu, vv: bochner._verify_pass(surface, unit, f, xsum, uu, vv), U, V)
+        surface, lambda uu, vv: bochner._verify_pass(surface, unit, f, xsum, uu, vv),
+        U, V)
     pr_tol = (PRODUCT_RULE_TOL if surface.derivative_mode == "analytic" else base)
     passed = report["n_zero_field_nodes"] == 0
     for k, (name, unit_failed) in enumerate(zip(

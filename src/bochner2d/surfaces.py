@@ -8,7 +8,8 @@ Four closed-form embeddings are built in:
 * ``ellipsoid(a, b, c)``        -- triaxial ellipsoid in R^3, same chart as the sphere
 
 ``SURFACE_KINDS`` is the one table of these families: parameter names and
-defaults, chart rectangle, ambient dimension, Euler characteristic and maps.
+defaults, chart rectangle, ambient dimension, Euler characteristic, maps and
+the exponent caps of the standard monomials of the surface's equations.
 
 Each surface hand-writes one derivative, the Jacobian ``d1`` of its
 embedding; evaluated on second-order jets of (u, v) it gives the exact
@@ -94,6 +95,7 @@ class SurfaceSpec:
     known_chi: Optional[int]
     params: dict
     maps: _ChartMaps = field(repr=False)
+    monomial_caps: Optional[tuple]    # of the fit's basis, see SurfaceKind
 
     def embed(self, u, v):
         """Ambient position of the chart point, shape (..., n)."""
@@ -213,13 +215,27 @@ TWO_PI = 2.0 * np.pi
 
 
 class SurfaceKind(NamedTuple):
-    """One built-in family: its parameters and what does not depend on them."""
+    """One built-in family: its parameters and what does not depend on them.
+
+    ``monomial_caps`` bounds the exponent of each ambient coordinate in the
+    standard monomials of the family's defining equations, the monomials
+    divisible by no leading term in graded-lex order; None leaves an axis,
+    or with no tuple every axis, uncapped.  Modulo the equations these
+    monomials span every polynomial function on the surface, so a fit in
+    them spans what the full graded-lex basis spans there.  The quadric of
+    the sphere and the ellipsoid leads with x0^2, so x0 is capped at 1; the
+    Clifford torus satisfies x0^2 + x1^2 = s^2 and x2^2 + x3^2 = s^2, whose
+    coprime leading terms cap x0 and x2 at 1.  The torus's quartic leads
+    with x0^4, but capping it leaves its degree-10 gram matrix below the
+    fit's eigenvalue cutoff, so the torus fits in the full basis.
+    """
     params: tuple                 # parameter names, in order
     defaults: tuple               # values taken when none are given, or ()
     chart_rect: ChartRect
     ambient_dim: int
     known_chi: int
     maps: Callable                # parameter values -> _ChartMaps
+    monomial_caps: Optional[tuple]   # per-axis exponent caps, or None
 
 
 _POLAR_RECT = ChartRect(0.0, np.pi, 0.0, TWO_PI, False, True)
@@ -227,10 +243,12 @@ _ANGLES_RECT = ChartRect(0.0, TWO_PI, 0.0, TWO_PI, True, True)
 
 SURFACE_KINDS = {
     "sphere": SurfaceKind(("r",), (1.0,), _POLAR_RECT, 3, 2,
-                          lambda r: _polar_maps(r, r, r)),
-    "torus": SurfaceKind(("R", "r"), (), _ANGLES_RECT, 3, 0, _torus_maps),
-    "clifford_torus": SurfaceKind(("r",), (1.0,), _ANGLES_RECT, 4, 0, _clifford_maps),
-    "ellipsoid": SurfaceKind(("a", "b", "c"), (), _POLAR_RECT, 3, 2, _polar_maps),
+                          lambda r: _polar_maps(r, r, r), (1, None, None)),
+    "torus": SurfaceKind(("R", "r"), (), _ANGLES_RECT, 3, 0, _torus_maps, None),
+    "clifford_torus": SurfaceKind(("r",), (1.0,), _ANGLES_RECT, 4, 0, _clifford_maps,
+                                  (1, None, 1, None)),
+    "ellipsoid": SurfaceKind(("a", "b", "c"), (), _POLAR_RECT, 3, 2, _polar_maps,
+                             (1, None, None)),
 }
 
 
@@ -265,7 +283,8 @@ def make_surface(kind, params=(), mode="analytic", step=DEFAULT_FD_STEP):
         name=f"{kind}({','.join(f'{p:g}' for p in params)})",
         ambient_dim=family.ambient_dim, chart_rect=family.chart_rect,
         derivative_mode=mode, step=step, known_chi=family.known_chi,
-        params=dict(zip(family.params, params)), maps=family.maps(*params))
+        params=dict(zip(family.params, params)), maps=family.maps(*params),
+        monomial_caps=family.monomial_caps)
 
 
 def sphere(radius=1.0, mode="analytic", step=DEFAULT_FD_STEP):
@@ -335,19 +354,39 @@ def _fd_metric(maps, u, v, order, h):
     return (*(x.astype(np.float64) for x in parts), None, None)[:3]
 
 
+def _assemble(surface, u, v, order):
+    """g and its partials to `order` on the surface's backend, node-last, and det g."""
+    if surface.derivative_mode == "analytic":
+        g, dg, ddg = _analytic_metric(surface.maps, u, v, order)
+    else:
+        g, dg, ddg = _fd_metric(surface.maps, u, v, order, surface.step)
+    return g, dg, ddg, g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+
+
+def _degenerate_error(surface, det, u, v):
+    """The DegenerateMetricError naming det g at the chart point (u, v)."""
+    pt = ChartPoint(float(u), float(v))
+    return DegenerateMetricError(
+        f"metric degenerate on {surface.name}: det g = {det:.3e} "
+        f"at (u, v) = ({pt.u:.6g}, {pt.v:.6g})", point=pt)
+
+
+def _nondegenerate(det):
+    """DET_EPS < det <= DET_MAX, node by node; a NaN det fails."""
+    return (det > DET_EPS) & (det <= DET_MAX)
+
+
 def _require_nondegenerate(surface, det, u, v):
     """Raise DegenerateMetricError unless DET_EPS < det <= DET_MAX at every node.
 
     A NaN det fails too.  The error names the failing node of least det, NaN first.
     """
-    ok = (det > DET_EPS) & (det <= DET_MAX)
+    ok = _nondegenerate(det)
     if not np.all(ok):
         bad = np.argmin(np.where(ok, np.inf, det))
         uu, vv = np.broadcast_arrays(u, v)
-        pt = ChartPoint(float(np.ravel(uu)[bad]), float(np.ravel(vv)[bad]))
-        raise DegenerateMetricError(
-            f"metric degenerate on {surface.name}: det g = {np.ravel(det)[bad]:.3e} "
-            f"at (u, v) = ({pt.u:.6g}, {pt.v:.6g})", point=pt)
+        raise _degenerate_error(surface, np.ravel(det)[bad], np.ravel(uu)[bad],
+                                np.ravel(vv)[bad])
 
 
 def metric_data(surface, u, v, order=2):
@@ -359,17 +398,26 @@ def metric_data(surface, u, v, order=2):
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if surface.derivative_mode == "analytic":
-        g, dg, ddg = _analytic_metric(surface.maps, u, v, order)
-    else:
-        g, dg, ddg = _fd_metric(surface.maps, u, v, order, surface.step)
-
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    g, dg, ddg, det = _assemble(surface, u, v, order)
     _require_nondegenerate(surface, det, u, v)
     g_inv = g[::-1, ::-1] * cofactor_signs(det.ndim) / det
     dg, ddg = (None if x is None else _jets.value_last(x, 3) for x in (dg, ddg))
     return MetricData(g=_jets.value_last(g, 2), g_inv=_jets.value_last(g_inv, 2),
                       dg=dg, ddg=ddg, det_g=det, sqrt_det_g=np.sqrt(det))
+
+
+def degenerate_nodes(surface, u, v):
+    """{flat node index: message} of the nodes where `metric_data` raises.
+
+    One order-0 assembly on the surface's backend: its det g is, node by
+    node, the one an assembly of any order computes, and each message is
+    the one `metric_data` raises at that node alone.
+    """
+    u, v = (np.ravel(x) for x in np.broadcast_arrays(np.asarray(u, dtype=float),
+                                                      np.asarray(v, dtype=float)))
+    det = _assemble(surface, u, v, 0)[3]
+    bad = np.flatnonzero(~_nondegenerate(det))
+    return {int(i): str(_degenerate_error(surface, det[i], u[i], v[i])) for i in bad}
 
 
 def metric_at(surface, u, v):

@@ -4,12 +4,14 @@ These are the evaluator and the fit-and-verify step that the two reused
 layer buffers of ``approx.evaluate_polynomial_field`` and the separate fit
 stage of ``approx._fit_and_verify`` replaced.  The multiplies, the
 per-layer matmuls and their order are the same, so tests compare the
-package with them bit for bit.  ``monomial_matrix`` builds the same basis
-by another route, from powers of each coordinate, for tolerance checks.
+package with them bit for bit.  Like the package, they build only the
+monomials within a surface's exponent caps, and the fit scatters its
+coefficients into the full graded-lex row.  ``monomial_matrix`` builds the
+same basis by another route, from powers of each coordinate, for tolerance
+checks.
 """
 
 from dataclasses import replace
-from math import comb
 
 import numpy as np
 
@@ -17,15 +19,19 @@ from bochner2d import approx as ap
 from bochner2d.errors import RankDeficientFitError
 
 
-def monomial_layers(points, degree):
-    """The degree-t blocks of the graded-lex basis, t = 0..degree, each a new (K_t, m) array."""
+def monomial_layers(points, degree, caps=None):
+    """The degree-t blocks of the capped graded-lex basis, t = 0..degree.
+
+    Each block is a new (K_t, m) array.
+    """
     n, m = points.shape
     layer = np.ones((1, m))
     yield layer
     for t in range(degree):
-        nxt = np.empty((comb(t + n, n - 1), m))
+        sources = ap._layer_sources(n, t, caps)
+        nxt = np.empty((sum(k for _, k in sources), m))
         row = 0
-        for j, k in ap._layer_sources(n, t):
+        for j, k in sources:
             np.multiply(points[j], layer[-k:], out=nxt[row:row + k])
             row += k
         layer = nxt
@@ -47,12 +53,12 @@ def monomial_matrix(points, exponents):
 def evaluate_polynomial_field(poly, points, chunk=ap.EVAL_CHUNK):
     """Values of the component polynomials at ambient points, (m, n_components)."""
     points = np.asarray(points, dtype=float).T
-    coeff = poly.coefficients
+    coeff = poly.coefficients[:, ap._within_caps(poly.exponents, poly.caps)]
     out = np.zeros((coeff.shape[0], points.shape[1]))
     for lo in range(0, points.shape[1], chunk):
         block = slice(lo, lo + chunk)
         row = 0
-        for layer in monomial_layers(points[:, block], poly.degree):
+        for layer in monomial_layers(points[:, block], poly.degree, poly.caps):
             k = layer.shape[0]
             out[:, block] += coeff[:, row:row + k] @ layer
             row += k
@@ -66,7 +72,8 @@ def fit_and_verify(samples, degree, verify_samples=None):
     if degree < 0:
         raise ValueError("degree must be >= 0")
     points = np.asarray(samples.positions, dtype=float)
-    Vt = np.concatenate(list(monomial_layers(points.T, degree)))      # (K, m)
+    caps = samples.surface.monomial_caps
+    Vt = np.concatenate(list(monomial_layers(points.T, degree, caps)))      # (K, m)
     if not np.all(np.isfinite(Vt)):
         raise RankDeficientFitError("monomial matrix contains non-finite entries")
 
@@ -86,17 +93,19 @@ def fit_and_verify(samples, degree, verify_samples=None):
     keep = w > ap.RCOND_CUTOFF * wmax
     inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
     coeff_scaled = Q @ (inv_w[:, None] * (Q.T @ b))
-    coefficients = (coeff_scaled / scale[:, None]).T
+    exponents = ap.monomial_exponents(points.shape[1], degree)
+    coefficients = np.zeros((samples.values.shape[1], len(exponents)))
+    coefficients[:, ap._within_caps(exponents, caps)] = (coeff_scaled
+                                                         / scale[:, None]).T
     rcond = float(max(w[0], 0.0) / wmax)
 
     if verify_samples is None:
         verify_samples = ap._dense_resample(samples)
     poly = ap.PolynomialField(
-        ambient_dim=points.shape[1], degree=degree,
-        exponents=ap.monomial_exponents(points.shape[1], degree),
+        ambient_dim=points.shape[1], degree=degree, exponents=exponents,
         coefficients=coefficients, sup_error=np.nan,
         fit_grid=samples.grid_shape, verify_grid=verify_samples.grid_shape,
-        rcond=rcond)
+        rcond=rcond, caps=caps)
     pred = evaluate_polynomial_field(poly, verify_samples.positions)
     err = np.linalg.norm(pred - verify_samples.values, axis=1)
     return replace(poly, sup_error=float(np.max(err))), pred

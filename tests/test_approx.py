@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bochner2d import _stencils
+from bochner2d import _stencils, cli
 from bochner2d import approx as ap
 from bochner2d import operators as op
 from bochner2d import surfaces as surf
@@ -91,6 +92,19 @@ class TestSampling:
         assert len(exc.value.points) == 16
 
 
+def _caps(n):
+    """Per-axis exponent caps for n axes, None entries included, or None."""
+    axis = st.one_of(st.none(), st.integers(0, 4))
+    return st.one_of(st.none(), st.tuples(*[axis] * n))
+
+
+def _within(exps, caps):
+    """The exponent rows within caps, by a loop over the rows."""
+    caps = (None,) * exps.shape[1] if caps is None else caps
+    return np.array([all(c is None or e <= c for e, c in zip(row, caps))
+                     for row in exps], dtype=bool)
+
+
 class TestMonomials:
     def test_graded_lexicographic_order(self):
         exps = ap.monomial_exponents(2, 2)
@@ -132,6 +146,55 @@ class TestMonomials:
         # atol only absorbs subnormal partial products of tiny coordinates
         np.testing.assert_allclose(layered, ref.T, rtol=1e-13, atol=1e-290)
 
+    @settings(max_examples=80)
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+        st.integers(0, 12), _caps(n),
+        hnp.arrays(float, st.tuples(st.integers(1, 8), st.just(n)),
+                   elements=st.floats(-3.0, 3.0)))))
+    def test_capped_layers_are_the_capped_rows_of_the_full_layers(self, case):
+        degree, caps, pts = case
+        exps = ap.monomial_exponents(pts.shape[1], degree)
+        capped = list(ap._monomial_layers(pts.T, degree, caps=caps))
+        assert len(capped) == degree + 1
+        row = 0
+        for full, layer in zip(ap._monomial_layers(pts.T, degree), capped):
+            keep = _within(exps[row:row + len(full)], caps)
+            assert layer.flags.c_contiguous
+            assert np.array_equal(layer, full[keep])
+            row += len(full)
+
+    @settings(max_examples=80)
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, 12), _caps(n))))
+    def test_capped_exponents_are_the_filtered_full_list(self, case):
+        n, degree, caps = case
+        full = ap.monomial_exponents(n, degree)     # graded lex, tested above
+        capped = ap.monomial_exponents(n, degree, caps)
+        np.testing.assert_array_equal(capped, full[_within(full, caps)])
+
+    @settings(max_examples=15)
+    @given(st.sampled_from(["sphere", "ellipsoid", "clifford_torus"]),
+           st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
+           st.integers(2, 8), st.integers(0, 2**32 - 1))
+    def test_caps_are_sound(self, kind, params, degree, seed):
+        # modulo the surface's equations each dropped monomial is a
+        # combination of the kept ones, so on the surface its column lies
+        # in their span
+        S = surf.make_surface(kind, params[:len(surf.SURFACE_KINDS[kind].params)])
+        rect = S.chart_rect
+        rng = np.random.default_rng(seed)
+        pts = S.embed(rng.uniform(rect.u0, rect.u1, 200),
+                      rng.uniform(rect.v0, rect.v1, 200))
+        exps = ap.monomial_exponents(S.ambient_dim, degree)
+        V = approx_oracle.monomial_matrix(pts, exps)
+        keep = _within(exps, S.monomial_caps)
+        assert not np.all(keep)
+        kept, dropped = V[:, keep], V[:, ~keep]
+        kept = kept / np.max(np.abs(kept), axis=0)      # as the fit scales them
+        x = np.linalg.lstsq(kept, dropped, rcond=None)[0]
+        residual = np.linalg.norm(kept @ x - dropped, axis=0)
+        assert np.all(residual <= 1e-10 * np.linalg.norm(dropped, axis=0))
+
 
 class TestEvaluation:
     @settings(max_examples=20)
@@ -156,18 +219,19 @@ class TestEvaluation:
     @given(n=st.integers(1, 4), degree=st.integers(0, 10),
            chunk=st.sampled_from([1, 5, 64, ap.EVAL_CHUNK]),
            blocks=st.integers(0, 2), extra=st.integers(-1, 1),
-           seed=st.integers(0, 2**32 - 1))
+           seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_layer_buffers_match_fresh_layers(self, n, degree, chunk, blocks, extra,
-                                              seed):
+                                              seed, data):
         # node counts on both sides of every chunk boundary
         rows = max(0, blocks * chunk + extra)
         rng = np.random.default_rng(seed)
         exps = ap.monomial_exponents(n, degree)
-        coeff = rng.standard_normal((3, len(exps)))
+        caps = data.draw(_caps(n))
+        coeff = np.where(_within(exps, caps), rng.standard_normal((3, len(exps))), 0.0)
         pts = rng.uniform(-3.0, 3.0, (rows, n))
         poly = ap.PolynomialField(
             ambient_dim=n, degree=degree, exponents=exps, coefficients=coeff,
-            sup_error=np.nan, fit_grid=(), verify_grid=(), rcond=np.nan)
+            sup_error=np.nan, fit_grid=(), verify_grid=(), rcond=np.nan, caps=caps)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ap, "EVAL_CHUNK", chunk)
             out = ap.evaluate_polynomial_field(poly, pts)
@@ -222,6 +286,30 @@ class TestStageLifetimes:
         # the two stages' arrays are never alive together
         assert _traced_peak(ap._fit_and_verify, fit, 8, verify) <= (
             max(fit_peak, verify_peak) + 2**20)
+
+
+class TestBenchShape:
+    """The smooth workload's degrees tried, which its timings rest on."""
+
+    @pytest.mark.parametrize("case,degrees", zip(BENCH_CASES, [(2, 4, 6, 8, 10),
+                                                               (2, 4, 6, 8)]))
+    def test_bench_cases_keep_their_degrees(self, case, degrees):
+        surface, field, grid = case
+        report = ap.smooth_field(*_case(surface, field), fit_grid=grid)[0]
+        assert report.degrees_tried == degrees
+        assert report.passed
+
+    @settings(max_examples=12)
+    @given(st.floats(2.0, 2.5), *[st.floats(0.0, 2 * np.pi, exclude_max=True)] * 3)
+    def test_workload_ranges_keep_their_degrees(self, big_r, p1, p2, q2):
+        # the drawing ranges of the smooth workload, formatted as it does
+        cases = [(f"torus:{big_r:.4f},1", f"cos(4*u+v+{p1:.4f}),sin(4*u+v+{p1:.4f})",
+                  (32, 32), (2, 4, 6, 8, 10)),
+                 ("clifford_torus:1", f"1,3.5*sin(2*u+{p2:.4f})*cos(3*v+{q2:.4f})",
+                  (24, 24), (2, 4, 6, 8))]
+        for surface, field, grid, degrees in cases:
+            report = ap.smooth_field(*_case(surface, field), fit_grid=grid)[0]
+            assert (report.degrees_tried, report.passed) == (degrees, True), surface
 
 
 class TestFit:
@@ -456,6 +544,52 @@ class TestCoefficientFile:
         back = ap.read_coefficient_file(path)
         np.testing.assert_allclose(back.coefficients, poly.coefficients, rtol=1e-15)
         np.testing.assert_array_equal(back.exponents, poly.exponents)
+
+    def test_capped_fit_writes_every_graded_lex_term(self, clifford1, tmp_path):
+        X = expression_field("1", "3.5*sin(2*u+0.7)*cos(3*v+2.1)")
+        samples = ap.sample_unit_field(clifford1, X, surf.chart_grid(clifford1, 12, 12))
+        poly = ap._fit_and_verify(samples, 4)[0]
+        outside = (poly.exponents[:, 0] > 1) | (poly.exponents[:, 2] > 1)
+        assert poly.caps == clifford1.monomial_caps == (1, None, 1, None)
+        assert poly.coefficients.shape == (4, comb(8, 4))
+        assert np.all(poly.coefficients[:, outside] == 0.0)
+        assert np.all(np.any(poly.coefficients[:, ~outside] != 0.0, axis=0))
+        path = tmp_path / "c.txt"
+        ap.write_coefficient_file(poly, path)
+        lines = path.read_text().splitlines()
+        assert lines[4] == f"terms {comb(8, 4)}"
+        rows = [line.split() for line in lines[5:]]
+        assert len(rows) == 4 and all(len(row) == comb(8, 4) for row in rows)
+        assert all(row[k] == "0" for row in rows for k in np.flatnonzero(outside))
+
+    def test_clifford_file_evaluates_as_the_capped_fit(self, capsys, tmp_path):
+        surface, field, grid = BENCH_CASES[1]
+        path = tmp_path / "c.txt"
+        assert cli.main(["smooth", "--surface", surface, "--field", field, "--grid",
+                         "x".join(map(str, grid)), "--coeff-out", str(path)]) == 0
+        capsys.readouterr()
+        S, X = _case(surface, field)
+        poly = ap.smooth_field(S, X, fit_grid=grid)[2]
+        back = ap.read_coefficient_file(path)
+        assert back.caps is None
+        np.testing.assert_array_equal(back.coefficients, poly.coefficients)
+        verify = surf.chart_grid(S, *poly.verify_grid)
+        pts = S.embed(verify.U, verify.V).reshape(-1, S.ambient_dim)
+        diff = (ap.evaluate_polynomial_field(back, pts)
+                - ap.evaluate_polynomial_field(poly, pts))
+        assert np.max(np.abs(diff)) <= 1e-13
+
+    def test_nonzero_coefficient_outside_the_caps_is_rejected(self):
+        exps = ap.monomial_exponents(3, 2)
+        coeff = np.zeros((1, len(exps)))
+        coeff[0, 4] = 1.0                          # x0^2
+        assert tuple(exps[4]) == (2, 0, 0)
+        fields = dict(ambient_dim=3, degree=2, exponents=exps, sup_error=np.nan,
+                      fit_grid=(), verify_grid=(), rcond=np.nan)
+        with pytest.raises(ValueError, match="outside the monomial caps"):
+            ap.PolynomialField(coefficients=coeff, caps=(1, None, None), **fields)
+        ap.PolynomialField(coefficients=coeff, caps=(2, None, None), **fields)
+        ap.PolynomialField(coefficients=coeff, **fields)
 
     def test_seventeen_digit_precision(self, tmp_path):
         poly = ap.PolynomialField(

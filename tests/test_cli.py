@@ -1,5 +1,4 @@
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -476,18 +475,16 @@ class TestGuardedEval:
 
 @pytest.fixture
 def metric_assemblies(monkeypatch):
-    """Counts calls of surfaces.metric_data under every name the package binds."""
-    original = surf.metric_data
+    """Counts metric assemblies: the calls of surfaces._assemble, which both
+    metric_data and the degenerate-node screen make."""
+    original = surf._assemble
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "bochner2d" and \
-                getattr(module, "metric_data", None) is original:
-            monkeypatch.setattr(module, "metric_data", counted)
+    monkeypatch.setattr(surf, "_assemble", counted)
     return calls
 
 
@@ -521,3 +518,35 @@ class TestMetricAssemblies:
         nodes = rep["checks"][0]["n_points"]
         assert nodes == 128 * 128 > cli.BATCH_NODES
         assert len(metric_assemblies) == -(-nodes // cli.BATCH_NODES)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_verify_screens_an_all_degenerate_block(self, capsys, metric_assemblies):
+        # every node's metric is degenerate: the block's failed pass and one
+        # order-0 screen name them all, where halving took 3 per node
+        status, rep = run_json(capsys, "verify", "--surface", "sphere:1e-5",
+                               "--field", "du", "--grid", "64x64")
+        assert status == 1
+        assert all(c["n_failed"] == 64 * 64 for c in rep["checks"])
+        assert len(metric_assemblies) <= 3
+
+
+class TestDegenerateScreen:
+    """The screen of a degenerate block names its nodes as halving did."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("backend", ["analytic", "fd"])
+    @pytest.mark.parametrize("argv", [
+        ("--surface", "sphere:1e-5", "--field", "du"),
+        ("--surface", "sphere:0.002", "--field", "dv"),
+        ("--surface", "sphere:1e40", "--field", "du"),
+    ])
+    def test_payload_matches_node_by_node_halving(self, capsys, monkeypatch, argv,
+                                                  backend):
+        args = ("verify", *argv, "--grid", "16x16", "--backend", backend)
+        status, out = run_cli(capsys, *args)
+        # a screen that names no node leaves every node to the halving
+        monkeypatch.setattr(surf, "degenerate_nodes", lambda surface, u, v: {})
+        ref_status, ref = run_cli(capsys, *args)
+        assert status == ref_status == 1
+        assert "metric degenerate" in out
+        assert out[:out.index('"timings"')] == ref[:ref.index('"timings"')]

@@ -122,6 +122,35 @@ def test_det_g_above_det_max_or_nan_is_degenerate(mode):
             surf.metric_data(surf.sphere(1e160, mode=mode), u, 0.3, order=order)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["analytic", "fd"])
+@pytest.mark.parametrize("kind,params", [
+    ("sphere", (1e-5,)), ("sphere", (0.002,)), ("sphere", (1e40,)),
+    ("sphere", (1e160,)), ("torus", (2e40, 1e40)), ("ellipsoid", (1.0, 1.3, 0.7))])
+def test_degenerate_nodes_name_each_node_as_metric_data(kind, params, mode):
+    # the screen's order-0 det g is the order-2 one to the bit, and each
+    # node it names carries the message metric_data raises there alone
+    s = surf.make_surface(kind, params, mode=mode)
+    grid = surf.chart_grid(s, 12, 12)
+    u, v = grid.U.ravel(), grid.V.ravel()
+    assert np.array_equal(surf._assemble(s, u, v, 0)[3], surf._assemble(s, u, v, 2)[3],
+                          equal_nan=True)
+    expected = {}
+    for i in range(u.size):
+        try:
+            surf.metric_data(s, u[i:i + 1], v[i:i + 1])
+        except DegenerateMetricError as exc:
+            expected[i] = str(exc)
+    assert surf.degenerate_nodes(s, grid.U, grid.V) == expected
+
+
+def test_monomial_caps_follow_the_family():
+    caps = {kind: surf.make_surface(kind, (3.0, 1.0, 2.0)[:len(family.params)])
+            .monomial_caps for kind, family in surf.SURFACE_KINDS.items()}
+    assert caps == {"sphere": (1, None, None), "ellipsoid": (1, None, None),
+                    "clifford_torus": (1, None, 1, None), "torus": None}
+
+
 @settings(max_examples=25)
 @given(st.floats(0.05, 6.2), st.floats(0.05, 6.2))
 def test_metric_invariants_torus(u, v):
