@@ -353,14 +353,15 @@ def _tangent_coefficients(surface, w, u, v):
 
     w is (n, *N) over the broadcast node shape N of (u, v); returns the
     (2, *N) coefficients and the (n, 2, *N) Jacobian.  Raises
-    DegenerateMetricError where det g is not in (DET_EPS, DET_MAX].
+    DegenerateMetricError where the metric is degenerate as in
+    `surfaces.metric_data`.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     jac = surface.maps.d1(u, v)
     g = surf._gram(jac, jac)
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    surf._require_nondegenerate(surface, det, u, v)
+    det = surf._det(g)
+    surf._require_nondegenerate(surface, g, det, u, v)
     g_inv = g[::-1, ::-1] * surf.cofactor_signs(det.ndim) / det
     jtw = np.einsum("ai...,a...->i...", jac, w)
     return np.einsum("ij...,j...->i...", g_inv, jtw), jac

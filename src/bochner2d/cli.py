@@ -35,9 +35,12 @@ evaluating the same compiled expression on jets of u and v.
 
 import argparse
 import ast
+import functools
 import json
+import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -290,20 +293,51 @@ def render_report(report, fmt):
     for key, val in report.get("integrals", {}).items():
         rows.append(f"integral,{key},,,{_csv_float(val['value'])}")
     if "chi" in report:
-        rows.append(f"chi,raw,,,{report['chi']['raw']:.17g}")
-        rows.append(f"chi,rounded,,,{report['chi']['rounded']}")
+        rows.append(f"chi,raw,,,{_csv_float(report['chi']['raw'])}")
+        rows.append(f"chi,rounded,,,{_csv_float(report['chi']['rounded'])}")
     if "smoothing" in report:
         for key in ("final_degree", "sup_error", "min_tangential_norm"):
             rows.append(f"smoothing,{key},,,{report['smoothing'][key]}")
     return "\n".join(rows) + "\n"
 
 
+class _WriteError(Exception):
+    """An --out or --coeff-out target that failed at write time."""
+
+
+def _check_writable(option, path):
+    """Raise ConfigError unless the file `path` given to `option` can be written.
+
+    Its directory must exist and be writable, and the path must not name a
+    directory; an existing file must be writable.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        reason = "is a directory"
+    elif not os.path.isdir(directory):
+        reason = f"no such directory {directory}"
+    elif not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise ConfigError(f"cannot write {option} {path}: {reason}")
+
+
+def _write_output(option, path, write):
+    """write(path), an OSError becoming one _WriteError line that names `option`."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise _WriteError(f"cannot write {option} {path}: "
+                          f"{exc.strerror or exc}") from exc
+
+
 def emit(report, args):
+    """The rendered report on stdout, after its --out copy is written."""
     text = render_report(report, args.format)
-    sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_output("--out", args.out, lambda path: Path(path).write_text(text))
+    sys.stdout.write(text)
 
 
 def _config_echo(args, surface, grid_shape, tols):
@@ -456,14 +490,19 @@ def cmd_gauss_bonnet(args, surface, field, grid_shape, tols, report):
             report["failed_node"] = {"u": point.u, "v": point.v}
         return False
     report["integrals"]["total_curvature"] = {
-        "value": total.value, "estimated_error": total.estimated_error,
+        "value": _finite_or_none(total.value),
+        "estimated_error": _finite_or_none(total.estimated_error),
         "rule": total.rule, "resolution": list(total.resolution)}
 
     chi = integrate.chi_from_total(total.value,
                                    tols.get("chi_margin", integrate.CHI_MARGIN))
-    report["chi"] = {"raw": chi.raw, "rounded": chi.rounded, "margin": chi.margin,
+    report["chi"] = {"raw": _finite_or_none(chi.raw), "rounded": chi.rounded,
+                     "margin": _finite_or_none(chi.margin),
                      "margin_limit": chi.margin_limit,
                      "indeterminate": chi.indeterminate}
+    if chi.rounded is None:
+        report["error"] = (f"total curvature is not finite ({total.value}), "
+                           f"so chi is indeterminate")
     if surface.known_chi is not None:
         # echoed for reference; the pass verdict rests on determinacy alone
         report["chi"]["declared"] = surface.known_chi
@@ -497,7 +536,8 @@ def cmd_smooth(args, surface, field, grid_shape, tols, report):
 
     report["smoothing"] = _smooth_section(rep)
     if args.coeff_out:
-        approx.write_coefficient_file(poly, args.coeff_out)
+        _write_output("--coeff-out", args.coeff_out,
+                     lambda path: approx.write_coefficient_file(poly, path))
         report["smoothing"]["coefficient_file"] = args.coeff_out
     return rep.passed
 
@@ -519,7 +559,9 @@ def _smooth_section(rep):
     }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The one argument parser, built at first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="bochner2d",
         description="Certify curvature identities, Euler characteristics and "
@@ -561,11 +603,21 @@ def main(argv=None):
     The shared options are parsed here, in one order for every command, and
     the report's header, verdict and timings are written here too; a handler
     adds only its own keys and returns whether everything it checked passed.
+    An --out or --coeff-out target is checked before the command runs.
+
+    The argument parser (`build_parser`) and the Gauss-Legendre rule of each
+    node count (`surfaces.chart_grid`) are built at their first use and
+    shared by every later command of the process, so in-process callers pay
+    for them once; nothing that depends on a command's inputs is cached.
     """
     args = build_parser().parse_args(argv)
     handlers = {"verify": cmd_verify, "gauss-bonnet": cmd_gauss_bonnet,
                 "smooth": cmd_smooth}
     try:
+        for option, path in (("--out", args.out),
+                             ("--coeff-out", getattr(args, "coeff_out", None))):
+            if path:
+                _check_writable(option, path)
         surface = parse_surface(args.surface, parse_backend(args.backend))
         field = None if args.field is None else parse_field(args.field)
         grid_shape = parse_grid(args.grid)
@@ -574,6 +626,9 @@ def main(argv=None):
                   "config": _config_echo(args, surface, grid_shape, tols)}
         t_start = time.perf_counter()
         passed = handlers[args.command](args, surface, field, grid_shape, tols, report)
+        report["overall_pass"] = bool(passed)
+        report["timings"] = {"total_s": time.perf_counter() - t_start}
+        emit(report, args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
@@ -583,9 +638,9 @@ def main(argv=None):
     except GeometryError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    report["overall_pass"] = bool(passed)
-    report["timings"] = {"total_s": time.perf_counter() - t_start}
-    emit(report, args)
+    except _WriteError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
     return 0 if passed else 1
 
 

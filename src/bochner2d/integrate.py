@@ -8,6 +8,7 @@ a given grid.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -34,9 +35,13 @@ class IntegralResult:
 
 @dataclass(frozen=True)
 class ChiEstimate:
-    """Euler characteristic from the total-curvature integral."""
+    """Euler characteristic from the total-curvature integral.
+
+    A non-finite total rounds to no integer: rounded is None and the margin
+    infinite, so the estimate is indeterminate.
+    """
     raw: float
-    rounded: int
+    rounded: Optional[int]
     margin: float
     margin_limit: float = CHI_MARGIN
 
@@ -111,6 +116,9 @@ def euler_characteristic(surface, grid):
 def chi_from_total(total, margin_limit=CHI_MARGIN):
     """Round total / (2 pi) to the nearest integer, recording the margin."""
     raw = total / (2.0 * np.pi)
+    if not np.isfinite(raw):
+        return ChiEstimate(raw=raw, rounded=None, margin=np.inf,
+                           margin_limit=margin_limit)
     rounded = int(np.rint(raw))
     return ChiEstimate(raw=raw, rounded=rounded, margin=abs(raw - rounded),
                        margin_limit=margin_limit)

@@ -28,9 +28,11 @@ layout of ``_jets``); ``SurfaceSpec`` methods and ``MetricData`` present the
 public layout, value axes trailing.
 
 All evaluation functions accept scalars or broadcastable arrays for (u, v).
-Everything is pure and free of shared mutable state.
+Everything is pure and free of shared mutable state; the one shared object,
+the Gauss-Legendre rule of each node count, is read-only.
 """
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -39,7 +41,8 @@ import numpy as np
 from . import _jets, _stencils
 from .errors import DegenerateMetricError, InvalidParameterError
 
-DET_EPS = 1e-12          # below this, det g signals a chart singularity
+DET_EPS = 1e-12          # det g <= DET_EPS (tr g)^2 signals a chart singularity
+DET_MIN = np.sqrt(np.finfo(float).tiny)  # at or below this, (det g)^2 in K underflows
 DET_MAX = np.sqrt(np.finfo(float).max)   # above this, (det g)^2 in K overflows
 GUARD_BAND = 1e-3        # half-width of the excluded band at non-periodic chart ends
 DEFAULT_FD_STEP = 1e-3   # balances truncation vs round-off for second derivatives
@@ -360,7 +363,12 @@ def _assemble(surface, u, v, order):
         g, dg, ddg = _analytic_metric(surface.maps, u, v, order)
     else:
         g, dg, ddg = _fd_metric(surface.maps, u, v, order, surface.step)
-    return g, dg, ddg, g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    return g, dg, ddg, _det(g)
+
+
+def _det(g):
+    """det g of a node-last (2, 2, *N) metric."""
+    return g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
 
 
 def _degenerate_error(surface, det, u, v):
@@ -371,17 +379,28 @@ def _degenerate_error(surface, det, u, v):
         f"at (u, v) = ({pt.u:.6g}, {pt.v:.6g})", point=pt)
 
 
-def _nondegenerate(det):
-    """DET_EPS < det <= DET_MAX, node by node; a NaN det fails."""
-    return (det > DET_EPS) & (det <= DET_MAX)
+def _nondegenerate(g, det):
+    """Node by node, whether the node-last metric g with determinant det is usable.
 
-
-def _require_nondegenerate(surface, det, u, v):
-    """Raise DegenerateMetricError unless DET_EPS < det <= DET_MAX at every node.
-
-    A NaN det fails too.  The error names the failing node of least det, NaN first.
+    A node is chart-singular where det <= DET_EPS (tr g)^2, a bound that does
+    not depend on the surface's scale: det / (tr g)^2 is about the ratio of
+    g's eigenvalues when it is small.  Independently of that, det must lie in
+    (DET_MIN, DET_MAX], so that the (det g)^2 of the curvature formula
+    neither underflows nor overflows.  A NaN det, or a NaN or infinite
+    trace, fails.
     """
-    ok = _nondegenerate(det)
+    trace = g[0, 0] + g[1, 1]
+    with np.errstate(over="ignore"):
+        singular_below = DET_EPS * (trace * trace)
+    return (det > singular_below) & (det > DET_MIN) & (det <= DET_MAX)
+
+
+def _require_nondegenerate(surface, g, det, u, v):
+    """Raise DegenerateMetricError unless `_nondegenerate` holds at every node.
+
+    The error names the failing node of least det, NaN first.
+    """
+    ok = _nondegenerate(g, det)
     if not np.all(ok):
         bad = np.argmin(np.where(ok, np.inf, det))
         uu, vv = np.broadcast_arrays(u, v)
@@ -394,12 +413,13 @@ def metric_data(surface, u, v, order=2):
 
     order 0 -> g only; 1 -> + first partials; 2 -> + second partials.
     Raises DegenerateMetricError when det g falls to the chart-singular
-    threshold DET_EPS, exceeds DET_MAX or is NaN anywhere in the batch.
+    threshold DET_EPS (tr g)^2 or to DET_MIN, exceeds DET_MAX or is NaN
+    anywhere in the batch.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     g, dg, ddg, det = _assemble(surface, u, v, order)
-    _require_nondegenerate(surface, det, u, v)
+    _require_nondegenerate(surface, g, det, u, v)
     g_inv = g[::-1, ::-1] * cofactor_signs(det.ndim) / det
     dg, ddg = (None if x is None else _jets.value_last(x, 3) for x in (dg, ddg))
     return MetricData(g=_jets.value_last(g, 2), g_inv=_jets.value_last(g_inv, 2),
@@ -415,8 +435,8 @@ def degenerate_nodes(surface, u, v):
     """
     u, v = (np.ravel(x) for x in np.broadcast_arrays(np.asarray(u, dtype=float),
                                                       np.asarray(v, dtype=float)))
-    det = _assemble(surface, u, v, 0)[3]
-    bad = np.flatnonzero(~_nondegenerate(det))
+    g, _, _, det = _assemble(surface, u, v, 0)
+    bad = np.flatnonzero(~_nondegenerate(g, det))
     return {int(i): str(_degenerate_error(surface, det[i], u[i], v[i])) for i in bad}
 
 
@@ -431,19 +451,36 @@ def metric_only(surface, u, v):
                                         np.asarray(v, dtype=float)), 2)
 
 
+@functools.lru_cache(maxsize=64)
+def _leggauss(n):
+    """Gauss-Legendre nodes and weights of n points on [-1, 1], read-only.
+
+    Built at the first grid of n nodes and shared by every later one; each
+    grid scales them into fresh arrays of its own.
+    """
+    rule = np.polynomial.legendre.leggauss(n)
+    for x in rule:
+        x.flags.writeable = False
+    return rule
+
+
 def _axis_rule(lo, hi, n, periodic):
     if periodic:
         nodes = lo + (hi - lo) * np.arange(n) / n
         weights = np.full(n, (hi - lo) / n)
     else:
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = _leggauss(n)
         nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
         weights = 0.5 * (hi - lo) * w
     return nodes, weights
 
 
 def chart_grid(surface, nu, nv):
-    """Quadrature grid with per-axis rules chosen by periodicity."""
+    """Quadrature grid with per-axis rules chosen by periodicity.
+
+    The Gauss-Legendre rule of each node count is computed once per process
+    and shared read-only; the grid's own arrays are fresh and writable.
+    """
     if nu < 4 or nv < 4:
         raise InvalidParameterError("grid needs at least 4 nodes per axis")
     rect = surface.chart_rect

@@ -1,9 +1,14 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bochner2d import bochner, cli
+from bochner2d import bochner, cli, integrate
 from bochner2d import surfaces as surf
 from bochner2d.errors import ConfigError, GeometryError
 
@@ -149,6 +154,57 @@ class TestVerify:
         assert path.read_text() == out
 
 
+class TestUnwritableOutput:
+    """An --out or --coeff-out that cannot be written is named, never a traceback."""
+
+    COMMANDS = {
+        "verify": ("verify", "--surface", "torus:2,1", "--field", "du", "--grid", "8x8"),
+        "gauss-bonnet": ("gauss-bonnet", "--surface", "sphere:1", "--grid", "8x8"),
+        "smooth": ("smooth", "--surface", "torus:2,1", "--field", "du", "--grid", "8x8",
+                   "--max-degree", "4"),
+    }
+    CASES = [(command, "--out") for command in COMMANDS] + [("smooth", "--coeff-out")]
+
+    @pytest.mark.parametrize("command,option", CASES)
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_rejected_before_the_command_runs(self, capsys, monkeypatch, tmp_path,
+                                              command, option, target):
+        path = tmp_path / "missing" / "x.txt" if target == "missing-dir" else tmp_path
+        reason = (f"no such directory {tmp_path / 'missing'}" if target == "missing-dir"
+                  else "is a directory")
+        monkeypatch.setattr(cli, "parse_surface", _not_reached)
+        status = cli.main([*self.COMMANDS[command], option, str(path)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == f"config error: cannot write {option} {path}: {reason}\n"
+
+    @pytest.mark.parametrize("command,option", CASES)
+    def test_write_failure_is_one_line(self, capsys, monkeypatch, tmp_path,
+                                       command, option):
+        # a target that passes the check but fails at write time
+        monkeypatch.setattr(cli, "_check_writable", lambda option, path: None)
+        path = tmp_path / "missing" / "x.txt"
+        status = cli.main([*self.COMMANDS[command], option, str(path)])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot write {option} {path}: "
+                                f"No such file or directory\n")
+
+    @pytest.mark.parametrize("command", ["verify", "gauss-bonnet"])
+    def test_coeff_out_is_smooth_only(self, capsys, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*self.COMMANDS[command], "--coeff-out", str(tmp_path / "p.txt")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --coeff-out" in capsys.readouterr().err
+        assert not (tmp_path / "p.txt").exists()
+
+
+def _not_reached(*args):
+    raise AssertionError("the command ran")
+
+
 class TestGaussBonnet:
     def test_sphere_chi_two(self, capsys):
         status, rep = run_json(capsys, "gauss-bonnet", "--surface", "sphere:1",
@@ -196,14 +252,34 @@ class TestGaussBonnet:
         assert res["value"] is None and res["estimated_error"] is None
         assert res["pass"] is False
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_total_is_a_named_indeterminate_chi(self, capsys, monkeypatch,
+                                                          fmt):
+        total = integrate.IntegralResult(value=np.inf, resolution=(16, 16),
+                                         rule="gauss-legendre-mixed",
+                                         estimated_error=np.nan)
+        monkeypatch.setattr(integrate, "total_curvature", lambda surface, grid: total)
+        status, out = run_cli(capsys, "gauss-bonnet", "--surface", "sphere:1",
+                              "--grid", "16x16", "--format", fmt)
+        assert status == 1
+        if fmt == "csv":
+            assert "integral,total_curvature,,,nan\nchi,raw,,,nan\nchi,rounded,,,nan\n" in out
+            return
+        rep = _strict_json(out)
+        assert rep["error"] == "total curvature is not finite (inf), so chi is indeterminate"
+        assert rep["integrals"]["total_curvature"]["value"] is None
+        assert rep["chi"]["raw"] is None and rep["chi"]["rounded"] is None
+        assert rep["chi"]["indeterminate"] is True and rep["overall_pass"] is False
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("argv,reason,has_node", [
         # g(X, X) overflows to inf off the u = 0 grid line
         (("--surface", "torus:2,1", "--field", "1e200*sin(u)+1,0"), "non-finite norm",
          True),
-        # a tiny sphere's Gauss-Legendre nodes near the poles are chart-singular
-        (("--surface", "sphere:0.002", "--field", "dv"), "metric degenerate", True),
-        (("--surface", "sphere:0.002"), "metric degenerate", True),
+        # det g = r^4 sin^2 u of a tiny sphere falls to DET_MIN at its
+        # Gauss-Legendre nodes near the poles, or at every node
+        (("--surface", "sphere:1e-38", "--field", "0,1e38"), "metric degenerate", True),
+        (("--surface", "sphere:1e-40"), "metric degenerate", True),
         # det g of a huge sphere would overflow the (det g)^2 of K to inf
         (("--surface", "sphere:1e40"), "metric degenerate", True),
         (("--surface", "torus:2e40,1e40", "--field", "du"), "metric degenerate", True),
@@ -291,7 +367,8 @@ class TestVerifyFailures:
         # usable, and there the unit field's second partials overflow
         (("--surface", "torus:2,1", "--field", "1e200*sin(u)+1,0"),
          "non-finite unit-field partials"),
-        (("--surface", "sphere:0.002", "--field", "dv"), "metric degenerate"),
+        # the field is scaled to unit norm, so no node falls below zero_floor
+        (("--surface", "sphere:1e-38", "--field", "0,1e38"), "metric degenerate"),
         (("--surface", "sphere:1e40", "--field", "du"), "metric degenerate"),
     ])
     def test_failure_is_reported(self, capsys, argv, reason):
@@ -523,8 +600,8 @@ class TestMetricAssemblies:
     def test_verify_screens_an_all_degenerate_block(self, capsys, metric_assemblies):
         # every node's metric is degenerate: the block's failed pass and one
         # order-0 screen name them all, where halving took 3 per node
-        status, rep = run_json(capsys, "verify", "--surface", "sphere:1e-5",
-                               "--field", "du", "--grid", "64x64")
+        status, rep = run_json(capsys, "verify", "--surface", "sphere:1e-40",
+                               "--field", "1e40,0", "--grid", "64x64")
         assert status == 1
         assert all(c["n_failed"] == 64 * 64 for c in rep["checks"])
         assert len(metric_assemblies) <= 3
@@ -536,8 +613,8 @@ class TestDegenerateScreen:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("backend", ["analytic", "fd"])
     @pytest.mark.parametrize("argv", [
-        ("--surface", "sphere:1e-5", "--field", "du"),
-        ("--surface", "sphere:0.002", "--field", "dv"),
+        ("--surface", "sphere:1e-40", "--field", "1e40,0"),
+        ("--surface", "sphere:1e-38", "--field", "0,1e38"),
         ("--surface", "sphere:1e40", "--field", "du"),
     ])
     def test_payload_matches_node_by_node_halving(self, capsys, monkeypatch, argv,
@@ -550,3 +627,81 @@ class TestDegenerateScreen:
         assert status == ref_status == 1
         assert "metric degenerate" in out
         assert out[:out.index('"timings"')] == ref[:ref.index('"timings"')]
+
+
+class TestProcessConstants:
+    """One parser and one Gauss-Legendre rule per node count serve every command."""
+
+    COMMANDS = [
+        ["verify", "--surface", "ellipsoid:1,1.3,0.7", "--field", "dv", "--grid", "16x16"],
+        ["gauss-bonnet", "--surface", "sphere:1", "--grid", "16x32"],
+        ["smooth", "--surface", "torus:2,1", "--field", "du", "--grid", "8x8",
+         "--max-degree", "4"],
+    ]
+    REJECTED = [
+        ["verify", "--field", "du"],
+        ["gauss-bonnet", "--surface", "sphere:1", "--format", "xml"],
+    ]
+
+    def _outcomes(self, capsys):
+        outcomes = []
+        for argv in self.COMMANDS:
+            status, out = run_cli(capsys, *argv)
+            outcomes.append((status, out[:out.index('"timings"')]))
+        for argv in self.REJECTED:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(list(argv))
+            outcomes.append((exc.value.code, capsys.readouterr().err))
+        return outcomes
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        constructed = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            constructed.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        runs = [self._outcomes(capsys) for _ in range(3)]
+        # the first command built the parser and its subcommands' parsers,
+        # and no later command built any
+        assert constructed == ["bochner2d", "bochner2d verify",
+                               "bochner2d gauss-bonnet", "bochner2d smooth"]
+        assert runs[0] == runs[1] == runs[2]
+        assert [status for status, _ in runs[0]] == [0, 0, 0, 2, 2]
+        assert "the following arguments are required: --surface" in runs[0][3][1]
+        assert "invalid choice: 'xml'" in runs[0][4][1]
+
+        # a parser built afresh for every command gives the same bytes
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert self._outcomes(capsys) == runs[0]
+
+    def test_import_builds_no_parser_and_no_rule(self):
+        # what the import builds would move into the benchmark's set-up time
+        code = (
+            "import argparse, numpy as np\n"
+            "counts = {'parsers': 0, 'leggauss': 0}\n"
+            "init, leggauss = argparse.ArgumentParser.__init__, np.polynomial.legendre.leggauss\n"
+            "def counting_init(*args, **kwargs):\n"
+            "    counts['parsers'] += 1\n"
+            "    init(*args, **kwargs)\n"
+            "def counting_leggauss(n):\n"
+            "    counts['leggauss'] += 1\n"
+            "    return leggauss(n)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "np.polynomial.legendre.leggauss = counting_leggauss\n"
+            "import bochner2d.cli as cli\n"
+            "print(counts)\n"
+            "cli.build_parser()\n"
+            "cli.surf.chart_grid(cli.surf.sphere(), 8, 8)\n"
+            "print(counts)\n")
+        src = Path(cli.__file__).resolve().parent.parent
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        at_import, after_use = proc.stdout.splitlines()
+        assert at_import == "{'parsers': 0, 'leggauss': 0}"
+        # the probe counts what a first use builds
+        assert after_use == "{'parsers': 4, 'leggauss': 1}"

@@ -6,8 +6,10 @@
     returns 0, 1 or 2 and never raises; (c) two identical runs give identical
     reports apart from `timings`; (d) a report is strict JSON (no NaN or
     Infinity) and the exit status is 0 exactly when its `overall_pass` is true;
-    (e) Gauss-Bonnet does not depend on scale: at any scale of a surface's
-    parameters, a passing `gauss-bonnet` rounds chi to the declared value.
+    (e) Gauss-Bonnet does not depend on scale: with a surface's parameters
+    scaled by 10^e, -30 <= e <= 30, `gauss-bonnet` passes and rounds chi to
+    the declared value, and at any scale it ends in an exit status, never a
+    traceback, and a passing run rounds chi to the declared value.
 """
 
 import contextlib
@@ -145,6 +147,23 @@ FAMILIES = {"sphere": (1.0,), "torus": (2.0, 1.0), "clifford": (1.0,),
             "ellipsoid": (1.0, 1.3, 0.7)}
 
 
+def _gauss_bonnet_at_scale(family, exponent):
+    scale = 10.0 ** exponent
+    params = ",".join(repr(p * scale) for p in FAMILIES[family])
+    return params, *_run(["gauss-bonnet", "--surface", f"{family}:{params}",
+                          "--grid", "32x64"])
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(sorted(FAMILIES)), st.floats(-30.0, 30.0))
+@example("sphere", -30.0)
+@example("torus", 30.0)
+def test_gauss_bonnet_is_scale_free(family, exponent):
+    params, status, report = _gauss_bonnet_at_scale(family, exponent)
+    assert status == 0, (params, report)
+    assert report["chi"]["rounded"] == report["chi"]["declared"], params
+
+
 @settings(max_examples=60)
 @given(st.sampled_from(sorted(FAMILIES)), st.floats(-300.0, 300.0))
 # det g overflowed K's (det g)^2 to inf here: chi 0 passed, or chi was NaN
@@ -152,11 +171,10 @@ FAMILIES = {"sphere": (1.0,), "torus": (2.0, 1.0), "clifford": (1.0,),
 @example("ellipsoid", 50.0)
 @example("sphere", 60.0)
 @example("clifford", 80.0)
-def test_gauss_bonnet_is_scale_free(family, exponent):
-    scale = 10.0 ** exponent
-    params = ",".join(repr(p * scale) for p in FAMILIES[family])
-    status, report = _run(["gauss-bonnet", "--surface", f"{family}:{params}",
-                           "--grid", "32x64"])
+# (det g)^2 underflowed to 0 here: K and the total were inf
+@example("sphere", -40.0)
+def test_gauss_bonnet_at_any_scale_ends_in_a_status(family, exponent):
+    params, status, report = _gauss_bonnet_at_scale(family, exponent)
     assert status in (0, 1, 2)
     if status == 0:
         assert report["chi"]["rounded"] == report["chi"]["declared"], params

@@ -125,6 +125,12 @@ class TestEulerCharacteristic:
         assert not est.indeterminate
         assert ig.chi_from_total(2 * np.pi * 1.996, margin_limit=0.004).indeterminate
 
+    @pytest.mark.parametrize("total", [np.inf, -np.inf, np.nan])
+    def test_non_finite_total_is_indeterminate(self, total):
+        est = ig.chi_from_total(total)
+        assert est.rounded is None and est.margin == np.inf
+        assert est.indeterminate
+
     def test_definitional_consistency(self, sphere1):
         # 2 pi * raw must be the total-curvature integral, no rewiring allowed
         grid = surf.chart_grid(sphere1, 32, 64)

@@ -106,6 +106,28 @@ def test_sphere_pole_is_degenerate(sphere1):
         surf.metric_at(sphere1, 1e-7, 0.3)
 
 
+@pytest.mark.parametrize("mode", ["analytic", "fd"])
+@pytest.mark.parametrize("radius", [1e-30, 1e-3, 1.0, 1e3, 1e30])
+def test_chart_singularity_does_not_depend_on_scale(mode, radius):
+    # det g / (tr g)^2 = sin^2 u / (1 + sin^2 u)^2 at every radius: the pole's
+    # neighbourhood is singular and the equator is not, whatever the scale
+    s = surf.sphere(radius, mode=mode)
+    assert surf.metric_data(s, np.pi / 2, 0.3).det_g == pytest.approx(radius ** 4)
+    with pytest.raises(DegenerateMetricError, match="det g = "):
+        surf.metric_data(s, 1e-7, 0.3)
+    assert list(surf.degenerate_nodes(s, [1e-7, 1e-5, np.pi / 2], 0.3)) == [0]
+
+
+@pytest.mark.parametrize("mode", ["analytic", "fd"])
+def test_det_g_at_or_below_det_min_is_degenerate(mode):
+    # det g = r^4 sin^2 u: at r = 1e-38 it falls below DET_MIN near the
+    # poles only, at r = 1e-40 everywhere, so (det g)^2 cannot underflow
+    u = np.array([0.05, np.pi / 2])
+    assert surf.degenerate_nodes(surf.sphere(1e-38, mode=mode), u, 0.3).keys() == {0}
+    assert surf.degenerate_nodes(surf.sphere(1e-40, mode=mode), u, 0.3).keys() == {0, 1}
+    assert surf.DET_MIN ** 2 > 0
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("mode", ["analytic", "fd"])
 def test_det_g_above_det_max_or_nan_is_degenerate(mode):
@@ -125,7 +147,7 @@ def test_det_g_above_det_max_or_nan_is_degenerate(mode):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("mode", ["analytic", "fd"])
 @pytest.mark.parametrize("kind,params", [
-    ("sphere", (1e-5,)), ("sphere", (0.002,)), ("sphere", (1e40,)),
+    ("sphere", (1e-40,)), ("sphere", (1e-38,)), ("sphere", (1e40,)),
     ("sphere", (1e160,)), ("torus", (2e40, 1e40)), ("ellipsoid", (1.0, 1.3, 0.7))])
 def test_degenerate_nodes_name_each_node_as_metric_data(kind, params, mode):
     # the screen's order-0 det g is the order-2 one to the bit, and each
@@ -354,6 +376,32 @@ def test_periodic_edges_identified(all_surfaces):
             u = np.linspace(rect.u0 + 0.2, rect.u1 - 0.2, 9)
             np.testing.assert_allclose(s.embed(u, rect.v0), s.embed(u, rect.v1),
                                        atol=1e-12, err_msg=s.name)
+
+
+def test_gauss_legendre_rule_is_shared_read_only(sphere1):
+    x, w = surf._leggauss(16)
+    assert not x.flags.writeable and not w.flags.writeable
+    assert surf._leggauss(16)[0] is x
+    ref = surf.chart_grid(sphere1, 16, 8)
+    grid = surf.chart_grid(sphere1, 16, 8)
+    # each grid's arrays are its own: writing into one changes no later grid
+    for a in (grid.u_nodes, grid.v_nodes, grid.U, grid.V, grid.weights):
+        assert a.flags.writeable
+        a[...] = -1.0
+    later = surf.chart_grid(sphere1, 16, 8)
+    for name in ("u_nodes", "v_nodes", "U", "V", "weights"):
+        assert np.array_equal(getattr(later, name), getattr(ref, name)), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 160), st.floats(-10.0, 10.0), st.floats(1e-3, 10.0))
+def test_axis_rule_is_the_uncached_rule(n, lo, width):
+    hi = lo + width
+    x, w = np.polynomial.legendre.leggauss(n)
+    nodes, weights = surf._axis_rule(lo, hi, n, False)
+    assert np.array_equal(nodes, 0.5 * (lo + hi) + 0.5 * (hi - lo) * x)
+    assert np.array_equal(weights, 0.5 * (hi - lo) * w)
+    assert nodes.flags.writeable and weights.flags.writeable
 
 
 def test_torus_grid_uniform_weights(torus21):
