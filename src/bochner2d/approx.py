@@ -35,19 +35,31 @@ keep the nodes as their trailing, contiguous axis: points enter the layers
 as (n, m), each layer is a (K_t, m) block, and the tangent projection works
 on (n, m) ambient and (2, m) chart vectors.  Only the gram matrix of the
 fit takes the basis row-major, (m, K).  The public functions keep the nodes
-leading.
+leading; the sampled positions are a (m, n) view of node-last storage.
+
+Verification on the grid's axes.  The fit and verification grids are
+tensor products of chart axes, and every built-in coordinate is a product
+x_k(u, v) = p_k(u) q_k(v) of the embedding's factor maps (see
+``surfaces``), so a monomial is x^e = p(u)^e q(v)^e, as in sum
+factorization (Orszag, J. Comput. Phys. 37, 1980).  The verification
+builds the capped layers at the nu points p(u_i) and at the nv points
+q(v_j) only, P (K, nu) and Q (K, nv), and predicts component c on the grid
+as (P * C_c[:, None])^T Q, one GEMM of nu x K x nv per component, in place
+of K products at each of the nu nv nodes.  ``evaluate_polynomial_field``
+serves arbitrary points: it streams them in EVAL_CHUNK blocks.
 
 Lifetimes.  Each degree tried is fitted, then certified, and the two stages
 never hold their arrays at the same time: ``_fit`` builds the fit-grid basis,
 its gram matrix and eigendecomposition in its own frame and returns only
-the coefficients, so they are freed before the verification grid is
-evaluated.  The evaluation streams the nodes in EVAL_CHUNK blocks and
-writes the degree layers of every block into two buffers allocated once
-per call, one for the even and one for the odd degrees, so no layer is a
-fresh allocation and the heap does not grow and shrink with each layer.
-The buffers hold at most 2 max K_t EVAL_CHUNK doubles, K_t the width of
-the capped degree-t layer: 32 rows at Clifford degree 8, against 165 for
-the full layer.
+the coefficients, so they are freed before the verification predicts the
+grid through its axes (``_grid_prediction``), whose tables hold K (nu + nv)
+doubles besides the prediction itself.  ``evaluate_polynomial_field``
+writes the degree layers of every EVAL_CHUNK block of its points into two
+buffers allocated once per call, one for the even and one for the odd
+degrees, so no layer is a fresh allocation and the heap does not grow and
+shrink with each layer.  The buffers hold at most 2 max K_t EVAL_CHUNK
+doubles, K_t the width of the capped degree-t layer: 32 rows at Clifford
+degree 8, against 165 for the full layer.
 """
 
 from dataclasses import dataclass, replace
@@ -58,10 +70,10 @@ import numpy as np
 
 from . import surfaces as surf
 from .errors import BudgetNotMetError, RankDeficientFitError, ZeroFieldPointError
-from .operators import TangentField
+from .operators import TangentField, _vanishes
 from .surfaces import ChartPoint, chart_grid
 
-SAMPLE_FLOOR = 1e-9        # ambient norm below this flags a zero of the field
+SAMPLE_FLOOR = 1e-9        # ambient norm below this, relative to the chart, is a zero
 ERROR_BUDGET = 0.5         # certified sup error target for the vector fit
 RCOND_CUTOFF = 1e-10       # eigenvalue truncation for the scaled normal system
 VERIFY_FACTOR = 4          # verification grid density per axis vs fit grid
@@ -78,6 +90,7 @@ class AmbientFieldSamples:
     chart_v: np.ndarray
     positions: np.ndarray      # (m, n) ambient points
     values: np.ndarray         # (m, n) ambient vectors
+    axes: tuple                # (u_nodes, v_nodes) of the grid; node i * nv + j
 
 
 @dataclass(frozen=True)
@@ -212,11 +225,13 @@ def _monomial_layers(points, degree, buffers=None, caps=None):
 def evaluate_polynomial_field(poly, points):
     """Values of the component polynomials at ambient points, (m, n_components).
 
-    Nodes are streamed in EVAL_CHUNK blocks and each (K_t, nodes) degree
-    layer of the basis within `poly.caps` is contracted with its
-    coefficient block as soon as it is built.  The layers are written into
-    two buffers allocated once per call, sized for the widest even- and
-    odd-degree layer of a block.  The result is a view of node-last storage.
+    The points are arbitrary; values on a chart grid go through its axes
+    (see ``_grid_prediction``).  Nodes are streamed in EVAL_CHUNK blocks
+    and each (K_t, nodes) degree layer of the basis within `poly.caps` is
+    contracted with its coefficient block as soon as it is built.  The
+    layers are written into two buffers allocated once per call, sized for
+    the widest even- and odd-degree layer of a block.  The result is a view
+    of node-last storage.
     """
     points = np.asarray(points, dtype=float).T
     coeff = poly.coefficients[:, _within_caps(poly.exponents, poly.caps)]
@@ -243,7 +258,9 @@ def sample_unit_field(surface, X, grid, floor=SAMPLE_FLOOR):
     The chart coefficients are pushed forward through the embedding Jacobian
     and normalized by their ambient norm; the input field is only evaluated,
     never differentiated.  Raises ZeroFieldPointError when the ambient norm
-    falls below `floor` or is not finite anywhere on the grid.
+    falls below `floor` relative to the chart's scale (the rule of
+    `operators._vanishes`, with |J X|^2 = g(X, X) and |J|_F^2 = tr g) or is
+    not finite anywhere on the grid.
     """
     U, V = grid.U, grid.V
     jac = surface.jacobian(U, V)                      # (..., n, 2)
@@ -251,8 +268,11 @@ def sample_unit_field(surface, X, grid, floor=SAMPLE_FLOOR):
     with np.errstate(over="ignore"):      # an overflowing norm is flagged below
         ambient = np.einsum("...ai,...i->...a", jac, coeff)
         norms = np.linalg.norm(ambient, axis=-1)
+        # |J X|^2 = g(X, X) and |J|_F^2 = tr g
+        trace = np.einsum("...ai,...ai->...", jac, jac)
+        zero = _vanishes(np.square(norms), trace, floor)
     finite = np.isfinite(norms)
-    bad = ~(finite & (norms >= floor))    # a NaN or inf norm is no usable node
+    bad = ~finite | zero                  # a NaN or inf norm is no usable node
     if np.any(bad):
         pts = [ChartPoint(float(a), float(b))
                for a, b in zip(U[bad].ravel()[:16], V[bad].ravel()[:16])]
@@ -266,13 +286,17 @@ def sample_unit_field(surface, X, grid, floor=SAMPLE_FLOOR):
         raise ZeroFieldPointError(f"field {X.name!r} has {' and '.join(counts)}",
                                   points=pts)
     values = ambient / norms[..., None]
-    positions = surface.embed(U, V)
+    # the outer product of the embedding's factors on the two axes: node
+    # (i, j) is p(u_i) q(v_j), to the bit what `embed` gives there
+    p, q = surface.maps.embed_u(grid.u_nodes), surface.maps.embed_v(grid.v_nodes)
+    positions = p[:, :, None] * q[:, None, :]                  # (n, nu, nv)
     m = U.size
     return AmbientFieldSamples(
         surface=surface, field=X, grid_shape=(grid.nu, grid.nv),
         chart_u=U.reshape(m), chart_v=V.reshape(m),
-        positions=positions.reshape(m, surface.ambient_dim),
-        values=values.reshape(m, surface.ambient_dim))
+        positions=positions.reshape(surface.ambient_dim, m).T,
+        values=values.reshape(m, surface.ambient_dim),
+        axes=(grid.u_nodes, grid.v_nodes))
 
 
 def _dense_resample(samples, factor=VERIFY_FACTOR):
@@ -343,9 +367,29 @@ def _fit_and_verify(samples, degree, verify_samples=None):
         coefficients=coefficients, sup_error=np.nan,
         fit_grid=samples.grid_shape, verify_grid=verify_samples.grid_shape,
         rcond=rcond, caps=caps)
-    pred = evaluate_polynomial_field(poly, verify_samples.positions)
+    pred = _grid_prediction(poly, verify_samples)
     err = np.linalg.norm(pred - verify_samples.values, axis=1)
     return replace(poly, sup_error=float(np.max(err))), pred
+
+
+def _grid_prediction(poly, samples):
+    """Values of poly on the samples' tensor grid, (m, n_components), through its axes.
+
+    Every ambient coordinate is p_k(u) q_k(v), so a monomial is
+    x^e = p(u)^e q(v)^e: the capped graded-lex layers built at the nu
+    points p(u_i) and at the nv points q(v_j) give P (K, nu) and Q (K, nv),
+    and component c on the grid is (P * C_c[:, None])^T Q, one small GEMM.
+    The result is a view of node-last storage.
+    """
+    maps = samples.surface.maps
+    u_nodes, v_nodes = samples.axes
+    P, Q = (np.concatenate(list(_monomial_layers(points, poly.degree, caps=poly.caps)))
+            for points in (maps.embed_u(u_nodes), maps.embed_v(v_nodes)))
+    coeff = poly.coefficients[:, _within_caps(poly.exponents, poly.caps)]
+    out = np.empty((coeff.shape[0], P.shape[1], Q.shape[1]))
+    for c, row in enumerate(coeff):
+        np.matmul((P * row[:, None]).T, Q, out=out[c])
+    return out.reshape(coeff.shape[0], -1).T
 
 
 def _tangent_coefficients(surface, w, u, v):
@@ -471,7 +515,11 @@ def write_coefficient_file(poly, path):
 
 
 def read_coefficient_file(path):
-    """Inverse of write_coefficient_file; sup_error metadata is not stored."""
+    """Inverse of write_coefficient_file; sup_error metadata is not stored.
+
+    The file holds the full graded-lex row, so the caps of the fit's basis
+    are read off its zero pattern (`_caps_of`).
+    """
     with open(path) as fh:
         header = {}
         for _ in range(5):
@@ -491,4 +539,17 @@ def read_coefficient_file(path):
         raise ValueError("coefficient file is inconsistent with its header")
     return PolynomialField(ambient_dim=n, degree=degree, exponents=exps,
                            coefficients=coeff, sup_error=np.nan,
-                           fit_grid=(), verify_grid=(), rcond=np.nan)
+                           fit_grid=(), verify_grid=(), rcond=np.nan,
+                           caps=_caps_of(exps, coeff, degree))
+
+
+def _caps_of(exponents, coefficients, degree):
+    """The tightest per-axis caps holding every nonzero coefficient.
+
+    An axis whose largest exponent among the nonzero columns is the degree
+    is uncapped (None), and so is the basis when every axis is.
+    """
+    used = exponents[np.any(coefficients != 0.0, axis=0)]
+    top = used.max(axis=0, initial=0)
+    caps = tuple(None if t == degree else int(t) for t in top)
+    return None if all(c is None for c in caps) else caps

@@ -48,6 +48,7 @@ from .operators import (
     _quadratic,
     _ricci,
     _unit_deviation,
+    _vanishes,
     UNIT_TOL,
 )
 from .surfaces import ChartPoint, metric_only
@@ -97,20 +98,21 @@ def normalize_field(surface, X, floor=ZERO_FLOOR):
     """Pointwise unit field X / g(X, X)^(1/2).
 
     Raises ZeroFieldPointError lazily whenever an evaluation meets a point
-    where the metric norm of X falls below `floor` (the input is then not
-    nowhere-zero at working precision), is not finite (g(X, X) overflowed
-    or is NaN), or where the norm is fine but a value or partial of the
-    unit field is not finite (the partials of X or of g(X, X) overflowed)
-    or a first partial exceeds PARTIAL_MAX, so that any residual, quadratic
-    in the first partials, would overflow; the message counts the three
-    kinds of node apart.
+    where the metric norm of X falls below `floor` relative to the chart's
+    scale, g(X, X) < floor^2 tr(g) / 2 (`operators._vanishes`; the input
+    is then not nowhere-zero at working precision), is not finite (g(X, X)
+    overflowed or is NaN), or where the norm is fine but a value or partial
+    of the unit field is not finite (the partials of X or of g(X, X)
+    overflowed) or a first partial exceeds PARTIAL_MAX, so that any
+    residual, quadratic in the first partials, would overflow; the message
+    counts the three kinds of node apart.
     """
     if floor <= 0:
         raise ValueError("floor must be positive")
 
-    def check(n2, unit, u, v):
+    def check(n2, trace, unit, u, v):
         finite = np.isfinite(n2)
-        bad = ~(finite & (n2 >= floor**2))
+        bad = ~finite | _vanishes(n2, trace, floor)
         parts = [x.reshape((-1,) + n2.shape) for x in (unit.v, unit.d, unit.dd)
                  if x is not None]
         rough = ~np.isfinite(np.concatenate(parts)).all(axis=0)
@@ -144,7 +146,7 @@ def normalize_field(surface, X, floor=ZERO_FLOOR):
             x = _jet(surface, X, u, v, order, g)
             n2 = _jets.einsum("ij...,i...,j...->...", g, x, x)
             unit = x / _jets.sqrt(n2)[None]
-        check(n2.v, unit, u, v)
+        check(n2.v, g.v[0, 0] + g.v[1, 1], unit, u, v)
         return unit
 
     return _derived(jet, f"unit({X.name})")

@@ -22,8 +22,11 @@ configurations produce byte-identical JSON except for the "timings" section.
 configuration error: verify takes bochner, trace_identity,
 divergence_product_rule, curvature_identity, product_rule and zero_floor;
 gauss-bonnet chi_margin and divergence_theorem; smooth none.  A field norm
-below zero_floor or not finite (NaN, or an overflow to inf) leaves no unit
-field at its node: verify counts such nodes in "zero_field_nodes" and names
+below zero_floor relative to the chart's scale, g(X, X) < zero_floor^2
+tr(g) / 2, which for an isometric chart is g(X, X) < zero_floor^2, or not
+finite (NaN, or an overflow to inf) leaves no unit field at its node (the
+same rule, with the default floor 1e-9, screens gauss-bonnet's field and
+smooth's samples): verify counts such nodes in "zero_field_nodes" and names
 non-finite norms when no usable node is left, gauss-bonnet names the first
 such node in its "error".
 
@@ -423,8 +426,9 @@ def cmd_verify(args, surface, field, grid_shape, tols, report):
 
     # locate zero-field nodes first, a NaN or infinite norm being no usable
     # node either; identity checks run on the clean subset
-    norms = operators.field_norm(surface, field, grid.U, grid.V)
-    zero_nodes = mask & ~(np.isfinite(norms) & (norms >= floor))
+    n2, trace = operators._squared_norm_and_trace(surface, field, grid.U, grid.V)
+    finite = np.isfinite(n2)
+    zero_nodes = mask & (~finite | operators._vanishes(n2, trace, floor))
     usable = mask & ~zero_nodes
     report["zero_field_nodes"] = [
         {"u": float(a), "v": float(b)}
@@ -432,7 +436,7 @@ def cmd_verify(args, surface, field, grid_shape, tols, report):
                         grid.V[zero_nodes].ravel()[:64])]
     report["n_zero_field_nodes"] = int(np.count_nonzero(zero_nodes))
     if not np.any(usable):
-        n_inf = int(np.count_nonzero(zero_nodes & ~np.isfinite(norms)))
+        n_inf = int(np.count_nonzero(zero_nodes & ~finite))
         n_low = report["n_zero_field_nodes"] - n_inf
         reason = "field vanishes everywhere"
         if n_inf:

@@ -305,7 +305,25 @@ def divergence_scalar_field(surface, X, name=None):
 
 def field_norm(surface, X, u, v):
     """Pointwise metric norm g(X, X)^(1/2)."""
-    return np.sqrt(_quadratic(_metric(surface, u, v, 0).v, _jet(surface, X, u, v, 0).v))
+    return np.sqrt(_squared_norm_and_trace(surface, X, u, v)[0])
+
+
+def _squared_norm_and_trace(surface, X, u, v):
+    """g(X, X) and tr g at every node, from one order-0 metric assembly."""
+    g = _metric(surface, u, v, 0).v
+    return _quadratic(g, _jet(surface, X, u, v, 0).v), g[0, 0] + g[1, 1]
+
+
+def _vanishes(n2, trace, floor):
+    """Where a field with g(X, X) = n2 counts as zero: n2 < floor^2 tr(g) / 2.
+
+    tr g = |J|_F^2 is the summed squared length of the chart's coordinate
+    vectors, and n2 = |J X|^2, so the rule does not depend on the surface's
+    scale; for an isometric chart (tr g = 2) it is n2 < floor^2.  A NaN n2
+    or trace is no zero here: the callers count non-finite norms apart.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        return n2 < floor * floor * (0.5 * trace)
 
 
 def _quadratic(g, a, b=None):

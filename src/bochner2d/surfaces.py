@@ -11,6 +11,20 @@ Four closed-form embeddings are built in:
 defaults, chart rectangle, ambient dimension, Euler characteristic, maps and
 the exponent caps of the standard monomials of the surface's equations.
 
+Each family writes its embedding once, as two factor maps: every ambient
+coordinate is a product x_k(u, v) = p_k(u) q_k(v), ``embed_u`` gives p and
+``embed_v`` gives q, and ``embed`` is their broadcast product.
+
+* torus(R, r): p(u) = (cos u, sin u, 1), q(v) = (w, w, r sin v), w = R + r cos v
+* sphere and ellipsoid(a, b, c): p(u) = (a sin u, b sin u, c cos u),
+  q(v) = (cos v, sin v, 1)
+* clifford_torus(radius), s = radius / sqrt 2: p(u) = (s cos u, s sin u, 1, 1),
+  q(v) = (1, 1, s cos v, s sin v)
+
+On a tensor grid of chart nodes the factors are evaluated on the two axes
+alone, and so is anything that is a product over the coordinates: a
+monomial x^e is p(u)^e q(v)^e (see ``approx``).
+
 Each surface hand-writes one derivative, the Jacobian ``d1`` of its
 embedding; evaluated on second-order jets of (u, v) it gives the exact
 second and third chart partials, from which the first fundamental form and
@@ -74,17 +88,29 @@ class ChartRect:
 
 @dataclass(frozen=True)
 class _ChartMaps:
-    """Closed-form embedding and its Jacobian, the one hand-written derivative.
+    """The embedding as two factor maps, and its Jacobian.
 
-    Index conventions (node axes last):
-      embed -> (n, ...)
-      d1    -> (n, 2, ...)   columns d/du, d/dv
+    Every built-in coordinate is a product x_k(u, v) = p_k(u) q_k(v), so
+    the embedding is written once, as its factors:
+      embed_u -> (n, ...)    p over the shape of u
+      embed_v -> (n, ...)    q over the shape of v
+      embed   -> (n, ...)    their product over the broadcast shape of (u, v)
+      d1      -> (n, 2, ...) columns d/du, d/dv; the one hand-written derivative
 
-    d1 accepts arrays or jets of (u, v); the second and third chart partials
-    of the embedding are the partials of its jet (see `_jacobian_jet`).
+    Index conventions keep the node axes last.  d1 accepts arrays or jets of
+    (u, v); the second and third chart partials of the embedding are the
+    partials of its jet (see `_jacobian_jet`).
     """
-    embed: Callable
+    embed_u: Callable
+    embed_v: Callable
     d1: Callable
+
+    def embed(self, u, v):
+        """p(u) q(v), coordinate by coordinate, node axes last."""
+        u, v = np.asarray(u), np.asarray(v)
+        nodes = max(u.ndim, v.ndim)     # align the node axes behind the value axis
+        return (self.embed_u(u.reshape((1,) * (nodes - u.ndim) + u.shape))
+                * self.embed_v(v.reshape((1,) * (nodes - v.ndim) + v.shape)))
 
 
 @dataclass(frozen=True)
@@ -168,9 +194,12 @@ def _public(x, k):
 def _torus_maps(big_r, small_r):
     R, r = big_r, small_r
 
-    def embed(u, v):
+    def embed_u(u):
+        return _jets.stack([np.cos(u), np.sin(u), 1.0])
+
+    def embed_v(v):
         w = R + r * np.cos(v)
-        return _jets.stack([w * np.cos(u), w * np.sin(u), r * np.sin(v) + 0.0 * u])
+        return _jets.stack([w, w, r * np.sin(v)])
 
     def d1(u, v):
         (su, cu), (sv, cv) = _jets.sincos(u), _jets.sincos(v)
@@ -179,15 +208,18 @@ def _torus_maps(big_r, small_r):
         dv = _jets.stack([-r * sv * cu, -r * sv * su, r * cv + 0.0 * u])
         return _jets.stack([du, dv], axis=1)
 
-    return _ChartMaps(embed, d1)
+    return _ChartMaps(embed_u, embed_v, d1)
 
 
 def _polar_maps(a, b, c):
     """Maps for (a sin u cos v, b sin u sin v, c cos u); sphere is a = b = c."""
 
-    def embed(u, v):
-        return _jets.stack([a * np.sin(u) * np.cos(v), b * np.sin(u) * np.sin(v),
-                            c * np.cos(u) + 0.0 * v])
+    def embed_u(u):
+        su = np.sin(u)
+        return _jets.stack([a * su, b * su, c * np.cos(u)])
+
+    def embed_v(v):
+        return _jets.stack([np.cos(v), np.sin(v), 1.0])
 
     def d1(u, v):
         (su, cu), (sv, cv) = _jets.sincos(u), _jets.sincos(v)
@@ -195,14 +227,17 @@ def _polar_maps(a, b, c):
         dv = _jets.stack([-a * su * sv, b * su * cv, 0.0 * (u + v)])
         return _jets.stack([du, dv], axis=1)
 
-    return _ChartMaps(embed, d1)
+    return _ChartMaps(embed_u, embed_v, d1)
 
 
 def _clifford_maps(radius):
     s = radius / np.sqrt(2.0)
 
-    def embed(u, v):
-        return _jets.stack([s * np.cos(u), s * np.sin(u), s * np.cos(v), s * np.sin(v)])
+    def embed_u(u):
+        return _jets.stack([s * np.cos(u), s * np.sin(u), 1.0, 1.0])
+
+    def embed_v(v):
+        return _jets.stack([1.0, 1.0, s * np.cos(v), s * np.sin(v)])
 
     def d1(u, v):
         (su, cu), (sv, cv) = _jets.sincos(u), _jets.sincos(v)
@@ -211,7 +246,7 @@ def _clifford_maps(radius):
         dv = _jets.stack([zero, zero, -s * sv, s * cv])
         return _jets.stack([du, dv], axis=1)
 
-    return _ChartMaps(embed, d1)
+    return _ChartMaps(embed_u, embed_v, d1)
 
 
 TWO_PI = 2.0 * np.pi

@@ -3,8 +3,10 @@
 These are the evaluator and the fit-and-verify step that the two reused
 layer buffers of ``approx.evaluate_polynomial_field`` and the separate fit
 stage of ``approx._fit_and_verify`` replaced.  The multiplies, the
-per-layer matmuls and their order are the same, so tests compare the
-package with them bit for bit.  Like the package, they build only the
+per-layer matmuls and their order are the same, and the verification
+predicts the grid through its axes with the same GEMM as
+``approx._grid_prediction``, so tests compare the package with them bit
+for bit.  Like the package, they build only the
 monomials within a surface's exponent caps, and the fit scatters its
 coefficients into the full graded-lex row.  ``monomial_matrix`` builds the
 same basis by another route, from powers of each coordinate, for tolerance
@@ -106,6 +108,19 @@ def fit_and_verify(samples, degree, verify_samples=None):
         coefficients=coefficients, sup_error=np.nan,
         fit_grid=samples.grid_shape, verify_grid=verify_samples.grid_shape,
         rcond=rcond, caps=caps)
-    pred = evaluate_polynomial_field(poly, verify_samples.positions)
+    pred = grid_prediction(poly, verify_samples)
     err = np.linalg.norm(pred - verify_samples.values, axis=1)
     return replace(poly, sup_error=float(np.max(err))), pred
+
+
+def grid_prediction(poly, samples):
+    """poly on the samples' grid, P^T diag(C_c) Q per component, fresh layers."""
+    maps = samples.surface.maps
+    u_nodes, v_nodes = samples.axes
+    P = np.concatenate(list(monomial_layers(maps.embed_u(u_nodes), poly.degree,
+                                            poly.caps)))
+    Q = np.concatenate(list(monomial_layers(maps.embed_v(v_nodes), poly.degree,
+                                            poly.caps)))
+    coeff = poly.coefficients[:, ap._within_caps(poly.exponents, poly.caps)]
+    out = np.stack([(P * row[:, None]).T @ Q for row in coeff])
+    return out.reshape(len(coeff), -1).T

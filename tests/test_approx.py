@@ -1,6 +1,8 @@
 import itertools
+import tempfile
 import tracemalloc
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +242,60 @@ class TestEvaluation:
         assert np.array_equal(out, ref)
 
 
+FAMILY_PARAMS = {"torus": (2.0, 1.0), "sphere": (1.0,), "clifford_torus": (1.0,),
+                 "ellipsoid": (1.0, 1.3, 0.7)}
+
+
+class TestGridPrediction:
+    @settings(max_examples=60)
+    @given(kind=st.sampled_from(sorted(FAMILY_PARAMS)), degree=st.integers(0, 12),
+           capped=st.booleans(), nu=st.integers(4, 40), nv=st.integers(4, 40),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_axes_match_the_streamed_evaluation(self, kind, degree, capped, nu, nv,
+                                                seed, data):
+        # the prediction through the grid's axes is the polynomial at the
+        # grid's positions up to rounding: per node within
+        # 32 eps sum_e |c_e| |p^e| |q^e|.  Scales 10^e, |e| <= 30, while
+        # 10^(e degree) stays finite; coefficients 10^(-e |e|) keep the
+        # terms near 1
+        if nu == nv:
+            nv += 1
+        lim = min(30, 280 // max(degree, 1))
+        exponent = data.draw(st.integers(-lim, lim))
+        scale = 10.0 ** exponent
+        S = surf.make_surface(kind, [x * scale for x in FAMILY_PARAMS[kind]])
+        samples = ap.sample_unit_field(S, op.coordinate_field(0),
+                                       surf.chart_grid(S, nu, nv))
+        caps = S.monomial_caps if capped else None
+        exps = ap.monomial_exponents(S.ambient_dim, degree)
+        rng = np.random.default_rng(seed)
+        coeff = np.where(_within(exps, caps),
+                         rng.standard_normal((S.ambient_dim, len(exps)))
+                         * 10.0 ** (-exponent * exps.sum(axis=1)), 0.0)
+        poly = ap.PolynomialField(
+            ambient_dim=S.ambient_dim, degree=degree, exponents=exps,
+            coefficients=coeff, sup_error=np.nan, fit_grid=(), verify_grid=(),
+            rcond=np.nan, caps=caps)
+        pred = ap._grid_prediction(poly, samples)
+        ref = ap.evaluate_polynomial_field(poly, samples.positions)
+        assert pred.shape == ref.shape == (nu * nv, S.ambient_dim)
+        P, Q = (np.concatenate(list(approx_oracle.monomial_layers(
+                    np.abs(factor(axis)), degree, caps)))
+                for factor, axis in zip((S.maps.embed_u, S.maps.embed_v), samples.axes))
+        kept = np.abs(coeff[:, _within(exps, caps)])
+        bound = 32 * np.finfo(float).eps * np.stack(
+            [((P * c[:, None]).T @ Q).ravel() for c in kept], axis=1)
+        assert np.all(np.abs(pred - ref) <= bound)
+
+    def test_positions_are_the_embedding_on_the_grid(self, all_surfaces):
+        for S in all_surfaces:
+            grid = surf.chart_grid(S, 6, 9)
+            samples = ap.sample_unit_field(S, op.coordinate_field(0), grid)
+            assert samples.axes[0] is grid.u_nodes and samples.axes[1] is grid.v_nodes
+            assert np.array_equal(samples.positions,
+                                  S.embed(grid.U, grid.V).reshape(-1, S.ambient_dim))
+
+
 # the smooth workload's two cases: torus fit up to degree 10, clifford to 8
 BENCH_CASES = [("torus:2.2,1", "cos(4*u+v+1.3),sin(4*u+v+1.3)", (32, 32)),
                ("clifford_torus:1", "1,3.5*sin(2*u+0.7)*cos(3*v+2.1)", (24, 24))]
@@ -276,13 +332,26 @@ class TestStageLifetimes:
         assert (poly.sup_error, poly.rcond) == (ref_poly.sup_error, ref_poly.rcond)
         assert np.array_equal(values, ref_smooth.coeff(u, v))
 
+    @pytest.mark.parametrize("surface,field,grid", BENCH_CASES)
+    def test_smoothing_never_streams_the_verification_grid(self, monkeypatch,
+                                                          surface, field, grid):
+        # every tried degree is certified through the grid's axes; a fall
+        # back to the streamed evaluator fails here, with no clock involved
+        calls = []
+        streamed = ap.evaluate_polynomial_field
+        monkeypatch.setattr(ap, "evaluate_polynomial_field",
+                            lambda *a: calls.append(a) or streamed(*a))
+        report = ap.smooth_field(*_case(surface, field), fit_grid=grid)[0]
+        assert report.passed and len(report.degrees_tried) >= 4
+        assert calls == []
+
     def test_fit_is_freed_before_verification(self):
         S, X = _case(*BENCH_CASES[1][:2])
         fit = ap.sample_unit_field(S, X, surf.chart_grid(S, 24, 24))
         verify = ap.sample_unit_field(S, X, surf.chart_grid(S, 96, 96))
         poly = ap._fit_and_verify(fit, 8, verify)[0]
         fit_peak = _traced_peak(ap._fit, fit, 8)
-        verify_peak = _traced_peak(ap.evaluate_polynomial_field, poly, verify.positions)
+        verify_peak = _traced_peak(ap._grid_prediction, poly, verify)
         # the two stages' arrays are never alive together
         assert _traced_peak(ap._fit_and_verify, fit, 8, verify) <= (
             max(fit_peak, verify_peak) + 2**20)
@@ -351,7 +420,7 @@ class TestFit:
             grid_shape=samples.grid_shape, chart_u=samples.chart_u,
             chart_v=samples.chart_v,
             positions=np.full_like(samples.positions, np.nan),
-            values=samples.values)
+            values=samples.values, axes=samples.axes)
         with pytest.raises(RankDeficientFitError):
             ap._fit_and_verify(broken, 2, samples)
 
@@ -571,13 +640,45 @@ class TestCoefficientFile:
         S, X = _case(surface, field)
         poly = ap.smooth_field(S, X, fit_grid=grid)[2]
         back = ap.read_coefficient_file(path)
-        assert back.caps is None
+        assert back.caps == poly.caps == S.monomial_caps
         np.testing.assert_array_equal(back.coefficients, poly.coefficients)
         verify = surf.chart_grid(S, *poly.verify_grid)
         pts = S.embed(verify.U, verify.V).reshape(-1, S.ambient_dim)
-        diff = (ap.evaluate_polynomial_field(back, pts)
-                - ap.evaluate_polynomial_field(poly, pts))
-        assert np.max(np.abs(diff)) <= 1e-13
+        assert np.array_equal(ap.evaluate_polynomial_field(back, pts),
+                              ap.evaluate_polynomial_field(poly, pts))
+
+    def test_torus_file_stays_uncapped(self, torus21, tmp_path):
+        samples = ap.sample_unit_field(torus21, kinked_mixture_field(),
+                                       surf.chart_grid(torus21, 16, 16))
+        poly = ap._fit_and_verify(samples, 4)[0]
+        path = tmp_path / "t.txt"
+        ap.write_coefficient_file(poly, path)
+        assert poly.caps is None and ap.read_coefficient_file(path).caps is None
+
+    @settings(max_examples=40)
+    @given(n=st.integers(1, 4), degree=st.integers(0, 8), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_caps_are_read_off_the_zero_pattern(self, n, degree, seed, data):
+        # the tightest caps holding every nonzero coefficient; an axis that
+        # reaches the degree is uncapped
+        caps = data.draw(_caps(n))
+        exps = ap.monomial_exponents(n, degree)
+        rng = np.random.default_rng(seed)
+        coeff = np.where(_within(exps, caps), rng.standard_normal((2, len(exps))), 0.0)
+        poly = ap.PolynomialField(
+            ambient_dim=n, degree=degree, exponents=exps, coefficients=coeff,
+            sup_error=np.nan, fit_grid=(), verify_grid=(), rcond=np.nan, caps=caps)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.txt"
+            ap.write_coefficient_file(poly, path)
+            back = ap.read_coefficient_file(path)
+        tight = tuple(None if c is None or c >= degree else c
+                      for c in ap._axis_caps(n, caps))
+        assert back.caps == (None if all(c is None for c in tight) else tight)
+        pts = rng.uniform(-2.0, 2.0, (50, n))
+        np.testing.assert_allclose(ap.evaluate_polynomial_field(back, pts),
+                                   ap.evaluate_polynomial_field(poly, pts),
+                                   rtol=1e-12, atol=1e-12)
 
     def test_nonzero_coefficient_outside_the_caps_is_rejected(self):
         exps = ap.monomial_exponents(3, 2)

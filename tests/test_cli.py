@@ -318,6 +318,19 @@ class TestSmooth:
         assert status == 0
         assert rep["smoothing"]["min_tangential_norm"] > 0.5
 
+    @pytest.mark.parametrize("field", ["du", "cos(4*u+v+1.3),sin(4*u+v+1.3)"])
+    def test_smoothing_does_not_depend_on_scale(self, capsys, field):
+        # the zero floor is relative to the chart's scale, so a torus of
+        # radii 2e-10 and 1e-10 smooths as the one of radii 2 and 1 does
+        reports = [run_json(capsys, "smooth", "--surface", surface, "--field", field,
+                            "--grid", "32x32") for surface in ("torus:2,1",
+                                                               "torus:2e-10,1e-10")]
+        (status, rep), (tiny_status, tiny) = reports
+        assert status == tiny_status == 0 and "error" not in tiny
+        assert tiny["smoothing"]["degrees_tried"] == rep["smoothing"]["degrees_tried"]
+        np.testing.assert_allclose(tiny["smoothing"]["sup_errors"],
+                                   rep["smoothing"]["sup_errors"], rtol=1e-6)
+
     def test_budget_not_met(self, capsys):
         status, rep = run_json(capsys, "smooth", "--surface", "torus:2,1",
                                "--field", "kinked", "--grid", "16x16",

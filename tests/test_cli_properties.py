@@ -9,7 +9,13 @@
     (e) Gauss-Bonnet does not depend on scale: with a surface's parameters
     scaled by 10^e, -30 <= e <= 30, `gauss-bonnet` passes and rounds chi to
     the declared value, and at any scale it ends in an exit status, never a
-    traceback, and a passing run rounds chi to the declared value.
+    traceback, and a passing run rounds chi to the declared value; (f) nor
+    does the zero floor: at those scales the nowhere-zero field du has no
+    zero node in `verify`, and `gauss-bonnet --field du` rounds chi to the
+    declared value, passing on the tori; on the sphere and the ellipsoid
+    only its divergence-theorem residual fails, as it must: every field
+    there has a zero, at the poles that the chart leaves out, and the
+    integral of div Y is 2 pi chi = 4 pi.
 """
 
 import contextlib
@@ -89,9 +95,9 @@ def _public_residuals(argv):
     surface = cli.parse_surface(args.surface, cli.parse_backend(args.backend))
     field = cli.parse_field(args.field)
     grid = surf.chart_grid(surface, *cli.parse_grid(args.grid))
-    usable = (surf.guarded_mask(surface, grid.U, grid.V)
-              & (operators.field_norm(surface, field, grid.U, grid.V)
-                 >= bochner.ZERO_FLOOR))
+    n2, trace = operators._squared_norm_and_trace(surface, field, grid.U, grid.V)
+    usable = (surf.guarded_mask(surface, grid.U, grid.V) & np.isfinite(n2)
+              & ~operators._vanishes(n2, trace, bochner.ZERO_FLOOR))
     U, V = grid.U[usable], grid.V[usable]
     unit = bochner.normalize_field(surface, field)
     f, xsum = cli._product_rule_pair()
@@ -178,3 +184,25 @@ def test_gauss_bonnet_at_any_scale_ends_in_a_status(family, exponent):
     assert status in (0, 1, 2)
     if status == 0:
         assert report["chi"]["rounded"] == report["chi"]["declared"], params
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(sorted(FAMILIES)), st.floats(-30.0, 30.0))
+@example("torus", -10.0)
+@example("sphere", -30.0)
+@example("clifford", 30.0)
+def test_zero_floor_is_scale_free(family, exponent):
+    scale = 10.0 ** exponent
+    surface = f"{family}:" + ",".join(repr(p * scale) for p in FAMILIES[family])
+    status, report = _run(["gauss-bonnet", "--surface", surface, "--field", "du",
+                           "--grid", "32x64"])
+    assert "error" not in report, (surface, report)
+    assert report["chi"]["rounded"] == report["chi"]["declared"], surface
+    if report["chi"]["declared"] == 0:
+        assert status == 0, (surface, report)
+    else:
+        residual = report["integrals"]["divergence_theorem_residual"]
+        assert abs(residual["value"] - 4 * math.pi) < 1e-3, (surface, residual)
+    status, report = _run(["verify", "--surface", surface, "--field", "du",
+                           "--grid", "16x16"])
+    assert report["n_zero_field_nodes"] == 0 and "error" not in report, surface

@@ -249,6 +249,25 @@ def clifford_partials(radius, u, v):
     return d1, d2, d3
 
 
+def closed_form_embed(s, u, v):
+    """The embedding of surface s in closed form, (n, ...) over the broadcast nodes.
+
+    These are the formulas the package wrote before it wrote each
+    embedding as the product of its two factor maps.
+    """
+    p = s.params
+    if "R" in p:
+        R, r = p["R"], p["r"]
+        w = R + r * np.cos(v)
+        return _stack(w * np.cos(u), w * np.sin(u), r * np.sin(v) + 0.0 * u)
+    if s.ambient_dim == 4:
+        c = p["r"] / np.sqrt(2.0)
+        return _stack(c * np.cos(u), c * np.sin(u), c * np.cos(v), c * np.sin(v))
+    a, b, c = (p["a"], p["b"], p["c"]) if "a" in p else (p["r"],) * 3
+    return _stack(a * np.sin(u) * np.cos(v), b * np.sin(u) * np.sin(v),
+                  c * np.cos(u) + 0.0 * v)
+
+
 def reference_partials(s, u, v):
     """(d1, d2, d3) of surface s from the closed forms above."""
     p = s.params
@@ -341,6 +360,31 @@ def test_jacobian_jet_equals_closed_forms(s, shapes, seed):
     assert d1.dtype == np.longdouble
     np.testing.assert_allclose(d1.astype(float), ref[0], rtol=0,
                                atol=1e-14 * max(s.params.values()))
+
+
+@settings(max_examples=60)
+@given(_surfaces(), st.integers(-30, 30),
+       st.sampled_from([((), ()), ((), (6,)), ((6,), ()), ((6,), (6,)),
+                        ((3, 4), (3, 4)), ((3, 1), (5,)), ((5, 1, 7), (1, 5, 7))]),
+       st.sampled_from([np.float64, np.longdouble]), st.integers(0, 2 ** 32 - 1))
+def test_factored_embedding_equals_closed_forms(s, exponent, shapes, dtype, seed):
+    # p(u) q(v) is the closed form to the bit, at any scale, on 0-d, 1-D,
+    # 2-D, broadcast and stencil-grid nodes (the fd metric's (5, 1, N) and
+    # (1, 5, N) offsets), in float64 and in long double
+    s = surf.make_surface(s.name.split("(")[0],
+                          [x * 10.0 ** exponent for x in s.params.values()])
+    rng = np.random.default_rng(seed)
+    rect = s.chart_rect
+    u = np.asarray(rng.uniform(rect.u0, rect.u1, shapes[0]), dtype=dtype)
+    v = np.asarray(rng.uniform(rect.v0, rect.v1, shapes[1]), dtype=dtype)
+    mine, ref = s.maps.embed(u, v), closed_form_embed(s, u, v)
+    assert mine.dtype == ref.dtype == dtype
+    assert mine.shape == ref.shape == (s.ambient_dim,) + np.broadcast(u, v).shape
+    # equal values of equal sign are equal bits (long double's padding bytes
+    # are not part of the value)
+    assert np.array_equal(mine, ref) and np.array_equal(np.signbit(mine),
+                                                        np.signbit(ref)), s.name
+    assert np.array_equal(s.embed(u, v), np.moveaxis(ref, 0, -1))
 
 
 def test_symmetric_metric_jet_matches_generic_jet_einsum(all_surfaces):
