@@ -1,23 +1,24 @@
 """Fourth-order central finite-difference stencils on chart coordinates.
 
-One evaluator, ``partials``, serves every stencil of the package.  At order
-2 it calls ``f(u, v)`` once on the 5x5 grid of offsets ``(u + k h, v + l h)``,
-``k, l in -2..2``, passed as ``u + offs[:, None]`` and ``v + offs[None, :]``
-so that anything f computes from u or v alone runs on 5 points per node, not
-25.  The value is the grid centre; both first partials, both pure second
-partials and the mixed partial (the tensor product of first-derivative
-stencils) are read off slices of that one array.  At order 1 only the two
-grid lines through the node are needed: f is called once on the line along
-u (centre included) and once on the four off-centre points along v, 9
-points per node.  The nodes are flattened and walked in blocks of
-BLOCK_NODES, which bounds the memory of the grid.
+Two evaluators share the weights and their contraction.  ``partials``
+differences f(u, v): at order 2 it calls f once on the 5x5 grid of offsets
+``(u + k h, v + l h)``, ``k, l in -2..2``, passed as ``u + offs[:, None]``
+and ``v + offs[None, :]`` so that anything f computes from u or v alone
+runs on 5 points per node, not 25.  The value is the grid centre; both
+first partials, both pure second partials and the mixed partial (the
+tensor product of first-derivative stencils) are read off slices of that
+one array.  At order 1 f is called on the line along u and on the four
+off-centre points along v, 9 points per node.  ``along`` differences f(x)
+of one chart coordinate, the metric's factor tables (see ``surfaces``), on
+5 points per point.  Both walk the flattened points in blocks of
+BLOCK_NODES, which bounds the memory of the stencil points.
 
 f must return an array in the node-last layout of ``_jets``: value axes
-first, then the broadcast shape of its arguments, here the two grid axes
-and the nodes of a block, so a weighted sum in fixed order contracts the
-grid axes; no BLAS kernel is involved, whose summation order could depend
-on how many nodes are in the batch.  Stencil nodes may leave the chart
-rectangle: the built-in embeddings are entire functions of (u, v), so
+first, then the broadcast shape of its arguments, here the stencil axes and
+the nodes of a block, so a weighted sum in fixed order contracts the
+stencil axes; no BLAS kernel is involved, whose summation order could
+depend on how many nodes are in the batch.  Stencil nodes may leave the
+chart rectangle: the built-in embeddings are entire functions of (u, v), so
 off-chart evaluation is well defined.
 
 Weights are formed from exact integer numerators in the dtype of the
@@ -69,6 +70,14 @@ def _block(f, u, v, h, order):
     return parts[:order + 1]
 
 
+def _walk(block, nodes, shape):
+    """block(s) on the slices s of BLOCK_NODES flat nodes, each part joined to shape."""
+    blocks = [block(np.s_[s:s + BLOCK_NODES])
+              for s in range(0, max(nodes, 1), BLOCK_NODES)]
+    return [np.concatenate(part, axis=-1).reshape(part[0].shape[:-1] + shape)
+            for part in zip(*blocks)]
+
+
 def partials(f, u, v, h, order):
     """[f, d f, dd f][:order + 1] at the nodes (u, v), by steps h in both axes.
 
@@ -78,9 +87,21 @@ def partials(f, u, v, h, order):
     u, and the weights that of f's values.
     """
     u, v = np.broadcast_arrays(np.asarray(u), np.asarray(v))
-    shape = u.shape
-    u, v = u.ravel(), v.ravel()
-    blocks = [_block(f, u[s:s + BLOCK_NODES], v[s:s + BLOCK_NODES], h, order)
-              for s in range(0, max(u.size, 1), BLOCK_NODES)]
-    return [np.concatenate(part, axis=-1).reshape(part[0].shape[:-1] + shape)
-            for part in zip(*blocks)]
+    flat_u, flat_v = u.ravel(), v.ravel()
+    return _walk(lambda s: _block(f, flat_u[s], flat_v[s], h, order), u.size, u.shape)
+
+
+def along(f, x, h, order):
+    """[f, f', f''][:order + 1] at the points x of one chart axis, by step h,
+    from f, a function of that coordinate alone, on the five points x + k h
+    of each point; every part has the value axes of f, then the shape of x."""
+    x = np.asarray(x)
+    offs = (OFFSETS.astype(x.dtype) * x.dtype.type(h))[:, None]
+
+    def line(s):
+        vals = np.asarray(f(x.ravel()[s] + offs))
+        w = vals.dtype.type(h)
+        return [vals[..., 2, :], _contract(vals, D1_NUM, D1_POINTS) / w,
+                _contract(vals, D2_NUM, range(5)) / w ** 2][:order + 1]
+
+    return _walk(line, x.size, x.shape)

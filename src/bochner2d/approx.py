@@ -263,7 +263,7 @@ def sample_unit_field(surface, X, grid, floor=SAMPLE_FLOOR):
     not finite anywhere on the grid.
     """
     U, V = grid.U, grid.V
-    jac = surface.jacobian(U, V)                      # (..., n, 2)
+    jac = surface.jacobian(grid.u_nodes[:, None], grid.v_nodes[None, :])  # (..., n, 2)
     coeff = np.asarray(X.coeff(U, V), dtype=float)    # (..., 2)
     with np.errstate(over="ignore"):      # an overflowing norm is flagged below
         ambient = np.einsum("...ai,...i->...a", jac, coeff)
@@ -288,7 +288,8 @@ def sample_unit_field(surface, X, grid, floor=SAMPLE_FLOOR):
     values = ambient / norms[..., None]
     # the outer product of the embedding's factors on the two axes: node
     # (i, j) is p(u_i) q(v_j), to the bit what `embed` gives there
-    p, q = surface.maps.embed_u(grid.u_nodes), surface.maps.embed_v(grid.v_nodes)
+    p, q = (factors(x)[0] for factors, x in ((surface.maps.u_factors, grid.u_nodes),
+                                              (surface.maps.v_factors, grid.v_nodes)))
     positions = p[:, :, None] * q[:, None, :]                  # (n, nu, nv)
     m = U.size
     return AmbientFieldSamples(
@@ -384,7 +385,7 @@ def _grid_prediction(poly, samples):
     maps = samples.surface.maps
     u_nodes, v_nodes = samples.axes
     P, Q = (np.concatenate(list(_monomial_layers(points, poly.degree, caps=poly.caps)))
-            for points in (maps.embed_u(u_nodes), maps.embed_v(v_nodes)))
+            for points in (maps.u_factors(u_nodes)[0], maps.v_factors(v_nodes)[0]))
     coeff = poly.coefficients[:, _within_caps(poly.exponents, poly.caps)]
     out = np.empty((coeff.shape[0], P.shape[1], Q.shape[1]))
     for c, row in enumerate(coeff):
@@ -403,7 +404,7 @@ def _tangent_coefficients(surface, w, u, v):
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     jac = surface.maps.d1(u, v)
-    g = surf._gram(jac, jac)
+    g = np.einsum("ai...,aj...->ij...", jac, jac)
     det = surf._det(g)
     surf._require_nondegenerate(surface, g, det, u, v)
     g_inv = g[::-1, ::-1] * surf.cofactor_signs(det.ndim) / det

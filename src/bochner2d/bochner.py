@@ -18,9 +18,9 @@ assembly, the Levi-Civita connection from it, and the jet of the field,
 which takes that same metric jet.  Each residual formula is written once
 on a batch.  The public residual functions build one batch each;
 `chained_residuals` builds one for all four; the `verify` command makes a
-single pass per block of `cli.BATCH_NODES` nodes for all its checks, and
-`gauss-bonnet` takes K and div(grad_T T - (div T) T) from one batch per
-quadrature grid (`gauss_bonnet_integrands`).
+single pass per tile of the grid for all its checks, and `gauss-bonnet`
+takes K and div(grad_T T - (div T) T) from one batch per quadrature grid
+(`gauss_bonnet_integrands`), both on the metric jet the caller assembled.
 
 Residual functions return plain arrays over the broadcast shape of (u, v);
 `residual_report` summarizes a sweep.  Tolerances default to 1e-6 for
@@ -313,12 +313,12 @@ VERIFY_CHECKS = ("bochner", "trace_identity", "divergence_product_rule",
 _UNIT_CHECKS = ("trace_identity", "curvature_identity")
 
 
-def _verify_pass(surface, T, f, Y, u, v):
+def _verify_pass(surface, T, f, Y, u, v, g=None):
     """Every residual of `verify` at one node batch, from one metric assembly.
 
     Returns shape (..., 6): the four residuals of the chain for T, the
     product-rule residual |div(fY) - Y(f) - f div(Y)|, and |g(T,T) - 1|,
-    which `_unit_failures` reads.
+    which `_unit_failures` reads; g is the caller's order-2 metric jet, or None.
 
     A node's row does not depend on the other nodes of the batch.  A lone
     node is evaluated as a pair of copies of itself: with a node axis of
@@ -332,7 +332,7 @@ def _verify_pass(surface, T, f, Y, u, v):
             return _verify_pass(surface, T, f, Y, *pair)[0].reshape(shape + (6,))
         except GeometryError:
             pass
-    batch = _NodeBatch(surface, T, u, v)
+    batch = _NodeBatch(surface, T, u, v, g=g)
     product_rule = _product_rule(_jet(surface, f, u, v, 1, batch.g),
                                  _jet(surface, Y, u, v, 1, batch.g), batch.dlogs)
     return np.stack([*_chain(batch), product_rule,
@@ -353,9 +353,10 @@ def _unit_failures(T, values):
     return [failed if name in _UNIT_CHECKS else {} for name in VERIFY_CHECKS]
 
 
-def gauss_bonnet_integrands(surface, T, u, v):
-    """K and div(grad_T T - (div T) T) for a unit field T, one metric assembly."""
-    batch = _NodeBatch(surface, T, u, v)
+def gauss_bonnet_integrands(surface, T, u, v, g=None):
+    """K and div(grad_T T - (div T) T) for a unit field T, from one metric
+    assembly or the caller's order-2 metric jet g."""
+    batch = _NodeBatch(surface, T, u, v, g=g)
     batch.check_unit()
     return _gauss_curvature(batch.g), _curvature_divergence(batch)
 

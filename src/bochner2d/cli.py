@@ -5,7 +5,7 @@ Subcommands
 verify       -- normalize the selected field and sweep the identity chain
                 (Bochner, trace, product-rule link, curvature-divergence)
                 and a scalar product rule over a guarded grid, in one pass
-                per block of BATCH_NODES nodes
+                and one metric assembly per tile of BATCH_NODES grid nodes
 gauss-bonnet -- total-curvature integral, Euler-characteristic estimate and,
                 when a field is given, the divergence-theorem residual of its
                 curvature-potential field
@@ -39,6 +39,7 @@ evaluating the same compiled expression on jets of u and v.
 import argparse
 import ast
 import functools
+import itertools
 import json
 import os
 import sys
@@ -52,7 +53,6 @@ from . import surfaces as surf
 from .errors import (
     BudgetNotMetError,
     ConfigError,
-    DegenerateMetricError,
     GeometryError,
     ZeroFieldPointError,
 )
@@ -237,7 +237,7 @@ def parse_tols(pairs, accepted):
     return out
 
 
-def guarded_eval(fn, U, V, out, screen=None):
+def guarded_eval(fn, U, V, out):
     """Vectorized sweep that isolates the nodes raising geometry errors.
 
     Writes fn(U, V) into out, one row per node; the rows of the nodes whose
@@ -245,10 +245,6 @@ def guarded_eval(fn, U, V, out, screen=None):
     nodes, in node order.  A failing batch is halved until each failure is a
     single node, so k failures among n nodes cost at most
     2 k (log2 n + 1) + 1 calls of fn.
-
-    When the batch fails with a DegenerateMetricError and a `screen` is
-    given, screen(U, V) names the degenerate nodes at once, {node index:
-    the message fn raises there alone}, and only the other nodes are halved.
     """
     U = np.asarray(U).ravel()
     V = np.asarray(V).ravel()
@@ -259,15 +255,6 @@ def guarded_eval(fn, U, V, out, screen=None):
         if U.size == 1:
             out[...] = np.nan
             return {0: str(exc)}
-        if screen is not None and isinstance(exc, DegenerateMetricError):
-            failed = screen(U, V)
-            out[list(failed)] = np.nan
-            rest = np.setdiff1d(np.arange(U.size), list(failed))
-            values = out[rest]
-            more = guarded_eval(fn, U[rest], V[rest], values) if rest.size else {}
-            out[rest] = values
-            failed.update({int(rest[i]): error for i, error in more.items()})
-            return dict(sorted(failed.items()))
     half = U.size // 2
     failed = guarded_eval(fn, U[:half], V[:half], out[:half])
     hi = guarded_eval(fn, U[half:], V[half:], out[half:])
@@ -391,23 +378,48 @@ def _product_rule_pair():
                                    operators.coordinate_field(1))
 
 
-def _verify_sweep(surface, fn, U, V):
-    """fn over blocks of BATCH_NODES nodes, each through guarded_eval.
+def _verify_sweep(surface, field, unit, grid, floor):
+    """verify's pass over the guarded grid in tiles of at most BATCH_NODES nodes,
+    whole rows or chunks of one row, with one order-2 metric assembly each.
 
-    A block with a degenerate metric is screened by one order-0 assembly
-    (`surfaces.degenerate_nodes`), so its degenerate nodes are not halved
-    out one by one.  Returns the values, one row of
-    len(bochner.VERIFY_CHECKS) + 1 per node, and {node index: message} of
-    the geometry errors raised.
-    """
-    values = np.empty((U.size, len(bochner.VERIFY_CHECKS) + 1))
-    errors = {}
-    screen = lambda uu, vv: surf.degenerate_nodes(surface, uu, vv)
-    for s in range(0, U.size, BATCH_NODES):
-        block = slice(s, s + BATCH_NODES)
-        failed = guarded_eval(fn, U[block], V[block], values[block], screen)
-        errors.update({s + i: error for i, error in failed.items()})
-    return values, errors
+    It screens the tile's zero-field nodes (a non-finite norm too), names
+    each degenerate usable node with the message `metric_data` raises there
+    alone, and serves `bochner._verify_pass`, through guarded_eval if that
+    raises.  Returns the zero nodes' (U, V, finite norm), the usable nodes'
+    U, V and value rows, and {usable node index: message} of the errors."""
+    run = functools.partial(bochner._verify_pass, surface, unit, *_product_rule_pair())
+    zeros, nodes, errors, n = [], [], {}, 0
+    rows, cols = max(1, BATCH_NODES // grid.nv), min(grid.nv, BATCH_NODES)
+    for i, j in itertools.product(range(0, grid.nu, rows), range(0, grid.nv, cols)):
+        u, v = grid.u_nodes[i:i + rows, None], grid.v_nodes[None, j:j + cols]
+        U, V = grid.U[i:i + rows, j:j + cols], grid.V[i:i + rows, j:j + cols]
+        g, dg, ddg, det = surf._assemble(surface, u, v, 2)
+        n2, trace = operators._squared_norm_and_trace(surface, field, u, v, _jets.Jet(g))
+        mask, finite = surf.guarded_mask(surface, U, V), np.isfinite(n2)
+        zero = mask & (~finite | operators._vanishes(n2, trace, floor))
+        zeros.append((U[zero], V[zero], finite[zero]))
+        usable = mask & ~zero
+        good = surf._nondegenerate(g, det)[usable]
+        U, V, det = U[usable], V[usable], det[usable]
+        out = np.full((U.size, len(bochner.VERIFY_CHECKS) + 1), np.nan)
+        for k in np.flatnonzero(~good):
+            errors[n + int(k)] = str(surf._degenerate_error(surface, det[k], U[k], V[k]))
+        if np.any(good):
+            whole = usable.all() and good.all()     # then the tile's arrays, not a copy
+            jet = _jets.Jet(*(x.reshape(x.shape[:-2] + (-1,)) if whole else
+                              np.ascontiguousarray(x[..., usable][..., good])
+                              for x in (g, dg, ddg)))
+            try:
+                out[good] = run(U[good], V[good], jet)
+            except GeometryError:
+                rows_ok, at = out[good], np.flatnonzero(good)
+                failed = guarded_eval(run, U[good], V[good], rows_ok)
+                out[good] = rows_ok
+                errors.update({n + int(at[k]): error for k, error in failed.items()})
+        nodes.append((U, V, out))
+        n += U.size
+    return ([np.concatenate(x) for x in zip(*zeros)],
+            *(np.concatenate(x) for x in zip(*nodes)), errors)
 
 
 def _node(U, V, i, error):
@@ -422,21 +434,14 @@ def cmd_verify(args, surface, field, grid_shape, tols, report):
     keep_nodes = args.format == "csv"
     base = bochner.default_tolerance(surface)
     grid = surf.chart_grid(surface, *grid_shape)
-    mask = surf.guarded_mask(surface, grid.U, grid.V)
-
-    # locate zero-field nodes first, a NaN or infinite norm being no usable
-    # node either; identity checks run on the clean subset
-    n2, trace = operators._squared_norm_and_trace(surface, field, grid.U, grid.V)
-    finite = np.isfinite(n2)
-    zero_nodes = mask & (~finite | operators._vanishes(n2, trace, floor))
-    usable = mask & ~zero_nodes
+    unit = bochner.normalize_field(surface, field, floor=floor)
+    (zero_u, zero_v, zero_finite), U, V, values, errors = _verify_sweep(
+        surface, field, unit, grid, floor)
     report["zero_field_nodes"] = [
-        {"u": float(a), "v": float(b)}
-        for a, b in zip(grid.U[zero_nodes].ravel()[:64],
-                        grid.V[zero_nodes].ravel()[:64])]
-    report["n_zero_field_nodes"] = int(np.count_nonzero(zero_nodes))
-    if not np.any(usable):
-        n_inf = int(np.count_nonzero(zero_nodes & ~finite))
+        {"u": float(a), "v": float(b)} for a, b in zip(zero_u[:64], zero_v[:64])]
+    report["n_zero_field_nodes"] = zero_u.size
+    if not U.size:
+        n_inf = int(np.count_nonzero(~zero_finite))
         n_low = report["n_zero_field_nodes"] - n_inf
         reason = "field vanishes everywhere"
         if n_inf:
@@ -445,12 +450,6 @@ def cmd_verify(args, surface, field, grid_shape, tols, report):
         report["error"] = "no usable grid nodes: " + reason
         return False
 
-    U, V = grid.U[usable], grid.V[usable]
-    unit = bochner.normalize_field(surface, field, floor=floor)
-    f, xsum = _product_rule_pair()
-    values, errors = _verify_sweep(
-        surface, lambda uu, vv: bochner._verify_pass(surface, unit, f, xsum, uu, vv),
-        U, V)
     pr_tol = (PRODUCT_RULE_TOL if surface.derivative_mode == "analytic" else base)
     passed = report["n_zero_field_nodes"] == 0
     for k, (name, unit_failed) in enumerate(zip(
@@ -482,7 +481,8 @@ def cmd_gauss_bonnet(args, surface, field, grid_shape, tols, report):
             unit = bochner.normalize_field(surface, field)
             total, res = integrate.surface_integrals(
                 surface,
-                lambda u, v: bochner.gauss_bonnet_integrands(surface, unit, u, v), grid)
+                lambda u, v, g: bochner.gauss_bonnet_integrands(surface, unit, u, v, g),
+                grid)
         else:
             total = integrate.total_curvature(surface, grid)
     except GeometryError as exc:

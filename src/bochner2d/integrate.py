@@ -1,10 +1,10 @@
 """Quadrature against the area element and the Euler-characteristic estimate.
 
-Periodic chart axes use the equispaced trapezoidal rule (spectrally accurate
-for smooth periodic integrands); non-periodic axes use Gauss-Legendre nodes,
-which never touch the chart-singular ends.  The weighted reduction is an
-ordinary fixed-order numpy sum, so results are reproducible bit-for-bit for
-a given grid.
+Periodic chart axes use the equispaced trapezoidal rule; non-periodic axes
+use Gauss-Legendre nodes, which never touch the chart-singular ends.  The
+integrands and the area element come from one metric assembly on the grid's
+axes, (nu, 1) and (1, nv), and the weighted reduction is an ordinary numpy
+sum, so results are reproducible bit-for-bit for a given grid.
 """
 
 from dataclasses import dataclass
@@ -12,9 +12,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import _jets, surfaces as surf
 from .errors import ChiIndeterminateError
-from .operators import divergence_at, gauss_curvature_at
-from .surfaces import chart_grid, metric_only
+from .operators import _gauss_curvature, _metric, divergence_at
+from .surfaces import chart_grid
 
 CHI_MARGIN = 0.01   # an order below the 0.5 rounding boundary
 
@@ -51,9 +52,12 @@ class ChiEstimate:
 
 
 def _integrands(surface, fs, grid):
-    """The integrands fs returns on the grid's nodes, and the area element."""
-    area_elem = np.sqrt(np.linalg.det(metric_only(surface, grid.U, grid.V)))
-    return [np.asarray(vals, dtype=float) for vals in fs(grid.U, grid.V)], area_elem
+    """fs's integrands on the grid's axes and the area element, from one metric
+    assembly, whose jet fs gets unless degenerate (fs's own then raises)."""
+    u, v = grid.u_nodes[:, None], grid.v_nodes[None, :]
+    g, dg, ddg, det = surf._assemble(surface, u, v, 2)
+    jet = _jets.Jet(g, dg, ddg) if np.all(surf._nondegenerate(g, det)) else None
+    return [np.asarray(vals, dtype=float) for vals in fs(u, v, jet)], np.sqrt(det)
 
 
 def _weighted_sums(grid, vals, area_elem):
@@ -61,15 +65,15 @@ def _weighted_sums(grid, vals, area_elem):
 
 
 def surface_integrals(surface, fs, grid):
-    """Integrals of each scalar that fs(u, v) returns, against the area element.
+    """Integrals of each scalar that fs(u, v, g) returns, against the area element.
 
     fs is evaluated once per grid (the given one and the coarser one of the
-    error estimate), so integrands that share their pointwise work share it
-    here too.  Where the coarse nodes are every other fine node, as on
-    periodic axes with even counts, the coarse integrands and area element
-    are read off the fine ones instead.  Returns one IntegralResult per
-    integrand.
-    """
+    error estimate), on its axes u (nu, 1) and v (1, nv), with the metric
+    jet g of the area element or None, so integrands that share their
+    pointwise work, the metric included, share it here too.  Where the
+    coarse nodes are every other fine node, as on periodic axes with even
+    counts, the coarse integrands and area element are read off the fine
+    ones instead.  Returns one IntegralResult per integrand."""
     vals, area_elem = _integrands(surface, fs, grid)
     coarse = chart_grid(surface, max(4, grid.nu // 2), max(4, grid.nv // 2))
     sub = np.s_[::2, ::2]
@@ -86,7 +90,7 @@ def surface_integrals(surface, fs, grid):
 
 def surface_integral(surface, f, grid):
     """Integral of the scalar chart function f against the area element."""
-    return surface_integrals(surface, lambda u, v: (f(u, v),), grid)[0]
+    return surface_integrals(surface, lambda u, v, g: (f(u, v),), grid)[0]
 
 
 def surface_area(surface, grid):
@@ -95,8 +99,8 @@ def surface_area(surface, grid):
 
 def total_curvature(surface, grid):
     """Integral of the Gauss curvature over the surface."""
-    return surface_integral(surface, lambda u, v: gauss_curvature_at(surface, u, v),
-                            grid)
+    return surface_integrals(surface, lambda u, v, g: (
+        _gauss_curvature(_metric(surface, u, v, 2, g)),), grid)[0]
 
 
 def euler_characteristic(surface, grid):

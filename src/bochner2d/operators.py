@@ -96,15 +96,14 @@ def _jet(surface, f, u, v, order, g=None):
     """Jet of a TangentField's coefficients or a ScalarField's values.
 
     A derived field takes the metric jet `g` at (u, v), when given, instead
-    of assembling the metric again; a base field needs no metric.  A base
-    field's callbacks are in the public layout and are converted here.
+    of assembling the metric again; a base field needs no metric, and its
+    callbacks get (u, v) broadcast to one shape, in the public layout.
     """
     if f.jet is not None:
         return f.jet(surface, u, v, order, g)
     if order > 2:
         raise ValueError(f"{f.name!r} declares partials up to second order only")
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     rank = int(isinstance(f, TangentField))        # value axes of the callbacks
     if rank:
         value, exact = f.coeff, (f.d_coeff, f.dd_coeff)
@@ -308,10 +307,10 @@ def field_norm(surface, X, u, v):
     return np.sqrt(_squared_norm_and_trace(surface, X, u, v)[0])
 
 
-def _squared_norm_and_trace(surface, X, u, v):
-    """g(X, X) and tr g at every node, from one order-0 metric assembly."""
-    g = _metric(surface, u, v, 0).v
-    return _quadratic(g, _jet(surface, X, u, v, 0).v), g[0, 0] + g[1, 1]
+def _squared_norm_and_trace(surface, X, u, v, g=None):
+    """g(X, X) and tr g at every node, from one order-0 metric assembly or g."""
+    g = _metric(surface, u, v, 0, g)
+    return _quadratic(g.v, _jet(surface, X, u, v, 0, g).v), g.v[0, 0] + g.v[1, 1]
 
 
 def _vanishes(n2, trace, floor):

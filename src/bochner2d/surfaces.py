@@ -11,9 +11,10 @@ Four closed-form embeddings are built in:
 defaults, chart rectangle, ambient dimension, Euler characteristic, maps and
 the exponent caps of the standard monomials of the surface's equations.
 
-Each family writes its embedding once, as two factor maps: every ambient
-coordinate is a product x_k(u, v) = p_k(u) q_k(v), ``embed_u`` gives p and
-``embed_v`` gives q, and ``embed`` is their broadcast product.
+Each family writes its embedding once, as two factor maps and their
+derivatives: every ambient coordinate is a product x_k(u, v) = p_k(u) q_k(v),
+``u_factors`` gives (p, p') and ``v_factors`` (q, q'); the embedding is p q
+and its Jacobian ``d1`` is (p' q, p q').
 
 * torus(R, r): p(u) = (cos u, sin u, 1), q(v) = (w, w, r sin v), w = R + r cos v
 * sphere and ellipsoid(a, b, c): p(u) = (a sin u, b sin u, c cos u),
@@ -21,21 +22,12 @@ coordinate is a product x_k(u, v) = p_k(u) q_k(v), ``embed_u`` gives p and
 * clifford_torus(radius), s = radius / sqrt 2: p(u) = (s cos u, s sin u, 1, 1),
   q(v) = (1, 1, s cos v, s sin v)
 
-On a tensor grid of chart nodes the factors are evaluated on the two axes
-alone, and so is anything that is a product over the coordinates: a
-monomial x^e is p(u)^e q(v)^e (see ``approx``).
-
-Each surface hand-writes one derivative, the Jacobian ``d1`` of its
-embedding; evaluated on second-order jets of (u, v) it gives the exact
-second and third chart partials, from which the first fundamental form and
-its first and second partials are assembled.  ``derivative_mode`` selects
-between that exact route ("analytic") and 4th-order central finite
-differences of the metric components ("fd"); the finite-difference stencils
-are evaluated in extended precision so that truncation, not round-off,
-dominates down to small steps.  The fd metric is one ``_stencils.partials``
-call: g = J^T J on the 5x5 stencil grid of each node (on its two centre
-lines at order 1), in blocks of ``_stencils.BLOCK_NODES`` nodes, with g
-itself the grid centre.
+So the metric factors too (sum factorization, see ``_assemble``): on a
+tensor grid passed as its axes, (nu, 1) and (1, nv), its trig, jets and
+stencils run on nu + nv points, as does anything that is a product over
+the coordinates, such as a monomial x^e = p(u)^e q(v)^e (see ``approx``).
+``derivative_mode`` selects exact partials ("analytic") or 4th-order
+central differences in extended precision ("fd").
 
 The maps and the assembly keep the nodes as the trailing axes (the private
 layout of ``_jets``); ``SurfaceSpec`` methods and ``MetricData`` present the
@@ -88,29 +80,36 @@ class ChartRect:
 
 @dataclass(frozen=True)
 class _ChartMaps:
-    """The embedding as two factor maps, and its Jacobian.
-
-    Every built-in coordinate is a product x_k(u, v) = p_k(u) q_k(v), so
-    the embedding is written once, as its factors:
-      embed_u -> (n, ...)    p over the shape of u
-      embed_v -> (n, ...)    q over the shape of v
-      embed   -> (n, ...)    their product over the broadcast shape of (u, v)
-      d1      -> (n, 2, ...) columns d/du, d/dv; the one hand-written derivative
-
-    Index conventions keep the node axes last.  d1 accepts arrays or jets of
-    (u, v); the second and third chart partials of the embedding are the
-    partials of its jet (see `_jacobian_jet`).
-    """
-    embed_u: Callable
-    embed_v: Callable
-    d1: Callable
+    """The embedding x_k(u, v) = p_k(u) q_k(v) as two factor maps, node axes last:
+      u_factors -> (p, p'), each (n, ...) over the shape of u
+      v_factors -> (q, q'), each (n, ...) over the shape of v
+    Both accept float64 or long-double arrays, or jets; on jets of (u, v) the
+    Jacobian's partials are the embedding's second and third partials."""
+    u_factors: Callable
+    v_factors: Callable
 
     def embed(self, u, v):
         """p(u) q(v), coordinate by coordinate, node axes last."""
-        u, v = np.asarray(u), np.asarray(v)
-        nodes = max(u.ndim, v.ndim)     # align the node axes behind the value axis
-        return (self.embed_u(u.reshape((1,) * (nodes - u.ndim) + u.shape))
-                * self.embed_v(v.reshape((1,) * (nodes - v.ndim) + v.shape)))
+        u, v = _aligned(u, v)
+        return self.u_factors(u)[0] * self.v_factors(v)[0]
+
+    def d1(self, u, v):
+        """The Jacobian (n, 2, ...), columns d/du and d/dv, of arrays or of jets."""
+        if isinstance(u, _jets.Jet):
+            (p, dp), (q, dq) = self.u_factors(u), self.v_factors(v)
+            return _jets.stack([dp * q, p * dq], axis=1)
+        u, v = _aligned(u, v)
+        (p, dp), (q, dq) = self.u_factors(u), self.v_factors(v)
+        jac = np.empty((len(p), 2) + np.broadcast(u, v).shape, np.result_type(p, q))
+        np.multiply(dp, q, out=jac[:, 0])       # in place: no temporaries of its size
+        np.multiply(p, dq, out=jac[:, 1])
+        return jac
+
+
+def _aligned(u, v):
+    """u and v with as many axes as their broadcast, node axes aligned."""
+    nodes = max(np.ndim(u), np.ndim(v))
+    return (np.reshape(x, (1,) * (nodes - np.ndim(x)) + np.shape(x)) for x in (u, v))
 
 
 @dataclass(frozen=True)
@@ -186,67 +185,55 @@ def _public(x, k):
     return np.asarray(_jets.value_last(x, k), order="C")
 
 
-# Each d1 runs unchanged on float64 arrays, on long-double arrays (the fd
-# metric's stencils) and on jets; `_jets.stack` broadcasts arrays and stacks
-# jets alike, and `_jets.sincos` evaluates each of sin u, cos u, sin v and
-# cos v once per call.
+def _constants(x):
+    """1 and 0 shaped as x: a float64 or long-double array, or a jet."""
+    return 1.0 + 0.0 * x, 0.0 * x
+
 
 def _torus_maps(big_r, small_r):
     R, r = big_r, small_r
 
-    def embed_u(u):
-        return _jets.stack([np.cos(u), np.sin(u), 1.0])
+    def u_factors(u):
+        (su, cu), (one, zero) = _jets.sincos(u), _constants(u)
+        return _jets.stack([cu, su, one]), _jets.stack([-su, cu, zero])
 
-    def embed_v(v):
-        w = R + r * np.cos(v)
-        return _jets.stack([w, w, r * np.sin(v)])
-
-    def d1(u, v):
-        (su, cu), (sv, cv) = _jets.sincos(u), _jets.sincos(v)
+    def v_factors(v):
+        sv, cv = _jets.sincos(v)
         w = R + r * cv
-        du = _jets.stack([-w * su, w * cu, 0.0 * (u + v)])
-        dv = _jets.stack([-r * sv * cu, -r * sv * su, r * cv + 0.0 * u])
-        return _jets.stack([du, dv], axis=1)
+        return _jets.stack([w, w, r * sv]), _jets.stack([-r * sv, -r * sv, r * cv])
 
-    return _ChartMaps(embed_u, embed_v, d1)
+    return _ChartMaps(u_factors, v_factors)
 
 
 def _polar_maps(a, b, c):
     """Maps for (a sin u cos v, b sin u sin v, c cos u); sphere is a = b = c."""
 
-    def embed_u(u):
-        su = np.sin(u)
-        return _jets.stack([a * su, b * su, c * np.cos(u)])
+    def u_factors(u):
+        su, cu = _jets.sincos(u)
+        return (_jets.stack([a * su, b * su, c * cu]),
+                _jets.stack([a * cu, b * cu, -c * su]))
 
-    def embed_v(v):
-        return _jets.stack([np.cos(v), np.sin(v), 1.0])
+    def v_factors(v):
+        (sv, cv), (one, zero) = _jets.sincos(v), _constants(v)
+        return _jets.stack([cv, sv, one]), _jets.stack([-sv, cv, zero])
 
-    def d1(u, v):
-        (su, cu), (sv, cv) = _jets.sincos(u), _jets.sincos(v)
-        du = _jets.stack([a * cu * cv, b * cu * sv, -c * su + 0.0 * v])
-        dv = _jets.stack([-a * su * sv, b * su * cv, 0.0 * (u + v)])
-        return _jets.stack([du, dv], axis=1)
-
-    return _ChartMaps(embed_u, embed_v, d1)
+    return _ChartMaps(u_factors, v_factors)
 
 
 def _clifford_maps(radius):
     s = radius / np.sqrt(2.0)
 
-    def embed_u(u):
-        return _jets.stack([s * np.cos(u), s * np.sin(u), 1.0, 1.0])
+    def u_factors(u):
+        (su, cu), (one, zero) = _jets.sincos(u), _constants(u)
+        return (_jets.stack([s * cu, s * su, one, one]),
+                _jets.stack([-s * su, s * cu, zero, zero]))
 
-    def embed_v(v):
-        return _jets.stack([1.0, 1.0, s * np.cos(v), s * np.sin(v)])
+    def v_factors(v):
+        (sv, cv), (one, zero) = _jets.sincos(v), _constants(v)
+        return (_jets.stack([one, one, s * cv, s * sv]),
+                _jets.stack([zero, zero, -s * sv, s * cv]))
 
-    def d1(u, v):
-        (su, cu), (sv, cv) = _jets.sincos(u), _jets.sincos(v)
-        zero = 0.0 * (u + v)
-        du = _jets.stack([-s * su, s * cu, zero, zero])
-        dv = _jets.stack([zero, zero, -s * sv, s * cv])
-        return _jets.stack([du, dv], axis=1)
-
-    return _ChartMaps(embed_u, embed_v, d1)
+    return _ChartMaps(u_factors, v_factors)
 
 
 TWO_PI = 2.0 * np.pi
@@ -341,16 +328,6 @@ def ellipsoid(a, b, c, mode="analytic", step=DEFAULT_FD_STEP):
     return make_surface("ellipsoid", (a, b, c), mode, step)
 
 
-def _gram(a, b):
-    """a^T b at every node: sum over the ambient axis of a[a, i] b[a, j]."""
-    return np.einsum("ai...,aj...->ij...", a, b)
-
-
-def _first_form(maps, u, v):
-    jac = maps.d1(u, v)
-    return _gram(jac, jac)
-
-
 def _jacobian_jet(maps, u, v, order):
     """The Jacobian J[a, i] as a jet of `order`, node axes last.
 
@@ -363,41 +340,53 @@ def _jacobian_jet(maps, u, v, order):
     return maps.d1(*seeds)
 
 
-def _analytic_metric(maps, u, v, order):
-    # the jet of g = J^T J by the product rule, each pair of terms being one
-    # product and its transpose: dg = S + S^T with S = dJ^T J, and the mixed
-    # row of the second partials holds P + P^T with P = d_u J^T d_v J.  The
-    # sums keep the generic jet einsum's order, so the result is the same
-    jac = _jacobian_jet(maps, u, v, order)
-    g = _gram(jac.v, jac.v)
-    if order == 0:
-        return g, None, None
-    s = np.einsum("Zai...,aj...->Zij...", jac.d, jac.v)
-    dg = s + s.swapaxes(1, 2)
-    if order == 1:
-        return g, dg, None
-    s = np.einsum("Zai...,aj...->Zij...", jac.dd, jac.v)
-    ju, jv = jac.d
-    p = _gram(ju, jv)
-    cross = np.stack([2 * _gram(ju, ju), p + p.swapaxes(0, 1), 2 * _gram(jv, jv)])
-    return g, dg, s + s.swapaxes(1, 2) + cross
+# derivative orders of the u and v tables in the rows (value, u, v, uu, uv, vv)
+_ROWS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
-def _fd_metric(maps, u, v, order, h):
-    # long double keeps stencil round-off below O(h^4) truncation; g is the grid centre
-    ul = np.asarray(u, dtype=np.longdouble)
-    vl = np.asarray(v, dtype=np.longdouble)
-    g_fn = lambda uu, vv: _first_form(maps, uu, vv)
-    parts = _stencils.partials(g_fn, ul, vl, h, order) if order else [g_fn(ul, vl)]
-    return (*(x.astype(np.float64) for x in parts), None, None)[:3]
+def _leibniz(f, g):
+    """[fg, (fg)', (fg)''] from the derivative stacks [f, f', f''] and [g, g', g'']."""
+    return np.stack([f[0] * g[0], f[1] * g[0] + f[0] * g[1],
+                     f[2] * g[0] + f[0] * g[2] + 2 * (f[1] * g[1])])
+
+
+def _axis_table(surface, factors, x, order):
+    """(f'f', f'f, ff) of (f, f') = factors(x), (order + 1, 3, n, *x.shape), row k
+    its k-th derivative along x: exact from jets of the factors, or on fd by
+    long-double stencils at `surface.step`, rounded to float64."""
+    def products(y):
+        f, df = factors(y)
+        return _jets.stack([df * df, df * f, f * f])
+
+    fd = surface.derivative_mode == "fd"
+    x = np.asarray(x, dtype=np.longdouble if fd else np.float64)
+    if order and not fd:
+        f, df = ([y.v, y.d[0], y.dd[0]] for y in factors(_jets.variables(x, 0.0)[0]))
+        rows = [_leibniz(df, df), _leibniz(df, f), _leibniz(f, f)]
+        return np.stack(rows, axis=1)[:order + 1]
+    parts = _stencils.along(products, x, surface.step, order) if order else [products(x)]
+    return np.asarray(np.stack(parts), dtype=np.float64)
 
 
 def _assemble(surface, u, v, order):
-    """g and its partials to `order` on the surface's backend, node-last, and det g."""
-    if surface.derivative_mode == "analytic":
-        g, dg, ddg = _analytic_metric(surface.maps, u, v, order)
-    else:
-        g, dg, ddg = _fd_metric(surface.maps, u, v, order, surface.step)
+    """g and its partials to `order` on the surface's backend, node-last, and det g.
+
+    With x_k = p_k(u) q_k(v), the components (uu, uv, vv) of g are
+    sum_k A_k(u) B_k(v), A = (p'p', p'p, pp) and B = (qq, qq', q'q'), and
+    each partial differentiates A along u and B along v alone.  Summed in
+    fixed order node by node, a node's rows depend on no other node.
+    """
+    u, v = _aligned(u, v)
+    a = _axis_table(surface, surface.maps.u_factors, u, order)
+    b = _axis_table(surface, surface.maps.v_factors, v, order)[:, ::-1]
+
+    def row(i, j):
+        comps = a[i, :, 0] * b[j, :, 0]
+        for k in range(1, a.shape[2]):
+            comps += a[i, :, k] * b[j, :, k]
+        return comps[[[0, 1], [1, 2]]]          # g_ij from the components (uu, uv, vv)
+    full = np.stack([row(i, j) for i, j in _ROWS[:(1, 3, 6)[order]]])   # (rows, 2, 2, *N)
+    g, dg, ddg = full[0], full[1:3] if order else None, full[3:] if order > 1 else None
     return g, dg, ddg, _det(g)
 
 
@@ -461,29 +450,14 @@ def metric_data(surface, u, v, order=2):
                       dg=dg, ddg=ddg, det_g=det, sqrt_det_g=np.sqrt(det))
 
 
-def degenerate_nodes(surface, u, v):
-    """{flat node index: message} of the nodes where `metric_data` raises.
-
-    One order-0 assembly on the surface's backend: its det g is, node by
-    node, the one an assembly of any order computes, and each message is
-    the one `metric_data` raises at that node alone.
-    """
-    u, v = (np.ravel(x) for x in np.broadcast_arrays(np.asarray(u, dtype=float),
-                                                      np.asarray(v, dtype=float)))
-    g, _, _, det = _assemble(surface, u, v, 0)
-    bad = np.flatnonzero(~_nondegenerate(g, det))
-    return {int(i): str(_degenerate_error(surface, det[i], u[i], v[i])) for i in bad}
-
-
 def metric_at(surface, u, v):
     """Full metric data (g, its inverse, first and second partials)."""
     return metric_data(surface, u, v, order=2)
 
 
 def metric_only(surface, u, v):
-    """Just g, shape (..., 2, 2); exact in both backends."""
-    return _jets.value_last(_first_form(surface.maps, np.asarray(u, dtype=float),
-                                        np.asarray(v, dtype=float)), 2)
+    """Just g, shape (..., 2, 2), from an order-0 assembly; exact in both backends."""
+    return _jets.value_last(_assemble(surface, u, v, 0)[0], 2)
 
 
 @functools.lru_cache(maxsize=64)

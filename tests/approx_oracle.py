@@ -117,9 +117,9 @@ def grid_prediction(poly, samples):
     """poly on the samples' grid, P^T diag(C_c) Q per component, fresh layers."""
     maps = samples.surface.maps
     u_nodes, v_nodes = samples.axes
-    P = np.concatenate(list(monomial_layers(maps.embed_u(u_nodes), poly.degree,
+    P = np.concatenate(list(monomial_layers(maps.u_factors(u_nodes)[0], poly.degree,
                                             poly.caps)))
-    Q = np.concatenate(list(monomial_layers(maps.embed_v(v_nodes), poly.degree,
+    Q = np.concatenate(list(monomial_layers(maps.v_factors(v_nodes)[0], poly.degree,
                                             poly.caps)))
     coeff = poly.coefficients[:, ap._within_caps(poly.exponents, poly.caps)]
     out = np.stack([(P * row[:, None]).T @ Q for row in coeff])

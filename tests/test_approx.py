@@ -280,8 +280,8 @@ class TestGridPrediction:
         ref = ap.evaluate_polynomial_field(poly, samples.positions)
         assert pred.shape == ref.shape == (nu * nv, S.ambient_dim)
         P, Q = (np.concatenate(list(approx_oracle.monomial_layers(
-                    np.abs(factor(axis)), degree, caps)))
-                for factor, axis in zip((S.maps.embed_u, S.maps.embed_v), samples.axes))
+                    np.abs(factors(axis)[0]), degree, caps)))
+                for factors, axis in zip((S.maps.u_factors, S.maps.v_factors), samples.axes))
         kept = np.abs(coeff[:, _within(exps, caps)])
         bound = 32 * np.finfo(float).eps * np.stack(
             [((P * c[:, None]).T @ Q).ravel() for c in kept], axis=1)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,11 +9,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bochner2d import bochner, cli, integrate
+from bochner2d import _jets, bochner, cli, integrate
 from bochner2d import surfaces as surf
-from bochner2d.errors import ConfigError, GeometryError
+from bochner2d.errors import ConfigError, DegenerateMetricError, GeometryError
 
 from conftest import non_finite_parameters
+
+
+# inputs whose metric is degenerate at some or all nodes of a grid: det g
+# below DET_MIN everywhere, below it near the poles, above DET_MAX
+DEGENERATE_INPUTS = [
+    ("--surface", "sphere:1e-40", "--field", "1e40,0"),
+    ("--surface", "sphere:1e-38", "--field", "0,1e38"),
+    ("--surface", "sphere:1e40", "--field", "du"),
+]
 
 
 def run_cli(capsys, *argv):
@@ -240,8 +250,8 @@ class TestGaussBonnet:
         # a unit field whose partials overflow is named before any integral
         # (TestOverflowingPartials), so a NaN divergence is put in its place
         integrands = bochner.gauss_bonnet_integrands
-        monkeypatch.setattr(bochner, "gauss_bonnet_integrands", lambda s, T, u, v: (
-            integrands(s, T, u, v)[0], np.full(np.shape(u), np.nan)))
+        monkeypatch.setattr(bochner, "gauss_bonnet_integrands", lambda s, T, u, v, g: (
+            integrands(s, T, u, v, g)[0], np.full(np.shape(u), np.nan)))
         status, out = run_cli(capsys, "gauss-bonnet", "--surface", "torus:2,1",
                               "--field", "du", "--grid", "16x16", "--format", fmt)
         assert status == 1
@@ -565,17 +575,38 @@ class TestGuardedEval:
 
 @pytest.fixture
 def metric_assemblies(monkeypatch):
-    """Counts metric assemblies: the calls of surfaces._assemble, which both
-    metric_data and the degenerate-node screen make."""
+    """The orders of the metric assemblies: the calls of surfaces._assemble,
+    which metric_data, metric_only and verify's tiles make."""
     original = surf._assemble
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(surface, u, v, order):
+        calls.append(order)
+        return original(surface, u, v, order)
 
     monkeypatch.setattr(surf, "_assemble", counted)
     return calls
+
+
+@pytest.fixture
+def factor_points(monkeypatch):
+    """The points the factor maps of the commands' surfaces see, call by call."""
+    points = []
+    parse = cli.parse_surface
+
+    def counted(factors):
+        def wrapped(x):
+            points.append(np.size(x.v if isinstance(x, _jets.Jet) else x))
+            return factors(x)
+        return wrapped
+
+    def parse_counted(text, backend):
+        s = parse(text, backend)
+        maps = surf._ChartMaps(counted(s.maps.u_factors), counted(s.maps.v_factors))
+        return dataclasses.replace(s, maps=maps)
+
+    monkeypatch.setattr(cli, "parse_surface", parse_counted)
+    return points
 
 
 class TestMetricAssemblies:
@@ -583,15 +614,18 @@ class TestMetricAssemblies:
         status, _ = run_json(capsys, "verify", "--surface", "torus:2,1",
                              "--field", "du", "--grid", "64x64")
         assert status == 0
-        assert len(metric_assemblies) == 1
+        # one order-2 assembly serves the zero screen and the pass; no
+        # metric_only (an order-0 assembly) is called
+        assert metric_assemblies == [2]
 
     def test_gauss_bonnet_assembles_once_per_grid(self, capsys, metric_assemblies):
         status, _ = run_json(capsys, "gauss-bonnet", "--surface", "torus:2,1",
                              "--field", "du", "--grid", "64x64")
         assert status == 0
         # the coarse half's nodes are every other node of the grid, so its
-        # integrands are read off the grid's
-        assert len(metric_assemblies) == 1
+        # integrands are read off the grid's; the area element comes from
+        # the integrands' assembly
+        assert metric_assemblies == [2]
 
     def test_gauss_bonnet_on_a_polar_chart_assembles_both_grids(
             self, capsys, metric_assemblies):
@@ -599,7 +633,7 @@ class TestMetricAssemblies:
         status, _ = run_json(capsys, "gauss-bonnet", "--surface", "sphere:1",
                              "--grid", "32x64")
         assert status == 0
-        assert len(metric_assemblies) == 2
+        assert metric_assemblies == [2, 2]
 
     def test_verify_assembles_once_per_block(self, capsys, metric_assemblies):
         status, rep = run_json(capsys, "verify", "--surface", "torus:2,1",
@@ -607,39 +641,113 @@ class TestMetricAssemblies:
         assert status == 0
         nodes = rep["checks"][0]["n_points"]
         assert nodes == 128 * 128 > cli.BATCH_NODES
-        assert len(metric_assemblies) == -(-nodes // cli.BATCH_NODES)
+        assert metric_assemblies == [2] * -(-nodes // cli.BATCH_NODES)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_verify_screens_an_all_degenerate_block(self, capsys, metric_assemblies):
-        # every node's metric is degenerate: the block's failed pass and one
-        # order-0 screen name them all, where halving took 3 per node
+        # every node's metric is degenerate: the tile's one assembly names
+        # them all, each with the message metric_data raises there alone
         status, rep = run_json(capsys, "verify", "--surface", "sphere:1e-40",
                                "--field", "1e40,0", "--grid", "64x64")
         assert status == 1
         assert all(c["n_failed"] == 64 * 64 for c in rep["checks"])
-        assert len(metric_assemblies) <= 3
+        assert metric_assemblies == [2]
+        surface = surf.sphere(1e-40)
+        for node in rep["checks"][0]["failed_nodes"]:
+            with pytest.raises(DegenerateMetricError) as exc:
+                surf.metric_data(surface, [node["u"]], [node["v"]])
+            assert node["error"] == str(exc.value)
+
+    @pytest.mark.parametrize("backend,per_point", [("analytic", 1), ("fd", 5)])
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--surface", "torus:2,1", "--field", "du+dv", "--grid", "96x80"),
+        ("verify", "--surface", "sphere:1", "--field", "dv", "--grid", "80x12"),
+        ("gauss-bonnet", "--surface", "torus:2,1", "--field", "du", "--grid", "48x40"),
+        ("gauss-bonnet", "--surface", "ellipsoid:1,1.3,0.7", "--grid", "32x24"),
+    ])
+    def test_factor_maps_see_the_axes_only(self, capsys, metric_assemblies,
+                                           factor_points, argv, backend, per_point):
+        # per assembly, of a tile or a quadrature grid, the factor maps see
+        # each axis point of the nu x nv grid once (five stencil points on
+        # fd), never the nu nv nodes
+        status, _ = run_json(capsys, *argv, "--backend", backend)
+        assert status == 0
+        nu, nv = (int(n) for n in argv[-1].split("x"))
+        assert 0 < sum(factor_points) <= len(metric_assemblies) * per_point * (nu + nv)
 
 
 class TestDegenerateScreen:
-    """The screen of a degenerate block names its nodes as halving did."""
+    """Each degenerate node is named with the message metric_data raises
+    there alone, whatever the tiles of the grid."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("backend", ["analytic", "fd"])
-    @pytest.mark.parametrize("argv", [
-        ("--surface", "sphere:1e-40", "--field", "1e40,0"),
-        ("--surface", "sphere:1e-38", "--field", "0,1e38"),
-        ("--surface", "sphere:1e40", "--field", "du"),
-    ])
-    def test_payload_matches_node_by_node_halving(self, capsys, monkeypatch, argv,
-                                                  backend):
-        args = ("verify", *argv, "--grid", "16x16", "--backend", backend)
-        status, out = run_cli(capsys, *args)
-        # a screen that names no node leaves every node to the halving
-        monkeypatch.setattr(surf, "degenerate_nodes", lambda surface, u, v: {})
-        ref_status, ref = run_cli(capsys, *args)
-        assert status == ref_status == 1
-        assert "metric degenerate" in out
-        assert out[:out.index('"timings"')] == ref[:ref.index('"timings"')]
+    @pytest.mark.parametrize("argv", DEGENERATE_INPUTS)
+    def test_payload_matches_node_by_node_halving(self, capsys, argv, backend):
+        status, rep = run_json(capsys, "verify", *argv, "--grid", "16x16",
+                               "--backend", backend)
+        assert status == 1
+        surface = cli.parse_surface(argv[1], cli.parse_backend(backend))
+        grid = surf.chart_grid(surface, 16, 16)
+        expected = []
+        for u, v in zip(grid.U.ravel(), grid.V.ravel()):
+            try:
+                surf.metric_data(surface, [u], [v])
+            except DegenerateMetricError as exc:
+                expected.append({"u": float(u), "v": float(v), "error": str(exc)})
+        assert expected and rep["n_zero_field_nodes"] == 0
+        for check in rep["checks"]:
+            assert check["n_failed"] == len(expected)
+            assert check["failed_nodes"] == expected[:64]
+
+
+def _tiling_cases():
+    """(argv, BATCH_NODES values) of TestTiling.
+
+    At 1 and 7 nodes per tile every row of these grids is wider than a
+    tile; the 4x5000 grid's rows are wider than the default tile too, and
+    run at 64 and 4096 only (at 7 it takes about 2800 tiles).
+    """
+    every = (1, 7, 64, 4096)
+    cases = [(("verify", "--surface", surface, "--field", field, "--grid", "8x9",
+               "--backend", backend), every)
+             for surface, field in (("torus:2,1", "du+dv"), ("sphere:1", "dv"),
+                                    ("clifford:1", "du"), ("ellipsoid:1,1.3,0.7", "dv"))
+             for backend in ("analytic", "fd")]
+    cases += [(("verify", "--surface", "torus:2,1", "--field", "du", "--grid", "4x5000",
+                "--backend", backend), (64, 4096)) for backend in ("analytic", "fd")]
+    # Gauss-Legendre rows within the polar guard band (72 rows reach it),
+    # zero-field nodes, and degenerate metrics
+    cases.append((("verify", "--surface", "sphere:1", "--field", "du", "--grid", "72x4"),
+                  every))
+    cases.append((("verify", "--surface", "torus:2,1", "--field", "sin(u),0",
+                   "--grid", "8x9"), every))
+    cases += [(("verify", *argv, "--grid", "8x8", "--backend", backend), every)
+              for argv in DEGENERATE_INPUTS for backend in ("analytic", "fd")]
+    return cases
+
+
+class TestTiling:
+    """verify's payload does not depend on the tiles it walks its grid in."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("argv,batches", _tiling_cases(),
+                             ids=lambda x: " ".join(x) if isinstance(x[0], str) else "")
+    def test_payload_does_not_depend_on_the_tiles(self, capsys, monkeypatch, argv,
+                                                  batches):
+        payloads = set()
+        for batch in batches:
+            monkeypatch.setattr(cli, "BATCH_NODES", batch)
+            status, out = run_cli(capsys, *argv)
+            payloads.add((status, out[:out.index('"timings"')]))
+        assert len(payloads) == 1
+
+    def test_cases_reach_what_they_name(self, capsys):
+        # the guard band leaves out polar rows, the field has zero nodes
+        reports = {argv[2] + argv[4]: run_json(capsys, *argv)[1]
+                   for argv, _ in _tiling_cases()[-8:-6]}
+        assert reports["sphere:1du"]["checks"][0]["n_points"] < 72 * 4
+        assert reports["torus:2,1sin(u),0"]["n_zero_field_nodes"] > 0
 
 
 class TestProcessConstants:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from bochner2d import _stencils
 from bochner2d import surfaces as surf
 
+import metric_oracle
 import stencil_oracle
 
 # node counts around the block boundaries, each with a 2-D shape of that size
@@ -23,7 +24,7 @@ def _vector(u, v):
 
 
 def _first_form(u, v):
-    return surf._first_form(TORUS.maps, u, v)
+    return metric_oracle.first_form(TORUS.maps, u, v)
 
 
 def _nodes(layout, count, dtype, seed):
