@@ -3,11 +3,12 @@
 Pipeline: push the field to ambient space through the embedding Jacobian and
 normalize it in the Euclidean norm (never differentiating the input, which
 may be merely continuous); least-squares fit each ambient component by a
-multivariate polynomial on a fit grid; certify the sup of the Euclidean
-vector error on a denser verification grid; project the polynomial map back
-onto the tangent planes.  Because orthogonal projection cannot expand the
-pointwise error and the sampled field is unit, a certified sup error below
-1/2 forces the projected field to stay above 1/2 in norm, hence nowhere zero.
+multivariate polynomial on a fit grid; measure the sup of the Euclidean
+vector error over a denser verification grid, sampled at its nodes; project
+the polynomial map back onto the tangent planes.  Because orthogonal
+projection cannot expand the pointwise error and the sampled field is unit,
+a sampled sup error below 1/2 forces the projected field to stay above 1/2
+in norm at every verification node, hence nonzero there.
 
 Monomials restricted to an algebraic surface are linearly dependent (the
 sphere satisfies a quadric, the torus a quartic).  Modulo the surface's
@@ -33,27 +34,36 @@ rows come from the same recursion.
 Layout.  As in the derivative pipeline (see ``_jets``), the private arrays
 keep the nodes as their trailing, contiguous axis: points enter the layers
 as (n, m), each layer is a (K_t, m) block, and the tangent projection works
-on (n, m) ambient and (2, m) chart vectors.  Only the gram matrix of the
-fit takes the basis row-major, (m, K).  The public functions keep the nodes
-leading; the sampled positions are a (m, n) view of node-last storage.
+on (n, *N) ambient and (2, *N) chart vectors.  The public functions keep
+the nodes leading; the sampled positions and values are (m, n) views of
+node-last storage, so each component of the values is a (nu, nv) block on
+the grid, and the sup error and the tangential norms sum the squares of
+node-last rows, one component after the other.
 
-Verification on the grid's axes.  The fit and verification grids are
-tensor products of chart axes, and every built-in coordinate is a product
-x_k(u, v) = p_k(u) q_k(v) of the embedding's factor maps (see
+Fit and verification on the grid's axes.  The fit and verification grids
+are tensor products of chart axes, and every built-in coordinate is a
+product x_k(u, v) = p_k(u) q_k(v) of the embedding's factor maps (see
 ``surfaces``), so a monomial is x^e = p(u)^e q(v)^e, as in sum
-factorization (Orszag, J. Comput. Phys. 37, 1980).  The verification
-builds the capped layers at the nu points p(u_i) and at the nv points
-q(v_j) only, P (K, nu) and Q (K, nv), and predicts component c on the grid
-as (P * C_c[:, None])^T Q, one GEMM of nu x K x nv per component, in place
-of K products at each of the nu nv nodes.  ``evaluate_polynomial_field``
-serves arbitrary points: it streams them in EVAL_CHUNK blocks.
+factorization (Orszag, J. Comput. Phys. 37, 1980).  Both stages build the
+capped layers at the nu points p(u_i) and at the nv points q(v_j) only,
+P (K, nu) and Q (K, nv).  The fit's basis is their face-splitting product,
+so its scaled gram is (Ps Ps^T) o (Qs Qs^T), K^2 (nu + nv) multiply-adds in
+place of K^2 nu nv, and its right-hand side is one GEMM of the values with
+Qs (see ``_normal_system``).  The verification predicts component c on the
+grid as (P * C_c[:, None])^T Q, one GEMM of nu x K x nv per component, in
+place of K products at each of the nu nv nodes, and the projection of that
+prediction takes J and the metric (``surfaces._assemble``) on the same two
+axes.  ``evaluate_polynomial_field`` serves arbitrary points: it streams
+them in EVAL_CHUNK blocks.
 
-Lifetimes.  Each degree tried is fitted, then certified, and the two stages
-never hold their arrays at the same time: ``_fit`` builds the fit-grid basis,
-its gram matrix and eigendecomposition in its own frame and returns only
-the coefficients, so they are freed before the verification predicts the
-grid through its axes (``_grid_prediction``), whose tables hold K (nu + nv)
-doubles besides the prediction itself.  ``evaluate_polynomial_field``
+Lifetimes.  Each degree tried is fitted, then verified, and the two stages
+never hold their arrays at the same time: ``_fit`` builds P, Q, the K x K
+gram and its eigendecomposition in its own frame and returns only the
+coefficients, so they are freed before the verification predicts the grid
+through its axes (``_grid_prediction``), whose tables hold K (nu + nv)
+doubles besides the prediction itself.  No stage holds a (K, m) basis of
+the grid's nodes: the degree-10 torus fit (K = 286) on a 32x32 grid peaks
+at two K x K matrices, about 1.5 MB.  ``evaluate_polynomial_field``
 writes the degree layers of every EVAL_CHUNK block of its points into two
 buffers allocated once per call, one for the even and one for the odd
 degrees, so no layer is a fresh allocation and the heap does not grow and
@@ -74,7 +84,7 @@ from .operators import TangentField, _vanishes
 from .surfaces import ChartPoint, chart_grid
 
 SAMPLE_FLOOR = 1e-9        # ambient norm below this, relative to the chart, is a zero
-ERROR_BUDGET = 0.5         # certified sup error target for the vector fit
+ERROR_BUDGET = 0.5         # sampled sup error target for the vector fit
 RCOND_CUTOFF = 1e-10       # eigenvalue truncation for the scaled normal system
 VERIFY_FACTOR = 4          # verification grid density per axis vs fit grid
 EVAL_CHUNK = 8192          # nodes per block when streaming large point sets
@@ -95,7 +105,7 @@ class AmbientFieldSamples:
 
 @dataclass(frozen=True)
 class PolynomialField:
-    """Component polynomials in ambient coordinates with a certified error.
+    """Component polynomials in ambient coordinates with a sampled sup error.
 
     Monomial ordering is graded lexicographic: ascending total degree,
     ties broken by descending exponent tuple.  The basis is implied by
@@ -129,7 +139,7 @@ class SmoothedFieldReport:
     target: float
     passed: bool
     degrees_tried: tuple
-    sup_errors: tuple          # certified sup error of each degree tried
+    sup_errors: tuple          # sampled sup error of each degree tried
 
 
 def _axis_caps(ambient_dim, caps):
@@ -263,14 +273,15 @@ def sample_unit_field(surface, X, grid, floor=SAMPLE_FLOOR):
     not finite anywhere on the grid.
     """
     U, V = grid.U, grid.V
-    jac = surface.jacobian(grid.u_nodes[:, None], grid.v_nodes[None, :])  # (..., n, 2)
-    coeff = np.asarray(X.coeff(U, V), dtype=float)    # (..., 2)
+    u, v = grid.u_nodes[:, None], grid.v_nodes[None, :]
+    jac = surface.maps.d1(u, v)                       # (n, 2, nu, nv)
+    coeff = np.asarray(X.coeff(U, V), dtype=float)    # (nu, nv, 2)
     with np.errstate(over="ignore"):      # an overflowing norm is flagged below
-        ambient = np.einsum("...ai,...i->...a", jac, coeff)
-        norms = np.linalg.norm(ambient, axis=-1)
+        ambient = jac[:, 0] * coeff[..., 0] + jac[:, 1] * coeff[..., 1]
         # |J X|^2 = g(X, X) and |J|_F^2 = tr g
-        trace = np.einsum("...ai,...ai->...", jac, jac)
-        zero = _vanishes(np.square(norms), trace, floor)
+        n2 = _square_sum(ambient)
+        zero = _vanishes(n2, _square_sum(jac.reshape(-1, *U.shape)), floor)
+    norms = np.sqrt(n2)
     finite = np.isfinite(norms)
     bad = ~finite | zero                  # a NaN or inf norm is no usable node
     if np.any(bad):
@@ -285,18 +296,17 @@ def sample_unit_field(surface, X, grid, floor=SAMPLE_FLOOR):
             counts.append(f"a non-finite ambient norm at {n_nan} grid node(s)")
         raise ZeroFieldPointError(f"field {X.name!r} has {' and '.join(counts)}",
                                   points=pts)
-    values = ambient / norms[..., None]
+    ambient /= norms
     # the outer product of the embedding's factors on the two axes: node
     # (i, j) is p(u_i) q(v_j), to the bit what `embed` gives there
     p, q = (factors(x)[0] for factors, x in ((surface.maps.u_factors, grid.u_nodes),
                                               (surface.maps.v_factors, grid.v_nodes)))
     positions = p[:, :, None] * q[:, None, :]                  # (n, nu, nv)
-    m = U.size
+    n, m = surface.ambient_dim, U.size
     return AmbientFieldSamples(
         surface=surface, field=X, grid_shape=(grid.nu, grid.nv),
         chart_u=U.reshape(m), chart_v=V.reshape(m),
-        positions=positions.reshape(surface.ambient_dim, m).T,
-        values=values.reshape(m, surface.ambient_dim),
+        positions=positions.reshape(n, m).T, values=ambient.reshape(n, m).T,
         axes=(grid.u_nodes, grid.v_nodes))
 
 
@@ -306,31 +316,62 @@ def _dense_resample(samples, factor=VERIFY_FACTOR):
     return sample_unit_field(samples.surface, samples.field, grid)
 
 
+def _axis_layers(samples, degree, caps):
+    """The capped graded-lex basis at the points p(u_i) and at the points q(v_j)
+    of the samples' grid axes: P (K, nu) and Q (K, nv)."""
+    maps = samples.surface.maps
+    u_nodes, v_nodes = samples.axes
+    return tuple(np.concatenate(list(_monomial_layers(points, degree, caps=caps)))
+                 for points in (maps.u_factors(u_nodes)[0], maps.v_factors(v_nodes)[0]))
+
+
+def _square_sum(x):
+    """sum_a x[a]^2 over the leading axis, in the order of a, at every node."""
+    out = np.square(x[0])
+    for row in x[1:]:
+        out += row * row
+    return out
+
+
+def _normal_system(samples, degree):
+    """The column-scaled normal equations (A, b) of the fit, and the column scales.
+
+    The K columns are the monomials within the caps of the samples'
+    surface, x^e = p(u)^e q(v)^e on the fit grid's axes: with P (K, nu) and
+    Q (K, nv) the capped layers at the points p(u_i) and q(v_j), column k
+    is P_k Q_k^T and its scale max|P_k| max|Q_k| is its largest entry.  So
+    the gram of the scaled columns is (Ps Ps^T) o (Qs Qs^T), and the
+    right-hand side of component c, on the grid as Y_c (nu, nv), is
+    b[k, c] = sum_i Ps[k, i] (Y_c Qs^T)[i, k].
+    """
+    P, Q = _axis_layers(samples, degree, samples.surface.monomial_caps)
+    ps, qs = np.max(np.abs(P), axis=1), np.max(np.abs(Q), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = ps * qs               # NaN or inf where P_k Q_k^T is not finite
+    if not np.all(np.isfinite(scale)):
+        raise RankDeficientFitError("monomial matrix contains non-finite entries")
+
+    live = (scale > 0.0)[:, None]     # a column that is zero in floating point stays zero
+    Ps, Qs = (np.divide(T, s[:, None], out=np.zeros_like(T), where=live)
+              for T, s in ((P, ps), (Q, qs)))
+    A = Ps @ Ps.T
+    A *= Qs @ Qs.T
+    (K, nu), nv = P.shape, Q.shape[1]
+    values = samples.values.T.reshape(-1, nv)                   # (n nu, nv), node-last
+    b = np.einsum("ki,cik->kc", Ps, (values @ Qs.T).reshape(-1, nu, K))   # (K, n)
+    if not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
+        raise RankDeficientFitError("normal system contains non-finite entries")
+    return A, b, np.where(live[:, 0], scale, 1.0)
+
+
 def _fit(samples, degree):
     """Coefficients (n_components, K) of the truncated-eigh fit, and its rcond.
 
-    The K columns are the monomials within the caps of the samples'
-    surface.  The basis, the gram matrix and its eigendecomposition live
-    only in this frame, so they are freed before the verification grid is
-    evaluated.
+    The normal system (see ``_normal_system``) and its eigendecomposition
+    live only in this frame, so they are freed before the verification grid
+    is evaluated.
     """
-    points = np.asarray(samples.positions, dtype=float)
-    Vt = np.concatenate(list(_monomial_layers(
-        points.T, degree, caps=samples.surface.monomial_caps)))       # (K, m)
-    if not np.all(np.isfinite(Vt)):
-        raise RankDeficientFitError("monomial matrix contains non-finite entries")
-
-    scale = np.max(np.abs(Vt), axis=1)
-    scale = np.where(scale > 0.0, scale, 1.0)
-    Vt /= scale[:, None]
-    # the truncated-eigh fit is sensitive to the gram's last bits, so the
-    # products run on row-major (m, K) operands: one transpose copy
-    Vs = np.ascontiguousarray(Vt.T)
-    A = Vs.T @ Vs
-    b = Vs.T @ samples.values                 # (K, n_components)
-    if not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
-        raise RankDeficientFitError("normal system contains non-finite entries")
-
+    A, b, scale = _normal_system(samples, degree)
     w, Q = np.linalg.eigh(A)
     wmax = float(w[-1])
     if wmax <= 0.0:
@@ -341,8 +382,19 @@ def _fit(samples, degree):
     return (coeff_scaled / scale[:, None]).T, float(max(w[0], 0.0) / wmax)
 
 
+def _sup_error(pred, values):
+    """max over the nodes of |pred - values|, both (m, n) views of node-last storage.
+
+    The squares are summed component by component and the root is taken
+    once, of the largest sum: sqrt is monotone, so this is
+    np.max(np.linalg.norm(pred - values, axis=1)) to the bit, NaN included.
+    """
+    diff = pred.T - values.T
+    return float(np.sqrt(np.max(_square_sum(diff))))
+
+
 def _fit_and_verify(samples, degree, verify_samples=None):
-    """Least-squares polynomial per ambient component, sup error certified.
+    """Least-squares polynomial per ambient component, sup error sampled.
 
     The normal equations of the column-scaled monomial basis are solved by
     eigendecomposition with relative cutoff RCOND_CUTOFF; directions below
@@ -351,14 +403,14 @@ def _fit_and_verify(samples, degree, verify_samples=None):
     (non-finite data or an identically zero basis).  Returns the
     PolynomialField and its prediction on the verification grid.
     """
-    if samples.positions.shape[0] == 0:
+    if samples.values.shape[0] == 0:
         raise RankDeficientFitError("no samples to fit")
     if degree < 0:
         raise ValueError("degree must be >= 0")
     kept, rcond = _fit(samples, degree)
     if verify_samples is None:
         verify_samples = _dense_resample(samples)
-    n = samples.positions.shape[1]
+    n = samples.surface.ambient_dim
     caps = samples.surface.monomial_caps
     exponents = monomial_exponents(n, degree)
     coefficients = np.zeros((kept.shape[0], len(exponents)))
@@ -369,8 +421,7 @@ def _fit_and_verify(samples, degree, verify_samples=None):
         fit_grid=samples.grid_shape, verify_grid=verify_samples.grid_shape,
         rcond=rcond, caps=caps)
     pred = _grid_prediction(poly, verify_samples)
-    err = np.linalg.norm(pred - verify_samples.values, axis=1)
-    return replace(poly, sup_error=float(np.max(err))), pred
+    return replace(poly, sup_error=_sup_error(pred, verify_samples.values)), pred
 
 
 def _grid_prediction(poly, samples):
@@ -382,10 +433,7 @@ def _grid_prediction(poly, samples):
     and component c on the grid is (P * C_c[:, None])^T Q, one small GEMM.
     The result is a view of node-last storage.
     """
-    maps = samples.surface.maps
-    u_nodes, v_nodes = samples.axes
-    P, Q = (np.concatenate(list(_monomial_layers(points, poly.degree, caps=poly.caps)))
-            for points in (maps.u_factors(u_nodes)[0], maps.v_factors(v_nodes)[0]))
+    P, Q = _axis_layers(samples, poly.degree, poly.caps)
     coeff = poly.coefficients[:, _within_caps(poly.exponents, poly.caps)]
     out = np.empty((coeff.shape[0], P.shape[1], Q.shape[1]))
     for c, row in enumerate(coeff):
@@ -397,15 +445,16 @@ def _tangent_coefficients(surface, w, u, v):
     """Chart coefficients g^-1 J^T w of the tangential part of w, node-last.
 
     w is (n, *N) over the broadcast node shape N of (u, v); returns the
-    (2, *N) coefficients and the (n, 2, *N) Jacobian.  Raises
-    DegenerateMetricError where the metric is degenerate as in
+    (2, *N) coefficients and the (n, 2, *N) Jacobian.  g comes from the
+    factored assembly (``surfaces._assemble``), so on a grid passed as its
+    axes, (nu, 1) and (1, nv), J and g are built from nu + nv points.
+    Raises DegenerateMetricError where the metric is degenerate as in
     `surfaces.metric_data`.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     jac = surface.maps.d1(u, v)
-    g = np.einsum("ai...,aj...->ij...", jac, jac)
-    det = surf._det(g)
+    g, _, _, det = surf._assemble(surface, u, v, 0)
     surf._require_nondegenerate(surface, g, det, u, v)
     g_inv = g[::-1, ::-1] * surf.cofactor_signs(det.ndim) / det
     jtw = np.einsum("ai...,a...->i...", jac, w)
@@ -444,8 +493,8 @@ def smooth_field(surface, X, max_degree=16, fit_grid=(64, 64), verify_grid=None,
                  floor=SAMPLE_FLOOR):
     """Escalate polynomial degree until the vector sup error is under 1/2.
 
-    Degrees 2, 4, ... up to max_degree are tried on the fit grid; each fit is
-    certified on the verification grid (VERIFY_FACTOR x denser per axis by
+    Degrees 2, 4, ... up to max_degree are tried on the fit grid; each fit's
+    sup error is sampled on the verification grid (VERIFY_FACTOR x denser per axis by
     default).  Returns (SmoothedFieldReport, smooth TangentField, poly).
     Raises BudgetNotMetError, carrying the report of the best attempt, when
     no tried degree meets the budget.
@@ -479,9 +528,12 @@ def smooth_field(surface, X, max_degree=16, fit_grid=(64, 64), verify_grid=None,
             f"no degree <= {max_degree} certified sup error < {ERROR_BUDGET:g} "
             f"(best achieved {achieved:.6g})", report=report)
 
-    proj = project_to_tangent(surface, best_pred,
-                              verify_samples.chart_u, verify_samples.chart_v)
-    min_tan = float(np.min(np.linalg.norm(proj, axis=-1)))
+    # projected on the verification grid's axes, its norms taken node-last
+    u_nodes, v_nodes = verify_samples.axes
+    w = best_pred.T.reshape(-1, *verify_samples.grid_shape)
+    proj = project_to_tangent(surface, np.moveaxis(w, 0, -1),
+                              u_nodes[:, None], v_nodes[None, :])
+    min_tan = float(np.sqrt(np.min(_square_sum(np.moveaxis(proj, -1, 0)))))
     report = SmoothedFieldReport(
         final_degree=best.degree, sup_error=best.sup_error,
         min_tangential_norm=min_tan, target=ERROR_BUDGET,

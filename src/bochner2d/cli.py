@@ -9,8 +9,8 @@ verify       -- normalize the selected field and sweep the identity chain
 gauss-bonnet -- total-curvature integral, Euler-characteristic estimate and,
                 when a field is given, the divergence-theorem residual of its
                 curvature-potential field
-smooth       -- run the polynomial smoothing pipeline and report the
-                certified budget
+smooth       -- run the polynomial smoothing pipeline and report its sup
+                errors, sampled on the verification grid, against the budget
 
 Reports are JSON (schema 1) on stdout, optionally duplicated to --out; CSV
 emits flat per-node residual rows for plotting.  Exit status: 0 exactly when

@@ -1,16 +1,19 @@
-"""Reference polynomial evaluation: a fresh array for every degree layer.
+"""Reference polynomial evaluation and fit: fresh arrays, node by node.
 
-These are the evaluator and the fit-and-verify step that the two reused
-layer buffers of ``approx.evaluate_polynomial_field`` and the separate fit
-stage of ``approx._fit_and_verify`` replaced.  The multiplies, the
-per-layer matmuls and their order are the same, and the verification
-predicts the grid through its axes with the same GEMM as
-``approx._grid_prediction``, so tests compare the package with them bit
-for bit.  Like the package, they build only the
-monomials within a surface's exponent caps, and the fit scatters its
-coefficients into the full graded-lex row.  ``monomial_matrix`` builds the
-same basis by another route, from powers of each coordinate, for tolerance
-checks.
+``evaluate_polynomial_field`` is the evaluator that the two reused layer
+buffers of ``approx.evaluate_polynomial_field`` replaced: the multiplies,
+the per-layer matmuls and their order are the same, so tests compare the
+package with it bit for bit.  ``fit_and_verify`` is the flat fit that
+``approx._fit`` replaced: ``normal_system`` builds the (K, m) basis on the
+fit grid's positions and its scaled gram node by node, where the package
+builds it from the grid's two axes, so tests compare the two by measured
+tolerances.  Its verification predicts the grid through the axes with the
+same GEMM as ``approx._grid_prediction`` (``grid_prediction``), and its
+sup error is the plain ``np.max(np.linalg.norm(pred - values, axis=1))``.
+Like the package, they build only the monomials within a surface's
+exponent caps, and the fit scatters its coefficients into the full
+graded-lex row.  ``monomial_matrix`` builds the same basis by another
+route, from powers of each coordinate, for tolerance checks.
 """
 
 from dataclasses import replace
@@ -67,12 +70,13 @@ def evaluate_polynomial_field(poly, points, chunk=ap.EVAL_CHUNK):
     return out.T
 
 
-def fit_and_verify(samples, degree, verify_samples=None):
-    """The fit and its prediction on the verify grid, all in one frame."""
-    if samples.positions.shape[0] == 0:
-        raise RankDeficientFitError("no samples to fit")
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
+def normal_system(samples, degree):
+    """The column-scaled normal equations (A, b) and column scales, node by node.
+
+    The (K, m) basis on the flat fit grid's positions, scaled by each
+    column's largest entry, and the gram and right-hand side of its
+    row-major transpose.
+    """
     points = np.asarray(samples.positions, dtype=float)
     caps = samples.surface.monomial_caps
     Vt = np.concatenate(list(monomial_layers(points.T, degree, caps)))      # (K, m)
@@ -87,7 +91,18 @@ def fit_and_verify(samples, degree, verify_samples=None):
     b = Vs.T @ samples.values
     if not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
         raise RankDeficientFitError("normal system contains non-finite entries")
+    return A, b, scale
 
+
+def fit_and_verify(samples, degree, verify_samples=None):
+    """The fit on the flat grid and its prediction on the verify grid, in one frame."""
+    if samples.positions.shape[0] == 0:
+        raise RankDeficientFitError("no samples to fit")
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    n = samples.positions.shape[1]
+    caps = samples.surface.monomial_caps
+    A, b, scale = normal_system(samples, degree)
     w, Q = np.linalg.eigh(A)
     wmax = float(w[-1])
     if wmax <= 0.0:
@@ -95,7 +110,7 @@ def fit_and_verify(samples, degree, verify_samples=None):
     keep = w > ap.RCOND_CUTOFF * wmax
     inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
     coeff_scaled = Q @ (inv_w[:, None] * (Q.T @ b))
-    exponents = ap.monomial_exponents(points.shape[1], degree)
+    exponents = ap.monomial_exponents(n, degree)
     coefficients = np.zeros((samples.values.shape[1], len(exponents)))
     coefficients[:, ap._within_caps(exponents, caps)] = (coeff_scaled
                                                          / scale[:, None]).T
@@ -104,7 +119,7 @@ def fit_and_verify(samples, degree, verify_samples=None):
     if verify_samples is None:
         verify_samples = ap._dense_resample(samples)
     poly = ap.PolynomialField(
-        ambient_dim=points.shape[1], degree=degree, exponents=exponents,
+        ambient_dim=n, degree=degree, exponents=exponents,
         coefficients=coefficients, sup_error=np.nan,
         fit_grid=samples.grid_shape, verify_grid=verify_samples.grid_shape,
         rcond=rcond, caps=caps)
