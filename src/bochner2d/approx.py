@@ -63,7 +63,7 @@ coefficients, so they are freed before the verification predicts the grid
 through its axes (``_grid_prediction``), whose tables hold K (nu + nv)
 doubles besides the prediction itself.  No stage holds a (K, m) basis of
 the grid's nodes: the degree-10 torus fit (K = 286) on a 32x32 grid peaks
-at two K x K matrices, about 1.5 MB.  ``evaluate_polynomial_field``
+at about 1.5 MB, most of it two K x K matrices.  ``evaluate_polynomial_field``
 writes the degree layers of every EVAL_CHUNK block of its points into two
 buffers allocated once per call, one for the even and one for the odd
 degrees, so no layer is a fresh allocation and the heap does not grow and
