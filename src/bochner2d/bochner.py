@@ -22,6 +22,11 @@ single pass per tile of the grid for all its checks, and `gauss-bonnet`
 takes K and div(grad_T T - (div T) T) from one batch per quadrature grid
 (`gauss_bonnet_integrands`), both on the metric jet the caller assembled.
 
+The unit field T = X / g(X, X)^(1/2) comes with a failure code per node
+from one rule (`_failure_codes`).  The public routes raise
+ZeroFieldPointError at a flagged node; `verify`'s pass keeps the codes as a
+column of its rows, so a failing node costs it no extra pass.
+
 Residual functions return plain arrays over the broadcast shape of (u, v);
 `residual_report` summarizes a sweep.  Tolerances default to 1e-6 for
 analytic backends and 1e-3 for finite-difference backends.
@@ -33,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _jets
-from .errors import GeometryError, ZeroFieldPointError
+from .errors import ZeroFieldPointError
 from .operators import (
     _check_unit,
     _covariant_gradient,
@@ -97,59 +102,69 @@ def residual_report(name, values, U, V, tolerance):
 def normalize_field(surface, X, floor=ZERO_FLOOR):
     """Pointwise unit field X / g(X, X)^(1/2).
 
-    Raises ZeroFieldPointError lazily whenever an evaluation meets a point
-    where the metric norm of X falls below `floor` relative to the chart's
-    scale, g(X, X) < floor^2 tr(g) / 2 (`operators._vanishes`; the input
-    is then not nowhere-zero at working precision), is not finite (g(X, X)
-    overflowed or is NaN), or where the norm is fine but a value or partial
-    of the unit field is not finite (the partials of X or of g(X, X)
-    overflowed) or a first partial exceeds PARTIAL_MAX, so that any
-    residual, quadratic in the first partials, would overflow; the message
-    counts the three kinds of node apart.
+    Raises ZeroFieldPointError lazily whenever an evaluation meets a node
+    that `_failure_codes` flags at `floor`, counting zero norms, non-finite
+    norms and unusable partials apart and naming the first node.
     """
     if floor <= 0:
         raise ValueError("floor must be positive")
 
-    def check(n2, trace, unit, u, v):
-        finite = np.isfinite(n2)
-        bad = ~finite | _vanishes(n2, trace, floor)
-        parts = [x.reshape((-1,) + n2.shape) for x in (unit.v, unit.d, unit.dd)
-                 if x is not None]
-        rough = ~np.isfinite(np.concatenate(parts)).all(axis=0)
-        if unit.d is not None:    # every residual is quadratic in these
-            rough |= (np.abs(parts[1]) > PARTIAL_MAX).any(axis=0)
-        rough &= ~bad
-        bad |= rough
-        if np.any(bad):
-            U, V = np.broadcast_arrays(np.asarray(u, dtype=float),
-                                       np.asarray(v, dtype=float))
-            Ub = np.broadcast_to(U, bad.shape)[bad]
-            Vb = np.broadcast_to(V, bad.shape)[bad]
-            pts = [ChartPoint(float(a), float(b)) for a, b in zip(Ub.ravel()[:16],
-                                                                  Vb.ravel()[:16])]
-            n_inf = int(np.count_nonzero(~finite))
-            n_rough = int(np.count_nonzero(rough))
-            n_low = int(np.count_nonzero(bad)) - n_inf - n_rough
-            counts = [f"norm below floor {floor:g} at {n_low} point(s)"] if n_low else []
-            if n_inf:
-                counts.append(f"a non-finite norm at {n_inf} point(s)")
-            if n_rough:
-                counts.append(f"non-finite unit-field partials at {n_rough} point(s)")
-            raise ZeroFieldPointError(
-                f"field {X.name!r} has {' and '.join(counts)}, first at (u, v) = "
-                f"({pts[0].u:.6g}, {pts[0].v:.6g})", points=pts)
-
     def jet(_, u, v, order, g):
-        g = _metric(surface, u, v, order, g)
-        # overflow in X, g(X, X) or the quotient is flagged by check
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            x = _jet(surface, X, u, v, order, g)
-            n2 = _jets.einsum("ij...,i...,j...->...", g, x, x)
-            unit = x / _jets.sqrt(n2)[None]
-        check(n2.v, g.v[0, 0] + g.v[1, 1], unit, u, v)
+        unit, codes = _unit_jet(surface, X, u, v, order, g, floor)
+        bad = codes > 0
+        if np.any(bad):
+            U, V = (np.broadcast_to(np.asarray(x, dtype=float), bad.shape)[bad]
+                    for x in (u, v))
+            pts = [ChartPoint(float(a), float(b)) for a, b in zip(U[:16], V[:16])]
+            raise ZeroFieldPointError(_field_message(
+                X.name, floor, np.bincount(codes[bad], minlength=5), pts[0]), points=pts)
         return unit
 
     return _derived(jet, f"unit({X.name})")
+
+
+# why a node has no usable unit field; 0 where it has one
+_ZERO_NORM, _NON_FINITE_NORM, _NON_FINITE_PARTIAL, _LARGE_PARTIAL = 1, 2, 3, 4
+
+
+def _failure_codes(n2, trace, floor, unit=None):
+    """Per node, 0 where a field with g(X, X) = n2 has a usable unit field,
+    else why not: a zero norm, g(X, X) < floor^2 tr(g) / 2 (`operators._vanishes`),
+    or a non-finite one; given the unit field's jet, a value or partial of it
+    that is not finite, or else a first partial above PARTIAL_MAX, with which
+    a residual, quadratic in the first partials, would overflow."""
+    codes = np.zeros(np.shape(n2), dtype=np.int8)
+    codes[_vanishes(n2, trace, floor)] = _ZERO_NORM
+    codes[~np.isfinite(n2)] = _NON_FINITE_NORM
+    if unit is not None:
+        parts = [x.reshape((-1,) + codes.shape) for x in (unit.v, unit.d, unit.dd)
+                 if x is not None]
+        ok = codes == 0
+        if unit.d is not None:
+            codes[ok & (np.abs(parts[1]) > PARTIAL_MAX).any(axis=0)] = _LARGE_PARTIAL
+        codes[ok & ~np.isfinite(np.concatenate(parts)).all(axis=0)] = _NON_FINITE_PARTIAL
+    return codes
+
+
+def _unit_jet(surface, X, u, v, order, g, floor):
+    """The jet of X / g(X, X)^(1/2) to `order`, on the caller's metric jet g
+    or a new one, and its `_failure_codes`."""
+    g = _metric(surface, u, v, order, g)
+    # overflow in X, g(X, X) or the quotient is flagged by the codes
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = _jet(surface, X, u, v, order, g)
+        n2 = _jets.einsum("ij...,i...,j...->...", g, x, x)
+        unit = x / _jets.sqrt(n2)[None]
+    return unit, _failure_codes(n2.v, g.v[0, 0] + g.v[1, 1], floor, unit)
+
+
+def _field_message(name, floor, counts, point):
+    """The message naming a field's unusable nodes, counts[c] of failure code
+    c (the two codes of the partials count as one kind), the first at `point`."""
+    kinds = ((f"norm below floor {floor:g}", counts[1]), ("a non-finite norm", counts[2]),
+             ("non-finite unit-field partials", counts[3] + counts[4]))
+    has = " and ".join(f"{kind} at {n} point(s)" for kind, n in kinds if n)
+    return f"field {name!r} has {has}, first at (u, v) = ({point.u:.6g}, {point.v:.6g})"
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +174,22 @@ def normalize_field(surface, X, floor=ZERO_FLOOR):
 class _NodeBatch:
     """The metric, the connection and the jet of a field X at a batch of nodes.
 
-    The metric is assembled once (or taken as the jet `g` when that is of
-    at least `order`), the connection comes from it, and X's jet takes that
-    same metric jet, so a derived X such as the unit field assembles nothing
-    again.  Every term shared by the identities is computed at most once
-    per batch.
+    The metric is assembled once (`of` takes the jet `g` instead when that
+    is of at least `order`), the connection comes from it, and X's jet
+    takes that same metric jet, so a derived X such as the unit field
+    assembles nothing again.  Every term shared by the identities is
+    computed at most once per batch.
     """
 
-    def __init__(self, surface, X, u, v, order=2, g=None):
-        g = _metric(surface, u, v, order, g)
-        self.g, self.name = g, X.name
-        self.x = _jet(surface, X, u, v, order, g)
+    def __init__(self, g, x, name):
+        self.g, self.x, self.name = g, x, name
         self.gamma, self.dlogs = _levi_civita(g)
+
+    @classmethod
+    def of(cls, surface, X, u, v, order=2, g=None):
+        """The batch of X at (u, v), on the caller's metric jet g or a new one."""
+        g = _metric(surface, u, v, order, g)
+        return cls(g, _jet(surface, X, u, v, order, g), X.name)
 
     def check_unit(self):
         _check_unit(self.g.v, self.x.v, self.name)
@@ -215,7 +234,7 @@ class _NodeBatch:
 def self_covariant_derivative(surface, T):
     """grad_T T as a tangent field."""
     def jet(_, u, v, order, g):
-        return _NodeBatch(surface, T, u, v, order + 1, g).transport
+        return _NodeBatch.of(surface, T, u, v, order + 1, g).transport
 
     return _derived(jet, f"selfgrad({T.name})")
 
@@ -228,7 +247,7 @@ def curvature_potential_field(surface, T):
     every evaluated point.
     """
     def jet(_, u, v, order, g):
-        batch = _NodeBatch(surface, T, u, v, order + 1, g)
+        batch = _NodeBatch.of(surface, T, u, v, order + 1, g)
         batch.check_unit()
         return batch.potential
 
@@ -274,19 +293,19 @@ def bochner_residual(surface, X, u, v):
     X need not be unit; it must be twice differentiable near the evaluation
     points.
     """
-    return _bochner(_NodeBatch(surface, X, u, v))
+    return _bochner(_NodeBatch.of(surface, X, u, v))
 
 
 def trace_identity_residual(surface, T, u, v):
     """|trace(A_T^2) - (div T)^2| for a unit field T."""
-    batch = _NodeBatch(surface, T, u, v, order=1)
+    batch = _NodeBatch.of(surface, T, u, v, order=1)
     batch.check_unit()
     return _trace(batch)
 
 
 def curvature_identity_residual(surface, T, u, v):
     """|K - div(grad_T T - (div T) T)| for a unit field T."""
-    batch = _NodeBatch(surface, T, u, v)
+    batch = _NodeBatch.of(surface, T, u, v)
     batch.check_unit()
     return _curvature(batch)
 
@@ -299,7 +318,7 @@ def chained_residuals(surface, T, u, v):
     minus the sum of the other three.  The derivation makes the slack at
     most numerical-linearity noise (~1e-9).
     """
-    batch = _NodeBatch(surface, T, u, v)
+    batch = _NodeBatch.of(surface, T, u, v)
     batch.check_unit()
     r1, r2, r3, r4 = _chain(batch)
     return {"bochner": r1, "trace": r2, "product": r3, "curvature": r4,
@@ -313,30 +332,34 @@ VERIFY_CHECKS = ("bochner", "trace_identity", "divergence_product_rule",
 _UNIT_CHECKS = ("trace_identity", "curvature_identity")
 
 
-def _verify_pass(surface, T, f, Y, u, v, g=None):
+def _verify_pass(surface, X, f, Y, u, v, g=None, floor=ZERO_FLOOR):
     """Every residual of `verify` at one node batch, from one metric assembly.
 
-    Returns shape (..., 6): the four residuals of the chain for T, the
-    product-rule residual |div(fY) - Y(f) - f div(Y)|, and |g(T,T) - 1|,
-    which `_unit_failures` reads; g is the caller's order-2 metric jet, or None.
+    Returns shape (..., 7): the four residuals of the chain for the unit
+    field T of X, |div(fY) - Y(f) - f div(Y)|, |g(T,T) - 1| (`_unit_failures`)
+    and the node's `_failure_codes` at `floor` (`_field_failures`), the rest
+    of the row NaN where that is not 0; g is the caller's order-2 metric jet,
+    or None.  Nothing raises where T is not usable.
 
     A node's row does not depend on the other nodes of the batch.  A lone
     node is evaluated as a pair of copies of itself: with a node axis of
-    length 1, numpy's einsum picks kernels that sum in another order.  An
-    error comes from the node alone, so that its message counts one node.
+    length 1, numpy's einsum picks kernels that sum in another order.
     """
     shape = np.broadcast(u, v).shape
     if np.prod(shape) == 1:
         pair = (np.full(2, float(np.ravel(x)[0])) for x in (u, v))
-        try:
-            return _verify_pass(surface, T, f, Y, *pair)[0].reshape(shape + (6,))
-        except GeometryError:
-            pass
-    batch = _NodeBatch(surface, T, u, v, g=g)
-    product_rule = _product_rule(_jet(surface, f, u, v, 1, batch.g),
-                                 _jet(surface, Y, u, v, 1, batch.g), batch.dlogs)
-    return np.stack([*_chain(batch), product_rule,
-                     _unit_deviation(batch.g.v, batch.x.v)], axis=-1)
+        return _verify_pass(surface, X, f, Y, *pair, None, floor)[0].reshape(shape + (7,))
+    g = _metric(surface, u, v, 2, g)
+    unit, codes = _unit_jet(surface, X, u, v, 2, g, floor)
+    flagged = codes > 0
+    if flagged.any():       # NaN from here on, which no residual term warns of
+        unit = unit * np.where(flagged, np.nan, 1.0)
+    batch = _NodeBatch(g, unit, f"unit({X.name})")
+    product_rule = _product_rule(_jet(surface, f, u, v, 1, g),
+                                 _jet(surface, Y, u, v, 1, g), batch.dlogs)
+    rows = np.stack([*_chain(batch), product_rule, _unit_deviation(g.v, unit.v), codes], -1)
+    rows[flagged, :-1] = np.nan
+    return rows
 
 
 def _unit_failures(T, values):
@@ -347,16 +370,28 @@ def _unit_failures(T, values):
     that do not need a unit T; the message is the NotUnitFieldError that the
     check's residual function raises at that node alone.
     """
-    deviation = values[:, -1]
+    deviation = values[:, -2]
     failed = {int(i): _not_unit_message(T.name, float(deviation[i]))
               for i in np.flatnonzero(deviation > UNIT_TOL)}
     return [failed if name in _UNIT_CHECKS else {} for name in VERIFY_CHECKS]
 
 
+def _field_failures(X, floor, values, U, V):
+    """{node index: message} of the nodes U, V whose row of `_verify_pass` in
+    `values` flags X's unit field; the message is the ZeroFieldPointError
+    that `normalize_field`'s field raises at that node alone."""
+    codes = values[:, -1]
+    flagged = np.flatnonzero(codes > 0)
+    alone = (codes[flagged, None] == np.arange(5)).astype(int)   # one node of one code
+    return {i: _field_message(X.name, floor, counts, ChartPoint(u, v))
+            for i, counts, u, v in zip(flagged.tolist(), alone.tolist(),
+                                       U[flagged].tolist(), V[flagged].tolist())}
+
+
 def gauss_bonnet_integrands(surface, T, u, v, g=None):
     """K and div(grad_T T - (div T) T) for a unit field T, from one metric
     assembly or the caller's order-2 metric jet g."""
-    batch = _NodeBatch(surface, T, u, v, g=g)
+    batch = _NodeBatch.of(surface, T, u, v, g=g)
     batch.check_unit()
     return _gauss_curvature(batch.g), _curvature_divergence(batch)
 
@@ -399,7 +434,7 @@ def unit_frame_operator_matrix(surface, T, u, v):
     For a unit field the first row vanishes identically: differentiate
     g(T, T) = 1 to see g(grad_v T, T) = 0 for every direction v.
     """
-    batch = _NodeBatch(surface, T, u, v, order=1)
+    batch = _NodeBatch.of(surface, T, u, v, order=1)
     batch.check_unit()
     m = -batch.grad_x.v
     e = _jets.value_first(unit_frame_companion(surface, T, u, v), 1)

@@ -237,30 +237,6 @@ def parse_tols(pairs, accepted):
     return out
 
 
-def guarded_eval(fn, U, V, out):
-    """Vectorized sweep that isolates the nodes raising geometry errors.
-
-    Writes fn(U, V) into out, one row per node; the rows of the nodes whose
-    evaluation raised are NaN.  Returns {node index: error message} of those
-    nodes, in node order.  A failing batch is halved until each failure is a
-    single node, so k failures among n nodes cost at most
-    2 k (log2 n + 1) + 1 calls of fn.
-    """
-    U = np.asarray(U).ravel()
-    V = np.asarray(V).ravel()
-    try:
-        out[...] = fn(U, V)
-        return {}
-    except GeometryError as exc:
-        if U.size == 1:
-            out[...] = np.nan
-            return {0: str(exc)}
-    half = U.size // 2
-    failed = guarded_eval(fn, U[:half], V[:half], out[:half])
-    hi = guarded_eval(fn, U[half:], V[half:], out[half:])
-    return {**failed, **{half + i: error for i, error in hi.items()}}
-
-
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
@@ -378,16 +354,17 @@ def _product_rule_pair():
                                    operators.coordinate_field(1))
 
 
-def _verify_sweep(surface, field, unit, grid, floor):
+def _verify_sweep(surface, field, grid, floor):
     """verify's pass over the guarded grid in tiles of at most BATCH_NODES nodes,
     whole rows or chunks of one row, with one order-2 metric assembly each.
 
-    It screens the tile's zero-field nodes (a non-finite norm too), names
-    each degenerate usable node with the message `metric_data` raises there
-    alone, and serves `bochner._verify_pass`, through guarded_eval if that
-    raises.  Returns the zero nodes' (U, V, finite norm), the usable nodes'
-    U, V and value rows, and {usable node index: message} of the errors."""
-    run = functools.partial(bochner._verify_pass, surface, unit, *_product_rule_pair())
+    It screens the tile's zero-field nodes (a non-finite norm too) by
+    `bochner._failure_codes`, names each degenerate usable node with the
+    message `metric_data` raises there alone, and makes one
+    `bochner._verify_pass` over the others.  Returns the zero nodes' (U, V,
+    failure code), the usable nodes' U, V and value rows, and {usable node
+    index: message} of the degenerate nodes."""
+    run = functools.partial(bochner._verify_pass, surface, field, *_product_rule_pair())
     zeros, nodes, errors, n = [], [], {}, 0
     rows, cols = max(1, BATCH_NODES // grid.nv), min(grid.nv, BATCH_NODES)
     for i, j in itertools.product(range(0, grid.nu, rows), range(0, grid.nv, cols)):
@@ -395,13 +372,14 @@ def _verify_sweep(surface, field, unit, grid, floor):
         U, V = grid.U[i:i + rows, j:j + cols], grid.V[i:i + rows, j:j + cols]
         g, dg, ddg, det = surf._assemble(surface, u, v, 2)
         n2, trace = operators._squared_norm_and_trace(surface, field, u, v, _jets.Jet(g))
-        mask, finite = surf.guarded_mask(surface, U, V), np.isfinite(n2)
-        zero = mask & (~finite | operators._vanishes(n2, trace, floor))
-        zeros.append((U[zero], V[zero], finite[zero]))
+        codes = bochner._failure_codes(n2, trace, floor)
+        mask = surf.guarded_mask(surface, U, V)
+        zero = mask & (codes > 0)
+        zeros.append((U[zero], V[zero], codes[zero]))
         usable = mask & ~zero
         good = surf._nondegenerate(g, det)[usable]
         U, V, det = U[usable], V[usable], det[usable]
-        out = np.full((U.size, len(bochner.VERIFY_CHECKS) + 1), np.nan)
+        out = np.full((U.size, len(bochner.VERIFY_CHECKS) + 2), np.nan)
         for k in np.flatnonzero(~good):
             errors[n + int(k)] = str(surf._degenerate_error(surface, det[k], U[k], V[k]))
         if np.any(good):
@@ -409,21 +387,11 @@ def _verify_sweep(surface, field, unit, grid, floor):
             jet = _jets.Jet(*(x.reshape(x.shape[:-2] + (-1,)) if whole else
                               np.ascontiguousarray(x[..., usable][..., good])
                               for x in (g, dg, ddg)))
-            try:
-                out[good] = run(U[good], V[good], jet)
-            except GeometryError:
-                rows_ok, at = out[good], np.flatnonzero(good)
-                failed = guarded_eval(run, U[good], V[good], rows_ok)
-                out[good] = rows_ok
-                errors.update({n + int(at[k]): error for k, error in failed.items()})
+            out[good] = run(U[good], V[good], jet, floor)
         nodes.append((U, V, out))
         n += U.size
     return ([np.concatenate(x) for x in zip(*zeros)],
             *(np.concatenate(x) for x in zip(*nodes)), errors)
-
-
-def _node(U, V, i, error):
-    return {"u": float(U[i]), "v": float(V[i]), "error": error}
 
 
 def cmd_verify(args, surface, field, grid_shape, tols, report):
@@ -434,14 +402,13 @@ def cmd_verify(args, surface, field, grid_shape, tols, report):
     keep_nodes = args.format == "csv"
     base = bochner.default_tolerance(surface)
     grid = surf.chart_grid(surface, *grid_shape)
-    unit = bochner.normalize_field(surface, field, floor=floor)
-    (zero_u, zero_v, zero_finite), U, V, values, errors = _verify_sweep(
-        surface, field, unit, grid, floor)
+    (zero_u, zero_v, zero_codes), U, V, values, errors = _verify_sweep(
+        surface, field, grid, floor)
     report["zero_field_nodes"] = [
         {"u": float(a), "v": float(b)} for a, b in zip(zero_u[:64], zero_v[:64])]
     report["n_zero_field_nodes"] = zero_u.size
     if not U.size:
-        n_inf = int(np.count_nonzero(~zero_finite))
+        n_inf = int(np.count_nonzero(zero_codes == bochner._NON_FINITE_NORM))
         n_low = report["n_zero_field_nodes"] - n_inf
         reason = "field vanishes everywhere"
         if n_inf:
@@ -452,19 +419,22 @@ def cmd_verify(args, surface, field, grid_shape, tols, report):
 
     pr_tol = (PRODUCT_RULE_TOL if surface.derivative_mode == "analytic" else base)
     passed = report["n_zero_field_nodes"] == 0
+    errors.update(bochner._field_failures(field, floor, values, U, V))
+    unit = bochner.normalize_field(surface, field, floor=floor)
     for k, (name, unit_failed) in enumerate(zip(
             bochner.VERIFY_CHECKS, bochner._unit_failures(unit, values))):
         tol = tols.get(name, pr_tol if name == "product_rule" else base)
         errs = {**errors, **unit_failed}
         ok = np.isfinite(values[:, k])
         ok[list(errs)] = False
-        failed = [_node(U, V, i, errs[i]) for i in sorted(errs)]
-        failed += [_node(U, V, i, "non-finite residual")
-                   for i in np.flatnonzero(~ok) if i not in errs]
+        # the named failures in node order, then the other non-finite residuals
+        listed = sorted(np.flatnonzero(~ok), key=lambda i: i not in errs)[:64]
         entry = _check_entry(name, values[ok, k], U[ok], V[ok], tol, keep_nodes)
-        if failed:
-            entry["failed_nodes"] = failed[:64]
-            entry["n_failed"] = len(failed)
+        if listed:
+            entry["failed_nodes"] = [{"u": float(U[i]), "v": float(V[i]),
+                                      "error": errs.get(i, "non-finite residual")}
+                                     for i in listed]
+            entry["n_failed"] = int(np.count_nonzero(~ok))
             entry["pass"] = False
         report["checks"].append(entry)
         passed = passed and entry["pass"]

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import _jets, _stencils
 from .errors import NotUnitFieldError
-from .surfaces import cofactor_signs, metric_data, metric_only
+from .surfaces import _assemble, _require_nondegenerate, cofactor_signs, metric_data
 
 UNIT_TOL = 1e-8  # allowed deviation of g(T, T) from 1 for unit-field inputs
 
@@ -156,24 +156,17 @@ def scale_field(c, x, name=None):
 # metric jets
 # ---------------------------------------------------------------------------
 
-def _metric_jet(md):
-    """The metric of `md` as a jet of the order it was assembled to."""
-    ders = tuple(x for x in (md.dg, md.ddg) if x is not None)
-    return _jets.from_parts((md.g,) + ders, md.g.ndim - 2)
-
-
 def _metric(surface, u, v, order, g=None):
     """The metric as a jet of `order`, or `g` when the caller assembled it
-    to at least that order.
-
-    Values alone come from metric_only.
+    to at least that order.  From order 1 on, a degenerate node raises
+    DegenerateMetricError, as in `metric_data`; values alone are unchecked.
     """
     if g is not None and g.order >= order:
         return g
-    if order == 0:
-        values = metric_only(surface, u, v)
-        return _jets.from_parts((values,), values.ndim - 2)
-    return _metric_jet(metric_data(surface, u, v, order=order))
+    g, dg, ddg, det = _assemble(surface, u, v, order)
+    if order:
+        _require_nondegenerate(surface, g, det, u, v)
+    return _jets.Jet(g, dg, ddg)
 
 
 def _levi_civita(g):
@@ -273,7 +266,7 @@ class LocalGeometry:
 def local_geometry(surface, u, v):
     """Every pointwise object of the metric, from one order-2 assembly."""
     md = metric_data(surface, u, v, order=2)
-    g = _metric_jet(md)
+    g = _jets.from_parts((md.g, md.dg, md.ddg), md.g.ndim - 2)
     gamma = _levi_civita(g)[0]
     return LocalGeometry(
         md.g, md.g_inv, md.dg, md.ddg, md.det_g,

@@ -1,3 +1,7 @@
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -323,10 +327,10 @@ class TestReports:
 class TestBatchComposition:
     """A node's residuals do not depend on the other nodes of its batch.
 
-    `verify` evaluates blocks of `cli.BATCH_NODES` nodes and halves a failing
-    block, and its sup must equal the public residual functions' max bit for
-    bit; both hold only if every node's arithmetic is independent of which
-    nodes share its batch and where it sits in it.
+    `verify` evaluates tiles of at most `cli.BATCH_NODES` nodes, and its sup
+    must equal the public residual functions' max bit for bit; both hold
+    only if every node's arithmetic is independent of which nodes share its
+    batch and where it sits in it.
     """
 
     @settings(max_examples=40)
@@ -344,10 +348,65 @@ class TestBatchComposition:
         usable = (surf.guarded_mask(s, g.U, g.V)
                   & (op.field_norm(s, X, g.U, g.V) >= bo.ZERO_FLOOR))
         U, V = g.U[usable], g.V[usable]
-        T = bo.normalize_field(s, X)
         f, Y = cli._product_rule_pair()
-        full = bo._verify_pass(s, T, f, Y, U, V)
+        full = bo._verify_pass(s, X, f, Y, U, V)
         order = data.draw(st.permutations(range(U.size)))
         idx = np.array(order[:data.draw(st.integers(1, U.size))])
-        part = bo._verify_pass(s, T, f, Y, U[idx], V[idx])
+        part = bo._verify_pass(s, X, f, Y, U[idx], V[idx])
         assert np.array_equal(part, full[idx], equal_nan=True)
+
+
+class TestFailureCodes:
+    """`verify` flags the nodes without a usable unit field in its one pass.
+
+    With X = A sin(k u) + c, A = 10^e, the norm of X vanishes (c = 0) or
+    overflows, or the partials of its unit field overflow, at some nodes and
+    not at others.  The message of
+    each flagged node, in `_verify_pass`'s rows and in the report's
+    failed_nodes, is the error that `normalize_field`'s field raises at that
+    node alone, and the rows of the other nodes are those of a batch without
+    the flagged nodes.
+    """
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=20)
+    @given(surface=st.sampled_from(("torus:2,1", "clifford:1")),
+           backend=st.sampled_from(("analytic", "fd")),
+           e=st.integers(150, 308), k=st.integers(1, 4),
+           c=st.sampled_from(("0", "0.5", "1", "2")),
+           nu=st.integers(4, 16), nv=st.integers(4, 16))
+    def test_flagged_nodes_are_named_as_alone(self, surface, backend, e, k, c, nu, nv):
+        s = cli.parse_surface(surface, cli.parse_backend(backend))
+        field = f"1e{e}*sin({k}*u)+{c},0"
+        X = cli.parse_field(field)
+        T = bo.normalize_field(s, X)
+
+        def alone(u, v):
+            with pytest.raises(ZeroFieldPointError) as exc:
+                bo.bochner_residual(s, T, np.array([u]), np.array([v]))
+            return str(exc.value)
+
+        g = surf.chart_grid(s, nu, nv)
+        mask = surf.guarded_mask(s, g.U, g.V)
+        U, V = g.U[mask], g.V[mask]
+        f, Y = cli._product_rule_pair()
+        rows = bo._verify_pass(s, X, f, Y, U, V)
+        failed = bo._field_failures(X, bo.ZERO_FLOOR, rows, U, V)
+        flagged = rows[:, -1] > 0
+        assert list(failed) == np.flatnonzero(flagged).tolist()
+        assert np.isnan(rows[flagged, :-1]).all()
+        for i, message in failed.items():
+            assert message == alone(U[i], V[i])
+        kept = np.flatnonzero(~flagged)
+        if kept.size:
+            assert np.array_equal(bo._verify_pass(s, X, f, Y, U[kept], V[kept]),
+                                  rows[kept], equal_nan=True)
+
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main(["verify", "--surface", surface, "--field", field,
+                      "--grid", f"{nu}x{nv}", "--backend", backend])
+        for check in json.loads(out.getvalue())["checks"]:
+            for node in check.get("failed_nodes", ()):
+                if node["error"] != "non-finite residual":
+                    assert node["error"] == alone(node["u"], node["v"])

@@ -11,7 +11,7 @@ import pytest
 
 from bochner2d import _jets, bochner, cli, integrate
 from bochner2d import surfaces as surf
-from bochner2d.errors import ConfigError, DegenerateMetricError, GeometryError
+from bochner2d.errors import ConfigError, DegenerateMetricError
 
 from conftest import non_finite_parameters
 
@@ -466,6 +466,38 @@ class TestOverflowingPartials:
         assert rep["integrals"] == {}
 
 
+class TestOnePassPerTile:
+    """verify makes one pass per tile with usable nodes, however many of them fail."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("field,grid,passes,n_failed", [
+        # the norm is finite on the u = 0 row alone, which lies in the first
+        # tile, and the unit field's partials overflow on all of it
+        ("1e200*sin(u)+1,0", "16x16", 1, 16),
+        ("1e200*sin(u)+1,0", "64x64", 1, 64),
+        ("1e200*sin(u)+1,0", "256x256", 1, 256),
+        # d_uu X overflows at every node, in each of the 16 tiles
+        ("sin(1e300*u),2", "256x256", 16, 256 * 256),
+    ])
+    def test_failing_nodes_cost_no_extra_pass(self, capsys, monkeypatch, field, grid,
+                                              passes, n_failed):
+        original, calls = cli.bochner._verify_pass, []
+
+        def counted(*args):
+            calls.append(len(args[4]))
+            return original(*args)
+
+        monkeypatch.setattr(cli.bochner, "_verify_pass", counted)
+        status, rep = run_json(capsys, "verify", "--surface", "torus:2,1",
+                               "--field", field, "--grid", grid)
+        assert status == 1
+        assert len(calls) == passes
+        assert sum(calls) == n_failed       # each failing node in one pass
+        for check in rep["checks"]:
+            assert check["n_failed"] == n_failed
+            assert "unit-field partials" in check["failed_nodes"][0]["error"]
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("argv", [
         ("verify", "--surface", "mobius", "--field", "du"),
@@ -540,37 +572,6 @@ class TestConfigErrors:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error:")
         assert captured.out == ""
-
-
-class TestGuardedEval:
-    def test_halving_matches_per_node_loop(self):
-        n = 4096
-        U = np.linspace(0.0, 1.0, n)
-        V = np.linspace(2.0, 3.0, n)
-        bad = {17, 2048, 4095}
-        calls = []
-
-        def fn(u, v):
-            calls.append(u.size)
-            hit = [i for i in bad if U[i] in u]
-            if hit:
-                raise GeometryError(f"bad node {min(hit)}")
-            return u + v
-
-        values = np.empty(n)
-        failed = cli.guarded_eval(fn, U, V, values)
-        n_calls = len(calls)
-
-        ref_values = np.full(n, np.nan)
-        ref_failed = {}
-        for i in range(n):      # the per-node reference
-            try:
-                ref_values[i] = float(fn(U[i:i + 1], V[i:i + 1])[0])
-            except GeometryError as exc:
-                ref_failed[i] = str(exc)
-        np.testing.assert_array_equal(values, ref_values)
-        assert list(failed.items()) == list(ref_failed.items())
-        assert n_calls <= 2 * len(bad) * (np.log2(n) + 1) + 1
 
 
 @pytest.fixture

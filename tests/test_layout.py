@@ -43,7 +43,7 @@ def public_outputs(surface, u, v):
     f = op.ScalarField(lambda a, b: np.cos(a) * np.sin(b), name="f")
     a, dX, ddX = _jets.to_parts(op._jet(surface, X, u, v, 2), np.ndim(u))
     s, ds, dds = _jets.to_parts(op._jet(surface, f, u, v, 2), np.ndim(u))
-    m = _jets.value_last(bo._NodeBatch(surface, X, u, v, order=1).grad_x.v, 2)
+    m = _jets.value_last(bo._NodeBatch.of(surface, X, u, v, order=1).grad_x.v, 2)
     n = surface.ambient_dim
     return {
         "g": (geo.g, (2, 2)), "g_inv": (geo.g_inv, (2, 2)),

@@ -38,7 +38,7 @@ def field_battery():
 
 def covariant_gradient(surface, X, u, v):
     """m[..., k, i] = (grad_{e_i} X)^k, read off the node batch of the residuals."""
-    return _jets.value_last(bo._NodeBatch(surface, X, u, v, order=1).grad_x.v, 2)
+    return _jets.value_last(bo._NodeBatch.of(surface, X, u, v, order=1).grad_x.v, 2)
 
 
 class TestChristoffel:
