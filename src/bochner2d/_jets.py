@@ -81,10 +81,14 @@ class Jet:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + -other
+        if not isinstance(other, Jet):
+            return Jet(self.v - other, self.d, self.dd)
+        return Jet(self.v - other.v, _both(self.d, other.d, np.subtract),
+                   _both(self.dd, other.dd, np.subtract))
 
     def __rsub__(self, other):
-        return -self + other
+        return Jet(other - self.v,
+                   *(None if x is None else -x for x in (self.d, self.dd)))
 
     def __mul__(self, other):
         if not isinstance(other, Jet):

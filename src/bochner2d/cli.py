@@ -38,6 +38,7 @@ evaluating the same compiled expression on jets of u and v.
 
 import argparse
 import ast
+import ctypes
 import functools
 import itertools
 import json
@@ -47,6 +48,11 @@ import time
 from pathlib import Path
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:         # not POSIX: reports carry no fault count
+    resource = None
 
 from . import _jets, approx, bochner, integrate, operators
 from . import surfaces as surf
@@ -60,6 +66,10 @@ from .errors import (
 SCHEMA_VERSION = 1
 PRODUCT_RULE_TOL = 1e-8
 BATCH_NODES = 4096      # nodes per verify pass; bounds the memory of its jets
+# glibc's mallopt parameters and the values _retain_freed_memory pins them at
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20   # glibc's ceiling for its dynamic mmap threshold on 64-bit
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
 
 _SURFACE_ALIASES = {"clifford": "clifford_torus"}
 # the names --tol accepts, per command
@@ -358,12 +368,13 @@ def _verify_sweep(surface, field, grid, floor):
     """verify's pass over the guarded grid in tiles of at most BATCH_NODES nodes,
     whole rows or chunks of one row, with one order-2 metric assembly each.
 
-    It screens the tile's zero-field nodes (a non-finite norm too) by
-    `bochner._failure_codes`, names each degenerate usable node with the
-    message `metric_data` raises there alone, and makes one
+    It screens the tile's metric first, as `metric_data` does, then the
+    field where the metric is usable: it names each degenerate node with the
+    message `metric_data` raises there alone, sets the zero-field nodes (a
+    non-finite norm too) of `bochner._failure_codes` apart, and makes one
     `bochner._verify_pass` over the others.  Returns the zero nodes' (U, V,
-    failure code), the usable nodes' U, V and value rows, and {usable node
-    index: message} of the degenerate nodes."""
+    failure code), the other nodes' U, V and value rows, and {node index:
+    message} of the degenerate nodes."""
     run = functools.partial(bochner._verify_pass, surface, field, *_product_rule_pair())
     zeros, nodes, errors, n = [], [], {}, 0
     rows, cols = max(1, BATCH_NODES // grid.nv), min(grid.nv, BATCH_NODES)
@@ -371,13 +382,14 @@ def _verify_sweep(surface, field, grid, floor):
         u, v = grid.u_nodes[i:i + rows, None], grid.v_nodes[None, j:j + cols]
         U, V = grid.U[i:i + rows, j:j + cols], grid.V[i:i + rows, j:j + cols]
         g, dg, ddg, det = surf._assemble(surface, u, v, 2)
+        good = surf._nondegenerate(g, det)
         n2, trace = operators._squared_norm_and_trace(surface, field, u, v, _jets.Jet(g))
         codes = bochner._failure_codes(n2, trace, floor)
         mask = surf.guarded_mask(surface, U, V)
-        zero = mask & (codes > 0)
+        zero = mask & good & (codes > 0)
         zeros.append((U[zero], V[zero], codes[zero]))
         usable = mask & ~zero
-        good = surf._nondegenerate(g, det)[usable]
+        good = good[usable]
         U, V, det = U[usable], V[usable], det[usable]
         out = np.full((U.size, len(bochner.VERIFY_CHECKS) + 2), np.nan)
         for k in np.flatnonzero(~good):
@@ -571,6 +583,35 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _retain_freed_memory():
+    """Keep the heap a command frees for the next one, once per process.
+
+    glibc's dynamic thresholds let free() hand the heap's top back to the
+    kernel after a tile or a command, and the next one faults the same pages
+    back in.  Pinning the mmap threshold at the ceiling of glibc's own
+    dynamic rule, and the trim threshold at twice it, keeps that memory:
+    arrays above MMAP_THRESHOLD are still mapped and unmapped one by one,
+    and free space above TRIM_THRESHOLD at the heap's top is still trimmed.
+    Returns whether both were set; False, changing nothing, where the C
+    library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+                and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD))
+
+
+def _minor_faults():
+    """The process's minor page faults so far, or None without `resource`."""
+    if resource is None:
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def main(argv=None):
     """Run one command; returns its exit status.
 
@@ -579,11 +620,16 @@ def main(argv=None):
     adds only its own keys and returns whether everything it checked passed.
     An --out or --coeff-out target is checked before the command runs.
 
-    The argument parser (`build_parser`) and the Gauss-Legendre rule of each
-    node count (`surfaces.chart_grid`) are built at their first use and
-    shared by every later command of the process, so in-process callers pay
-    for them once; nothing that depends on a command's inputs is cached.
+    The argument parser (`build_parser`), the Gauss-Legendre rule of each
+    node count (`surfaces.chart_grid`) and the allocator policy
+    (`_retain_freed_memory`) are set up at their first use and serve every
+    later command of the process, so in-process callers pay for them once;
+    nothing that depends on a command's inputs is cached.  Under that
+    policy the process keeps the heap its largest command freed: up to
+    TRIM_THRESHOLD free at the heap's top.  Where `resource` exists,
+    "timings" counts the handler's minor page faults.
     """
+    _retain_freed_memory()
     args = build_parser().parse_args(argv)
     handlers = {"verify": cmd_verify, "gauss-bonnet": cmd_gauss_bonnet,
                 "smooth": cmd_smooth}
@@ -598,10 +644,13 @@ def main(argv=None):
         tols = parse_tols(args.tol, TOLERANCE_NAMES[args.command])
         report = {"schema": SCHEMA_VERSION, "command": args.command,
                   "config": _config_echo(args, surface, grid_shape, tols)}
+        faults = _minor_faults()
         t_start = time.perf_counter()
         passed = handlers[args.command](args, surface, field, grid_shape, tols, report)
         report["overall_pass"] = bool(passed)
         report["timings"] = {"total_s": time.perf_counter() - t_start}
+        if faults is not None:
+            report["timings"]["counts"] = {"minor_faults": _minor_faults() - faults}
         emit(report, args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -353,19 +353,23 @@ def _leibniz(f, g):
 def _axis_table(surface, factors, x, order):
     """(f'f', f'f, ff) of (f, f') = factors(x), (order + 1, 3, n, *x.shape), row k
     its k-th derivative along x: exact from jets of the factors, or on fd by
-    long-double stencils at `surface.step`, rounded to float64."""
+    long-double stencils at `surface.step`, rounded to float64.  Products
+    that overflow give inf or NaN without a warning: `_nondegenerate` names
+    their nodes."""
     def products(y):
         f, df = factors(y)
         return _jets.stack([df * df, df * f, f * f])
 
     fd = surface.derivative_mode == "fd"
     x = np.asarray(x, dtype=np.longdouble if fd else np.float64)
-    if order and not fd:
-        f, df = ([y.v, y.d[0], y.dd[0]] for y in factors(_jets.variables(x, 0.0)[0]))
-        rows = [_leibniz(df, df), _leibniz(df, f), _leibniz(f, f)]
-        return np.stack(rows, axis=1)[:order + 1]
-    parts = _stencils.along(products, x, surface.step, order) if order else [products(x)]
-    return np.asarray(np.stack(parts), dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if order and not fd:
+            f, df = ([y.v, y.d[0], y.dd[0]] for y in factors(_jets.variables(x, 0.0)[0]))
+            rows = [_leibniz(df, df), _leibniz(df, f), _leibniz(f, f)]
+            return np.stack(rows, axis=1)[:order + 1]
+        parts = (_stencils.along(products, x, surface.step, order) if order
+                 else [products(x)])
+        return np.asarray(np.stack(parts), dtype=np.float64)
 
 
 def _assemble(surface, u, v, order):
@@ -374,7 +378,8 @@ def _assemble(surface, u, v, order):
     With x_k = p_k(u) q_k(v), the components (uu, uv, vv) of g are
     sum_k A_k(u) B_k(v), A = (p'p', p'p, pp) and B = (qq, qq', q'q'), and
     each partial differentiates A along u and B along v alone.  Summed in
-    fixed order node by node, a node's rows depend on no other node.
+    fixed order node by node, a node's rows depend on no other node.  As in
+    `_axis_table`, overflow is left to `_nondegenerate` to name.
     """
     u, v = _aligned(u, v)
     a = _axis_table(surface, surface.maps.u_factors, u, order)
@@ -385,9 +390,11 @@ def _assemble(surface, u, v, order):
         for k in range(1, a.shape[2]):
             comps += a[i, :, k] * b[j, :, k]
         return comps[[[0, 1], [1, 2]]]          # g_ij from the components (uu, uv, vv)
-    full = np.stack([row(i, j) for i, j in _ROWS[:(1, 3, 6)[order]]])   # (rows, 2, 2, *N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = np.stack([row(i, j) for i, j in _ROWS[:(1, 3, 6)[order]]])   # (rows, 2, 2, *N)
+        det = _det(full[0])
     g, dg, ddg = full[0], full[1:3] if order else None, full[3:] if order > 1 else None
-    return g, dg, ddg, _det(g)
+    return g, dg, ddg, det
 
 
 def _det(g):

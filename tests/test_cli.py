@@ -17,11 +17,13 @@ from conftest import non_finite_parameters
 
 
 # inputs whose metric is degenerate at some or all nodes of a grid: det g
-# below DET_MIN everywhere, below it near the poles, above DET_MAX
+# below DET_MIN everywhere, below it near the poles, above DET_MAX, and NaN
+# where g overflows, which overflows the field's norm too
 DEGENERATE_INPUTS = [
     ("--surface", "sphere:1e-40", "--field", "1e40,0"),
     ("--surface", "sphere:1e-38", "--field", "0,1e38"),
     ("--surface", "sphere:1e40", "--field", "du"),
+    ("--surface", "torus:1e200,1e199", "--field", "du"),
 ]
 
 
@@ -432,6 +434,36 @@ class TestOverflowingNorm:
         assert rep["integrals"] == {}
 
 
+class TestOverflowingMetric:
+    """A metric that overflows at every node: its nodes are named degenerate,
+    not zero-field, without a warning from the assembly."""
+
+    ARGV = ("--surface", "torus:1e200,1e199", "--field", "du", "--grid", "8x8")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("backend", ["analytic", "fd"])
+    def test_verify_names_it(self, capsys, backend):
+        status, out = run_cli(capsys, "verify", *self.ARGV, "--backend", backend)
+        rep = _strict_json(out)
+        assert status == 1
+        assert "error" not in rep and rep["n_zero_field_nodes"] == 0
+        for check in rep["checks"]:
+            assert check["n_points"] == 0 and check["n_failed"] == 64
+            assert check["failed_nodes"][0] == {
+                "u": 0.0, "v": 0.0, "error": "metric degenerate on "
+                "torus(1e+200,1e+199): det g = nan at (u, v) = (0, 0)"}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("backend", ["analytic", "fd"])
+    def test_gauss_bonnet_names_it(self, capsys, backend):
+        status, out = run_cli(capsys, "gauss-bonnet", *self.ARGV, "--backend", backend)
+        rep = _strict_json(out)
+        assert status == 1
+        assert rep["error"] == ("metric degenerate on torus(1e+200,1e+199): "
+                                "det g = nan at (u, v) = (0, 0)")
+        assert rep["failed_node"] == {"u": 0.0, "v": 0.0}
+
+
 class TestOverflowingPartials:
     """Finite fields with finite norms whose unit field's partials overflow."""
 
@@ -745,8 +777,9 @@ class TestTiling:
 
     def test_cases_reach_what_they_name(self, capsys):
         # the guard band leaves out polar rows, the field has zero nodes
+        last = -2 * len(DEGENERATE_INPUTS)      # the two cases before the degenerate ones
         reports = {argv[2] + argv[4]: run_json(capsys, *argv)[1]
-                   for argv, _ in _tiling_cases()[-8:-6]}
+                   for argv, _ in _tiling_cases()[last - 2:last]}
         assert reports["sphere:1du"]["checks"][0]["n_points"] < 72 * 4
         assert reports["torus:2,1sin(u),0"]["n_zero_field_nodes"] > 0
 
@@ -827,3 +860,55 @@ class TestProcessConstants:
         assert at_import == "{'parsers': 0, 'leggauss': 0}"
         # the probe counts what a first use builds
         assert after_use == "{'parsers': 4, 'leggauss': 1}"
+
+
+class TestAllocatorPolicy:
+    """cli.main keeps the heap a command frees for the next command."""
+
+    @pytest.fixture
+    def fresh_policy(self):
+        # the policy runs again at the next main; pinning twice changes nothing
+        cli._retain_freed_memory.cache_clear()
+        yield
+        cli._retain_freed_memory.cache_clear()
+
+    def test_repeated_verify_takes_no_faults(self, capsys):
+        if cli.resource is None or not cli._retain_freed_memory():
+            pytest.skip("needs getrusage and the C library's mallopt")
+        argv = ["verify", "--surface", "torus:2,1", "--field", "du", "--grid", "64x64"]
+        faults = []
+        for _ in range(3):
+            before = cli._minor_faults()
+            assert cli.main(argv) == 0
+            faults.append(cli._minor_faults() - before)
+        capsys.readouterr()
+        # with glibc's dynamic thresholds, the third call re-faults ~1300 pages
+        assert faults[2] <= 64, faults
+
+    def test_report_counts_the_handler_faults(self, capsys):
+        if cli.resource is None:
+            pytest.skip("needs getrusage")
+        status, rep = run_json(capsys, "gauss-bonnet", "--surface", "sphere:1",
+                               "--grid", "16x32")
+        assert status == 0
+        assert list(rep)[-1] == "timings"
+        assert list(rep["timings"]) == ["total_s", "counts"]
+        assert rep["timings"]["counts"]["minor_faults"] >= 0
+
+    def test_no_mallopt_changes_nothing(self, monkeypatch, fresh_policy):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        assert cli._retain_freed_memory() is False
+
+    def test_main_pins_both_thresholds_once(self, capsys, monkeypatch, fresh_policy):
+        calls = []
+
+        class Library:
+            @staticmethod
+            def mallopt(param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Library())
+        for _ in range(3):
+            run_json(capsys, "gauss-bonnet", "--surface", "sphere:1", "--grid", "16x32")
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]

@@ -136,3 +136,35 @@ def test_analytic_expression_field_is_never_stenciled(capsys, stencil_depth):
     assert cli.main(["verify", "--surface", "torus:2,1", "--field",
                      "sin(u)+2,cos(v)", "--grid", "8x8"]) == 0
     assert stencil_depth["calls"] == 0
+
+
+def _bits(x):
+    """The float64 bits of x, with every NaN mapped to one pattern."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), np.uint64(0), x.view(np.uint64))
+
+
+def test_subtraction_makes_no_negated_copy(monkeypatch):
+    rng = np.random.default_rng(11)
+
+    def jet(order):
+        parts = [rng.standard_normal(rows + (2, 6)) for rows in ((), (2,), (3,))]
+        for x in parts:     # signed zeros, infinities and NaN in every part
+            x[..., :5] = (0.0, -0.0, np.inf, -np.inf, np.nan)
+        return _jets.Jet(*parts[:order + 1])
+
+    a, b, c = jet(2), jet(2), jet(1)
+    const = rng.standard_normal((2, 6))
+    const[0, :3] = (0.0, -0.0, np.inf)
+    # IEEE defines x - y as x + (-y): the results of the negated copies
+    with np.errstate(invalid="ignore"):
+        expected = [a + -b, a + -c, c + -a, a + -const, -a + const, -a + 2.5]
+    monkeypatch.setattr(_jets.Jet, "__neg__", None)
+    with np.errstate(invalid="ignore"):
+        got = [a - b, a - c, c - a, a - const, const - a, 2.5 - a]
+    for x, y in zip(got, expected):
+        assert x.order == y.order
+        for p, q in zip((x.v, x.d, x.dd), (y.v, y.d, y.dd)):
+            assert (p is None) == (q is None)
+            if p is not None:
+                np.testing.assert_array_equal(_bits(p), _bits(q))
