@@ -24,8 +24,11 @@ takes K and div(grad_T T - (div T) T) from one batch per quadrature grid
 
 The unit field T = X / g(X, X)^(1/2) comes with a failure code per node
 from one rule (`_failure_codes`).  The public routes raise
-ZeroFieldPointError at a flagged node; `verify`'s pass keeps the codes as a
-column of its rows, so a failing node costs it no extra pass.
+ZeroFieldPointError at a flagged node.  `verify`'s pass (`_verify_pass`)
+decides each node's fate once: its last column is the node's failure code,
+`_DEGENERATE_METRIC` where the metric is degenerate and else the unit
+field's code, so a failing node costs it no extra pass, and
+`_node_failures` names each flagged node with the error it raises alone.
 
 Residual functions return plain arrays over the broadcast shape of (u, v);
 `residual_report` summarizes a sweep.  Tolerances default to 1e-6 for
@@ -56,7 +59,7 @@ from .operators import (
     _vanishes,
     UNIT_TOL,
 )
-from .surfaces import ChartPoint, metric_only
+from .surfaces import ChartPoint, _assemble, _degenerate_error, _nondegenerate, metric_only
 
 ANALYTIC_TOL = 1e-6
 FD_TOL = 1e-3
@@ -125,6 +128,8 @@ def normalize_field(surface, X, floor=ZERO_FLOOR):
 
 # why a node has no usable unit field; 0 where it has one
 _ZERO_NORM, _NON_FINITE_NORM, _NON_FINITE_PARTIAL, _LARGE_PARTIAL = 1, 2, 3, 4
+# verify's code for a node whose metric is degenerate, before any of the above
+_DEGENERATE_METRIC = 5
 
 
 def _failure_codes(n2, trace, floor, unit=None):
@@ -332,14 +337,17 @@ VERIFY_CHECKS = ("bochner", "trace_identity", "divergence_product_rule",
 _UNIT_CHECKS = ("trace_identity", "curvature_identity")
 
 
-def _verify_pass(surface, X, f, Y, u, v, g=None, floor=ZERO_FLOOR):
+def _verify_pass(surface, X, f, Y, u, v, metric=None, floor=ZERO_FLOOR):
     """Every residual of `verify` at one node batch, from one metric assembly.
 
-    Returns shape (..., 7): the four residuals of the chain for the unit
-    field T of X, |div(fY) - Y(f) - f div(Y)|, |g(T,T) - 1| (`_unit_failures`)
-    and the node's `_failure_codes` at `floor` (`_field_failures`), the rest
-    of the row NaN where that is not 0; g is the caller's order-2 metric jet,
-    or None.  Nothing raises where T is not usable.
+    `metric` is the caller's order-2 `surfaces._assemble` tuple (g, dg, ddg,
+    det g) at (u, v), or None to assemble it here.  Returns shape (..., 8):
+    the four residuals of the chain for the unit field T of X,
+    |div(fY) - Y(f) - f div(Y)|, |g(T,T) - 1| (`_unit_failures`), det g, and
+    the node's failure code (`_node_failures`): _DEGENERATE_METRIC where
+    `surfaces._nondegenerate` fails, else its `_failure_codes` at `floor`.
+    The row's residuals and deviation are NaN where the code is not 0.
+    Nothing raises where the metric or T is not usable.
 
     A node's row does not depend on the other nodes of the batch.  A lone
     node is evaluated as a pair of copies of itself: with a node axis of
@@ -348,44 +356,53 @@ def _verify_pass(surface, X, f, Y, u, v, g=None, floor=ZERO_FLOOR):
     shape = np.broadcast(u, v).shape
     if np.prod(shape) == 1:
         pair = (np.full(2, float(np.ravel(x)[0])) for x in (u, v))
-        return _verify_pass(surface, X, f, Y, *pair, None, floor)[0].reshape(shape + (7,))
-    g = _metric(surface, u, v, 2, g)
+        return _verify_pass(surface, X, f, Y, *pair, None, floor)[0].reshape(shape + (8,))
+    g, dg, ddg, det = _assemble(surface, u, v, 2) if metric is None else metric
+    degenerate = ~_nondegenerate(g, det)
+    g = _jets.Jet(g, dg, ddg)
+    if degenerate.any():    # NaN from here on, which no term warns of
+        g = g * np.where(degenerate, np.nan, 1.0)
     unit, codes = _unit_jet(surface, X, u, v, 2, g, floor)
+    codes[degenerate] = _DEGENERATE_METRIC
     flagged = codes > 0
-    if flagged.any():       # NaN from here on, which no residual term warns of
+    if flagged.any():
         unit = unit * np.where(flagged, np.nan, 1.0)
     batch = _NodeBatch(g, unit, f"unit({X.name})")
     product_rule = _product_rule(_jet(surface, f, u, v, 1, g),
                                  _jet(surface, Y, u, v, 1, g), batch.dlogs)
-    rows = np.stack([*_chain(batch), product_rule, _unit_deviation(g.v, unit.v), codes], -1)
-    rows[flagged, :-1] = np.nan
+    rows = np.stack([*_chain(batch), product_rule, _unit_deviation(g.v, unit.v),
+                     det, codes], -1)
+    rows[flagged, :-2] = np.nan
     return rows
 
 
-def _unit_failures(T, values):
-    """The nodes where a check of `verify` fails because T is not unit.
+def _unit_failures(name, values):
+    """The nodes where a check of `verify` fails because field `name` is not unit.
 
     `values` holds one row of `_verify_pass` per node.  Returns one
     {node index: message} per check of VERIFY_CHECKS, empty for the checks
     that do not need a unit T; the message is the NotUnitFieldError that the
     check's residual function raises at that node alone.
     """
-    deviation = values[:, -2]
-    failed = {int(i): _not_unit_message(T.name, float(deviation[i]))
+    deviation = values[:, -3]
+    failed = {int(i): _not_unit_message(name, float(deviation[i]))
               for i in np.flatnonzero(deviation > UNIT_TOL)}
-    return [failed if name in _UNIT_CHECKS else {} for name in VERIFY_CHECKS]
+    return [failed if check in _UNIT_CHECKS else {} for check in VERIFY_CHECKS]
 
 
-def _field_failures(X, floor, values, U, V):
+def _node_failures(surface, X, floor, values, U, V):
     """{node index: message} of the nodes U, V whose row of `_verify_pass` in
-    `values` flags X's unit field; the message is the ZeroFieldPointError
-    that `normalize_field`'s field raises at that node alone."""
-    codes = values[:, -1]
+    `values` has a failure code; the message is the error that the node
+    raises alone: `metric_data`'s DegenerateMetricError where the metric is
+    degenerate, else the ZeroFieldPointError of `normalize_field`'s field."""
+    det, codes = values[:, -2], values[:, -1]
     flagged = np.flatnonzero(codes > 0)
     alone = (codes[flagged, None] == np.arange(5)).astype(int)   # one node of one code
-    return {i: _field_message(X.name, floor, counts, ChartPoint(u, v))
-            for i, counts, u, v in zip(flagged.tolist(), alone.tolist(),
-                                       U[flagged].tolist(), V[flagged].tolist())}
+    return {i: str(_degenerate_error(surface, d, u, v)) if c == _DEGENERATE_METRIC
+            else _field_message(X.name, floor, counts, ChartPoint(u, v))
+            for i, c, counts, d, u, v in zip(
+                flagged.tolist(), codes[flagged].tolist(), alone.tolist(),
+                det[flagged].tolist(), U[flagged].tolist(), V[flagged].tolist())}
 
 
 def gauss_bonnet_integrands(surface, T, u, v, g=None):

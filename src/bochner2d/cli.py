@@ -90,10 +90,13 @@ def _parse_expression(text):
 
     Grammar: sin, cos, + - * /, numeric constants, the names u and v.
     """
+    too_deep = ConfigError(f"field expression of {len(text)} characters nests too deeply")
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse field expression {text!r}: {exc}") from exc
+    except RecursionError as exc:       # past the parser's nesting limit
+        raise too_deep from exc
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
             raise ConfigError(
@@ -108,7 +111,10 @@ def _parse_expression(text):
             raise ConfigError(f"expression {text!r}: unknown name {node.id!r}")
         if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
             raise ConfigError(f"expression {text!r}: non-numeric constant")
-    code = compile(tree, "<field>", "eval")
+    try:
+        code = compile(tree, "<field>", "eval")
+    except RecursionError as exc:       # past the compiler's
+        raise too_deep from exc
 
     def fn(u, v):
         return eval(code, {"__builtins__": {}},
@@ -366,44 +372,25 @@ def _product_rule_pair():
 
 def _verify_sweep(surface, field, grid, floor):
     """verify's pass over the guarded grid in tiles of at most BATCH_NODES nodes,
-    whole rows or chunks of one row, with one order-2 metric assembly each.
-
-    It screens the tile's metric first, as `metric_data` does, then the
-    field where the metric is usable: it names each degenerate node with the
-    message `metric_data` raises there alone, sets the zero-field nodes (a
-    non-finite norm too) of `bochner._failure_codes` apart, and makes one
-    `bochner._verify_pass` over the others.  Returns the zero nodes' (U, V,
-    failure code), the other nodes' U, V and value rows, and {node index:
-    message} of the degenerate nodes."""
+    whole rows or chunks of one row: per tile with guarded nodes, one order-2
+    metric assembly on its axes and one `bochner._verify_pass` on it at the
+    guarded nodes, whose last column is each node's failure code.  Returns
+    the guarded nodes' U, V and rows, in grid order."""
     run = functools.partial(bochner._verify_pass, surface, field, *_product_rule_pair())
-    zeros, nodes, errors, n = [], [], {}, 0
+    tiles = []
     rows, cols = max(1, BATCH_NODES // grid.nv), min(grid.nv, BATCH_NODES)
     for i, j in itertools.product(range(0, grid.nu, rows), range(0, grid.nv, cols)):
         u, v = grid.u_nodes[i:i + rows, None], grid.v_nodes[None, j:j + cols]
         U, V = grid.U[i:i + rows, j:j + cols], grid.V[i:i + rows, j:j + cols]
-        g, dg, ddg, det = surf._assemble(surface, u, v, 2)
-        good = surf._nondegenerate(g, det)
-        n2, trace = operators._squared_norm_and_trace(surface, field, u, v, _jets.Jet(g))
-        codes = bochner._failure_codes(n2, trace, floor)
         mask = surf.guarded_mask(surface, U, V)
-        zero = mask & good & (codes > 0)
-        zeros.append((U[zero], V[zero], codes[zero]))
-        usable = mask & ~zero
-        good = good[usable]
-        U, V, det = U[usable], V[usable], det[usable]
-        out = np.full((U.size, len(bochner.VERIFY_CHECKS) + 2), np.nan)
-        for k in np.flatnonzero(~good):
-            errors[n + int(k)] = str(surf._degenerate_error(surface, det[k], U[k], V[k]))
-        if np.any(good):
-            whole = usable.all() and good.all()     # then the tile's arrays, not a copy
-            jet = _jets.Jet(*(x.reshape(x.shape[:-2] + (-1,)) if whole else
-                              np.ascontiguousarray(x[..., usable][..., good])
-                              for x in (g, dg, ddg)))
-            out[good] = run(U[good], V[good], jet, floor)
-        nodes.append((U, V, out))
-        n += U.size
-    return ([np.concatenate(x) for x in zip(*zeros)],
-            *(np.concatenate(x) for x in zip(*nodes)), errors)
+        if not mask.any():          # polar rows within the guard band
+            continue
+        whole = mask.all()          # then the tile's arrays, not a copy
+        metric = [x.reshape(x.shape[:-2] + (-1,)) if whole else
+                  np.ascontiguousarray(x[..., mask]) for x in surf._assemble(surface, u, v, 2)]
+        U, V = U[mask], V[mask]
+        tiles.append((U, V, run(U, V, metric, floor)))
+    return (np.concatenate(x) for x in zip(*tiles))
 
 
 def cmd_verify(args, surface, field, grid_shape, tols, report):
@@ -414,13 +401,14 @@ def cmd_verify(args, surface, field, grid_shape, tols, report):
     keep_nodes = args.format == "csv"
     base = bochner.default_tolerance(surface)
     grid = surf.chart_grid(surface, *grid_shape)
-    (zero_u, zero_v, zero_codes), U, V, values, errors = _verify_sweep(
-        surface, field, grid, floor)
+    U, V, values = _verify_sweep(surface, field, grid, floor)
+    codes = values[:, -1]
+    zero = (codes == bochner._ZERO_NORM) | (codes == bochner._NON_FINITE_NORM)
     report["zero_field_nodes"] = [
-        {"u": float(a), "v": float(b)} for a, b in zip(zero_u[:64], zero_v[:64])]
-    report["n_zero_field_nodes"] = zero_u.size
-    if not U.size:
-        n_inf = int(np.count_nonzero(zero_codes == bochner._NON_FINITE_NORM))
+        {"u": float(a), "v": float(b)} for a, b in zip(U[zero][:64], V[zero][:64])]
+    report["n_zero_field_nodes"] = int(np.count_nonzero(zero))
+    if zero.all():
+        n_inf = int(np.count_nonzero(codes == bochner._NON_FINITE_NORM))
         n_low = report["n_zero_field_nodes"] - n_inf
         reason = "field vanishes everywhere"
         if n_inf:
@@ -428,13 +416,14 @@ def cmd_verify(args, surface, field, grid_shape, tols, report):
                 f" and vanishes at {n_low} node(s)" if n_low else "")
         report["error"] = "no usable grid nodes: " + reason
         return False
+    U, V, values = U[~zero], V[~zero], values[~zero]
 
     pr_tol = (PRODUCT_RULE_TOL if surface.derivative_mode == "analytic" else base)
     passed = report["n_zero_field_nodes"] == 0
-    errors.update(bochner._field_failures(field, floor, values, U, V))
-    unit = bochner.normalize_field(surface, field, floor=floor)
+    errors = bochner._node_failures(surface, field, floor, values, U, V)
     for k, (name, unit_failed) in enumerate(zip(
-            bochner.VERIFY_CHECKS, bochner._unit_failures(unit, values))):
+            bochner.VERIFY_CHECKS,
+            bochner._unit_failures(f"unit({field.name})", values))):
         tol = tols.get(name, pr_tol if name == "product_rule" else base)
         errs = {**errors, **unit_failed}
         ok = np.isfinite(values[:, k])

@@ -297,13 +297,8 @@ def divergence_scalar_field(surface, X, name=None):
 
 def field_norm(surface, X, u, v):
     """Pointwise metric norm g(X, X)^(1/2)."""
-    return np.sqrt(_squared_norm_and_trace(surface, X, u, v)[0])
-
-
-def _squared_norm_and_trace(surface, X, u, v, g=None):
-    """g(X, X) and tr g at every node, from one order-0 metric assembly or g."""
-    g = _metric(surface, u, v, 0, g)
-    return _quadratic(g.v, _jet(surface, X, u, v, 0, g).v), g.v[0, 0] + g.v[1, 1]
+    g = _metric(surface, u, v, 0)
+    return np.sqrt(_quadratic(g.v, _jet(surface, X, u, v, 0, g).v))
 
 
 def _vanishes(n2, trace, floor):

@@ -344,12 +344,6 @@ def _jacobian_jet(maps, u, v, order):
 _ROWS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
-def _leibniz(f, g):
-    """[fg, (fg)', (fg)''] from the derivative stacks [f, f', f''] and [g, g', g'']."""
-    return np.stack([f[0] * g[0], f[1] * g[0] + f[0] * g[1],
-                     f[2] * g[0] + f[0] * g[2] + 2 * (f[1] * g[1])])
-
-
 def _axis_table(surface, factors, x, order):
     """(f'f', f'f, ff) of (f, f') = factors(x), (order + 1, 3, n, *x.shape), row k
     its k-th derivative along x: exact from jets of the factors, or on fd by
@@ -364,9 +358,8 @@ def _axis_table(surface, factors, x, order):
     x = np.asarray(x, dtype=np.longdouble if fd else np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         if order and not fd:
-            f, df = ([y.v, y.d[0], y.dd[0]] for y in factors(_jets.variables(x, 0.0)[0]))
-            rows = [_leibniz(df, df), _leibniz(df, f), _leibniz(f, f)]
-            return np.stack(rows, axis=1)[:order + 1]
+            jet = products(_jets.variables(x, 0.0)[0])
+            return np.stack([jet.v, jet.d[0], jet.dd[0]])[:order + 1]
         parts = (_stencils.along(products, x, surface.step, order) if order
                  else [products(x)])
         return np.asarray(np.stack(parts), dtype=np.float64)

@@ -11,7 +11,7 @@ from bochner2d import bochner as bo
 from bochner2d import cli
 from bochner2d import operators as op
 from bochner2d import surfaces as surf
-from bochner2d.errors import NotUnitFieldError, ZeroFieldPointError
+from bochner2d.errors import DegenerateMetricError, NotUnitFieldError, ZeroFieldPointError
 
 from conftest import interior_points
 
@@ -391,10 +391,10 @@ class TestFailureCodes:
         U, V = g.U[mask], g.V[mask]
         f, Y = cli._product_rule_pair()
         rows = bo._verify_pass(s, X, f, Y, U, V)
-        failed = bo._field_failures(X, bo.ZERO_FLOOR, rows, U, V)
+        failed = bo._node_failures(s, X, bo.ZERO_FLOOR, rows, U, V)
         flagged = rows[:, -1] > 0
         assert list(failed) == np.flatnonzero(flagged).tolist()
-        assert np.isnan(rows[flagged, :-1]).all()
+        assert np.isnan(rows[flagged, :-2]).all()
         for i, message in failed.items():
             assert message == alone(U[i], V[i])
         kept = np.flatnonzero(~flagged)
@@ -410,3 +410,37 @@ class TestFailureCodes:
             for node in check.get("failed_nodes", ()):
                 if node["error"] != "non-finite residual":
                     assert node["error"] == alone(node["u"], node["v"])
+
+
+class TestDegenerateCode:
+    """`_verify_pass` gives a node whose metric is degenerate the failure code
+    _DEGENERATE_METRIC, on its own assembly or the caller's, without a
+    warning, and `_node_failures` names it with the DegenerateMetricError
+    that `metric_data` raises at that node alone."""
+
+    @pytest.mark.parametrize("backend", ["analytic", "fd"])
+    @pytest.mark.parametrize("surface,field", [
+        ("sphere:1e-40", "1e40,0"),         # det g below DET_MIN everywhere
+        ("torus:1e200,1e199", "du"),        # g overflows: det g is NaN
+        ("sphere:1e-38", "0,1e38"),         # below DET_MIN near the poles only
+    ])
+    def test_degenerate_nodes_are_named_as_alone(self, surface, field, backend):
+        s = cli.parse_surface(surface, cli.parse_backend(backend))
+        X = cli.parse_field(field)
+        f, Y = cli._product_rule_pair()
+        U, V = guarded_grid(s, 12, 12)
+        rows = bo._verify_pass(s, X, f, Y, U, V)
+        given = bo._verify_pass(s, X, f, Y, U, V, surf._assemble(s, U, V, 2))
+        assert np.array_equal(rows, given, equal_nan=True)
+
+        degenerate = rows[:, -1] == bo._DEGENERATE_METRIC
+        assert degenerate.any()
+        assert np.isnan(rows[degenerate, :-2]).all()
+        failed = bo._node_failures(s, X, bo.ZERO_FLOOR, rows, U, V)
+        for i, (u, v) in enumerate(zip(U, V)):
+            try:
+                surf.metric_data(s, [u], [v])
+            except DegenerateMetricError as exc:
+                assert degenerate[i] and failed[i] == str(exc)
+            else:
+                assert not degenerate[i]

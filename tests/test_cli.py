@@ -499,7 +499,8 @@ class TestOverflowingPartials:
 
 
 class TestOnePassPerTile:
-    """verify makes one pass per tile with usable nodes, however many of them fail."""
+    """verify makes one pass per tile over its guarded nodes, however many of
+    them fail, and decides each node's failure code once, in that pass."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("field,grid,passes,n_failed", [
@@ -507,7 +508,7 @@ class TestOnePassPerTile:
         # tile, and the unit field's partials overflow on all of it
         ("1e200*sin(u)+1,0", "16x16", 1, 16),
         ("1e200*sin(u)+1,0", "64x64", 1, 64),
-        ("1e200*sin(u)+1,0", "256x256", 1, 256),
+        ("1e200*sin(u)+1,0", "256x256", 16, 256),
         # d_uu X overflows at every node, in each of the 16 tiles
         ("sin(1e300*u),2", "256x256", 16, 256 * 256),
     ])
@@ -516,7 +517,7 @@ class TestOnePassPerTile:
         original, calls = cli.bochner._verify_pass, []
 
         def counted(*args):
-            calls.append(len(args[4]))
+            calls.append(np.stack([args[4], args[5]], axis=-1))
             return original(*args)
 
         monkeypatch.setattr(cli.bochner, "_verify_pass", counted)
@@ -524,10 +525,30 @@ class TestOnePassPerTile:
                                "--field", field, "--grid", grid)
         assert status == 1
         assert len(calls) == passes
-        assert sum(calls) == n_failed       # each failing node in one pass
+        # every node of the torus is guarded, and each is in exactly one pass
+        nodes = np.concatenate(calls)
+        nu, nv = (int(n) for n in grid.split("x"))
+        assert len(nodes) == len(np.unique(nodes, axis=0)) == nu * nv
         for check in rep["checks"]:
             assert check["n_failed"] == n_failed
             assert "unit-field partials" in check["failed_nodes"][0]["error"]
+
+    @pytest.mark.parametrize("field,grid,tiles", [
+        ("du", "16x16", 1), ("sin(u),0", "128x64", 2), ("du", "4x5000", 8)])
+    def test_failure_codes_run_once_per_tile(self, capsys, monkeypatch, field, grid,
+                                             tiles):
+        original, calls = cli.bochner._failure_codes, []
+
+        def counted(*args, **kwargs):
+            calls.append(np.size(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli.bochner, "_failure_codes", counted)
+        status, rep = run_json(capsys, "verify", "--surface", "torus:2,1",
+                               "--field", field, "--grid", grid)
+        assert status in (0, 1) and "checks" in rep
+        nu, nv = (int(n) for n in grid.split("x"))
+        assert len(calls) == tiles and sum(calls) == nu * nv
 
 
 class TestConfigErrors:
@@ -546,6 +567,9 @@ class TestConfigErrors:
         ("verify", "--surface", "clifford:1,2", "--field", "du"),
         ("verify", "--surface", "clifford_torus:1,2", "--field", "du"),
         ("verify", "--surface", "ellipsoid:1,2", "--field", "du"),
+        # nested too deeply for the compiler, and at 20000 terms for the parser
+        ("verify", "--surface", "torus:2,1", "--field", "u+" * 1000 + "3,0"),
+        ("verify", "--surface", "torus:2,1", "--field", "u+" * 20000 + "3,0"),
     ])
     def test_rejected_before_compute(self, capsys, argv):
         assert cli.main(list(argv)) == 2
