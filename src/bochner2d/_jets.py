@@ -16,7 +16,7 @@ so contractions over the tiny value axes (2x2 metrics, 2x2x2 connection
 symbols) run their inner loops over the nodes.  The public functions of the
 package keep the value axes trailing, (*N, *S) and (*N, 2, *S); they convert
 at the boundary with `value_last` and `value_first`, which are views, or
-with `to_parts` and `from_parts`.
+with `from_parts`.
 
 A jet of order 1 has ``dd`` None and a jet of order 0 has ``d`` None as well;
 combining jets keeps the lower order, so one formula computes values only,
@@ -206,11 +206,13 @@ def gradient(f):
     return stack([f.partial(0), f.partial(1)])
 
 
-def variables(u, v):
-    """Seed jets of the chart coordinates over the broadcast shape of (u, v)."""
+def variables(u, v, order=2):
+    """Seed jets of `order` of the chart coordinates over the broadcast shape of (u, v)."""
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    if order == 0:
+        return Jet(u), Jet(v)
     zero, one = np.zeros_like(u), np.ones_like(u)
-    dd = np.zeros((3,) + u.shape)
+    dd = np.zeros((3,) + u.shape) if order > 1 else None
     return Jet(u, np.stack([one, zero]), dd), Jet(v, np.stack([zero, one]), dd)
 
 
@@ -228,15 +230,8 @@ def from_parts(parts, ndim):
     """Jet from public (value, d[, dd]) arrays over `ndim` node axes.
 
     The value is (*N, *S) and each derivative (*N, rows, *S).  The jet's
-    arrays are contiguous: no copy is made of parts that are `to_parts` views.
+    arrays are contiguous: no copy is made of parts that are `value_last` views.
     """
     k = np.ndim(parts[0]) - ndim
     return Jet(*(np.asarray(value_first(x, k + (n > 0)), order="C")
                  for n, x in enumerate(parts)))
-
-
-def to_parts(jet, ndim):
-    """Public (value, d[, dd]) views of a jet over `ndim` node axes."""
-    k = jet.v.ndim - ndim
-    return (value_last(jet.v, k),) + tuple(
-        value_last(x, k + 1) for x in (jet.d, jet.dd)[:jet.order])

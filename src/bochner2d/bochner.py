@@ -48,7 +48,6 @@ from .operators import (
     _derived,
     _divergence,
     _gauss_curvature,
-    _jet,
     _levi_civita,
     _metric,
     _not_unit_message,
@@ -141,7 +140,7 @@ def _failure_codes(n2, trace, floor, unit=None):
     codes = np.zeros(np.shape(n2), dtype=np.int8)
     codes[_vanishes(n2, trace, floor)] = _ZERO_NORM
     codes[~np.isfinite(n2)] = _NON_FINITE_NORM
-    if unit is not None:
+    if unit is not None and codes.size:    # reshape sizes no -1 without nodes
         parts = [x.reshape((-1,) + codes.shape) for x in (unit.v, unit.d, unit.dd)
                  if x is not None]
         ok = codes == 0
@@ -157,7 +156,7 @@ def _unit_jet(surface, X, u, v, order, g, floor):
     g = _metric(surface, u, v, order, g)
     # overflow in X, g(X, X) or the quotient is flagged by the codes
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x = _jet(surface, X, u, v, order, g)
+        x = X.jet(surface, u, v, order, g)
         n2 = _jets.einsum("ij...,i...,j...->...", g, x, x)
         unit = x / _jets.sqrt(n2)[None]
     return unit, _failure_codes(n2.v, g.v[0, 0] + g.v[1, 1], floor, unit)
@@ -194,7 +193,7 @@ class _NodeBatch:
     def of(cls, surface, X, u, v, order=2, g=None):
         """The batch of X at (u, v), on the caller's metric jet g or a new one."""
         g = _metric(surface, u, v, order, g)
-        return cls(g, _jet(surface, X, u, v, order, g), X.name)
+        return cls(g, X.jet(surface, u, v, order, g), X.name)
 
     def check_unit(self):
         _check_unit(self.g.v, self.x.v, self.name)
@@ -235,14 +234,6 @@ class _NodeBatch:
 # ---------------------------------------------------------------------------
 # field constructions
 # ---------------------------------------------------------------------------
-
-def self_covariant_derivative(surface, T):
-    """grad_T T as a tangent field."""
-    def jet(_, u, v, order, g):
-        return _NodeBatch.of(surface, T, u, v, order + 1, g).transport
-
-    return _derived(jet, f"selfgrad({T.name})")
-
 
 def curvature_potential_field(surface, T):
     """Tangent field whose divergence reproduces the Gauss curvature.
@@ -368,8 +359,8 @@ def _verify_pass(surface, X, f, Y, u, v, metric=None, floor=ZERO_FLOOR):
     if flagged.any():
         unit = unit * np.where(flagged, np.nan, 1.0)
     batch = _NodeBatch(g, unit, f"unit({X.name})")
-    product_rule = _product_rule(_jet(surface, f, u, v, 1, g),
-                                 _jet(surface, Y, u, v, 1, g), batch.dlogs)
+    product_rule = _product_rule(f.jet(surface, u, v, 1, g),
+                                 Y.jet(surface, u, v, 1, g), batch.dlogs)
     rows = np.stack([*_chain(batch), product_rule, _unit_deviation(g.v, unit.v),
                      det, codes], -1)
     rows[flagged, :-2] = np.nan

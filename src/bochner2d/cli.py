@@ -31,9 +31,9 @@ non-finite norms when no usable node is left, gauss-bonnet names the first
 such node in its "error".
 
 Field expressions ("expr_u,expr_v") use a whitelisted grammar of u, v,
-numeric constants, + - * / and sin, cos.  Values are evaluated on plain
-arrays; the exact partials an expression field declares come from
-evaluating the same compiled expression on jets of u and v.
+numeric constants, + - * / and sin, cos.  A jet request evaluates each
+once, on seed jets of u and v of its order, so the partials are exact, or on
+plain arrays where the fd stencils ask for values.
 """
 
 import argparse
@@ -131,24 +131,21 @@ def _parse_expression(text):
 
 
 def expression_field(expr_u, expr_v):
-    """Base field of two chart expressions, with exact partials from jets."""
+    """Base field of two chart expressions, each evaluated once per jet: on
+    seed jets of its order, or on plain arrays for the fd stencils."""
     fu = _parse_expression(expr_u)
     fv = _parse_expression(expr_v)
 
-    def coeff(u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
+    def evaluate(u, v):
         zero = 0.0 * (u + v)        # every component takes the shape of (u, v)
-        return np.stack(np.broadcast_arrays(fu(u, v) + zero, fv(u, v) + zero), axis=-1)
+        return _jets.stack([fu(u, v) + zero, fv(u, v) + zero])
 
-    def partials(u, v, order):
-        U, V = _jets.variables(u, v)
-        jet = _jets.stack([fu(U, V) + 0.0 * U, fv(U, V) + 0.0 * U])
-        return _jets.to_parts(jet, np.broadcast(u, v).ndim)[order]
+    def exact(u, v, order):
+        jet = evaluate(*_jets.variables(u, v, order))
+        return [jet.v, jet.d, jet.dd][:order + 1]
 
-    return operators.TangentField(coeff, lambda u, v: partials(u, v, 1),
-                                  lambda u, v: partials(u, v, 2),
-                                  name=f"expr({expr_u},{expr_v})")
+    name = f"expr({expr_u},{expr_v})"
+    return operators._derived(operators._base_jet(evaluate, exact, name), name)
 
 
 def kinked_mixture_field():

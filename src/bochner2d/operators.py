@@ -19,23 +19,22 @@ The private jets and arrays behind them keep the same index order with the
 node axes last instead, a -> (2, ...), gamma -> (2, 2, 2, ...), and a jet's
 derivative axis in front (see ``_jets``); so the private code indexes value
 axes from the front, g[0, 0], and its einsum terms end with the ellipsis.
-User callbacks are in the public layout and are converted once, when their
-jet is built.
 
-Every derivative comes from one mechanism, the second-order jets of
-``_jets``.  A base field is a coefficient function that may declare exact
-partials (``d_coeff``/``dd_coeff``, or ``grad``/``hess`` for a scalar).  They
-are used when the surface runs in analytic mode; otherwise, and always on the
-finite-difference backend, which treats the whole pipeline as the method
-under test, the coefficients are differenced by 4th-order stencils at the
-surface's step, all partials and the value from one ``_stencils.partials``
-call.  A field built from other fields (sums, multiples, products,
-the unit field, grad_T T, div T, ...) carries a jet function instead: its
-partials follow exactly from the jets of its inputs and of the metric, on
-both backends, and are never differenced.
+A field is its jet function, ``X.jet(surface, u, v, order, g)``, from the
+one mechanism of ``_jets``.  A base field's callbacks, a coefficient or value
+function that may declare exact partials (``d_coeff``/``dd_coeff``, or
+``grad``/``hess`` for a scalar), are wrapped into it once, when the field is
+built: the one conversion from the public layout, and in `_base_jet` the one
+choice of stencils.  Declared partials are used when the surface runs in
+analytic mode; the others, and on the finite-difference backend, which treats
+the whole pipeline as the method under test, all partials of a base field,
+are differenced by 4th-order stencils of its values at the surface's step,
+from one ``_stencils.partials`` call.  A field built from other fields (sums,
+multiples, the unit field, grad_T T - (div T) T, ...) gets its partials
+exactly from the jets of its inputs and of the metric, on both backends.
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,22 +46,63 @@ from .surfaces import _assemble, _require_nondegenerate, cofactor_signs, metric_
 UNIT_TOL = 1e-8  # allowed deviation of g(T, T) from 1 for unit-field inputs
 
 
+def _base_jet(value, exact, name):
+    """The jet function of a base field, to second order.
+
+    value(u, v) gives its node-last values on plain arrays; exact(u, v,
+    order), for order 1 or 2, its node-last parts [v, d, dd][:order + 1] at
+    nodes of one shape, None where not declared.  Those, and on the fd
+    backend every part, come from stencils of `value`.
+    """
+    def jet(surface, u, v, order, g):
+        if order > 2:
+            raise ValueError(f"{name!r} declares partials up to second order only")
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+        if not order:
+            return _jets.Jet(np.asarray(value(u, v), order="C"))
+        parts = (exact(u, v, order) if surface.derivative_mode == "analytic"
+                 else [None] * (order + 1))
+        if any(p is None for p in parts):
+            stenciled = _stencils.partials(value, u, v, surface.step, order)
+            parts = [s if p is None else p for p, s in zip(parts, stenciled)]
+        return _jets.Jet(*(np.asarray(x, order="C") for x in parts))
+
+    return jet
+
+
+def _callback_jet(fns, rank, name):
+    """`_base_jet` of public-layout callbacks fns = (value, d, dd) with `rank`
+    value axes, a partial None where not declared."""
+    def exact(u, v, order):
+        return [None if fn is None else
+                _jets.value_first(np.asarray(fn(u, v), dtype=float), rank + (k > 0))
+                for k, fn in enumerate(fns[:order + 1])]
+
+    return _base_jet(lambda u, v: exact(u, v, 0)[0], exact, name)
+
+
 @dataclass(frozen=True)
 class TangentField:
-    """Tangent vector field given by chart-coefficient functions.
+    """Tangent vector field: its jet function, or chart-coefficient callbacks.
 
     coeff(u, v)    -> (..., 2)
     d_coeff(u, v)  -> (..., 2, 2), optional exact first partials
     dd_coeff(u, v) -> (..., 3, 2), optional exact second partials
     jet            -> (surface, u, v, order, g) -> Jet of the coefficients;
-                      set on fields built from other fields.  g is the metric
-                      jet at (u, v) when the caller has assembled it, else None
+                      given for fields built from other fields, else wrapped
+                      from the callbacks.  g is the metric jet at (u, v) when
+                      the caller has assembled it, else None
     """
     coeff: Callable
-    d_coeff: Optional[Callable] = None
-    dd_coeff: Optional[Callable] = None
+    d_coeff: InitVar[Optional[Callable]] = None
+    dd_coeff: InitVar[Optional[Callable]] = None
     name: str = "field"
     jet: Optional[Callable] = None
+
+    def __post_init__(self, d_coeff, dd_coeff):
+        if self.jet is None:
+            object.__setattr__(self, "jet", _callback_jet(
+                (self.coeff, d_coeff, dd_coeff), 1, self.name))
 
     def __call__(self, u, v):
         return np.asarray(self.coeff(u, v), dtype=float)
@@ -72,10 +112,15 @@ class TangentField:
 class ScalarField:
     """Scalar chart function with optional exact gradient and Hessian."""
     value: Callable
-    grad: Optional[Callable] = None
-    hess: Optional[Callable] = None
+    grad: InitVar[Optional[Callable]] = None
+    hess: InitVar[Optional[Callable]] = None
     name: str = "scalar"
     jet: Optional[Callable] = None
+
+    def __post_init__(self, grad, hess):
+        if self.jet is None:
+            object.__setattr__(self, "jet", _callback_jet(
+                (self.value, grad, hess), 0, self.name))
 
     def __call__(self, u, v):
         return np.asarray(self.value(u, v), dtype=float)
@@ -90,36 +135,6 @@ def _derived(jet, name, kind=TangentField):
     rank = int(kind is TangentField)
     return kind(lambda u, v: _jets.value_last(jet(None, u, v, 0, None).v, rank),
                 name=name, jet=jet)
-
-
-def _jet(surface, f, u, v, order, g=None):
-    """Jet of a TangentField's coefficients or a ScalarField's values.
-
-    A derived field takes the metric jet `g` at (u, v), when given, instead
-    of assembling the metric again; a base field needs no metric, and its
-    callbacks get (u, v) broadcast to one shape, in the public layout.
-    """
-    if f.jet is not None:
-        return f.jet(surface, u, v, order, g)
-    if order > 2:
-        raise ValueError(f"{f.name!r} declares partials up to second order only")
-    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    rank = int(isinstance(f, TangentField))        # value axes of the callbacks
-    if rank:
-        value, exact = f.coeff, (f.d_coeff, f.dd_coeff)
-    else:
-        value, exact = f.value, (f.grad, f.hess)
-
-    def node_last(fn, k):
-        return lambda uu, vv: _jets.value_first(np.asarray(fn(uu, vv), dtype=float), k)
-
-    exact = [None if fn is None or surface.derivative_mode != "analytic"
-             else node_last(fn, rank + 1) for fn in exact[:order]]
-    value = node_last(value, rank)
-    parts = (_stencils.partials(value, u, v, surface.step, order) if None in exact
-             else [value(u, v)])
-    parts[1:] = [parts[k + 1] if fn is None else fn(u, v) for k, fn in enumerate(exact)]
-    return _jets.Jet(*(np.asarray(x, order="C") for x in parts))
 
 
 def coordinate_field(axis, name=None):
@@ -140,15 +155,15 @@ def constant_field(au, av, name="constant"):
 
 def add_fields(x, y, name=None):
     """Pointwise sum."""
-    return _derived(lambda s, u, v, k, g: (_jet(s, x, u, v, k, g)
-                                           + _jet(s, y, u, v, k, g)),
+    return _derived(lambda s, u, v, k, g: (x.jet(s, u, v, k, g)
+                                           + y.jet(s, u, v, k, g)),
                     name or f"{x.name}+{y.name}")
 
 
 def scale_field(c, x, name=None):
     """Constant multiple of a field."""
     c = float(c)
-    return _derived(lambda s, u, v, k, g: c * _jet(s, x, u, v, k, g),
+    return _derived(lambda s, u, v, k, g: c * x.jet(s, u, v, k, g),
                     name or f"{c:g}*{x.name}")
 
 
@@ -283,22 +298,7 @@ def local_geometry(surface, u, v):
 def divergence_at(surface, X, u, v):
     """div X via the volume-weighted coordinate formula."""
     _, dlogs = _levi_civita(_metric(surface, u, v, 1))
-    return _divergence(_jet(surface, X, u, v, 1), dlogs).v
-
-
-def divergence_scalar_field(surface, X, name=None):
-    """div X as a ScalarField; its partials come from the jets of X and g."""
-    def jet(_, u, v, order, g):
-        g = _metric(surface, u, v, order + 1, g)
-        return _divergence(_jet(surface, X, u, v, order + 1, g), _levi_civita(g)[1])
-
-    return _derived(jet, name or f"div({X.name})", ScalarField)
-
-
-def field_norm(surface, X, u, v):
-    """Pointwise metric norm g(X, X)^(1/2)."""
-    g = _metric(surface, u, v, 0)
-    return np.sqrt(_quadratic(g.v, _jet(surface, X, u, v, 0, g).v))
+    return _divergence(X.jet(surface, u, v, 1, None), dlogs).v
 
 
 def _vanishes(n2, trace, floor):
@@ -328,7 +328,7 @@ def _not_unit_message(name, worst, tol=UNIT_TOL):
 
 
 def _check_unit(g, a, name, tol=UNIT_TOL):
-    worst = float(np.max(_unit_deviation(g, a)))
+    worst = float(np.max(_unit_deviation(g, a), initial=0.0))   # 0 with no nodes
     if not worst <= tol:        # a NaN deviation is no unit field either
         raise NotUnitFieldError(_not_unit_message(name, worst, tol))
 
@@ -336,7 +336,7 @@ def _check_unit(g, a, name, tol=UNIT_TOL):
 def ricci_residual_at(surface, X, Y, u, v):
     """|Ric(X, Y) - K g(X, Y)| with Ric taken from the curvature tensor."""
     g = _metric(surface, u, v, 2)
-    a, b = (_jet(surface, F, u, v, 0, g).v for F in (X, Y))
+    a, b = (F.jet(surface, u, v, 0, g).v for F in (X, Y))
     lhs = _quadratic(_ricci(_levi_civita(g)[0]), a, b)
     return np.abs(lhs - _gauss_curvature(g) * _quadratic(g.v, a, b))
 
@@ -344,7 +344,7 @@ def ricci_residual_at(surface, X, Y, u, v):
 def product_rule_residual_at(surface, f, X, u, v):
     """|div(fX) - X(f) - f div(X)| for a scalar f and tangent field X."""
     g = _metric(surface, u, v, 1)
-    return _product_rule(_jet(surface, f, u, v, 1, g), _jet(surface, X, u, v, 1, g),
+    return _product_rule(f.jet(surface, u, v, 1, g), X.jet(surface, u, v, 1, g),
                          _levi_civita(g)[1])
 
 

@@ -336,8 +336,7 @@ def _jacobian_jet(maps, u, v, order):
     the jet's second partials holds the third partials r + i of
     (uuu, uuv, uvv, vvv).
     """
-    seeds = (_jets.Jet(x.v, *(x.d, x.dd)[:order]) for x in _jets.variables(u, v))
-    return maps.d1(*seeds)
+    return maps.d1(*_jets.variables(u, v, order))
 
 
 # derivative orders of the u and v tables in the rows (value, u, v, uu, uv, vv)

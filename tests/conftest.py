@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from bochner2d import _jets
 from bochner2d import surfaces as surf
 
 # Property tests run on shared, loaded machines: a wall-clock deadline only
@@ -56,6 +57,13 @@ def interior_points(surface, n=7, seed=0):
     u = rng.uniform(rect.u0 + pad_u, rect.u1 - pad_u, n)
     v = rng.uniform(rect.v0 + pad_v, rect.v1 - pad_v, n)
     return u, v
+
+
+def to_parts(jet, ndim):
+    """Public (value, d[, dd]) views of a jet over `ndim` node axes."""
+    k = jet.v.ndim - ndim
+    return (_jets.value_last(jet.v, k),) + tuple(
+        _jets.value_last(x, k + 1) for x in (jet.d, jet.dd)[:jet.order])
 
 
 def second_form_curvature(surface, u, v):

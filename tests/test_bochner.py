@@ -31,6 +31,29 @@ def guarded_grid(surface, nu=32, nv=32):
     return g.U[mask], g.V[mask]
 
 
+def field_norm(surface, X, u, v):
+    """Pointwise metric norm g(X, X)^(1/2)."""
+    g = op._metric(surface, u, v, 0)
+    return np.sqrt(op._quadratic(g.v, X.jet(surface, u, v, 0, g).v))
+
+
+def divergence_scalar_field(surface, X, name=None):
+    """div X as a ScalarField; its partials come from the jets of X and g."""
+    def jet(_, u, v, order, g):
+        g = op._metric(surface, u, v, order + 1, g)
+        return op._divergence(X.jet(surface, u, v, order + 1, g), op._levi_civita(g)[1])
+
+    return op._derived(jet, name or f"div({X.name})", op.ScalarField)
+
+
+def self_covariant_derivative(surface, T):
+    """grad_T T as a tangent field."""
+    def jet(_, u, v, order, g):
+        return bo._NodeBatch.of(surface, T, u, v, order + 1, g).transport
+
+    return op._derived(jet, f"selfgrad({T.name})")
+
+
 class TestNormalize:
     def test_torus_du(self, torus21):
         T = unit_du(torus21)
@@ -285,10 +308,10 @@ class TestNestedDerivedFields:
             u, v = interior_points(s, 20, seed=3)
             T = unit_mix(s)
             pot = bo.curvature_potential_field(s, T)
-            for f in (op.divergence_scalar_field(s, op.coordinate_field(0)),
-                      op.divergence_scalar_field(s, T)):
+            for f in (divergence_scalar_field(s, op.coordinate_field(0)),
+                      divergence_scalar_field(s, T)):
                 for X in (op.coordinate_field(1), pot,
-                          bo.self_covariant_derivative(s, T)):
+                          self_covariant_derivative(s, T)):
                     res = op.product_rule_residual_at(s, f, X, u, v)
                     assert np.max(res) < 1e-12, (s.name, f.name, X.name)
 
@@ -308,10 +331,28 @@ class TestOrthogonality:
         for s in all_surfaces:
             U, V = guarded_grid(s)
             for T in (unit_du(s), unit_mix(s)):
-                w = bo.self_covariant_derivative(s, T)
+                w = self_covariant_derivative(s, T)
                 g = surf.metric_only(s, U, V)
                 ip = np.einsum("...ij,...i,...j->...", g, w.coeff(U, V), T.coeff(U, V))
                 assert np.max(np.abs(ip)) < 1e-8, (s.name, T.name)
+
+
+class TestEmptySelection:
+    @pytest.mark.parametrize("mode", ["analytic", "fd"])
+    def test_public_residuals_of_no_nodes_are_empty(self, mode):
+        s = surf.torus(2.0, 1.0, mode=mode)
+        T = unit_du(s)
+        f = op.ScalarField(lambda u, v: np.cos(u) + np.sin(v), name="f")
+        none = np.array([])
+        assert T.coeff(none, none).shape == (0, 2)
+        results = [bo.bochner_residual(s, T, none, none),
+                   bo.trace_identity_residual(s, T, none, none),
+                   bo.curvature_identity_residual(s, T, none, none),
+                   *bo.chained_residuals(s, T, none, none).values(),
+                   op.ricci_residual_at(s, T, T, none, none),
+                   op.product_rule_residual_at(s, f, T, none, none)]
+        for values in results:
+            assert values.shape == (0,)
 
 
 class TestReports:
@@ -346,7 +387,7 @@ class TestBatchComposition:
         X = cli.parse_field(field)
         g = surf.chart_grid(s, nu, nv)
         usable = (surf.guarded_mask(s, g.U, g.V)
-                  & (op.field_norm(s, X, g.U, g.V) >= bo.ZERO_FLOOR))
+                  & (field_norm(s, X, g.U, g.V) >= bo.ZERO_FLOOR))
         U, V = g.U[usable], g.V[usable]
         f, Y = cli._product_rule_pair()
         full = bo._verify_pass(s, X, f, Y, U, V)

@@ -15,7 +15,9 @@
     declared value, passing on the tori; on the sphere and the ellipsoid
     only its divergence-theorem residual fails, as it must: every field
     there has a zero, at the poles that the chart leaves out, and the
-    integral of div Y is 2 pi chi = 4 pi.
+    integral of div Y is 2 pi chi = 4 pi; (g) an expression field's jets of
+    orders 0, 1 and 2 agree bit for bit where they overlap, and its order-0
+    value is its `coeff`.
 """
 
 import contextlib
@@ -25,11 +27,12 @@ import math
 import warnings
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bochner2d import bochner, cli, operators
 from bochner2d import surfaces as surf
+from bochner2d.errors import ConfigError
 
 SURFACES = ("torus:2,1", "sphere:1", "clifford:1", "ellipsoid:1,1.3,0.7")
 
@@ -205,3 +208,24 @@ def test_zero_floor_is_scale_free(family, exponent):
     status, report = _run(["verify", "--surface", surface, "--field", "du",
                            "--grid", "16x16"])
     assert report["n_zero_field_nodes"] == 0 and "error" not in report, surface
+
+
+@settings(max_examples=60, deadline=None)
+@given(expressions, expressions,
+       st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+                min_size=1, max_size=6))
+def test_expression_jets_are_prefixes_of_each_other(expr_u, expr_v, nodes):
+    try:
+        field = cli.expression_field(expr_u, expr_v)
+    except ConfigError:
+        assume(False)
+    surface = surf.torus(2.0, 1.0)
+    u, v = (np.array(x) for x in zip(*nodes))
+    with _quiet():
+        jets = [field.jet(surface, u, v, order, None) for order in range(3)]
+        coeff = field.coeff(u, v)
+    parts = [[x.tobytes() for x in (j.v, j.d, j.dd)[:order + 1]]
+             for order, j in enumerate(jets)]
+    assert parts[0] == parts[1][:1] == parts[2][:1]
+    assert parts[1] == parts[2][:2]
+    assert np.ascontiguousarray(np.moveaxis(coeff, -1, 0)).tobytes() == parts[0][0]

@@ -1,7 +1,8 @@
 """Every module-level import of the package, its tests and demos is used,
 every definition of the package is referenced somewhere in the repository,
-every name the package exports is read outside the unit tests, and the
-package evaluates stencils through `_stencils.partials` only."""
+every name the package exports is read outside the unit tests, the
+package evaluates stencils through `_stencils.partials` only, and only
+`operators` reads a base field's callback partials."""
 
 import ast
 import functools
@@ -154,3 +155,27 @@ def test_stencil_use_detector():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=module_id)
 def test_package_evaluates_stencils_through_partials_only(path):
     assert stencil_uses(path.read_text()) == []
+
+
+# the exact partials a base field may declare, which `operators` wraps into
+# the field's jet function when the field is built; a second derivative
+# route reading them must not come back
+CALLBACK_PARTIALS = ("d_coeff", "dd_coeff", "grad", "hess")
+
+
+def callback_reads(source):
+    """(line, name) of the callback partials a module reads as attributes."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in CALLBACK_PARTIALS)
+
+
+def test_callback_read_detector():
+    source = ("X.d_coeff(u, v)\nf.hess\nScalarField(value, grad=g)\n"
+              "X.coeff(u, v)\nf.gradient\n")
+    assert callback_reads(source) == [(1, "d_coeff"), (2, "hess")]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name != "operators.py"], ids=module_id)
+def test_only_operators_reads_callback_partials(path):
+    assert callback_reads(path.read_text()) == []

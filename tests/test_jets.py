@@ -8,7 +8,7 @@ from bochner2d import operators as op
 from bochner2d import surfaces as surf
 from bochner2d.cli import expression_field
 
-from conftest import interior_points
+from conftest import interior_points, to_parts
 
 ROWS = ((0, 0), (0, 1), (1, 1))   # (uu, uv, vv)
 
@@ -67,7 +67,7 @@ def test_metric_and_connection_match_symbolic_derivatives():
 def test_expression_field_jet_matches_hand_partials(torus21):
     field = expression_field("sin(u)+2", "cos(v)")
     u, v = interior_points(torus21, 11)
-    a, d, dd = _jets.to_parts(op._jet(torus21, field, u, v, 2), 1)
+    a, d, dd = to_parts(field.jet(torus21, u, v, 2, None), 1)
     zero = np.zeros_like(u)
     np.testing.assert_allclose(a, np.stack([np.sin(u) + 2, np.cos(v)], -1), atol=1e-14)
     # d[..., i, k] = d_i X^k
@@ -89,7 +89,8 @@ def test_expression_jet_arithmetic_matches_sympy(torus21, exprs):
     u, v = sp.symbols("u v")
     sym = [sp.sympify(e) for e in exprs]
     U, V = interior_points(torus21, 9, seed=5)
-    a, d, dd = _jets.to_parts(op._jet(torus21, expression_field(*exprs), U, V, 2), 1)
+    field = expression_field(*exprs)
+    a, d, dd = to_parts(field.jet(torus21, U, V, 2, None), 1)
     x = (u, v)
     ref_d = [[sp.diff(e, x[i]) for e in sym] for i in range(2)]
     ref_dd = [[sp.diff(e, x[i], x[j]) for e in sym] for i, j in ROWS]
@@ -98,6 +99,26 @@ def test_expression_jet_arithmetic_matches_sympy(torus21, exprs):
                                rtol=1e-12, atol=1e-13)
     np.testing.assert_allclose(dd, _evaluate(sp, ref_dd, u, v, U, V),
                                rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("mode", ["analytic", "fd"])
+def test_expression_field_jet_evaluates_each_expression_once(monkeypatch, mode):
+    # on fd the one evaluation is on plain arrays, for the stencils
+    surface = surf.torus(2.0, 1.0, mode=mode)
+    field = expression_field("sin(u)+2", "cos(v)*v")
+    calls = []
+
+    def counted(name, fn):
+        def call(x):
+            calls.append(name)
+            return fn(x)
+        return call
+
+    monkeypatch.setattr(cli, "_ALLOWED_CALLS", {
+        name: counted(name, fn) for name, fn in cli._ALLOWED_CALLS.items()})
+    u, v = interior_points(surface, 11)
+    field.jet(surface, u, v, 2, None)
+    assert sorted(calls) == ["cos", "sin"]
 
 
 @pytest.fixture

@@ -15,6 +15,8 @@ from bochner2d import bochner as bo
 from bochner2d import operators as op
 from bochner2d import surfaces as surf
 
+from conftest import to_parts
+
 SURFACES = [("torus", (2.0, 1.0)), ("sphere", (1.0,)), ("clifford_torus", (1.0,)),
             ("ellipsoid", (1.0, 1.3, 0.7))]
 
@@ -41,8 +43,8 @@ def public_outputs(surface, u, v):
                                                                   np.sin(b)), axis=-1),
                         name="wavy")
     f = op.ScalarField(lambda a, b: np.cos(a) * np.sin(b), name="f")
-    a, dX, ddX = _jets.to_parts(op._jet(surface, X, u, v, 2), np.ndim(u))
-    s, ds, dds = _jets.to_parts(op._jet(surface, f, u, v, 2), np.ndim(u))
+    a, dX, ddX = to_parts(X.jet(surface, u, v, 2, None), np.ndim(u))
+    s, ds, dds = to_parts(f.jet(surface, u, v, 2, None), np.ndim(u))
     m = _jets.value_last(bo._NodeBatch.of(surface, X, u, v, order=1).grad_x.v, 2)
     n = surface.ambient_dim
     return {

@@ -8,7 +8,7 @@ from bochner2d import bochner as bo
 from bochner2d import operators as op
 from bochner2d import surfaces as surf
 
-from conftest import interior_points, second_form_curvature
+from conftest import interior_points, second_form_curvature, to_parts
 from stencil_oracle import diff1
 
 
@@ -275,8 +275,8 @@ class TestFieldJets:
         wavy = field_battery()[3]
         plain = op.TangentField(wavy.coeff, name="plain")
         u, v = interior_points(torus21, 10)
-        a1, d1, dd1 = _jets.to_parts(op._jet(torus21, wavy, u, v, 2), 1)
-        a2, d2, dd2 = _jets.to_parts(op._jet(torus21, plain, u, v, 2), 1)
+        a1, d1, dd1 = to_parts(wavy.jet(torus21, u, v, 2, None), 1)
+        a2, d2, dd2 = to_parts(plain.jet(torus21, u, v, 2, None), 1)
         np.testing.assert_allclose(a1, a2, atol=1e-15)
         np.testing.assert_allclose(d1, d2, atol=1e-9)
         np.testing.assert_allclose(dd1, dd2, atol=1e-7)
@@ -288,5 +288,5 @@ class TestFieldJets:
 
         fd = surf.torus(2.0, 1.0, mode="fd")
         field = op.TangentField(op.coordinate_field(0).coeff, bad, bad, name="trap")
-        a, d = _jets.to_parts(op._jet(fd, field, 0.3, 0.4, 1), 0)
+        a, d = to_parts(field.jet(fd, 0.3, 0.4, 1, None), 0)
         np.testing.assert_allclose(d, 0.0, atol=1e-10)
