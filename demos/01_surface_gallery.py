@@ -14,7 +14,7 @@ from bochner2d import (
     clifford_torus,
     ellipsoid,
     gauss_curvature_at,
-    metric_at,
+    local_geometry,
     sphere,
     surface_area,
     torus,
@@ -42,12 +42,12 @@ for s in surfaces:
     # sample the metric and curvature at a generic interior point
     u0 = 0.5 * (rect.u0 + rect.u1)
     v0 = 0.31 * (rect.v0 + rect.v1)
-    md = metric_at(s, u0, v0)
+    geo = local_geometry(s, u0, v0)
     K = gauss_curvature_at(s, u0, v0)
     print(f"  at (u, v) = ({u0:.3f}, {v0:.3f}):")
-    print(f"    g   = [[{md.g[0, 0]:9.5f}, {md.g[0, 1]:9.5f}],")
-    print(f"           [{md.g[1, 0]:9.5f}, {md.g[1, 1]:9.5f}]]")
-    print(f"    det g = {md.det_g:.6f}, K = {float(K):+.6f}")
+    print(f"    g   = [[{geo.g[0, 0]:9.5f}, {geo.g[0, 1]:9.5f}],")
+    print(f"           [{geo.g[1, 0]:9.5f}, {geo.g[1, 1]:9.5f}]]")
+    print(f"    det g = {geo.det_g:.6f}, K = {float(K):+.6f}")
 
     grid = chart_grid(s, 64, 64)
     area = surface_area(s, grid)

@@ -9,7 +9,7 @@ the polynomial smoothing of continuous nowhere-zero fields.
 
 Modules
 -------
-surfaces   -- built-in embeddings, chart metric data, quadrature grids
+surfaces   -- built-in embeddings, metric assembly, quadrature grids
 operators  -- local_geometry (metric, Christoffel symbols, K, Ric), divergence, fields
 bochner    -- identity residuals and the curvature-potential field
 integrate  -- area-element quadrature, Euler characteristic, divergence theorem
@@ -69,14 +69,12 @@ from .operators import (
 from .surfaces import (
     ChartPoint,
     GridSampling,
-    MetricData,
     SurfaceSpec,
     chart_grid,
     clifford_torus,
     ellipsoid,
     guarded_mask,
     make_surface,
-    metric_at,
     sphere,
     torus,
 )

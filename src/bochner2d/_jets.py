@@ -15,8 +15,7 @@ derivative axis of a jet in front:
 so contractions over the tiny value axes (2x2 metrics, 2x2x2 connection
 symbols) run their inner loops over the nodes.  The public functions of the
 package keep the value axes trailing, (*N, *S) and (*N, 2, *S); they convert
-at the boundary with `value_last` and `value_first`, which are views, or
-with `from_parts`.
+at the boundary with `value_last` and `value_first`, which are views.
 
 A jet of order 1 has ``dd`` None and a jet of order 0 has ``d`` None as well;
 combining jets keeps the lower order, so one formula computes values only,
@@ -225,13 +224,3 @@ def value_first(x, k):
     """View of an array with its k trailing axes moved in front of the nodes."""
     return np.moveaxis(x, range(-k, 0), range(k))
 
-
-def from_parts(parts, ndim):
-    """Jet from public (value, d[, dd]) arrays over `ndim` node axes.
-
-    The value is (*N, *S) and each derivative (*N, rows, *S).  The jet's
-    arrays are contiguous: no copy is made of parts that are `value_last` views.
-    """
-    k = np.ndim(parts[0]) - ndim
-    return Jet(*(np.asarray(value_first(x, k + (n > 0)), order="C")
-                 for n, x in enumerate(parts)))

@@ -64,12 +64,7 @@ through its axes (``_grid_prediction``), whose tables hold K (nu + nv)
 doubles besides the prediction itself.  No stage holds a (K, m) basis of
 the grid's nodes: the degree-10 torus fit (K = 286) on a 32x32 grid peaks
 at about 1.5 MB, most of it two K x K matrices.  ``evaluate_polynomial_field``
-writes the degree layers of every EVAL_CHUNK block of its points into two
-buffers allocated once per call, one for the even and one for the odd
-degrees, so no layer is a fresh allocation and the heap does not grow and
-shrink with each layer.  The buffers hold at most 2 max K_t EVAL_CHUNK
-doubles, K_t the width of the capped degree-t layer: 32 rows at Clifford
-degree 8, against 165 for the full layer.
+holds two degree layers of one EVAL_CHUNK block of its points at a time.
 """
 
 from dataclasses import dataclass, replace
@@ -199,31 +194,21 @@ def monomial_exponents(ambient_dim, degree, caps=None):
     return np.concatenate(layers)
 
 
-def _monomial_layers(points, degree, buffers=None, caps=None):
+def _monomial_layers(points, degree, caps=None):
     """Yield the degree-t blocks of the graded-lex basis, t = 0..degree, node-last.
 
-    points is (n, m); block t is a C-contiguous (K_t, m) array.  Stacked, the
-    blocks are the products prod_j points[j]^e_j over the exponent rows e of
-    monomial_exponents(n, degree, caps).
+    points is (n, m); block t is a fresh C-contiguous (K_t, m) array.
+    Stacked, the blocks are the products prod_j points[j]^e_j over the
+    exponent rows e of monomial_exponents(n, degree, caps).
     Only two layers are referenced at a time, so a consumer that reduces
-    each block as it arrives holds O(max K_t * m) memory.  Given two flat
-    buffers, layer t is written into the leading K_t * m entries of
-    buffers[t % 2] and is valid only until layer t + 2 is built; otherwise
-    every layer is a fresh array.
+    each block as it arrives holds O(max K_t * m) memory.
     """
     n, m = points.shape
-
-    def block(t, rows):
-        if buffers is None:
-            return np.empty((rows, m))
-        return buffers[t % 2][:rows * m].reshape(rows, m)
-
-    layer = block(0, 1)
-    layer[...] = 1.0
+    layer = np.ones((1, m))
     yield layer
     for t in range(degree):
         sources = _layer_sources(n, t, caps)
-        nxt = block(t + 1, sum(k for _, k in sources))
+        nxt = np.empty((sum(k for _, k in sources), m))
         row = 0
         for j, k in sources:
             np.multiply(points[j], layer[-k:], out=nxt[row:row + k])
@@ -239,23 +224,16 @@ def evaluate_polynomial_field(poly, points):
     (see ``_grid_prediction``).  Nodes are streamed in EVAL_CHUNK blocks
     and each (K_t, nodes) degree layer of the basis within `poly.caps` is
     contracted with its coefficient block as soon as it is built.  The
-    layers are written into two buffers allocated once per call, sized for
-    the widest even- and odd-degree layer of a block.  The result is a view
-    of node-last storage.
+    result is a view of node-last storage.
     """
     points = np.asarray(points, dtype=float).T
     coeff = poly.coefficients[:, _within_caps(poly.exponents, poly.caps)]
-    n, m = points.shape
+    m = points.shape[1]
     out = np.zeros((coeff.shape[0], m))
-    caps = _axis_caps(n, poly.caps)
-    rows = [_suffix_counts(caps, t)[0] for t in range(poly.degree + 1)]    # K_t
-    buffers = [np.empty(min(EVAL_CHUNK, m) * max(rows[parity::2], default=0))
-               for parity in (0, 1)]
     for lo in range(0, m, EVAL_CHUNK):
         block = slice(lo, lo + EVAL_CHUNK)
         row = 0
-        for layer in _monomial_layers(points[:, block], poly.degree, buffers,
-                                      poly.caps):
+        for layer in _monomial_layers(points[:, block], poly.degree, poly.caps):
             k = layer.shape[0]
             out[:, block] += coeff[:, row:row + k] @ layer
             row += k
@@ -449,7 +427,7 @@ def _tangent_coefficients(surface, w, u, v):
     factored assembly (``surfaces._assemble``), so on a grid passed as its
     axes, (nu, 1) and (1, nv), J and g are built from nu + nv points.
     Raises DegenerateMetricError where the metric is degenerate as in
-    `surfaces.metric_data`.
+    `operators.local_geometry`.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -496,15 +474,21 @@ def smooth_field(surface, X, max_degree=16, fit_grid=(64, 64), verify_grid=None,
     Degrees 2, 4, ... up to max_degree are tried on the fit grid; each fit's
     sup error is sampled on the verification grid (VERIFY_FACTOR x denser per axis by
     default).  Returns (SmoothedFieldReport, smooth TangentField, poly).
-    Raises BudgetNotMetError, carrying the report of the best attempt, when
-    no tried degree meets the budget.
+    Raises DegenerateMetricError where the fit grid's metric is degenerate,
+    after the samples' own checks and before any fit; and BudgetNotMetError,
+    carrying the report of the best attempt, when no tried degree meets the
+    budget.
     """
     nu, nv = fit_grid
     if verify_grid is None:
         verify_grid = (VERIFY_FACTOR * nu, VERIFY_FACTOR * nv)
-    fit_samples = sample_unit_field(surface, X, chart_grid(surface, nu, nv), floor)
+    grid = chart_grid(surface, nu, nv)
+    fit_samples = sample_unit_field(surface, X, grid, floor)
     verify_samples = sample_unit_field(surface, X,
                                        chart_grid(surface, *verify_grid), floor)
+    u, v = grid.u_nodes[:, None], grid.v_nodes[None, :]
+    g, _, _, det = surf._assemble(surface, u, v, 0)
+    surf._require_nondegenerate(surface, g, det, u, v)
 
     degrees = list(range(2, max_degree + 1, 2))
     best = best_pred = None

@@ -58,7 +58,7 @@ from .operators import (
     _vanishes,
     UNIT_TOL,
 )
-from .surfaces import ChartPoint, _assemble, _degenerate_error, _nondegenerate, metric_only
+from .surfaces import ChartPoint, _assemble, _degenerate_error, _nondegenerate
 
 ANALYTIC_TOL = 1e-6
 FD_TOL = 1e-3
@@ -384,8 +384,8 @@ def _unit_failures(name, values):
 def _node_failures(surface, X, floor, values, U, V):
     """{node index: message} of the nodes U, V whose row of `_verify_pass` in
     `values` has a failure code; the message is the error that the node
-    raises alone: `metric_data`'s DegenerateMetricError where the metric is
-    degenerate, else the ZeroFieldPointError of `normalize_field`'s field."""
+    raises alone: `local_geometry`'s DegenerateMetricError where the metric
+    is degenerate, else the ZeroFieldPointError of `normalize_field`'s field."""
     det, codes = values[:, -2], values[:, -1]
     flagged = np.flatnonzero(codes > 0)
     alone = (codes[flagged, None] == np.arange(5)).astype(int)   # one node of one code
@@ -417,7 +417,7 @@ def unit_frame_companion(surface, T, u, v):
     Falls back to d/dv at points where T is nearly parallel to d/du.
     Returns chart coefficients of E, shape (..., 2).
     """
-    g = metric_only(surface, u, v)
+    g = _jets.value_last(_assemble(surface, u, v, 0)[0], 2)
     t = np.asarray(T.coeff(u, v), dtype=float)
 
     e_u = np.zeros_like(t)

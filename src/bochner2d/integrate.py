@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _jets, surfaces as surf
 from .errors import ChiIndeterminateError
-from .operators import _gauss_curvature, _metric, divergence_at
+from .operators import _divergence, _gauss_curvature, _levi_civita, _metric
 from .surfaces import chart_grid
 
 CHI_MARGIN = 0.01   # an order below the 0.5 rounding boundary
@@ -129,6 +129,11 @@ def chi_from_total(total, margin_limit=CHI_MARGIN):
 
 
 def divergence_theorem_residual(surface, X, grid):
-    """Integral of div X over the closed surface; zero in exact arithmetic."""
-    return surface_integral(surface,
-                            lambda u, v: divergence_at(surface, X, u, v), grid)
+    """Integral of div X over the closed surface; zero in exact arithmetic.
+
+    div X and the field's jet take the quadrature's own metric jet."""
+    def divergence(u, v, g):
+        g = _metric(surface, u, v, 1, g)
+        return (_divergence(X.jet(surface, u, v, 1, g), _levi_civita(g)[1]).v,)
+
+    return surface_integrals(surface, divergence, grid)[0]

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import _jets, _stencils
 from .errors import NotUnitFieldError
-from .surfaces import _assemble, _require_nondegenerate, cofactor_signs, metric_data
+from .surfaces import _assemble, _require_nondegenerate, cofactor_signs
 
 UNIT_TOL = 1e-8  # allowed deviation of g(T, T) from 1 for unit-field inputs
 
@@ -72,10 +72,18 @@ def _base_jet(value, exact, name):
 
 def _callback_jet(fns, rank, name):
     """`_base_jet` of public-layout callbacks fns = (value, d, dd) with `rank`
-    value axes, a partial None where not declared."""
+    value axes, a partial None where not declared.  Each output is broadcast
+    to the shape of the nodes, so a callback may depend on one coordinate
+    alone and return that coordinate's shape."""
     def exact(u, v, order):
-        return [None if fn is None else
-                _jets.value_first(np.asarray(fn(u, v), dtype=float), rank + (k > 0))
+        nodes = np.broadcast(u, v).shape
+
+        def values(fn, axes):
+            x = np.asarray(fn(u, v), dtype=float)
+            return _jets.value_first(
+                np.broadcast_to(x, nodes + x.shape[x.ndim - axes:]), axes)
+
+        return [None if fn is None else values(fn, rank + (k > 0))
                 for k, fn in enumerate(fns[:order + 1])]
 
     return _base_jet(lambda u, v: exact(u, v, 0)[0], exact, name)
@@ -174,7 +182,7 @@ def scale_field(c, x, name=None):
 def _metric(surface, u, v, order, g=None):
     """The metric as a jet of `order`, or `g` when the caller assembled it
     to at least that order.  From order 1 on, a degenerate node raises
-    DegenerateMetricError, as in `metric_data`; values alone are unchecked.
+    DegenerateMetricError, as in `local_geometry`; values alone are unchecked.
     """
     if g is not None and g.order >= order:
         return g
@@ -279,15 +287,23 @@ class LocalGeometry:
 
 
 def local_geometry(surface, u, v):
-    """Every pointwise object of the metric, from one order-2 assembly."""
-    md = metric_data(surface, u, v, order=2)
-    g = _jets.from_parts((md.g, md.dg, md.ddg), md.g.ndim - 2)
-    gamma = _levi_civita(g)[0]
+    """Every pointwise object of the metric, from one order-2 assembly.
+
+    Raises DegenerateMetricError when det g falls to the chart-singular
+    threshold DET_EPS (tr g)^2 or to DET_MIN, exceeds DET_MAX or is NaN
+    anywhere in the batch.  The arrays are views of node-last storage.
+    """
+    g, dg, ddg, det = _assemble(surface, u, v, 2)
+    _require_nondegenerate(surface, g, det, u, v)
+    g_inv = g[::-1, ::-1] * cofactor_signs(det.ndim) / det
+    jet = _jets.Jet(g, dg, ddg)
+    gamma = _levi_civita(jet)[0]
     return LocalGeometry(
-        md.g, md.g_inv, md.dg, md.ddg, md.det_g,
+        _jets.value_last(g, 2), _jets.value_last(g_inv, 2),
+        _jets.value_last(dg, 3), _jets.value_last(ddg, 3), det,
         christoffel=_jets.value_last(gamma.v, 3),
         christoffel_derivative=_jets.value_last(gamma.d, 4),
-        gauss_curvature=_gauss_curvature(g),
+        gauss_curvature=_gauss_curvature(jet),
         ricci=_jets.value_last(_ricci(gamma), 2))
 
 
@@ -297,8 +313,8 @@ def local_geometry(surface, u, v):
 
 def divergence_at(surface, X, u, v):
     """div X via the volume-weighted coordinate formula."""
-    _, dlogs = _levi_civita(_metric(surface, u, v, 1))
-    return _divergence(X.jet(surface, u, v, 1, None), dlogs).v
+    g = _metric(surface, u, v, 1)
+    return _divergence(X.jet(surface, u, v, 1, g), _levi_civita(g)[1]).v
 
 
 def _vanishes(n2, trace, floor):

@@ -30,8 +30,8 @@ the coordinates, such as a monomial x^e = p(u)^e q(v)^e (see ``approx``).
 central differences in extended precision ("fd").
 
 The maps and the assembly keep the nodes as the trailing axes (the private
-layout of ``_jets``); ``SurfaceSpec`` methods and ``MetricData`` present the
-public layout, value axes trailing.
+layout of ``_jets``); ``SurfaceSpec`` methods and ``operators.local_geometry``
+present the public layout, value axes trailing.
 
 All evaluation functions accept scalars or broadcastable arrays for (u, v).
 Everything is pure and free of shared mutable state; the one shared object,
@@ -141,25 +141,6 @@ class SurfaceSpec:
         """
         d = _jacobian_jet(self.maps, u, v, 1).d
         return _public(np.concatenate([d[0], d[1][:, 1:]], axis=1), 2)
-
-
-@dataclass(frozen=True)
-class MetricData:
-    """First fundamental form at a point (or grid of points).
-
-    g, g_inv  -> (..., 2, 2)
-    dg        -> (..., 2, 2, 2), dg[..., k, i, j] = d_k g_ij
-    ddg       -> (..., 3, 2, 2), first axis ordered (uu, uv, vv)
-
-    The arrays are views of node-last storage (see ``_jets``), which
-    ``_jets.from_parts`` recovers without a copy.
-    """
-    g: np.ndarray
-    g_inv: np.ndarray
-    dg: np.ndarray
-    ddg: Optional[np.ndarray]
-    det_g: np.ndarray
-    sqrt_det_g: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -429,34 +410,6 @@ def _require_nondegenerate(surface, g, det, u, v):
         uu, vv = np.broadcast_arrays(u, v)
         raise _degenerate_error(surface, np.ravel(det)[bad], np.ravel(uu)[bad],
                                 np.ravel(vv)[bad])
-
-
-def metric_data(surface, u, v, order=2):
-    """First fundamental form with derivatives up to the requested order.
-
-    order 0 -> g only; 1 -> + first partials; 2 -> + second partials.
-    Raises DegenerateMetricError when det g falls to the chart-singular
-    threshold DET_EPS (tr g)^2 or to DET_MIN, exceeds DET_MAX or is NaN
-    anywhere in the batch.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    g, dg, ddg, det = _assemble(surface, u, v, order)
-    _require_nondegenerate(surface, g, det, u, v)
-    g_inv = g[::-1, ::-1] * cofactor_signs(det.ndim) / det
-    dg, ddg = (None if x is None else _jets.value_last(x, 3) for x in (dg, ddg))
-    return MetricData(g=_jets.value_last(g, 2), g_inv=_jets.value_last(g_inv, 2),
-                      dg=dg, ddg=ddg, det_g=det, sqrt_det_g=np.sqrt(det))
-
-
-def metric_at(surface, u, v):
-    """Full metric data (g, its inverse, first and second partials)."""
-    return metric_data(surface, u, v, order=2)
-
-
-def metric_only(surface, u, v):
-    """Just g, shape (..., 2, 2), from an order-0 assembly; exact in both backends."""
-    return _jets.value_last(_assemble(surface, u, v, 0)[0], 2)
 
 
 @functools.lru_cache(maxsize=64)

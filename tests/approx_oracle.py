@@ -1,9 +1,9 @@
 """Reference polynomial evaluation and fit: fresh arrays, node by node.
 
-``evaluate_polynomial_field`` is the evaluator that the two reused layer
-buffers of ``approx.evaluate_polynomial_field`` replaced: the multiplies,
-the per-layer matmuls and their order are the same, so tests compare the
-package with it bit for bit.  ``fit_and_verify`` is the flat fit that
+``evaluate_polynomial_field`` builds its layers by its own copy of the
+recursion: the multiplies, the per-layer matmuls and their order are those
+of ``approx.evaluate_polynomial_field``, so tests compare the package with
+it bit for bit.  ``fit_and_verify`` is the flat fit that
 ``approx._fit`` replaced: ``normal_system`` builds the (K, m) basis on the
 fit grid's positions and its scaled gram node by node, where the package
 builds it from the grid's two axes, so tests compare the two by measured

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -34,6 +36,23 @@ def ellipsoid_abc():
 @pytest.fixture
 def all_surfaces(torus21, sphere1, clifford1, ellipsoid_abc):
     return [torus21, sphere1, clifford1, ellipsoid_abc]
+
+
+@pytest.fixture
+def metric_assemblies(monkeypatch):
+    """The orders of the metric assemblies: the calls of surfaces._assemble,
+    under every name a module of the package binds it to."""
+    original = surf._assemble
+    calls = []
+
+    def counted(surface, u, v, order):
+        calls.append(order)
+        return original(surface, u, v, order)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bochner2d" and getattr(module, "_assemble", None) is original:
+            monkeypatch.setattr(module, "_assemble", counted)
+    return calls
 
 
 def non_finite_parameters():

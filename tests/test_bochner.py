@@ -66,9 +66,9 @@ class TestNormalize:
         for s in all_surfaces:
             T = unit_mix(s)
             u, v = interior_points(s, 20, seed=7)
-            g = surf.metric_only(s, u, v)
+            g = surf._assemble(s, u, v, 0)[0]
             t = T.coeff(u, v)
-            n2 = np.einsum("...ij,...i,...j->...", g, t, t)
+            n2 = np.einsum("ij...,...i,...j->...", g, t, t)
             np.testing.assert_allclose(n2, 1.0, atol=1e-12, err_msg=s.name)
 
     def test_idempotent_on_unit_input(self, torus21):
@@ -196,12 +196,12 @@ class TestUnitFrameMatrix:
         T = unit_mix(torus21)
         u, v = interior_points(torus21, 15)
         e = bo.unit_frame_companion(torus21, T, u, v)
-        g = surf.metric_only(torus21, u, v)
+        g = surf._assemble(torus21, u, v, 0)[0]
         t = T.coeff(u, v)
         np.testing.assert_allclose(
-            np.einsum("...ij,...i,...j->...", g, e, e), 1.0, atol=1e-12)
+            np.einsum("ij...,...i,...j->...", g, e, e), 1.0, atol=1e-12)
         np.testing.assert_allclose(
-            np.einsum("...ij,...i,...j->...", g, e, t), 0.0, atol=1e-12)
+            np.einsum("ij...,...i,...j->...", g, e, t), 0.0, atol=1e-12)
 
     def test_companion_fallback_near_parallel(self, torus21):
         # T parallel to du forces the dv seed
@@ -332,8 +332,8 @@ class TestOrthogonality:
             U, V = guarded_grid(s)
             for T in (unit_du(s), unit_mix(s)):
                 w = self_covariant_derivative(s, T)
-                g = surf.metric_only(s, U, V)
-                ip = np.einsum("...ij,...i,...j->...", g, w.coeff(U, V), T.coeff(U, V))
+                g = surf._assemble(s, U, V, 0)[0]
+                ip = np.einsum("ij...,...i,...j->...", g, w.coeff(U, V), T.coeff(U, V))
                 assert np.max(np.abs(ip)) < 1e-8, (s.name, T.name)
 
 
@@ -457,7 +457,7 @@ class TestDegenerateCode:
     """`_verify_pass` gives a node whose metric is degenerate the failure code
     _DEGENERATE_METRIC, on its own assembly or the caller's, without a
     warning, and `_node_failures` names it with the DegenerateMetricError
-    that `metric_data` raises at that node alone."""
+    that `local_geometry` raises at that node alone."""
 
     @pytest.mark.parametrize("backend", ["analytic", "fd"])
     @pytest.mark.parametrize("surface,field", [
@@ -480,7 +480,7 @@ class TestDegenerateCode:
         failed = bo._node_failures(s, X, bo.ZERO_FLOOR, rows, U, V)
         for i, (u, v) in enumerate(zip(U, V)):
             try:
-                surf.metric_data(s, [u], [v])
+                op.local_geometry(s, [u], [v])
             except DegenerateMetricError as exc:
                 assert degenerate[i] and failed[i] == str(exc)
             else:

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bochner2d import _jets, bochner, cli, integrate
+from bochner2d import _jets, approx, bochner, cli, integrate
+from bochner2d import operators as op
 from bochner2d import surfaces as surf
-from bochner2d.errors import ConfigError, DegenerateMetricError
+from bochner2d.errors import ConfigError, DegenerateMetricError, ZeroFieldPointError
 
 from conftest import non_finite_parameters
 
@@ -631,21 +632,6 @@ class TestConfigErrors:
 
 
 @pytest.fixture
-def metric_assemblies(monkeypatch):
-    """The orders of the metric assemblies: the calls of surfaces._assemble,
-    which metric_data, metric_only and verify's tiles make."""
-    original = surf._assemble
-    calls = []
-
-    def counted(surface, u, v, order):
-        calls.append(order)
-        return original(surface, u, v, order)
-
-    monkeypatch.setattr(surf, "_assemble", counted)
-    return calls
-
-
-@pytest.fixture
 def factor_points(monkeypatch):
     """The points the factor maps of the commands' surfaces see, call by call."""
     points = []
@@ -672,7 +658,7 @@ class TestMetricAssemblies:
                              "--field", "du", "--grid", "64x64")
         assert status == 0
         # one order-2 assembly serves the zero screen and the pass; no
-        # metric_only (an order-0 assembly) is called
+        # order-0 assembly is made
         assert metric_assemblies == [2]
 
     def test_gauss_bonnet_assembles_once_per_grid(self, capsys, metric_assemblies):
@@ -703,7 +689,7 @@ class TestMetricAssemblies:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_verify_screens_an_all_degenerate_block(self, capsys, metric_assemblies):
         # every node's metric is degenerate: the tile's one assembly names
-        # them all, each with the message metric_data raises there alone
+        # them all, each with the message local_geometry raises there alone
         status, rep = run_json(capsys, "verify", "--surface", "sphere:1e-40",
                                "--field", "1e40,0", "--grid", "64x64")
         assert status == 1
@@ -712,7 +698,7 @@ class TestMetricAssemblies:
         surface = surf.sphere(1e-40)
         for node in rep["checks"][0]["failed_nodes"]:
             with pytest.raises(DegenerateMetricError) as exc:
-                surf.metric_data(surface, [node["u"]], [node["v"]])
+                op.local_geometry(surface, [node["u"]], [node["v"]])
             assert node["error"] == str(exc.value)
 
     @pytest.mark.parametrize("backend,per_point", [("analytic", 1), ("fd", 5)])
@@ -734,7 +720,7 @@ class TestMetricAssemblies:
 
 
 class TestDegenerateScreen:
-    """Each degenerate node is named with the message metric_data raises
+    """Each degenerate node is named with the message local_geometry raises
     there alone, whatever the tiles of the grid."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -749,13 +735,32 @@ class TestDegenerateScreen:
         expected = []
         for u, v in zip(grid.U.ravel(), grid.V.ravel()):
             try:
-                surf.metric_data(surface, [u], [v])
+                op.local_geometry(surface, [u], [v])
             except DegenerateMetricError as exc:
                 expected.append({"u": float(u), "v": float(v), "error": str(exc)})
         assert expected and rep["n_zero_field_nodes"] == 0
         for check in rep["checks"]:
             assert check["n_failed"] == len(expected)
             assert check["failed_nodes"] == expected[:64]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("backend", ["analytic", "fd"])
+    @pytest.mark.parametrize("argv", DEGENERATE_INPUTS)
+    def test_smooth_names_the_metric_before_it_fits(self, capsys, argv, backend):
+        # after the samples' own screen, the fit grid's metric on its axes
+        status = cli.main(["smooth", *argv, "--grid", "16x16", "--backend", backend])
+        captured = capsys.readouterr()
+        assert status == 1 and captured.out == ""
+        surface = cli.parse_surface(argv[1], cli.parse_backend(backend))
+        grid = surf.chart_grid(surface, 16, 16)
+        try:
+            approx.sample_unit_field(surface, cli.parse_field(argv[3]), grid)
+        except ZeroFieldPointError as exc:
+            assert captured.err == f"zero-field-point: {exc}\n"
+        else:
+            with pytest.raises(DegenerateMetricError) as exc:
+                op.local_geometry(surface, grid.u_nodes[:, None], grid.v_nodes[None, :])
+            assert captured.err == f"error: {exc.value}\n"
 
 
 def _tiling_cases():

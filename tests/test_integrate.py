@@ -49,8 +49,8 @@ class TestSurfaceIntegral:
 def _two_evaluations(surface, fs, grid):
     """(value, estimated_error) pairs from fs and the area element on both grids."""
     def sums(g):
-        m = surf.metric_only(surface, g.U, g.V)
-        area = np.sqrt(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
+        m = surf._assemble(surface, g.U, g.V, 0)[0]
+        area = np.sqrt(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
         return [float(np.sum(g.weights * np.asarray(f, dtype=float) * area))
                 for f in fs(g.U, g.V, None)]
 
@@ -213,6 +213,17 @@ class TestDivergenceTheorem:
         res = ig.divergence_theorem_residual(sphere1, Y,
                                              surf.chart_grid(sphere1, 32, 64))
         assert abs(res.value - 4 * np.pi) < 1e-6
+
+    @pytest.mark.parametrize("kind,params,grids", [
+        ("torus", (2.0, 1.0), 1),       # the coarse grid is read off the fine one
+        ("sphere", (1.0,), 2)])         # Gauss-Legendre nodes: each grid its own
+    def test_one_assembly_per_grid(self, metric_assemblies, kind, params, grids):
+        # the divergence and the field's jet take the quadrature's metric jet
+        s = surf.make_surface(kind, params)
+        Y = bo.curvature_potential_field(
+            s, bo.normalize_field(s, op.coordinate_field(0)))
+        ig.divergence_theorem_residual(s, Y, surf.chart_grid(s, 16, 16))
+        assert metric_assemblies == [2] * grids
 
     def test_shared_integrands_match_the_separate_integrals(self, all_surfaces):
         # one metric assembly per grid gives, bit for bit, the integrals that

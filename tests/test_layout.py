@@ -51,7 +51,6 @@ def public_outputs(surface, u, v):
         "g": (geo.g, (2, 2)), "g_inv": (geo.g_inv, (2, 2)),
         "dg": (geo.dg, (2, 2, 2)), "ddg": (geo.ddg, (3, 2, 2)),
         "det_g": (geo.det_g, ()),
-        "metric_only": (surf.metric_only(surface, u, v), (2, 2)),
         "christoffel": (geo.christoffel, (2, 2, 2)),
         "christoffel_derivative": (geo.christoffel_derivative, (2, 2, 2, 2)),
         "gauss_curvature": (geo.gauss_curvature, ()),

@@ -146,17 +146,17 @@ class TestCovariantDerivative:
             u, v = interior_points(s, 10, seed=2)
 
             def pairing(uu, vv):
-                g = surf.metric_only(s, uu, vv)
+                g = surf._assemble(s, uu, vv, 0)[0]
                 a = X.coeff(uu, vv)
                 b = Y.coeff(uu, vv)
-                return np.einsum("...ij,...i,...j->...", g, a, b)
+                return np.einsum("ij...,...i,...j->...", g, a, b)
 
             lhs = diff1(pairing, u, v, 0, 1e-4)
             gX = covariant_gradient(s, X, u, v) @ np.array((1.0, 0.0))
             gY = covariant_gradient(s, Y, u, v) @ np.array((1.0, 0.0))
-            g = surf.metric_only(s, u, v)
-            rhs = (np.einsum("...ij,...i,...j->...", g, gX, Y.coeff(u, v))
-                   + np.einsum("...ij,...i,...j->...", g, X.coeff(u, v), gY))
+            g = surf._assemble(s, u, v, 0)[0]
+            rhs = (np.einsum("ij...,...i,...j->...", g, gX, Y.coeff(u, v))
+                   + np.einsum("ij...,...i,...j->...", g, X.coeff(u, v), gY))
             np.testing.assert_allclose(lhs, rhs, atol=1e-6, err_msg=s.name)
 
 
@@ -188,6 +188,16 @@ class TestDivergence:
         for s in all_surfaces:
             u, v = interior_points(s, 6)
             np.testing.assert_allclose(op.divergence_at(s, zero, u, v), 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("mode", ["analytic", "fd"])
+    def test_unit_field_takes_the_divergence_metric(self, metric_assemblies, mode):
+        # the field's jet reads the metric that div assembles
+        s = surf.torus(2.0, 1.0, mode=mode)
+        T = bo.normalize_field(s, op.add_fields(op.coordinate_field(0),
+                                                op.coordinate_field(1)))
+        u, v = interior_points(s, 9)
+        assert np.all(np.isfinite(op.divergence_at(s, T, u, v)))
+        assert metric_assemblies == [1]
 
     def test_trace_route_agrees(self, all_surfaces):
         # div X == trace(grad X) within 1e-8 for the whole battery
@@ -223,11 +233,10 @@ class TestRicci:
     def test_torus_spot_value(self, torus21):
         du = op.coordinate_field(0)
         # at v = 0: Ric(du, du) = K g_uu = (1/3) * 9 = 3
-        md = surf.metric_at(torus21, 0.2, 0.0)
-        ric = op.local_geometry(torus21, 0.2, 0.0).ricci
-        assert abs(ric[0, 0] - 3.0) < 1e-12
+        geo = op.local_geometry(torus21, 0.2, 0.0)
+        assert abs(geo.ricci[0, 0] - 3.0) < 1e-12
         assert abs(op.ricci_residual_at(torus21, du, du, 0.2, 0.0)) < 1e-12
-        assert md.g[0, 0] == pytest.approx(9.0)
+        assert geo.g[0, 0] == pytest.approx(9.0)
 
     def test_residual_battery_all_surfaces(self, all_surfaces):
         fields = field_battery()
@@ -280,6 +289,25 @@ class TestFieldJets:
         np.testing.assert_allclose(a1, a2, atol=1e-15)
         np.testing.assert_allclose(d1, d2, atol=1e-9)
         np.testing.assert_allclose(dd1, dd2, atol=1e-7)
+
+    @pytest.mark.parametrize("mode", ["analytic", "fd"])
+    def test_callbacks_of_one_coordinate(self, mode):
+        # the stencils call a callback on u + offs[:, None] and v + offs[None, :];
+        # one that reads u or v alone returns that coordinate's shape, which
+        # is broadcast to the nodes, so it gives what its "+ 0 * v" form gives
+        s = surf.torus(2.0, 1.0, mode=mode)
+        u, v = interior_points(s, 7)
+        du = op.coordinate_field(0)
+        for f, g in [(lambda a, b: np.cos(a), lambda a, b: np.cos(a) + 0 * b),
+                     (lambda a, b: np.sin(b), lambda a, b: np.sin(b) + 0 * a)]:
+            assert np.array_equal(
+                op.product_rule_residual_at(s, op.ScalarField(f), du, u, v),
+                op.product_rule_residual_at(s, op.ScalarField(g), du, u, v))
+        X = op.TangentField(lambda a, b: np.stack([np.cos(a) + 2, np.ones_like(a)], -1))
+        Y = op.TangentField(lambda a, b: np.stack([np.cos(a) + 2 + 0 * b,
+                                                   np.ones_like(a) + 0 * b], -1))
+        assert np.array_equal(bo.bochner_residual(s, X, u, v),
+                              bo.bochner_residual(s, Y, u, v))
 
     def test_fd_mode_ignores_callbacks(self):
         # lying callbacks must not be consulted in fd mode

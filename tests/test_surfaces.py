@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bochner2d import _jets, _stencils
+from bochner2d import operators as op
 from bochner2d import surfaces as surf
 from bochner2d.errors import DegenerateMetricError, InvalidParameterError
 
@@ -78,28 +81,28 @@ def test_unknown_kind_and_mode():
 
 def test_torus_metric_closed_form(torus21):
     u, v = interior_points(torus21, 15)
-    md = surf.metric_at(torus21, u, v)
+    geo = op.local_geometry(torus21, u, v)
     expected = np.zeros(u.shape + (2, 2))
     expected[..., 0, 0] = (2.0 + np.cos(v)) ** 2
     expected[..., 1, 1] = 1.0
-    np.testing.assert_allclose(md.g, expected, atol=1e-13)
+    np.testing.assert_allclose(geo.g, expected, atol=1e-13)
 
 
 def test_clifford_metric_constant(clifford1):
     u, v = interior_points(clifford1, 10)
-    md = surf.metric_at(clifford1, u, v)
-    np.testing.assert_allclose(md.g, np.broadcast_to(0.5 * np.eye(2), u.shape + (2, 2)),
+    geo = op.local_geometry(clifford1, u, v)
+    np.testing.assert_allclose(geo.g, np.broadcast_to(0.5 * np.eye(2), u.shape + (2, 2)),
                                atol=1e-15)
-    np.testing.assert_allclose(md.dg, 0.0, atol=1e-15)
-    np.testing.assert_allclose(md.ddg, 0.0, atol=1e-15)
+    np.testing.assert_allclose(geo.dg, 0.0, atol=1e-15)
+    np.testing.assert_allclose(geo.ddg, 0.0, atol=1e-15)
 
 
 def test_sphere_metric_closed_form(sphere1):
     u, v = interior_points(sphere1, 10)
-    md = surf.metric_at(sphere1, u, v)
-    np.testing.assert_allclose(md.g[..., 0, 0], 1.0, atol=1e-14)
-    np.testing.assert_allclose(md.g[..., 1, 1], np.sin(u) ** 2, atol=1e-14)
-    np.testing.assert_allclose(md.g[..., 0, 1], 0.0, atol=1e-14)
+    geo = op.local_geometry(sphere1, u, v)
+    np.testing.assert_allclose(geo.g[..., 0, 0], 1.0, atol=1e-14)
+    np.testing.assert_allclose(geo.g[..., 1, 1], np.sin(u) ** 2, atol=1e-14)
+    np.testing.assert_allclose(geo.g[..., 0, 1], 0.0, atol=1e-14)
 
 
 def degenerate_nodes(s, u, v):
@@ -114,7 +117,7 @@ def degenerate_nodes(s, u, v):
 
 def test_sphere_pole_is_degenerate(sphere1):
     with pytest.raises(DegenerateMetricError):
-        surf.metric_at(sphere1, 1e-7, 0.3)
+        op.local_geometry(sphere1, 1e-7, 0.3)
 
 
 @pytest.mark.parametrize("mode", ["analytic", "fd"])
@@ -123,9 +126,9 @@ def test_chart_singularity_does_not_depend_on_scale(mode, radius):
     # det g / (tr g)^2 = sin^2 u / (1 + sin^2 u)^2 at every radius: the pole's
     # neighbourhood is singular and the equator is not, whatever the scale
     s = surf.sphere(radius, mode=mode)
-    assert surf.metric_data(s, np.pi / 2, 0.3).det_g == pytest.approx(radius ** 4)
+    assert op.local_geometry(s, np.pi / 2, 0.3).det_g == pytest.approx(radius ** 4)
     with pytest.raises(DegenerateMetricError, match="det g = "):
-        surf.metric_data(s, 1e-7, 0.3)
+        op.local_geometry(s, 1e-7, 0.3)
     assert list(degenerate_nodes(s, [1e-7, 1e-5, np.pi / 2], 0.3)) == [0]
 
 
@@ -145,14 +148,24 @@ def test_det_g_above_det_max_or_nan_is_degenerate(mode):
     # det g = r^4 sin^2 u: 1e152 is admitted and 1e156 exceeds DET_MAX; at
     # r = 1e160 the metric's own terms overflow and det g is inf - inf = NaN
     ok = surf.sphere(1e38, mode=mode)
-    assert surf.metric_data(ok, np.pi / 2, 0.3).det_g <= surf.DET_MAX
+    assert op.local_geometry(ok, np.pi / 2, 0.3).det_g <= surf.DET_MAX
     u = np.array([0.1, np.pi / 2])
-    for order in (0, 1, 2):
+
+    def screens(radius):
+        # the screen of an assembly of each order, then the public query
+        s = surf.sphere(radius, mode=mode)
+        for order in (0, 1, 2):
+            g, _, _, det = surf._assemble(s, u, 0.3, order)
+            yield functools.partial(surf._require_nondegenerate, s, g, det, u, 0.3)
+        yield functools.partial(op.local_geometry, s, u, 0.3)
+
+    for check in screens(1e39):
         with pytest.raises(DegenerateMetricError, match="det g = 1.000e\\+156") as exc:
-            surf.metric_data(surf.sphere(1e39, mode=mode), u, 0.3, order=order)
+            check()
         assert exc.value.point == surf.ChartPoint(np.pi / 2, 0.3)
+    for check in screens(1e160):
         with pytest.raises(DegenerateMetricError, match="det g = nan"):
-            surf.metric_data(surf.sphere(1e160, mode=mode), u, 0.3, order=order)
+            check()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -160,10 +173,10 @@ def test_det_g_above_det_max_or_nan_is_degenerate(mode):
 @pytest.mark.parametrize("kind,params", [
     ("sphere", (1e-40,)), ("sphere", (1e-38,)), ("sphere", (1e40,)),
     ("sphere", (1e160,)), ("torus", (2e40, 1e40)), ("ellipsoid", (1.0, 1.3, 0.7))])
-def test_degenerate_nodes_name_each_node_as_metric_data(kind, params, mode):
+def test_degenerate_nodes_name_each_node_as_local_geometry(kind, params, mode):
     # det g is the same to the bit at every order and on the grid's axes as
     # on its flat nodes, so each node an order-2 assembly of the grid finds
-    # degenerate carries the message metric_data raises there alone
+    # degenerate carries the message local_geometry raises there alone
     s = surf.make_surface(kind, params, mode=mode)
     grid = surf.chart_grid(s, 12, 12)
     u, v = grid.U.ravel(), grid.V.ravel()
@@ -173,7 +186,7 @@ def test_degenerate_nodes_name_each_node_as_metric_data(kind, params, mode):
     expected = {}
     for i in range(u.size):
         try:
-            surf.metric_data(s, u[i:i + 1], v[i:i + 1])
+            op.local_geometry(s, u[i:i + 1], v[i:i + 1])
         except DegenerateMetricError as exc:
             expected[i] = str(exc)
     assert degenerate_nodes(s, grid.U, grid.V) == expected
@@ -190,20 +203,20 @@ def test_monomial_caps_follow_the_family():
 @given(st.floats(0.05, 6.2), st.floats(0.05, 6.2))
 def test_metric_invariants_torus(u, v):
     t = surf.torus(2.0, 1.0)
-    md = surf.metric_at(t, u, v)
-    assert md.det_g > 0
-    np.testing.assert_allclose(md.g, np.swapaxes(md.g, -1, -2), atol=1e-15)
-    np.testing.assert_allclose(md.g @ md.g_inv, np.eye(2), atol=1e-10)
+    geo = op.local_geometry(t, u, v)
+    assert geo.det_g > 0
+    np.testing.assert_allclose(geo.g, np.swapaxes(geo.g, -1, -2), atol=1e-15)
+    np.testing.assert_allclose(geo.g @ geo.g_inv, np.eye(2), atol=1e-10)
 
 
 def test_metric_invariants_all(all_surfaces):
     for s in all_surfaces:
         u, v = interior_points(s, 40, seed=3)
-        md = surf.metric_at(s, u, v)
-        assert np.all(md.det_g > 0)
-        np.testing.assert_allclose(md.g, np.swapaxes(md.g, -1, -2), atol=1e-14)
-        ident = np.broadcast_to(np.eye(2), md.g.shape)
-        np.testing.assert_allclose(md.g @ md.g_inv, ident, atol=1e-10)
+        geo = op.local_geometry(s, u, v)
+        assert np.all(geo.det_g > 0)
+        np.testing.assert_allclose(geo.g, np.swapaxes(geo.g, -1, -2), atol=1e-14)
+        ident = np.broadcast_to(np.eye(2), geo.g.shape)
+        np.testing.assert_allclose(geo.g @ geo.g_inv, ident, atol=1e-10)
 
 
 # Closed-form first, second and third chart partials of the three map
@@ -485,8 +498,8 @@ def test_periodic_edges_identified(all_surfaces):
             v = np.linspace(rect.v0 + 0.1, rect.v1 - 0.1, 9)
             np.testing.assert_allclose(s.embed(rect.u0, v), s.embed(rect.u1, v),
                                        atol=1e-12, err_msg=s.name)
-            a = surf.metric_at(s, np.full_like(v, rect.u0 + 0.0), v)
-            b = surf.metric_at(s, np.full_like(v, rect.u1), v)
+            a = op.local_geometry(s, np.full_like(v, rect.u0 + 0.0), v)
+            b = op.local_geometry(s, np.full_like(v, rect.u1), v)
             np.testing.assert_allclose(a.g, b.g, atol=1e-12, err_msg=s.name)
         if rect.periodic_v:
             u = np.linspace(rect.u0 + 0.2, rect.u1 - 0.2, 9)
@@ -538,7 +551,7 @@ def test_sphere_grid_interior_nodes(sphere1):
 
 def test_torus_grid_area(torus21):
     g = surf.chart_grid(torus21, 64, 64)
-    area_elem = np.sqrt(surf.metric_at(torus21, g.U, g.V).det_g)
+    area_elem = np.sqrt(op.local_geometry(torus21, g.U, g.V).det_g)
     area = float(np.sum(g.weights * area_elem))
     assert abs(area - 8 * np.pi ** 2) < 1e-10
 
@@ -550,13 +563,12 @@ def test_grid_rejects_tiny(torus21):
 
 def test_fd_metric_derivatives_fourth_order(torus21):
     g = surf.chart_grid(torus21, 12, 12)
-    md_exact = surf.metric_at(torus21, g.U, g.V)
+    exact = op.local_geometry(torus21, g.U, g.V)
     devs = []
     for h in (2e-2, 1e-2, 5e-3):
-        fd = surf.torus(2.0, 1.0, mode="fd", step=h)
-        md_fd = surf.metric_at(fd, g.U, g.V)
-        devs.append(max(np.max(np.abs(md_fd.dg - md_exact.dg)),
-                        np.max(np.abs(md_fd.ddg - md_exact.ddg))))
+        fd = op.local_geometry(surf.torus(2.0, 1.0, mode="fd", step=h), g.U, g.V)
+        devs.append(max(np.max(np.abs(fd.dg - exact.dg)),
+                        np.max(np.abs(fd.ddg - exact.ddg))))
     assert devs[0] / devs[1] >= 12.0
     assert devs[1] / devs[2] >= 12.0
 
@@ -569,8 +581,8 @@ def test_fd_metric_matches_analytic_at_default_step(all_surfaces):
              "ellipsoid(1,1.3,0.7)": "ellipsoid"}[s.name],
             tuple(s.params.values()), mode="fd")
         u, v = interior_points(s, 12, seed=9)
-        ma = surf.metric_at(s, u, v)
-        mf = surf.metric_at(fd, u, v)
+        ma = op.local_geometry(s, u, v)
+        mf = op.local_geometry(fd, u, v)
         np.testing.assert_allclose(mf.g, ma.g, atol=1e-12, err_msg=s.name)
         np.testing.assert_allclose(mf.dg, ma.dg, atol=1e-9, err_msg=s.name)
         np.testing.assert_allclose(mf.ddg, ma.ddg, atol=1e-8, err_msg=s.name)
