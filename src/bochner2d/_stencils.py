@@ -11,7 +11,8 @@ one array.  At order 1 f is called on the line along u and on the four
 off-centre points along v, 9 points per node.  ``along`` differences f(x)
 of one chart coordinate, the metric's factor tables (see ``surfaces``), on
 5 points per point.  Both walk the flattened points in blocks of
-BLOCK_NODES, which bounds the memory of the stencil points.
+BLOCK_NODES, a `verify` tile, which bounds the stencil points' memory: a
+block's 25 x 4096 grid points take about 0.8 MB per value component.
 
 f must return an array in the node-last layout of ``_jets``: value axes
 first, then the broadcast shape of its arguments, here the stencil axes and
@@ -28,7 +29,7 @@ floor under extended-precision runs.
 
 import numpy as np
 
-BLOCK_NODES = 256       # nodes per block of calls of f; bounds the memory of its grid
+BLOCK_NODES = 4096      # nodes per block of calls of f; bounds the memory of its grid
 
 OFFSETS = np.arange(-2, 3)                 # grid offsets, in units of h
 D1_POINTS = [0, 1, 3, 4]                   # the first-derivative stencil's offsets

@@ -417,17 +417,15 @@ def unit_frame_companion(surface, T, u, v):
     Falls back to d/dv at points where T is nearly parallel to d/du.
     Returns chart coefficients of E, shape (..., 2).
     """
-    g = _jets.value_last(_assemble(surface, u, v, 0)[0], 2)
-    t = np.asarray(T.coeff(u, v), dtype=float)
+    return _companion(_jets.value_last(_assemble(surface, u, v, 0)[0], 2),
+                      np.asarray(T.coeff(u, v), dtype=float))
 
-    e_u = np.zeros_like(t)
-    e_u[..., 0] = 1.0
-    e_v = np.zeros_like(t)
-    e_v[..., 1] = 1.0
 
+def _companion(g, t):
+    """`unit_frame_companion` from the metric g (..., 2, 2) and T's coefficients t."""
+    e_u, e_v = np.eye(2)
     ip_u = np.einsum("...ij,...i,...j->...", g, t, e_u)
-    guu = g[..., 0, 0]
-    use_v = ip_u**2 > NEAR_PARALLEL * guu
+    use_v = ip_u**2 > NEAR_PARALLEL * g[..., 0, 0]
     w = np.where(use_v[..., None], e_v, e_u)
 
     ip = np.einsum("...ij,...i,...j->...", g, t, w)
@@ -445,8 +443,8 @@ def unit_frame_operator_matrix(surface, T, u, v):
     batch = _NodeBatch.of(surface, T, u, v, order=1)
     batch.check_unit()
     m = -batch.grad_x.v
-    e = _jets.value_first(unit_frame_companion(surface, T, u, v), 1)
-    basis = np.stack([batch.x.v, e], axis=1)       # columns T, E
+    e = _companion(_jets.value_last(batch.g.v, 2), _jets.value_last(batch.x.v, 1))
+    basis = np.stack([batch.x.v, _jets.value_first(e, 1)], axis=1)   # columns T, E
     # entries M[i, j] = g(A(b_j), b_i)
     a_cols = np.einsum("ki...,ij...->kj...", m, basis)
     return _jets.value_last(

@@ -72,6 +72,7 @@ MMAP_THRESHOLD = 32 << 20   # glibc's ceiling for its dynamic mmap threshold on 
 TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
 
 _SURFACE_ALIASES = {"clifford": "clifford_torus"}
+_CONSTANT_FIELDS = {"du": (1.0, 0.0), "dv": (0.0, 1.0), "du+dv": (1.0, 1.0)}
 # the names --tol accepts, per command
 TOLERANCE_NAMES = {
     "verify": (*bochner.VERIFY_CHECKS, "zero_floor"),
@@ -159,13 +160,8 @@ def kinked_mixture_field():
 
 
 def named_field(name):
-    if name == "du":
-        return operators.coordinate_field(0)
-    if name == "dv":
-        return operators.coordinate_field(1)
-    if name == "du+dv":
-        return operators.add_fields(operators.coordinate_field(0),
-                                    operators.coordinate_field(1))
+    if name in _CONSTANT_FIELDS:
+        return operators.constant_field(*_CONSTANT_FIELDS[name], name=name)
     if name == "kinked":
         return kinked_mixture_field()
     raise ConfigError(f"unknown field name {name!r}; "
@@ -363,8 +359,7 @@ def _product_rule_pair():
         grad=lambda uu, vv: np.stack(
             np.broadcast_arrays(-np.sin(uu), np.cos(vv)), axis=-1),
         name="cos(u)+sin(v)")
-    return f, operators.add_fields(operators.coordinate_field(0),
-                                   operators.coordinate_field(1))
+    return f, operators.constant_field(1.0, 1.0, name="du+dv")
 
 
 def _verify_sweep(surface, field, grid, floor):

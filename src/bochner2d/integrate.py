@@ -24,9 +24,9 @@ CHI_MARGIN = 0.01   # an order below the 0.5 rounding boundary
 class IntegralResult:
     """Value of a surface integral with an a-posteriori error estimate.
 
-    estimated_error is the difference against the next-coarser grid
-    (half the nodes per axis), a Richardson-style signal that works for
-    both quadrature rules.
+    estimated_error is the difference against the next-coarser grid (half
+    the nodes per axis, at least 4), a Richardson-style signal that works
+    for both quadrature rules; NaN where an axis of 4 nodes has none.
     """
     value: float
     resolution: tuple
@@ -75,17 +75,20 @@ def surface_integrals(surface, fs, grid):
     counts, the coarse integrands and area element are read off the fine
     ones instead.  Returns one IntegralResult per integrand."""
     vals, area_elem = _integrands(surface, fs, grid)
-    coarse = chart_grid(surface, max(4, grid.nu // 2), max(4, grid.nv // 2))
-    sub = np.s_[::2, ::2]
-    if np.array_equal(coarse.U, grid.U[sub]) and np.array_equal(coarse.V, grid.V[sub]):
-        coarse_vals = [np.broadcast_to(f, grid.U.shape)[sub] for f in vals]
-        coarse_area = area_elem[sub]
-    else:
-        coarse_vals, coarse_area = _integrands(surface, fs, coarse)
-    rough = _weighted_sums(coarse, coarse_vals, coarse_area)
+    values = _weighted_sums(grid, vals, area_elem)
+    rough = [np.nan] * len(values)
+    if min(grid.nu, grid.nv) > 4:
+        coarse = chart_grid(surface, max(4, grid.nu // 2), max(4, grid.nv // 2))
+        sub = np.s_[::2, ::2]
+        if np.array_equal(coarse.U, grid.U[sub]) and np.array_equal(coarse.V, grid.V[sub]):
+            coarse_vals = [np.broadcast_to(f, grid.U.shape)[sub] for f in vals]
+            coarse_area = area_elem[sub]
+        else:
+            coarse_vals, coarse_area = _integrands(surface, fs, coarse)
+        rough = _weighted_sums(coarse, coarse_vals, coarse_area)
     return [IntegralResult(value=value, resolution=(grid.nu, grid.nv),
                            rule=grid.rule, estimated_error=abs(value - r))
-            for value, r in zip(_weighted_sums(grid, vals, area_elem), rough)]
+            for value, r in zip(values, rough)]
 
 
 def surface_integral(surface, f, grid):

@@ -29,9 +29,10 @@ choice of stencils.  Declared partials are used when the surface runs in
 analytic mode; the others, and on the finite-difference backend, which treats
 the whole pipeline as the method under test, all partials of a base field,
 are differenced by 4th-order stencils of its values at the surface's step,
-from one ``_stencils.partials`` call.  A field built from other fields (sums,
-multiples, the unit field, grad_T T - (div T) T, ...) gets its partials
-exactly from the jets of its inputs and of the metric, on both backends.
+from one ``_stencils.partials`` call.  On both backends a constant field's
+partials are exact zeros, and a field built from others (sums, multiples,
+the unit field, grad_T T - (div T) T, ...) gets exact partials from the
+jets of its inputs and of the metric.
 """
 
 from dataclasses import InitVar, dataclass
@@ -147,18 +148,20 @@ def _derived(jet, name, kind=TangentField):
 
 def coordinate_field(axis, name=None):
     """The coordinate field d/du (axis 0) or d/dv (axis 1)."""
-    return constant_field(1.0 - axis, float(axis),
-                          name=name or ("du" if axis == 0 else "dv"))
+    return constant_field(1.0 - axis, float(axis), name=name or ("du", "dv")[axis])
 
 
 def constant_field(au, av, name="constant"):
-    """Field with constant coefficients (au, av), whose exact partials vanish."""
-    def filled(x):
-        return lambda u, v: np.broadcast_to(
-            x, np.broadcast(np.asarray(u), np.asarray(v)).shape + x.shape).copy()
+    """Field with constant coefficients (au, av): exact zero partials on both
+    backends, so no stencil differences it, and fresh arrays from each call."""
+    a = np.array([float(au), float(av)])
 
-    values = (np.array([float(au), float(av)]), np.zeros((2, 2)), np.zeros((3, 2)))
-    return TangentField(*map(filled, values), name=name)
+    def jet(surface, u, v, order, g):
+        nodes = np.broadcast(np.asarray(u), np.asarray(v)).shape
+        x = np.broadcast_to(a.reshape((2,) + (1,) * len(nodes)), (2,) + nodes).copy()
+        return _jets.Jet(x, *(np.zeros((k, 2) + nodes) for k in (2, 3)[:order]))
+
+    return _derived(jet, name)
 
 
 def add_fields(x, y, name=None):

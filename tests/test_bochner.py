@@ -192,6 +192,28 @@ class TestUnitFrameMatrix:
                 m = bo.unit_frame_operator_matrix(s, T, U, V)
                 assert np.max(np.abs(m[..., 0, :])) < 1e-8, (s.name, T.name)
 
+    @pytest.mark.parametrize("mode", ["analytic", "fd"])
+    def test_one_metric_assembly_and_the_companion_route(self, metric_assemblies, mode):
+        # E comes from the batch's metric and T, bit for bit what
+        # unit_frame_companion gives from its own assembly and T's values
+        for kind, params in (("torus", (2.0, 1.0)), ("sphere", (1.0,)),
+                             ("clifford_torus", (1.0,)), ("ellipsoid", (1.0, 1.3, 0.7))):
+            s = surf.make_surface(kind, params, mode=mode)
+            U, V = guarded_grid(s, 12, 10)
+            fields = [unit_du(s), unit_mix(s)]
+            if kind == "clifford_torus":        # where sqrt(2) du is unit
+                fields.append(op.constant_field(np.sqrt(2.0), 0.0))
+            for T in fields:
+                del metric_assemblies[:]
+                m = bo.unit_frame_operator_matrix(s, T, U, V)
+                assert metric_assemblies == [1], (s.name, T.name)
+                batch = bo._NodeBatch.of(s, T, U, V, order=1)
+                e = np.moveaxis(bo.unit_frame_companion(s, T, U, V), -1, 0)
+                basis = np.stack([batch.x.v, e], axis=1)
+                a_cols = np.einsum("ki...,ij...->kj...", -batch.grad_x.v, basis)
+                want = np.einsum("ij...,ik...,kl...->jl...", basis, batch.g.v, a_cols)
+                assert np.array_equal(m, np.moveaxis(want, (0, 1), (-2, -1))), (s.name, T.name)
+
     def test_companion_is_unit_and_orthogonal(self, torus21):
         T = unit_mix(torus21)
         u, v = interior_points(torus21, 15)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,15 +49,19 @@ class TestSurfaceIntegral:
 
 
 def _two_evaluations(surface, fs, grid):
-    """(value, estimated_error) pairs from fs and the area element on both grids."""
+    """(value, estimated_error) pairs from fs and the area element on both
+    grids; with an axis of 4 nodes there is no coarser grid and no estimate."""
     def sums(g):
         m = surf._assemble(surface, g.U, g.V, 0)[0]
         area = np.sqrt(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
         return [float(np.sum(g.weights * np.asarray(f, dtype=float) * area))
                 for f in fs(g.U, g.V, None)]
 
+    fine = sums(grid)
+    if min(grid.nu, grid.nv) == 4:
+        return [(value, np.nan) for value in fine]
     coarse = surf.chart_grid(surface, max(4, grid.nu // 2), max(4, grid.nv // 2))
-    return [(value, abs(value - rough)) for value, rough in zip(sums(grid), sums(coarse))]
+    return [(value, abs(value - rough)) for value, rough in zip(fine, sums(coarse))]
 
 
 @settings(max_examples=40)
@@ -76,15 +82,29 @@ def test_coarse_estimate_matches_two_evaluations(kind, mode, nu, nv):
     got = ig.surface_integrals(surface, fs, surf.chart_grid(surface, nu, nv))
     calls = list(shapes)
     want = _two_evaluations(surface, fs, surf.chart_grid(surface, nu, nv))
-    assert [(r.value, r.estimated_error) for r in got] == want
+    np.testing.assert_array_equal([(r.value, r.estimated_error) for r in got], want)
     # every other node of a periodic axis with an even count is a coarse node;
     # Gauss-Legendre nodes are not nested
     nested = (kind[0] in ("torus", "clifford_torus") and nu % 2 == nv % 2 == 0
               and min(nu, nv) >= 8)
-    if nested:
+    if nested or min(nu, nv) == 4:
         assert calls == [(nu, 1)]
     else:
         assert len(calls) == 2
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (4, 16), (16, 4)])
+def test_an_axis_of_4_nodes_has_no_error_estimate(capsys, sphere1, shape):
+    # 4 nodes is the fewest a grid takes, so that axis has no coarser grid
+    res = ig.total_curvature(sphere1, surf.chart_grid(sphere1, *shape))
+    assert np.isfinite(res.value) and np.isnan(res.estimated_error)
+    wider = ig.total_curvature(sphere1, surf.chart_grid(sphere1, *(n + 1 for n in shape)))
+    assert wider.estimated_error > 0.0
+    # the report's null, for the total and the divergence-theorem residual
+    grid = f"{shape[0]}x{shape[1]}"
+    cli.main(["gauss-bonnet", "--surface", "torus:2,1", "--grid", grid, "--field", "du"])
+    integrals = json.loads(capsys.readouterr().out)["integrals"]
+    assert [x["estimated_error"] for x in integrals.values()] == [None, None]
 
 
 class TestEulerCharacteristic:

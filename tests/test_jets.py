@@ -145,12 +145,65 @@ def stencil_depth(monkeypatch):
     ("verify", "--surface", "torus:2,1", "--field", "du+dv", "--backend", "fd"),
     ("verify", "--surface", "torus:2,1", "--field", "2+sin(u),cos(v)",
      "--backend", "fd"),
-    ("gauss-bonnet", "--surface", "torus:2,1", "--field", "du", "--backend", "fd"),
+    ("gauss-bonnet", "--surface", "torus:2,1", "--field", "2+sin(u),cos(v)",
+     "--backend", "fd"),
 ])
 def test_fd_backend_stencils_one_level_deep(capsys, stencil_depth, argv):
     assert cli.main(list(argv) + ["--grid", "8x8"]) == 0
     assert stencil_depth["calls"] > 0
     assert stencil_depth["max_depth"] == 1
+
+
+@pytest.mark.parametrize("mode", ["analytic", "fd"])
+@pytest.mark.parametrize("field", [op.constant_field(0.7, -0.4), op.coordinate_field(0),
+                                   op.coordinate_field(1), cli.named_field("du+dv")])
+def test_constant_fields_are_never_stenciled(stencil_depth, mode, field):
+    s = surf.torus(2.0, 1.0, mode=mode)
+    u, v = interior_points(s, 9)
+    want = field.coeff(0.0, 0.0)
+    for order in (0, 1, 2):
+        jet = field.jet(s, u, v, order, None)
+        assert jet.order == order
+        assert np.array_equal(jet.v, np.broadcast_to(want[:, None], (2, 9)))
+        for part, rows in zip((jet.d, jet.dd)[:order], (2, 3)):
+            assert part.shape == (rows, 2, 9)
+            assert not part.any()       # exact zeros, no stencil noise
+    assert stencil_depth["calls"] == 0
+    # coeff gives a fresh writable array of the nodes' shape, coefficients last
+    for nodes in ((), (3,), (2, 5)):
+        a, b = field.coeff(np.zeros(nodes), 0.5), field.coeff(np.zeros(nodes), 0.5)
+        assert a.shape == nodes + (2,) and a.flags.writeable
+        assert not np.shares_memory(a, b)
+        a[...] = 9.0
+        assert np.array_equal(field.coeff(np.zeros(nodes), 0.5),
+                              np.broadcast_to(want, nodes + (2,)))
+
+
+def test_fd_verify_tile_calls_a_stenciled_field_once_per_stencil(monkeypatch, capsys):
+    # a 64x64 grid is one verify tile and one stencil block, so each
+    # partials call evaluates the field in one call
+    calls = []
+
+    def coeff(u, v):
+        calls.append(np.broadcast(u, v).shape)
+        return np.stack(np.broadcast_arrays(2.0 + np.sin(u), np.cos(v)), axis=-1)
+
+    per_partials = []
+    partials = _stencils.partials
+
+    def counted(*args, **kwargs):
+        before = len(calls)
+        out = partials(*args, **kwargs)
+        per_partials.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(_stencils, "partials", counted)
+    monkeypatch.setattr(cli, "named_field", lambda name: op.TangentField(coeff, name=name))
+    assert cli.main(["verify", "--surface", "torus:2,1", "--field", "wavy",
+                     "--backend", "fd", "--grid", "64x64"]) == 0
+    # the field's stencil and the product rule's scalar f, the only stenciled fields
+    assert sorted(per_partials) == [0, 1]
+    assert calls == [(5, 5, 64 * 64)]
 
 
 def test_analytic_expression_field_is_never_stenciled(capsys, stencil_depth):

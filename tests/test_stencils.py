@@ -1,6 +1,7 @@
 """The one stencil evaluator against the per-axis reference stencils."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,9 +11,20 @@ from bochner2d import surfaces as surf
 import metric_oracle
 import stencil_oracle
 
+SHIPPED_BLOCK = _stencils.BLOCK_NODES
+BLOCK = 256         # the block size of this module's other tests
 # node counts around the block boundaries, each with a 2-D shape of that size
 SHAPES = {1: (1, 1), 255: (15, 17), 256: (16, 16), 257: (257, 1), 513: (27, 19)}
 TORUS = surf.torus(2.0, 1.0)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def small_blocks():
+    """Blocks of BLOCK nodes, so that the node counts of SHAPES cross block
+    boundaries; the weighted sums do not depend on the block size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_stencils, "BLOCK_NODES", BLOCK)
+        yield
 
 
 def _scalar(u, v):
@@ -54,6 +66,20 @@ def test_partials_match_the_per_axis_stencils(f, dtype, layout, count, h, order,
         assert a.dtype == b.dtype == dtype
         assert a.shape == b.shape
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_shipped_blocks_match_the_per_axis_stencils(monkeypatch, order):
+    # one node past a block of the shipped size, in both dtypes
+    monkeypatch.setattr(_stencils, "BLOCK_NODES", SHIPPED_BLOCK)
+    nodes = np.random.default_rng(3).uniform(-3.0, 3.0, (2, SHIPPED_BLOCK + 1))
+    for dtype in (np.dtype(np.float64), np.dtype(np.longdouble)):
+        u, v = nodes.astype(dtype)
+        got = _stencils.partials(_vector, u, v, 1e-3, order)
+        want = stencil_oracle.partials(_vector, u, v, 1e-3, order)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == dtype
+            assert np.array_equal(a, b)
 
 
 def test_order_two_evaluates_25_points_per_node():

@@ -588,21 +588,27 @@ def test_fd_metric_matches_analytic_at_default_step(all_surfaces):
         np.testing.assert_allclose(mf.ddg, ma.ddg, atol=1e-8, err_msg=s.name)
 
 
+STENCIL_BLOCK = 256     # nodes per stencil block in the batch test below
+
+
 @settings(max_examples=40)
 @given(_surfaces(), st.sampled_from((1e-3, 1e-2)), st.sampled_from((1, 2)),
-       st.integers(1, 3 * _stencils.BLOCK_NODES), st.data())
+       st.integers(1, 3 * STENCIL_BLOCK), st.data())
 def test_fd_metric_rows_do_not_depend_on_the_batch(s, step, order, n, data):
-    # the fd tables' stencils walk the points in blocks; a node's rows must
+    # the fd tables' stencils walk the points in blocks, here of STENCIL_BLOCK
+    # so that a few hundred points cross block boundaries; a node's rows must
     # not depend on the block it falls in or on the nodes beside it
     s = surf.make_surface(s.name.split("(")[0], s.params.values(), mode="fd", step=step)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     rect = s.chart_rect
     u = rng.uniform(rect.u0 + 0.1, rect.u1 - 0.1, n)
     v = rng.uniform(rect.v0 + 0.1, rect.v1 - 0.1, n)
-    full = surf._assemble(s, u, v, order)
     perm = data.draw(st.permutations(range(n)))
     idx = np.array(perm[:data.draw(st.integers(1, n))])
-    part = surf._assemble(s, u[idx], v[idx], order)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_stencils, "BLOCK_NODES", STENCIL_BLOCK)
+        full = surf._assemble(s, u, v, order)
+        part = surf._assemble(s, u[idx], v[idx], order)
     for mine, rows in zip(part[:order + 1], full):
         assert np.array_equal(mine, rows[..., idx]), s.name
 
