@@ -20,8 +20,12 @@ at the boundary with `value_last` and `value_first`, which are views.
 A jet of order 1 has ``dd`` None and a jet of order 0 has ``d`` None as well;
 combining jets keeps the lower order, so one formula computes values only,
 first partials or second partials.  Plain numbers and arrays act as
-constants; they broadcast against the value and must not add axes to it.
-Jets are never modified in place.
+constants in ``+ - * /`` and ``einsum``: their partials are implied zeros,
+never stored as arrays nor multiplied, so a product or contraction with a
+constant differentiates the jets alone.  A constant broadcasts against the
+value and must not add axes to it.  A constant field's jet is such a
+constant (``operators.constant_field``); ``value`` reads the value of
+either.  Jets are never modified in place.
 """
 
 import numpy as np
@@ -60,6 +64,10 @@ class Jet:
         return Jet(self.v[idx],
                    *(None if x is None else x[(slice(None),) + idx]
                      for x in (self.d, self.dd)))
+
+    def truncated(self, order):
+        """The same jet to `order`, at most its own."""
+        return Jet(self.v, *(self.d, self.dd)[:order])
 
     def partial(self, i):
         """The jet of d_i v, one order lower."""
@@ -159,6 +167,8 @@ def einsum(subscripts, *operands):
 
     Every term must end with an ellipsis for the node axes; the letter Z is
     reserved for the derivative axis, which the derivative terms put in front.
+    Constant operands contribute no derivative terms.  With one operand, a
+    transposition gives views of its parts.
     """
     inputs, output = subscripts.split("->")
     terms = inputs.split(",")
@@ -181,6 +191,8 @@ def einsum(subscripts, *operands):
     v = np.einsum(subscripts, *vals)
     if order == 0:
         return Jet(v)
+    if len(operands) == 1:
+        return Jet(v, *(derivative(0, x) for x in (operands[0].d, operands[0].dd)[:order]))
     d = sum(derivative(k, operands[k].d) for k in jets)
     if order == 1:
         return Jet(v, d)
@@ -198,6 +210,11 @@ def stack(parts, axis=0):
     order = min(p.order for p in parts)
     return Jet(*(np.stack([(p.v, p.d, p.dd)[k] for p in parts], axis=axis + min(k, 1))
                  for k in range(order + 1)))
+
+
+def value(x):
+    """The value of a jet; a constant is its own value."""
+    return x.v if isinstance(x, Jet) else x
 
 
 def gradient(f):

@@ -146,7 +146,8 @@ def _failure_codes(n2, trace, floor, unit=None):
         ok = codes == 0
         if unit.d is not None:
             codes[ok & (np.abs(parts[1]) > PARTIAL_MAX).any(axis=0)] = _LARGE_PARTIAL
-        codes[ok & ~np.isfinite(np.concatenate(parts)).all(axis=0)] = _NON_FINITE_PARTIAL
+        finite = np.logical_and.reduce([np.isfinite(x).all(axis=0) for x in parts])
+        codes[ok & ~finite] = _NON_FINITE_PARTIAL
     return codes
 
 
@@ -196,7 +197,7 @@ class _NodeBatch:
         return cls(g, X.jet(surface, u, v, order, g), X.name)
 
     def check_unit(self):
-        _check_unit(self.g.v, self.x.v, self.name)
+        _check_unit(self.g.v, _jets.value(self.x), self.name)
 
     @cached_property
     def grad_x(self):
@@ -221,7 +222,8 @@ class _NodeBatch:
     @cached_property
     def x_of_div(self):
         """X(div X)."""
-        return np.einsum("i...,i...->...", self.x.v, _jets.gradient(self.div_x).v)
+        return np.einsum("i...,i...->...", _jets.value(self.x),
+                         _jets.gradient(self.div_x).v)
 
     @cached_property
     def trace_a2(self):
@@ -256,7 +258,7 @@ def curvature_potential_field(surface, T):
 # ---------------------------------------------------------------------------
 
 def _bochner(b):
-    ric_xx = _quadratic(_ricci(b.gamma), b.x.v)
+    ric_xx = _quadratic(_ricci(b.gamma), _jets.value(b.x))
     div_grad_xx = _divergence(b.transport, b.dlogs).v
     return np.abs(b.x_of_div - (-ric_xx + div_grad_xx - b.trace_a2))
 
@@ -415,10 +417,12 @@ def unit_frame_companion(surface, T, u, v):
     """Unit field E with g(T, E) = 0, built by Gram-Schmidt from d/du.
 
     Falls back to d/dv at points where T is nearly parallel to d/du.
-    Returns chart coefficients of E, shape (..., 2).
+    Returns chart coefficients of E, shape (..., 2).  T's values take the
+    same order-0 metric assembly.
     """
-    return _companion(_jets.value_last(_assemble(surface, u, v, 0)[0], 2),
-                      np.asarray(T.coeff(u, v), dtype=float))
+    g = _jets.Jet(_assemble(surface, u, v, 0)[0])
+    t = _jets.value(T.jet(surface, u, v, 0, g))
+    return _companion(_jets.value_last(g.v, 2), _jets.value_last(t, 1))
 
 
 def _companion(g, t):
@@ -442,9 +446,9 @@ def unit_frame_operator_matrix(surface, T, u, v):
     """
     batch = _NodeBatch.of(surface, T, u, v, order=1)
     batch.check_unit()
-    m = -batch.grad_x.v
-    e = _companion(_jets.value_last(batch.g.v, 2), _jets.value_last(batch.x.v, 1))
-    basis = np.stack([batch.x.v, _jets.value_first(e, 1)], axis=1)   # columns T, E
+    m, t = -batch.grad_x.v, _jets.value(batch.x)
+    e = _companion(_jets.value_last(batch.g.v, 2), _jets.value_last(t, 1))
+    basis = np.stack([t, _jets.value_first(e, 1)], axis=1)   # columns T, E
     # entries M[i, j] = g(A(b_j), b_i)
     a_cols = np.einsum("ki...,ij...->kj...", m, basis)
     return _jets.value_last(

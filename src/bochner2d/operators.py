@@ -30,9 +30,11 @@ analytic mode; the others, and on the finite-difference backend, which treats
 the whole pipeline as the method under test, all partials of a base field,
 are differenced by 4th-order stencils of its values at the surface's step,
 from one ``_stencils.partials`` call.  On both backends a constant field's
-partials are exact zeros, and a field built from others (sums, multiples,
-the unit field, grad_T T - (div T) T, ...) gets exact partials from the
-jets of its inputs and of the metric.
+jet is a constant to ``_jets``, its coefficients at the nodes with implied
+zero partials, and a field built from others (sums, multiples, the unit
+field, grad_T T - (div T) T, ...) gets exact partials from the jets of its
+inputs and of the metric.  A reader of a field's values takes them by
+``_jets.value``, which accepts either.
 """
 
 from dataclasses import InitVar, dataclass
@@ -142,7 +144,7 @@ def _derived(jet, name, kind=TangentField):
     returned in the public layout, coefficient axis trailing.
     """
     rank = int(kind is TangentField)
-    return kind(lambda u, v: _jets.value_last(jet(None, u, v, 0, None).v, rank),
+    return kind(lambda u, v: _jets.value_last(_jets.value(jet(None, u, v, 0, None)), rank),
                 name=name, jet=jet)
 
 
@@ -152,14 +154,15 @@ def coordinate_field(axis, name=None):
 
 
 def constant_field(au, av, name="constant"):
-    """Field with constant coefficients (au, av): exact zero partials on both
-    backends, so no stencil differences it, and fresh arrays from each call."""
+    """Field with constant coefficients (au, av).  Its jet, of every order and
+    on both backends, is a constant to `_jets`: a fresh (2, *nodes) array of
+    the coefficients, whose zero partials are implied and never stored, so
+    no stencil differences it and no product rule multiplies them."""
     a = np.array([float(au), float(av)])
 
     def jet(surface, u, v, order, g):
         nodes = np.broadcast(np.asarray(u), np.asarray(v)).shape
-        x = np.broadcast_to(a.reshape((2,) + (1,) * len(nodes)), (2,) + nodes).copy()
-        return _jets.Jet(x, *(np.zeros((k, 2) + nodes) for k in (2, 3)[:order]))
+        return np.broadcast_to(a.reshape((2,) + (1,) * len(nodes)), (2,) + nodes).copy()
 
     return _derived(jet, name)
 
@@ -197,9 +200,9 @@ def _metric(surface, u, v, order, g=None):
 
 def _levi_civita(g):
     """Christoffel symbols and d_i log sqrt(det g), one order below the jet g."""
-    low = _jets.Jet(g.v, *(g.d, g.dd)[:g.order - 1])     # all that g^-1 needs
+    low = g.truncated(g.order - 1)      # all that g^-1 needs
     det = low[0, 0] * low[1, 1] - low[0, 1] * low[1, 0]
-    half_inv = 0.5 * low[::-1, ::-1] * cofactor_signs(det.v.ndim) / det[None, None]
+    half_inv = low[::-1, ::-1] * (0.5 * cofactor_signs(det.v.ndim)) / det[None, None]
     dg = _jets.gradient(g)                  # dg[m, i, j] = d_m g_ij
     # S[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
     s = _jets.einsum("ijl...->lij...", dg) + _jets.einsum("jil...->lij...", dg) - dg
@@ -208,15 +211,25 @@ def _levi_civita(g):
 
 
 def _covariant_gradient(x, gamma):
-    """Jet of m[k, i] = (grad_{e_i} X)^k, one order below x."""
-    return (_jets.einsum("ik...->ki...", _jets.gradient(x))
-            + _jets.einsum("kij...,j...->ki...", gamma, x))
+    """Jet of m[k, i] = (grad_{e_i} X)^k, one order below x; for a constant x,
+    which has no d_i X^k, of the order of gamma."""
+    connection = _jets.einsum("kij...,j...->ki...", gamma, x)
+    if not isinstance(x, _jets.Jet):
+        return connection
+    return _jets.einsum("ik...->ki...", _jets.gradient(x)) + connection
 
 
 def _divergence(x, dlogs):
-    """Jet of div X = d_i X^i + X^i d_i log sqrt(det g), one order below x."""
+    """Jet of div X = d_i X^i + X^i d_i log sqrt(det g), one order below x.
+
+    X and dlogs are contracted at that order, so a divergence of which only
+    the value is read computes no partials of X^i d_i log sqrt(det g).  A
+    constant x has no d_i X^i, and its divergence is of the order of dlogs.
+    """
+    if not isinstance(x, _jets.Jet):
+        return _jets.einsum("i...,i...->...", x, dlogs)
     return (_jets.einsum("ii...->...", _jets.gradient(x))
-            + _jets.einsum("i...,i...->...", x, dlogs))
+            + _jets.einsum("i...,i...->...", x.truncated(x.order - 1), dlogs))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +368,7 @@ def _check_unit(g, a, name, tol=UNIT_TOL):
 def ricci_residual_at(surface, X, Y, u, v):
     """|Ric(X, Y) - K g(X, Y)| with Ric taken from the curvature tensor."""
     g = _metric(surface, u, v, 2)
-    a, b = (F.jet(surface, u, v, 0, g).v for F in (X, Y))
+    a, b = (_jets.value(F.jet(surface, u, v, 0, g)) for F in (X, Y))
     lhs = _quadratic(_ricci(_levi_civita(g)[0]), a, b)
     return np.abs(lhs - _gauss_curvature(g) * _quadratic(g.v, a, b))
 
@@ -368,7 +381,9 @@ def product_rule_residual_at(surface, f, X, u, v):
 
 
 def _product_rule(f, x, dlogs):
-    """|div(fX) - X(f) - f div(X)| from the jets of f and X (order >= 1)."""
+    """|div(fX) - X(f) - f div(X)| from the jets of f and X (order >= 1, or
+    a constant X)."""
+    dlogs = dlogs.truncated(0)      # only values are read
     lhs = _divergence(f[None] * x, dlogs).v
-    x_of_f = np.einsum("i...,i...->...", x.v, _jets.gradient(f).v)
+    x_of_f = np.einsum("i...,i...->...", _jets.value(x), _jets.gradient(f).v)
     return np.abs(lhs - (x_of_f + f.v * _divergence(x, dlogs).v))

@@ -332,7 +332,7 @@ def _axis_table(surface, factors, x, order):
     their nodes."""
     def products(y):
         f, df = factors(y)
-        return _jets.stack([df * df, df * f, f * f])
+        return _jets.stack([df, df, f]) * _jets.stack([df, f, f])
 
     fd = surface.derivative_mode == "fd"
     x = np.asarray(x, dtype=np.longdouble if fd else np.float64)
@@ -350,21 +350,22 @@ def _assemble(surface, u, v, order):
 
     With x_k = p_k(u) q_k(v), the components (uu, uv, vv) of g are
     sum_k A_k(u) B_k(v), A = (p'p', p'p, pp) and B = (qq, qq', q'q'), and
-    each partial differentiates A along u and B along v alone.  Summed in
-    fixed order node by node, a node's rows depend on no other node.  As in
-    `_axis_table`, overflow is left to `_nondegenerate` to name.
+    each partial differentiates A along u and B along v alone.  The table
+    rows that the rows of (g, dg, ddg) need are gathered on the axes, so one
+    broadcast pass sums every row's components over k, in fixed order node
+    by node: a node's rows depend on no other node.  One gather then places
+    them as g_ij in one (rows, 2, 2, *N) array.  As in `_axis_table`,
+    overflow is left to `_nondegenerate` to name.
     """
     u, v = _aligned(u, v)
-    a = _axis_table(surface, surface.maps.u_factors, u, order)
-    b = _axis_table(surface, surface.maps.v_factors, v, order)[:, ::-1]
-
-    def row(i, j):
-        comps = a[i, :, 0] * b[j, :, 0]
-        for k in range(1, a.shape[2]):
-            comps += a[i, :, k] * b[j, :, k]
-        return comps[[[0, 1], [1, 2]]]          # g_ij from the components (uu, uv, vv)
+    i, j = zip(*_ROWS[:(1, 3, 6)[order]])
+    a = _axis_table(surface, surface.maps.u_factors, u, order)[list(i)]
+    b = _axis_table(surface, surface.maps.v_factors, v, order)[:, ::-1][list(j)]
     with np.errstate(over="ignore", invalid="ignore"):
-        full = np.stack([row(i, j) for i, j in _ROWS[:(1, 3, 6)[order]]])   # (rows, 2, 2, *N)
+        comps = a[:, :, 0] * b[:, :, 0]         # (rows, 3, *N)
+        for k in range(1, a.shape[2]):
+            comps += a[:, :, k] * b[:, :, k]
+        full = comps[:, [[0, 1], [1, 2]]]       # g_ij from the components (uu, uv, vv)
         det = _det(full[0])
     g, dg, ddg = full[0], full[1:3] if order else None, full[3:] if order > 1 else None
     return g, dg, ddg, det

@@ -1,16 +1,21 @@
-"""Reference metric assemblies: g = J^T J at every node.
+"""Reference metric assemblies.
 
-These are the routes that ``surfaces._assemble`` replaced with its per-axis
-factor tables: the first fundamental form J^T J of the Jacobian, its exact
-jet by the product rule over the Jacobian's jet (analytic backend), and the
-4th-order long-double 2-D stencil of J^T J (fd backend), both node-last as
-``_assemble`` returns them.  Tests bound the factored assembly against
-them.
+``metric`` and its two routes are those that ``surfaces._assemble`` replaced
+with its per-axis factor tables: the first fundamental form J^T J of the
+Jacobian, its exact jet by the product rule over the Jacobian's jet
+(analytic backend), and the 4th-order long-double 2-D stencil of J^T J (fd
+backend), both node-last as ``_assemble`` returns them.  Tests bound the
+factored assembly against them.
+
+``assemble_by_rows`` is the factored assembly in its first form: each
+table's three factor products as three jet products, and each row of
+(g, dg, ddg) summed in a pass of its own, placed as g_ij by a copy, then
+stacked.  ``_assemble`` must give the same bits.
 """
 
 import numpy as np
 
-from bochner2d import _stencils
+from bochner2d import _jets, _stencils
 from bochner2d import surfaces as surf
 
 
@@ -64,3 +69,37 @@ def metric(surface, u, v, order):
     if surface.derivative_mode == "analytic":
         return analytic_metric(surface.maps, u, v, order)
     return fd_metric(surface.maps, u, v, order, surface.step)
+
+
+def axis_table_by_products(surface, factors, x, order):
+    """``surfaces._axis_table`` with each factor product a jet product of its own."""
+    def products(y):
+        f, df = factors(y)
+        return _jets.stack([df * df, df * f, f * f])
+
+    fd = surface.derivative_mode == "fd"
+    x = np.asarray(x, dtype=np.longdouble if fd else np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if order and not fd:
+            jet = products(_jets.variables(x, 0.0)[0])
+            return np.stack([jet.v, jet.d[0], jet.dd[0]])[:order + 1]
+        parts = (_stencils.along(products, x, surface.step, order) if order
+                 else [products(x)])
+        return np.asarray(np.stack(parts), dtype=np.float64)
+
+
+def assemble_by_rows(surface, u, v, order):
+    """(g, dg, ddg, det g) of ``surfaces._assemble``, one row at a time."""
+    u, v = surf._aligned(u, v)
+    a = axis_table_by_products(surface, surface.maps.u_factors, u, order)
+    b = axis_table_by_products(surface, surface.maps.v_factors, v, order)[:, ::-1]
+
+    def row(i, j):
+        comps = a[i, :, 0] * b[j, :, 0]
+        for k in range(1, a.shape[2]):
+            comps += a[i, :, k] * b[j, :, k]
+        return comps[[[0, 1], [1, 2]]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = np.stack([row(i, j) for i, j in surf._ROWS[:(1, 3, 6)[order]]])
+        det = surf._det(full[0])
+    return full[0], full[1:3] if order else None, full[3:] if order > 1 else None, det

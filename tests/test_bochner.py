@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bochner2d import _jets
 from bochner2d import bochner as bo
 from bochner2d import cli
 from bochner2d import operators as op
@@ -34,7 +35,7 @@ def guarded_grid(surface, nu=32, nv=32):
 def field_norm(surface, X, u, v):
     """Pointwise metric norm g(X, X)^(1/2)."""
     g = op._metric(surface, u, v, 0)
-    return np.sqrt(op._quadratic(g.v, X.jet(surface, u, v, 0, g).v))
+    return np.sqrt(op._quadratic(g.v, _jets.value(X.jet(surface, u, v, 0, g))))
 
 
 def divergence_scalar_field(surface, X, name=None):
@@ -196,6 +197,7 @@ class TestUnitFrameMatrix:
     def test_one_metric_assembly_and_the_companion_route(self, metric_assemblies, mode):
         # E comes from the batch's metric and T, bit for bit what
         # unit_frame_companion gives from its own assembly and T's values
+        # on it, one order-0 assembly
         for kind, params in (("torus", (2.0, 1.0)), ("sphere", (1.0,)),
                              ("clifford_torus", (1.0,)), ("ellipsoid", (1.0, 1.3, 0.7))):
             s = surf.make_surface(kind, params, mode=mode)
@@ -207,9 +209,11 @@ class TestUnitFrameMatrix:
                 del metric_assemblies[:]
                 m = bo.unit_frame_operator_matrix(s, T, U, V)
                 assert metric_assemblies == [1], (s.name, T.name)
-                batch = bo._NodeBatch.of(s, T, U, V, order=1)
+                del metric_assemblies[:]
                 e = np.moveaxis(bo.unit_frame_companion(s, T, U, V), -1, 0)
-                basis = np.stack([batch.x.v, e], axis=1)
+                assert metric_assemblies == [0], (s.name, T.name)
+                batch = bo._NodeBatch.of(s, T, U, V, order=1)
+                basis = np.stack([_jets.value(batch.x), e], axis=1)
                 a_cols = np.einsum("ki...,ij...->kj...", -batch.grad_x.v, basis)
                 want = np.einsum("ij...,ik...,kl...->jl...", basis, batch.g.v, a_cols)
                 assert np.array_equal(m, np.moveaxis(want, (0, 1), (-2, -1))), (s.name, T.name)
@@ -417,6 +421,45 @@ class TestBatchComposition:
         idx = np.array(order[:data.draw(st.integers(1, U.size))])
         part = bo._verify_pass(s, X, f, Y, U[idx], V[idx])
         assert np.array_equal(part, full[idx], equal_nan=True)
+
+
+def concatenated_failure_codes(n2, trace, floor, unit):
+    """`bochner._failure_codes` testing the unit jet's parts for finiteness as
+    one concatenated array."""
+    codes = np.zeros(np.shape(n2), dtype=np.int8)
+    codes[op._vanishes(n2, trace, floor)] = bo._ZERO_NORM
+    codes[~np.isfinite(n2)] = bo._NON_FINITE_NORM
+    if codes.size:
+        parts = [x.reshape((-1,) + codes.shape) for x in (unit.v, unit.d, unit.dd)
+                 if x is not None]
+        ok = codes == 0
+        if unit.d is not None:
+            codes[ok & (np.abs(parts[1]) > bo.PARTIAL_MAX).any(axis=0)] = bo._LARGE_PARTIAL
+        codes[ok & ~np.isfinite(np.concatenate(parts)).all(axis=0)] = bo._NON_FINITE_PARTIAL
+    return codes
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 2), st.sampled_from([(1,), (7,), (3, 4)]),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2 ** 16),
+                          st.sampled_from([np.nan, np.inf, -np.inf, 1e300])), max_size=8),
+       st.integers(0, 2 ** 32 - 1))
+def test_failure_codes_check_the_parts_one_by_one(order, nodes, bad, seed):
+    # the same codes as one finiteness test over the concatenated parts,
+    # with NaN, inf and large values at random parts and nodes, and zero
+    # or non-finite norms at others
+    rng = np.random.default_rng(seed)
+    parts = [rng.standard_normal((rows, 2) + nodes) for rows in (1, 2, 3)[:order + 1]]
+    parts[0] = parts[0][0]
+    for k, at, value in bad:
+        part = parts[min(k, order)].reshape(-1)
+        part[at % part.size] = value
+    n2 = rng.choice([0.0, 1.0, 2.5, np.nan, np.inf], size=nodes)
+    trace = rng.uniform(0.5, 2.0, nodes)
+    unit = _jets.Jet(*parts)
+    codes = bo._failure_codes(n2, trace, bo.ZERO_FLOOR, unit)
+    want = concatenated_failure_codes(n2, trace, bo.ZERO_FLOOR, unit)
+    assert codes.dtype == want.dtype and np.array_equal(codes, want)
 
 
 class TestFailureCodes:

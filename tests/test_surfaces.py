@@ -491,6 +491,34 @@ def test_factored_assembly_is_bounded_by_the_oracles(s, exponent, mode, step, la
                 assert np.array_equal(sub, rows[..., idx]), (s.name, order)
 
 
+_ORACLE_LAYOUTS = {"scalar": ((), ()), "lone node": ((1,), (1,)), "flat": ((9,), (9,)),
+                   "axes": ((5, 1), (1, 7))}
+
+
+@settings(max_examples=80)
+@given(st.one_of(_surfaces(), st.sampled_from([surf.sphere(1e-40), surf.torus(1e200, 1e199)])),
+       st.sampled_from(("analytic", "fd")), st.sampled_from(sorted(_ORACLE_LAYOUTS)),
+       st.integers(0, 2 ** 32 - 1))
+def test_assembly_is_the_per_row_assembly_bit_for_bit(s, mode, layout, seed):
+    # one broadcast pass over all rows, and one jet product of two stacks
+    # per axis table, sum in the per-row oracle's order: same shapes, dtypes
+    # and bytes, also where the metric underflows or overflows
+    s = surf.make_surface(s.name.split("(")[0], s.params.values(), mode=mode)
+    rng = np.random.default_rng(seed)
+    rect = s.chart_rect
+    u = rng.uniform(rect.u0, rect.u1, _ORACLE_LAYOUTS[layout][0])
+    v = rng.uniform(rect.v0, rect.v1, _ORACLE_LAYOUTS[layout][1])
+    for order in (0, 1, 2):
+        mine = surf._assemble(s, u, v, order)
+        ref = metric_oracle.assemble_by_rows(s, u, v, order)
+        for x, y in zip(mine, ref):
+            if y is None:
+                assert x is None
+                continue
+            assert (x.shape, x.dtype) == (y.shape, y.dtype), (s.name, order)
+            assert x.tobytes() == y.tobytes(), (s.name, order)
+
+
 def test_periodic_edges_identified(all_surfaces):
     for s in all_surfaces:
         rect = s.chart_rect
