@@ -28,8 +28,11 @@ of degree layer t, so layer t+1 is the concatenation over j of x_j times that
 suffix: one contiguous multiply per entry, with no power tables or gathers.
 Every cap bounds a pure power, and the suffix is ordered by descending x_j
 exponent, so within the caps the part whose x_j exponent is below cap_j is
-again a suffix, and a capped layer is built the same way.  The exponent
-rows come from the same recursion.
+again a suffix, and a capped layer is built the same way.  One cached table
+entry per layer (``_layer``) holds its exponent rows and the (j, k) pairs
+that build the next layer, each suffix length k counted on those rows:
+``monomial_exponents`` concatenates the rows, and ``_monomial_layers``
+multiplies points by the pairs.
 
 Layout.  As in the derivative pipeline (see ``_jets``), the private arrays
 keep the nodes as their trailing, contiguous axis: points enter the layers
@@ -67,6 +70,7 @@ at about 1.5 MB, most of it two K x K matrices.  ``evaluate_polynomial_field``
 holds two degree layers of one EVAL_CHUNK block of its points at a time.
 """
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
@@ -89,7 +93,7 @@ EVAL_CHUNK = 8192          # nodes per block when streaming large point sets
 class AmbientFieldSamples:
     """Unit ambient tangent samples of a field on a chart grid."""
     surface: object
-    field: object              # source TangentField, kept for denser resampling
+    field: object              # source TangentField
     grid_shape: tuple
     chart_u: np.ndarray
     chart_v: np.ndarray
@@ -142,56 +146,54 @@ def _axis_caps(ambient_dim, caps):
     return (None,) * ambient_dim if caps is None else tuple(caps)
 
 
-@lru_cache(maxsize=None)
-def _suffix_counts(caps, t):
-    """counts[j], j = 0..n: how many degree-t monomials of x_j..x_{n-1} are within caps."""
-    counts = [int(t == 0)]
-    for j in reversed(range(len(caps))):
-        top = t if caps[j] is None else min(t, caps[j])
-        counts.insert(0, counts[0] + sum(_suffix_counts(caps, t - e)[j + 1]
-                                         for e in range(1, top + 1)))
-    return tuple(counts)        # cached, so shared: immutable
+def _cap_limits(caps):
+    """The per-axis caps as an array, inf for an uncapped axis."""
+    return np.array([np.inf if c is None else c for c in caps])
 
 
 def _within_caps(exponents, caps):
     """Boolean mask of the exponent rows within the per-axis caps."""
-    caps = _axis_caps(exponents.shape[1], caps)
-    limit = np.array([np.inf if c is None else c for c in caps])
-    return np.all(exponents <= limit, axis=1)
+    return np.all(exponents <= _cap_limits(_axis_caps(exponents.shape[1], caps)), axis=1)
 
 
-def _layer_sources(ambient_dim, t, caps=None):
-    """(j, k) pairs building layer t+1: x_j times the last k entries of layer t.
+@lru_cache(maxsize=None)
+def _layer(ambient_dim, t, caps):
+    """Degree layer t of the capped graded-lex basis: (rows, sources).
 
-    Those k entries are the monomials of layer t free of x_0..x_{j-1} whose
-    x_j exponent is below cap_j; pairs with k = 0 are left out.
+    rows are its exponent rows, read-only because the cache shares them.
+    sources are the (j, k) pairs that build layer t+1 as x_j times the last
+    k rows, k counted on the rows: those free of x_0..x_{j-1} whose x_j
+    exponent is below cap_j, a suffix of the layer (see the module
+    docstring); pairs with k = 0 are left out.  caps has one entry per axis.
+    Layer t reads layer t-1 from the cache, so callers go through
+    ``_layers``, which builds them bottom-up.
     """
+    if t == 0:
+        rows = np.zeros((1, ambient_dim), dtype=int)
+    else:
+        prev, sources = _layer(ambient_dim, t - 1, caps)
+        unit = np.eye(ambient_dim, dtype=int)
+        # prev[:0] keeps the shape of a layer that the caps empty
+        rows = np.concatenate([prev[:0], *(prev[-k:] + unit[j] for j, k in sources)])
+    rows.flags.writeable = False
+    lead = np.cumsum(rows, axis=1) - rows       # the degree in x_0..x_{j-1}, per row and j
+    counts = np.count_nonzero((lead == 0) & (rows < _cap_limits(caps)), axis=0)
+    return rows, tuple((j, int(k)) for j, k in enumerate(counts) if k)
+
+
+def _layers(ambient_dim, degree, caps):
+    """The cached (rows, sources) of layers 0..degree, built bottom-up."""
     caps = _axis_caps(ambient_dim, caps)
-    counts = _suffix_counts(caps, t)
-    sources = []
-    for j, cap in enumerate(caps):
-        # those at exactly x_j^cap are the degree t - cap monomials of x_{j+1}..
-        at_cap = 0 if cap is None or cap > t else _suffix_counts(caps, t - cap)[j + 1]
-        if counts[j] > at_cap:
-            sources.append((j, counts[j] - at_cap))
-    return sources
+    return [_layer(ambient_dim, t, caps) for t in range(degree + 1)]
 
 
 def monomial_exponents(ambient_dim, degree, caps=None):
-    """Exponent rows in graded lexicographic order, those within the caps."""
-    if degree < 0:
-        return np.zeros((0, ambient_dim), dtype=int)
-    layer = np.zeros((1, ambient_dim), dtype=int)
-    layers = [layer]
-    for t in range(degree):
-        parts = [np.zeros((0, ambient_dim), dtype=int)]     # the caps may empty a layer
-        for j, k in _layer_sources(ambient_dim, t, caps):
-            part = layer[-k:].copy()
-            part[:, j] += 1
-            parts.append(part)
-        layer = np.concatenate(parts)
-        layers.append(layer)
-    return np.concatenate(layers)
+    """Exponent rows in graded lexicographic order, those within the caps.
+
+    A fresh array: the cached rows of each layer, concatenated.
+    """
+    return np.concatenate([np.zeros((0, ambient_dim), dtype=int)]
+                          + [rows for rows, _ in _layers(ambient_dim, degree, caps)])
 
 
 def _monomial_layers(points, degree, caps=None):
@@ -206,8 +208,7 @@ def _monomial_layers(points, degree, caps=None):
     n, m = points.shape
     layer = np.ones((1, m))
     yield layer
-    for t in range(degree):
-        sources = _layer_sources(n, t, caps)
+    for _, sources in _layers(n, degree - 1, caps):
         nxt = np.empty((sum(k for _, k in sources), m))
         row = 0
         for j, k in sources:
@@ -240,25 +241,28 @@ def evaluate_polynomial_field(poly, points):
     return out.T
 
 
-def sample_unit_field(surface, X, grid, floor=SAMPLE_FLOOR):
+def sample_unit_field(surface, X, grid):
     """Euclidean-unit ambient samples of a tangent field on a grid.
 
     The chart coefficients are pushed forward through the embedding Jacobian
     and normalized by their ambient norm; the input field is only evaluated,
     never differentiated.  Raises ZeroFieldPointError when the ambient norm
-    falls below `floor` relative to the chart's scale (the rule of
+    falls below SAMPLE_FLOOR relative to the chart's scale (the rule of
     `operators._vanishes`, with |J X|^2 = g(X, X) and |J|_F^2 = tr g) or is
-    not finite anywhere on the grid.
+    not finite anywhere on the grid; a field that divides by zero or
+    overflows there is named by that error, not warned about.  The
+    positions are the embedding on the grid's axes.
     """
     U, V = grid.U, grid.V
     u, v = grid.u_nodes[:, None], grid.v_nodes[None, :]
     jac = surface.maps.d1(u, v)                       # (n, 2, nu, nv)
-    coeff = np.asarray(X.coeff(U, V), dtype=float)    # (nu, nv, 2)
-    with np.errstate(over="ignore"):      # an overflowing norm is flagged below
+    # a non-finite or overflowing coefficient or norm is flagged below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        coeff = np.asarray(X.coeff(U, V), dtype=float)    # (nu, nv, 2)
         ambient = jac[:, 0] * coeff[..., 0] + jac[:, 1] * coeff[..., 1]
         # |J X|^2 = g(X, X) and |J|_F^2 = tr g
         n2 = _square_sum(ambient)
-        zero = _vanishes(n2, _square_sum(jac.reshape(-1, *U.shape)), floor)
+        zero = _vanishes(n2, _square_sum(jac.reshape(-1, *U.shape)), SAMPLE_FLOOR)
     norms = np.sqrt(n2)
     finite = np.isfinite(norms)
     bad = ~finite | zero                  # a NaN or inf norm is no usable node
@@ -269,29 +273,19 @@ def sample_unit_field(surface, X, grid, floor=SAMPLE_FLOOR):
         n_low = int(np.count_nonzero(bad)) - n_nan
         counts = []
         if n_low:
-            counts.append(f"ambient norm below {floor:g} at {n_low} grid node(s)")
+            counts.append(f"ambient norm below {SAMPLE_FLOOR:g} at {n_low} grid node(s)")
         if n_nan:
             counts.append(f"a non-finite ambient norm at {n_nan} grid node(s)")
         raise ZeroFieldPointError(f"field {X.name!r} has {' and '.join(counts)}",
                                   points=pts)
     ambient /= norms
-    # the outer product of the embedding's factors on the two axes: node
-    # (i, j) is p(u_i) q(v_j), to the bit what `embed` gives there
-    p, q = (factors(x)[0] for factors, x in ((surface.maps.u_factors, grid.u_nodes),
-                                              (surface.maps.v_factors, grid.v_nodes)))
-    positions = p[:, :, None] * q[:, None, :]                  # (n, nu, nv)
+    positions = surface.maps.embed(u, v)                        # (n, nu, nv)
     n, m = surface.ambient_dim, U.size
     return AmbientFieldSamples(
         surface=surface, field=X, grid_shape=(grid.nu, grid.nv),
         chart_u=U.reshape(m), chart_v=V.reshape(m),
         positions=positions.reshape(n, m).T, values=ambient.reshape(n, m).T,
         axes=(grid.u_nodes, grid.v_nodes))
-
-
-def _dense_resample(samples, factor=VERIFY_FACTOR):
-    nu, nv = samples.grid_shape
-    grid = chart_grid(samples.surface, factor * nu, factor * nv)
-    return sample_unit_field(samples.surface, samples.field, grid)
 
 
 def _axis_layers(samples, degree, caps):
@@ -371,9 +365,10 @@ def _sup_error(pred, values):
     return float(np.sqrt(np.max(_square_sum(diff))))
 
 
-def _fit_and_verify(samples, degree, verify_samples=None):
+def _fit_and_verify(samples, degree, verify_samples):
     """Least-squares polynomial per ambient component, sup error sampled.
 
+    The fit is on `samples`' grid, the sup error on `verify_samples`' grid.
     The normal equations of the column-scaled monomial basis are solved by
     eigendecomposition with relative cutoff RCOND_CUTOFF; directions below
     the cutoff are discarded (minimum-norm solution).  RankDeficientFitError
@@ -386,8 +381,6 @@ def _fit_and_verify(samples, degree, verify_samples=None):
     if degree < 0:
         raise ValueError("degree must be >= 0")
     kept, rcond = _fit(samples, degree)
-    if verify_samples is None:
-        verify_samples = _dense_resample(samples)
     n = samples.surface.ambient_dim
     caps = samples.surface.monomial_caps
     exponents = monomial_exponents(n, degree)
@@ -467,25 +460,24 @@ def chart_coefficients_field(surface, poly, name="smoothed"):
     return TangentField(coeff, name=name)
 
 
-def smooth_field(surface, X, max_degree=16, fit_grid=(64, 64), verify_grid=None,
-                 floor=SAMPLE_FLOOR):
+def smooth_field(surface, X, max_degree=16, fit_grid=(64, 64)):
     """Escalate polynomial degree until the vector sup error is under 1/2.
 
     Degrees 2, 4, ... up to max_degree are tried on the fit grid; each fit's
-    sup error is sampled on the verification grid (VERIFY_FACTOR x denser per axis by
-    default).  Returns (SmoothedFieldReport, smooth TangentField, poly).
-    Raises DegenerateMetricError where the fit grid's metric is degenerate,
-    after the samples' own checks and before any fit; and BudgetNotMetError,
+    sup error is sampled on the verification grid, VERIFY_FACTOR x denser
+    per axis.  Both grids are sampled by `sample_unit_field`, so a zero or
+    non-finite node of either raises ZeroFieldPointError.  Returns
+    (SmoothedFieldReport, smooth TangentField, poly).  Raises
+    DegenerateMetricError where the fit grid's metric is degenerate, after
+    the samples' own checks and before any fit; and BudgetNotMetError,
     carrying the report of the best attempt, when no tried degree meets the
     budget.
     """
     nu, nv = fit_grid
-    if verify_grid is None:
-        verify_grid = (VERIFY_FACTOR * nu, VERIFY_FACTOR * nv)
     grid = chart_grid(surface, nu, nv)
-    fit_samples = sample_unit_field(surface, X, grid, floor)
-    verify_samples = sample_unit_field(surface, X,
-                                       chart_grid(surface, *verify_grid), floor)
+    fit_samples = sample_unit_field(surface, X, grid)
+    verify_samples = sample_unit_field(
+        surface, X, chart_grid(surface, VERIFY_FACTOR * nu, VERIFY_FACTOR * nv))
     u, v = grid.u_nodes[:, None], grid.v_nodes[None, :]
     g, _, _, det = surf._assemble(surface, u, v, 0)
     surf._require_nondegenerate(surface, g, det, u, v)
@@ -571,9 +563,10 @@ def read_coefficient_file(path):
         rows = [np.array([float(t) for t in fh.readline().split()])
                 for _ in range(ncomp)]
     coeff = np.vstack(rows)
-    exps = monomial_exponents(n, degree)
-    if coeff.shape != (ncomp, nterms) or exps.shape[0] != nterms:
+    # checked before the basis is built: its layers stay cached
+    if coeff.shape != (ncomp, nterms) or math.comb(n + degree, n) != nterms:
         raise ValueError("coefficient file is inconsistent with its header")
+    exps = monomial_exponents(n, degree)
     return PolynomialField(ambient_dim=n, degree=degree, exponents=exps,
                            coefficients=coeff, sup_error=np.nan,
                            fit_grid=(), verify_grid=(), rcond=np.nan,

@@ -272,7 +272,8 @@ def render_report(report, fmt):
         rows.append(f"chi,rounded,,,{_csv_float(report['chi']['rounded'])}")
     if "smoothing" in report:
         for key in ("final_degree", "sup_error", "min_tangential_norm"):
-            rows.append(f"smoothing,{key},,,{report['smoothing'][key]}")
+            val = report["smoothing"][key]
+            rows.append(f"smoothing,{key},,,{'nan' if val is None else val}")
     return "\n".join(rows) + "\n"
 
 

@@ -137,15 +137,15 @@ class ScalarField:
         return np.asarray(self.value(u, v), dtype=float)
 
 
-def _derived(jet, name, kind=TangentField):
-    """A field whose values and partials all come from `jet`.
+def _derived(jet, name):
+    """A tangent field whose values and partials all come from `jet`.
 
     Values need no surface: only partials depend on the backend.  They are
     returned in the public layout, coefficient axis trailing.
     """
-    rank = int(kind is TangentField)
-    return kind(lambda u, v: _jets.value_last(_jets.value(jet(None, u, v, 0, None)), rank),
-                name=name, jet=jet)
+    return TangentField(
+        lambda u, v: _jets.value_last(_jets.value(jet(None, u, v, 0, None)), 1),
+        name=name, jet=jet)
 
 
 def coordinate_field(axis, name=None):
@@ -355,14 +355,14 @@ def _unit_deviation(g, a):
     return np.abs(_quadratic(g, a) - 1.0)
 
 
-def _not_unit_message(name, worst, tol=UNIT_TOL):
-    return f"field {name!r} is not unit: max |g(T,T)-1| = {worst:.3e} > {tol:g}"
+def _not_unit_message(name, worst):
+    return f"field {name!r} is not unit: max |g(T,T)-1| = {worst:.3e} > {UNIT_TOL:g}"
 
 
-def _check_unit(g, a, name, tol=UNIT_TOL):
+def _check_unit(g, a, name):
     worst = float(np.max(_unit_deviation(g, a), initial=0.0))   # 0 with no nodes
-    if not worst <= tol:        # a NaN deviation is no unit field either
-        raise NotUnitFieldError(_not_unit_message(name, worst, tol))
+    if not worst <= UNIT_TOL:   # a NaN deviation is no unit field either
+        raise NotUnitFieldError(_not_unit_message(name, worst))
 
 
 def ricci_residual_at(surface, X, Y, u, v):

@@ -456,14 +456,14 @@ def chart_grid(surface, nu, nv):
                         U=U, V=V, weights=weights, rule=rule)
 
 
-def guarded_mask(surface, u, v, band=GUARD_BAND):
-    """Boolean mask of points clear of non-periodic chart ends by `band`."""
+def guarded_mask(surface, u, v):
+    """Boolean mask of points clear of non-periodic chart ends by GUARD_BAND."""
     rect = surface.chart_rect
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     mask = np.ones(np.broadcast(u, v).shape, dtype=bool)
     if not rect.periodic_u:
-        mask &= (u >= rect.u0 + band) & (u <= rect.u1 - band)
+        mask &= (u >= rect.u0 + GUARD_BAND) & (u <= rect.u1 - GUARD_BAND)
     if not rect.periodic_v:
-        mask &= (v >= rect.v0 + band) & (v <= rect.v1 - band)
+        mask &= (v >= rect.v0 + GUARD_BAND) & (v <= rect.v1 - GUARD_BAND)
     return mask

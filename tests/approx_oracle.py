@@ -1,9 +1,12 @@
-"""Reference polynomial evaluation and fit: fresh arrays, node by node.
+"""Reference polynomial basis, evaluation and fit: fresh arrays, node by node.
 
-``evaluate_polynomial_field`` builds its layers by its own copy of the
-recursion: the multiplies, the per-layer matmuls and their order are those
-of ``approx.evaluate_polynomial_field``, so tests compare the package with
-it bit for bit.  ``fit_and_verify`` is the flat fit that
+``layer_sources`` counts the (j, k) pairs that build each degree layer by a
+combinatorial recursion over the caps, independent of the exponent rows
+from which ``approx._layer`` counts them; ``monomial_exponents`` builds the
+rows from those pairs.  ``evaluate_polynomial_field`` builds its layers
+from those pairs too: the multiplies, the per-layer matmuls and their order
+are those of ``approx.evaluate_polynomial_field``, so tests compare the
+package with it bit for bit.  ``fit_and_verify`` is the flat fit that
 ``approx._fit`` replaced: ``normal_system`` builds the (K, m) basis on the
 fit grid's positions and its scaled gram node by node, where the package
 builds it from the grid's two axes, so tests compare the two by measured
@@ -17,11 +20,57 @@ route, from powers of each coordinate, for tolerance checks.
 """
 
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
 from bochner2d import approx as ap
 from bochner2d.errors import RankDeficientFitError
+
+
+@lru_cache(maxsize=None)
+def suffix_counts(caps, t):
+    """counts[j], j = 0..n: how many degree-t monomials of x_j..x_{n-1} are within caps."""
+    counts = [int(t == 0)]
+    for j in reversed(range(len(caps))):
+        top = t if caps[j] is None else min(t, caps[j])
+        counts.insert(0, counts[0] + sum(suffix_counts(caps, t - e)[j + 1]
+                                         for e in range(1, top + 1)))
+    return tuple(counts)        # cached, so shared: immutable
+
+
+def layer_sources(ambient_dim, t, caps=None):
+    """(j, k) pairs building layer t+1: x_j times the last k entries of layer t.
+
+    Those k entries are the monomials of layer t free of x_0..x_{j-1} whose
+    x_j exponent is below cap_j; pairs with k = 0 are left out.
+    """
+    caps = ap._axis_caps(ambient_dim, caps)
+    counts = suffix_counts(caps, t)
+    sources = []
+    for j, cap in enumerate(caps):
+        # those at exactly x_j^cap are the degree t - cap monomials of x_{j+1}..
+        at_cap = 0 if cap is None or cap > t else suffix_counts(caps, t - cap)[j + 1]
+        if counts[j] > at_cap:
+            sources.append((j, counts[j] - at_cap))
+    return sources
+
+
+def monomial_exponents(ambient_dim, degree, caps=None):
+    """Exponent rows in graded lexicographic order, within the caps, from the pairs."""
+    if degree < 0:
+        return np.zeros((0, ambient_dim), dtype=int)
+    layer = np.zeros((1, ambient_dim), dtype=int)
+    layers = [layer]
+    for t in range(degree):
+        parts = [np.zeros((0, ambient_dim), dtype=int)]     # the caps may empty a layer
+        for j, k in layer_sources(ambient_dim, t, caps):
+            part = layer[-k:].copy()
+            part[:, j] += 1
+            parts.append(part)
+        layer = np.concatenate(parts)
+        layers.append(layer)
+    return np.concatenate(layers)
 
 
 def monomial_layers(points, degree, caps=None):
@@ -33,7 +82,7 @@ def monomial_layers(points, degree, caps=None):
     layer = np.ones((1, m))
     yield layer
     for t in range(degree):
-        sources = ap._layer_sources(n, t, caps)
+        sources = layer_sources(n, t, caps)
         nxt = np.empty((sum(k for _, k in sources), m))
         row = 0
         for j, k in sources:
@@ -94,7 +143,7 @@ def normal_system(samples, degree):
     return A, b, scale
 
 
-def fit_and_verify(samples, degree, verify_samples=None):
+def fit_and_verify(samples, degree, verify_samples):
     """The fit on the flat grid and its prediction on the verify grid, in one frame."""
     if samples.positions.shape[0] == 0:
         raise RankDeficientFitError("no samples to fit")
@@ -116,8 +165,6 @@ def fit_and_verify(samples, degree, verify_samples=None):
                                                          / scale[:, None]).T
     rcond = float(max(w[0], 0.0) / wmax)
 
-    if verify_samples is None:
-        verify_samples = ap._dense_resample(samples)
     poly = ap.PolynomialField(
         ambient_dim=n, degree=degree, exponents=exponents,
         coefficients=coefficients, sup_error=np.nan,

@@ -32,6 +32,14 @@ from bochner2d.errors import (
 import approx_oracle
 
 
+def _dense(samples):
+    """The samples' field on a grid VERIFY_FACTOR x denser per axis, the grid
+    on which `smooth_field` verifies a fit on theirs."""
+    S, (nu, nv) = samples.surface, samples.grid_shape
+    grid = surf.chart_grid(S, ap.VERIFY_FACTOR * nu, ap.VERIFY_FACTOR * nv)
+    return ap.sample_unit_field(S, samples.field, grid)
+
+
 class TestSampling:
     def test_torus_pushforward_values(self, torus21):
         grid = surf.chart_grid(torus21, 16, 16)
@@ -174,6 +182,35 @@ class TestMonomials:
         full = ap.monomial_exponents(n, degree)     # graded lex, tested above
         capped = ap.monomial_exponents(n, degree, caps)
         np.testing.assert_array_equal(capped, full[_within(full, caps)])
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, 16), _caps(n))))
+    def test_layer_table_matches_the_count_recursion(self, case):
+        # the pairs counted on the cached rows are those of the combinatorial
+        # count, and the rows those its pairs build
+        n, degree, caps = case
+        layers = ap._layers(n, degree, caps)
+        assert len(layers) == degree + 1
+        for t, (_, sources) in enumerate(layers):
+            assert list(sources) == approx_oracle.layer_sources(n, t, caps)
+        np.testing.assert_array_equal(np.concatenate([rows for rows, _ in layers]),
+                                      approx_oracle.monomial_exponents(n, degree, caps))
+
+    def test_deep_basis_recurses_one_layer_at_a_time(self):
+        exps = ap.monomial_exponents(1, 5000)
+        assert exps.shape == (5001, 1) and exps[-1, 0] == 5000
+
+    def test_cached_rows_are_read_only_and_exponents_fresh(self):
+        rows = ap._layers(3, 4, (1, None, 2))[4][0]
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 7
+        exps = ap.monomial_exponents(3, 4, (1, None, 2))
+        assert exps.flags.writeable and exps.flags.owndata
+        exps[:] = -1
+        assert np.array_equal(ap.monomial_exponents(3, 4, (1, None, 2)),
+                              approx_oracle.monomial_exponents(3, 4, (1, None, 2)))
 
     @settings(max_examples=15)
     @given(st.sampled_from(["sphere", "ellipsoid", "clifford_torus"]),
@@ -411,13 +448,13 @@ class TestFit:
         # the unit field of d/du is degree-1 in ambient coordinates
         samples = ap.sample_unit_field(clifford1, op.coordinate_field(0),
                                        surf.chart_grid(clifford1, 16, 16))
-        poly = ap._fit_and_verify(samples, 2)[0]
+        poly = ap._fit_and_verify(samples, 2, _dense(samples))[0]
         assert poly.sup_error < 1e-8
 
     def test_degree_zero_has_positive_error(self, clifford1):
         samples = ap.sample_unit_field(clifford1, op.coordinate_field(0),
                                        surf.chart_grid(clifford1, 16, 16))
-        poly = ap._fit_and_verify(samples, 0)[0]
+        poly = ap._fit_and_verify(samples, 0, _dense(samples))[0]
         assert poly.sup_error > 0.5
 
     def test_degree_ten_on_torus_stays_stable(self, torus21):
@@ -425,17 +462,10 @@ class TestFit:
         # truncated solve must digest that and still certify the budget
         samples = ap.sample_unit_field(torus21, kinked_mixture_field(),
                                        surf.chart_grid(torus21, 64, 64))
-        poly = ap._fit_and_verify(samples, 10)[0]
+        poly = ap._fit_and_verify(samples, 10, _dense(samples))[0]
         assert poly.rcond < 1e-10
         assert poly.sup_error < 0.5
         assert np.all(np.isfinite(poly.coefficients))
-
-    def test_verify_grid_default_density(self, clifford1):
-        samples = ap.sample_unit_field(clifford1, op.coordinate_field(0),
-                                       surf.chart_grid(clifford1, 8, 8))
-        poly = ap._fit_and_verify(samples, 2)[0]
-        assert poly.fit_grid == (8, 8)
-        assert poly.verify_grid == (32, 32)
 
     def test_rank_deficient_error_on_bad_data(self, clifford1):
         # the fit reads the grid's axes and the values, not the positions
@@ -459,7 +489,7 @@ class TestFit:
         S, X = _case(surface, field)
         degrees = ap.smooth_field(S, X, fit_grid=grid)[0].degrees_tried
         fit = ap.sample_unit_field(S, X, surf.chart_grid(S, *grid))
-        verify = ap._dense_resample(fit)
+        verify = _dense(fit)
         assert verify.values.T.flags.c_contiguous
         for degree in degrees:
             poly, pred = ap._fit_and_verify(fit, degree, verify)
@@ -594,7 +624,7 @@ class TestProjection:
     def test_polynomial_projection_wrapper(self, clifford1):
         samples = ap.sample_unit_field(clifford1, op.coordinate_field(0),
                                        surf.chart_grid(clifford1, 8, 8))
-        poly = ap._fit_and_verify(samples, 2)[0]
+        poly = ap._fit_and_verify(samples, 2, _dense(samples))[0]
         jac = clifford1.jacobian(0.4, 1.2)
         out = jac @ ap.chart_coefficients_field(clifford1, poly).coeff(0.4, 1.2)
         expected = samples.field.coeff(0.4, 1.2)  # du has unit pushforward here
@@ -618,6 +648,12 @@ class TestSmoothField:
         assert rep.sup_error < 0.5
         assert rep.min_tangential_norm > 0.5
         assert poly.verify_grid == (256, 256)
+
+    def test_verify_grid_density(self, clifford1):
+        poly = ap.smooth_field(clifford1, op.coordinate_field(0), max_degree=2,
+                               fit_grid=(8, 8))[2]
+        assert poly.fit_grid == (8, 8)
+        assert poly.verify_grid == (32, 32)
 
     def test_budget_not_met_when_no_degrees(self, torus21):
         with pytest.raises(BudgetNotMetError) as exc:
@@ -692,7 +728,7 @@ class TestCoefficientFile:
     def test_round_trip(self, clifford1, tmp_path):
         samples = ap.sample_unit_field(clifford1, op.coordinate_field(0),
                                        surf.chart_grid(clifford1, 8, 8))
-        poly = ap._fit_and_verify(samples, 2)[0]
+        poly = ap._fit_and_verify(samples, 2, _dense(samples))[0]
         path = tmp_path / "coeffs.txt"
         ap.write_coefficient_file(poly, path)
         text = path.read_text().splitlines()
@@ -706,7 +742,7 @@ class TestCoefficientFile:
     def test_capped_fit_writes_every_graded_lex_term(self, clifford1, tmp_path):
         X = expression_field("1", "3.5*sin(2*u+0.7)*cos(3*v+2.1)")
         samples = ap.sample_unit_field(clifford1, X, surf.chart_grid(clifford1, 12, 12))
-        poly = ap._fit_and_verify(samples, 4)[0]
+        poly = ap._fit_and_verify(samples, 4, _dense(samples))[0]
         outside = (poly.exponents[:, 0] > 1) | (poly.exponents[:, 2] > 1)
         assert poly.caps == clifford1.monomial_caps == (1, None, 1, None)
         assert poly.coefficients.shape == (4, comb(8, 4))
@@ -739,7 +775,7 @@ class TestCoefficientFile:
     def test_torus_file_stays_uncapped(self, torus21, tmp_path):
         samples = ap.sample_unit_field(torus21, kinked_mixture_field(),
                                        surf.chart_grid(torus21, 16, 16))
-        poly = ap._fit_and_verify(samples, 4)[0]
+        poly = ap._fit_and_verify(samples, 4, _dense(samples))[0]
         path = tmp_path / "t.txt"
         ap.write_coefficient_file(poly, path)
         assert poly.caps is None and ap.read_coefficient_file(path).caps is None
@@ -780,6 +816,17 @@ class TestCoefficientFile:
             ap.PolynomialField(coefficients=coeff, caps=(1, None, None), **fields)
         ap.PolynomialField(coefficients=coeff, caps=(2, None, None), **fields)
         ap.PolynomialField(coefficients=coeff, **fields)
+
+    def test_header_is_checked_before_the_basis_is_built(self, tmp_path):
+        # a degree that disagrees with the term count would otherwise fill
+        # the layer cache with a basis of C(100004, 4) rows
+        path = tmp_path / "c.txt"
+        path.write_text("ambient_dim 4\ndegree 100000\nmonomial_ordering "
+                        "graded-lexicographic\ncomponents 1\nterms 3\n1 2 3\n")
+        cached = ap._layer.cache_info().currsize
+        with pytest.raises(ValueError, match="inconsistent with its header"):
+            ap.read_coefficient_file(path)
+        assert ap._layer.cache_info().currsize == cached
 
     def test_seventeen_digit_precision(self, tmp_path):
         poly = ap.PolynomialField(

@@ -44,7 +44,8 @@ def divergence_scalar_field(surface, X, name=None):
         g = op._metric(surface, u, v, order + 1, g)
         return op._divergence(X.jet(surface, u, v, order + 1, g), op._levi_civita(g)[1])
 
-    return op._derived(jet, name or f"div({X.name})", op.ScalarField)
+    return op.ScalarField(lambda u, v: _jets.value(jet(None, u, v, 0, None)),
+                          name=name or f"div({X.name})", jet=jet)
 
 
 def self_covariant_derivative(surface, T):

@@ -362,16 +362,27 @@ class TestSmooth:
         assert len(sm["sup_errors"]) == 2
         assert sm["sup_error"] == min(sm["sup_errors"]) >= 0.5
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_field_is_a_zero_field_point(self, capsys):
-        # u/u is 0/0 on the grid line u = 0
-        status = cli.main(["smooth", "--surface", "torus:2,1", "--field", "u/u,1",
-                           "--grid", "16x16"])
+    @pytest.mark.parametrize("field,grid,nodes", [("u/u,1", "16x16", 16),
+                                                  ("1/sin(u),1", "8x8", 8)],
+                             ids=["zero-over-zero", "one-over-zero"])
+    def test_non_finite_field_is_a_zero_field_point(self, capsys, field, grid, nodes):
+        # 0/0 and 1/0 on the grid line u = 0: named once, with no warning
+        status = cli.main(["smooth", "--surface", "torus:2,1", "--field", field,
+                           "--grid", grid])
         captured = capsys.readouterr()
         assert status == 1
         assert captured.out == ""
-        assert captured.err.startswith("zero-field-point:")
-        assert "non-finite ambient norm at 16 grid node(s)" in captured.err
+        assert captured.err == (f"zero-field-point: field 'expr({field})' has a "
+                                f"non-finite ambient norm at {nodes} grid node(s)\n")
+
+    def test_csv_renders_a_null_sup_error_as_nan(self, capsys):
+        status, out = run_cli(capsys, "smooth", "--surface", "torus:2,1", "--field",
+                              "kinked", "--grid", "8x8", "--max-degree", "0",
+                              "--format", "csv")
+        assert status == 1
+        assert out.splitlines()[1:] == ["smoothing,final_degree,,,-1",
+                                        "smoothing,sup_error,,,nan",
+                                        "smoothing,min_tangential_norm,,,0.0"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_norm_is_a_zero_field_point(self, capsys):

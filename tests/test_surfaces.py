@@ -642,7 +642,10 @@ def test_fd_metric_rows_do_not_depend_on_the_batch(s, step, order, n, data):
 
 
 def test_guarded_mask(sphere1, torus21):
-    g = surf.chart_grid(sphere1, 16, 16)
-    mask = surf.guarded_mask(sphere1, g.U, g.V, band=0.3)
-    assert np.all(g.U[mask] >= 0.3) and np.all(g.U[mask] <= np.pi - 0.3)
-    assert np.all(surf.guarded_mask(torus21, g.U, g.V))
+    # GUARD_BAND off each end of the sphere's u range, edges kept; the
+    # torus has no ends
+    band = surf.GUARD_BAND
+    u = np.array([0.0, 0.5 * band, band, 1.0, np.pi - band, np.pi - 0.5 * band, np.pi])
+    assert surf.guarded_mask(sphere1, u, 0.3).tolist() == [False, False, True, True,
+                                                            True, False, False]
+    assert np.all(surf.guarded_mask(torus21, u, 0.3))

@@ -13,12 +13,18 @@ command in-process through ``cli.main``:
 * ``verify``, ``gauss-bonnet`` and ``smooth`` at 16x16 on each of
   DEGENERATE_INPUTS, on both backends.
 
+Each ``smooth`` command also runs with ``--coeff-out`` into a temporary
+directory of the tree, so that the coefficient file is compared too.
+
 A command's payload is its stdout without the report's ``timings`` section,
-its stderr, with the tree's own ``src`` path replaced by ``<src>`` in
-warning lines, and its exit code.  Every command starts with fresh warning
-registries, so a warning prints as it would in a fresh process.  The script
-prints each command whose payload differs, with the largest float
-difference per report key, and exits 1 if any differs, else 0.
+its stderr, its exit code and the text of the coefficient file it wrote, if
+any.  In stdout and stderr the tree's own ``src`` path is replaced by
+``<src>`` (warning lines name it) and its temporary directory by ``<tmp>``
+(the report's ``coefficient_file`` names it).  Every command starts with
+fresh warning registries, so a warning prints as it would in a fresh
+process.  The script prints each command whose payload differs, with the
+largest float difference per report key, and exits 1 if any differs, else
+0.
 """
 
 import argparse
@@ -28,6 +34,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -86,16 +93,26 @@ def source_dir(tree):
 
 
 def run_tree(src, argvs):
-    """One payload per argv, from a subprocess that imports bochner2d from src."""
+    """One payload per argv, from a subprocess that imports bochner2d from src;
+    a `smooth` command writes its coefficient file into a temporary directory."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", _WORKER], input=json.dumps(argvs),
-                          capture_output=True, text=True, env=env, check=True)
-    return [payload(r, str(src)) for r in json.loads(proc.stdout)]
+    with tempfile.TemporaryDirectory() as tmp:
+        coeff = [Path(tmp, f"{i}.txt") if argv[0] == "smooth" else None
+                 for i, argv in enumerate(argvs)]
+        runs = [argv + ["--coeff-out", str(path)] if path else argv
+                for argv, path in zip(argvs, coeff)]
+        proc = subprocess.run([sys.executable, "-c", _WORKER], input=json.dumps(runs),
+                              capture_output=True, text=True, env=env, check=True)
+        results = json.loads(proc.stdout)
+        for result, path in zip(results, coeff):
+            result["coeff"] = path.read_text() if path and path.exists() else None
+    return [payload(r, str(src), tmp) for r in results]
 
 
-def payload(result, src):
+def payload(result, src, tmp):
     """A command's payload: its report without `timings` (its stdout when that
-    is not a JSON object), its stderr without the source path, its exit code."""
+    is not a JSON object), its stderr, both without the source path and the
+    temporary directory, its exit code and its coefficient file's text."""
     try:
         report = json.loads(result["stdout"])
     except ValueError:
@@ -105,8 +122,11 @@ def payload(result, src):
         out = json.dumps(report, indent=2)
     else:
         out = result["stdout"]
-    return {"stdout": out, "stderr": result["stderr"].replace(src, "<src>"),
-            "code": result["code"]}
+    def mask(text):
+        return text.replace(src, "<src>").replace(tmp, "<tmp>")
+
+    return {"stdout": mask(out), "stderr": mask(result["stderr"]), "code": result["code"],
+            "coeff": result.get("coeff")}
 
 
 def float_differences(a, b, key="", into=None):
@@ -146,7 +166,7 @@ def _difference(a, b):
 def compare(parent, change):
     """One line per differing part of a payload pair, empty when they are identical."""
     lines = []
-    for part in ("stdout", "stderr", "code"):
+    for part in ("stdout", "stderr", "code", "coeff"):
         if parent[part] == change[part]:
             continue
         lines.append(f"  {part} differs")
