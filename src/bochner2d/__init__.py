@@ -18,7 +18,6 @@ cli        -- batch front end (`bochner2d verify|gauss-bonnet|smooth`)
 """
 
 from .bochner import (
-    ResidualReport,
     bochner_residual,
     chained_residuals,
     curvature_identity_residual,

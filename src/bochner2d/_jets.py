@@ -17,6 +17,11 @@ symbols) run their inner loops over the nodes.  The public functions of the
 package keep the value axes trailing, (*N, *S) and (*N, 2, *S); they convert
 at the boundary with `value_last` and `value_first`, which are views.
 
+A jet of one variable (``variable``), such as a factor map of one chart
+coordinate, has a derivative axis of length 1: one ``d`` and one ``dd`` row,
+so no partials in the other coordinate, all zeros, are built.  It is never
+combined with a jet of (u, v).
+
 A jet of order 1 has ``dd`` None and a jet of order 0 has ``d`` None as well;
 combining jets keeps the lower order, so one formula computes values only,
 first partials or second partials.  Plain numbers and arrays act as
@@ -32,7 +37,10 @@ import numpy as np
 
 
 def _cross(a_d, b_d, product=np.multiply):
-    """Rows (uu, uv, vv) of product(d_i a, d_j b) + product(d_j a, d_i b)."""
+    """Rows (uu, uv, vv) of product(d_i a, d_j b) + product(d_j a, d_i b); of
+    jets of one variable, the one row uu."""
+    if len(a_d) == 1:
+        return 2 * product(a_d[0], b_d[0])[None]
     (a0, a1), (b0, b1) = a_d, b_d
     return np.stack([2 * product(a0, b0), product(a0, b1) + product(a1, b0),
                      2 * product(a1, b1)])
@@ -68,10 +76,6 @@ class Jet:
     def truncated(self, order):
         """The same jet to `order`, at most its own."""
         return Jet(self.v, *(self.d, self.dd)[:order])
-
-    def partial(self, i):
-        """The jet of d_i v, one order lower."""
-        return Jet(self.d[i], None if self.dd is None else self.dd[i:i + 2])
 
     def __neg__(self):
         return self._each(np.negative)
@@ -203,12 +207,12 @@ def einsum(subscripts, *operands):
     return Jet(v, d, dd)
 
 
-def stack(parts, axis=0):
-    """Jets of one shape, or broadcastable arrays, stacked along a new value axis."""
+def stack(parts):
+    """Jets of one shape, or broadcastable arrays, stacked along a new first value axis."""
     if not isinstance(parts[0], Jet):
-        return np.stack(np.broadcast_arrays(*parts), axis=axis)
+        return np.stack(np.broadcast_arrays(*parts))
     order = min(p.order for p in parts)
-    return Jet(*(np.stack([(p.v, p.d, p.dd)[k] for p in parts], axis=axis + min(k, 1))
+    return Jet(*(np.stack([(p.v, p.d, p.dd)[k] for p in parts], axis=min(k, 1))
                  for k in range(order + 1)))
 
 
@@ -218,15 +222,21 @@ def value(x):
 
 
 def gradient(f):
-    """Jet of the partials of f, one order lower, on a new first value axis."""
-    return stack([f.partial(0), f.partial(1)])
+    """Jet of the partials of f, one order lower, on a new first value axis:
+    d_j of d_i f is row i + j of f's second partials (uu, uv, vv)."""
+    return Jet(f.d, None if f.dd is None else f.dd[[[0, 1], [1, 2]]])
+
+
+def variable(x, order):
+    """Seed jet of `order` (1 or 2) of one coordinate x, its derivative axis of length 1."""
+    one = np.ones((1,) + np.shape(x))
+    return Jet(x, one, np.zeros_like(one) if order > 1 else None)
 
 
 def variables(u, v, order=2):
-    """Seed jets of `order` of the chart coordinates over the broadcast shape of (u, v)."""
+    """Seed jets of `order` (1 or 2) of the chart coordinates over the broadcast
+    shape of (u, v)."""
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    if order == 0:
-        return Jet(u), Jet(v)
     zero, one = np.zeros_like(u), np.ones_like(u)
     dd = np.zeros((3,) + u.shape) if order > 1 else None
     return Jet(u, np.stack([one, zero]), dd), Jet(v, np.stack([zero, one]), dd)

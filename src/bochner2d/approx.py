@@ -93,7 +93,6 @@ EVAL_CHUNK = 8192          # nodes per block when streaming large point sets
 class AmbientFieldSamples:
     """Unit ambient tangent samples of a field on a chart grid."""
     surface: object
-    field: object              # source TangentField
     grid_shape: tuple
     chart_u: np.ndarray
     chart_v: np.ndarray
@@ -282,7 +281,7 @@ def sample_unit_field(surface, X, grid):
     positions = surface.maps.embed(u, v)                        # (n, nu, nv)
     n, m = surface.ambient_dim, U.size
     return AmbientFieldSamples(
-        surface=surface, field=X, grid_shape=(grid.nu, grid.nv),
+        surface=surface, grid_shape=(grid.nu, grid.nv),
         chart_u=U.reshape(m), chart_v=V.reshape(m),
         positions=positions.reshape(n, m).T, values=ambient.reshape(n, m).T,
         axes=(grid.u_nodes, grid.v_nodes))

@@ -30,12 +30,11 @@ decides each node's fate once: its last column is the node's failure code,
 field's code, so a failing node costs it no extra pass, and
 `_node_failures` names each flagged node with the error it raises alone.
 
-Residual functions return plain arrays over the broadcast shape of (u, v);
-`residual_report` summarizes a sweep.  Tolerances default to 1e-6 for
-analytic backends and 1e-3 for finite-difference backends.
+Residual functions return plain arrays over the broadcast shape of (u, v).
+Tolerances default to 1e-6 for analytic backends and 1e-3 for
+finite-difference backends.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -66,35 +65,8 @@ ZERO_FLOOR = 1e-9
 PARTIAL_MAX = np.sqrt(np.finfo(float).max)   # a larger first partial squares to inf
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Grid summary of a named identity residual."""
-    name: str
-    resolution: tuple
-    sup: float
-    mean: float
-    worst_point: ChartPoint
-    tolerance: float
-    passed: bool
-    n_points: int
-
-
 def default_tolerance(surface):
     return ANALYTIC_TOL if surface.derivative_mode == "analytic" else FD_TOL
-
-
-def residual_report(name, values, U, V, tolerance):
-    """Summarize residual values over grid nodes into a ResidualReport."""
-    values = np.asarray(values, dtype=float)
-    U, V = np.broadcast_arrays(np.asarray(U, dtype=float), np.asarray(V, dtype=float))
-    flat = values.ravel()
-    iworst = int(np.argmax(flat))
-    sup = float(flat[iworst])
-    return ResidualReport(
-        name=name, resolution=values.shape, sup=sup, mean=float(flat.mean()),
-        worst_point=ChartPoint(float(U.ravel()[iworst]), float(V.ravel()[iworst])),
-        tolerance=float(tolerance), passed=bool(sup <= tolerance),
-        n_points=int(flat.size))
 
 
 # ---------------------------------------------------------------------------
@@ -131,16 +103,16 @@ _ZERO_NORM, _NON_FINITE_NORM, _NON_FINITE_PARTIAL, _LARGE_PARTIAL = 1, 2, 3, 4
 _DEGENERATE_METRIC = 5
 
 
-def _failure_codes(n2, trace, floor, unit=None):
+def _failure_codes(n2, trace, floor, unit):
     """Per node, 0 where a field with g(X, X) = n2 has a usable unit field,
     else why not: a zero norm, g(X, X) < floor^2 tr(g) / 2 (`operators._vanishes`),
-    or a non-finite one; given the unit field's jet, a value or partial of it
-    that is not finite, or else a first partial above PARTIAL_MAX, with which
-    a residual, quadratic in the first partials, would overflow."""
+    or a non-finite one; else a value or partial of the unit field's jet
+    `unit` that is not finite, or else a first partial above PARTIAL_MAX,
+    with which a residual, quadratic in the first partials, would overflow."""
     codes = np.zeros(np.shape(n2), dtype=np.int8)
     codes[_vanishes(n2, trace, floor)] = _ZERO_NORM
     codes[~np.isfinite(n2)] = _NON_FINITE_NORM
-    if unit is not None and codes.size:    # reshape sizes no -1 without nodes
+    if codes.size:    # reshape sizes no -1 without nodes
         parts = [x.reshape((-1,) + codes.shape) for x in (unit.v, unit.d, unit.dd)
                  if x is not None]
         ok = codes == 0
@@ -413,20 +385,13 @@ def gauss_bonnet_integrands(surface, T, u, v, g=None):
 NEAR_PARALLEL = 1.0 - 1e-6   # squared-cosine threshold for frame fallback
 
 
-def unit_frame_companion(surface, T, u, v):
-    """Unit field E with g(T, E) = 0, built by Gram-Schmidt from d/du.
+def _companion(g, t):
+    """Unit field E with g(T, E) = 0 from the metric g (..., 2, 2) and T's
+    coefficients t (..., 2), built by Gram-Schmidt from d/du.
 
     Falls back to d/dv at points where T is nearly parallel to d/du.
-    Returns chart coefficients of E, shape (..., 2).  T's values take the
-    same order-0 metric assembly.
+    Returns chart coefficients of E, shape (..., 2).
     """
-    g = _jets.Jet(_assemble(surface, u, v, 0)[0])
-    t = _jets.value(T.jet(surface, u, v, 0, g))
-    return _companion(_jets.value_last(g.v, 2), _jets.value_last(t, 1))
-
-
-def _companion(g, t):
-    """`unit_frame_companion` from the metric g (..., 2, 2) and T's coefficients t."""
     e_u, e_v = np.eye(2)
     ip_u = np.einsum("...ij,...i,...j->...", g, t, e_u)
     use_v = ip_u**2 > NEAR_PARALLEL * g[..., 0, 0]

@@ -328,28 +328,22 @@ def _config_echo(args, surface, grid_shape, tols):
 
 
 def _check_entry(name, values, U, V, tol, keep_nodes):
-    if np.size(values) == 0:
+    """The report entry of check `name` from its residuals `values` at the
+    nodes (U, V), three flat float arrays of one length: sup, mean and worst
+    node, the verdict against `tol`, and with `keep_nodes` every node."""
+    tol = float(tol)
+    if values.size == 0:
         entry = {"name": name, "sup": None, "mean": None, "worst_node": None,
-                 "tolerance": float(tol), "pass": False, "n_points": 0}
-        if keep_nodes:
-            entry["nodes"] = []
-        return entry
-    rep = bochner.residual_report(name, values, U, V, tol)
-    entry = {
-        "name": name,
-        "sup": rep.sup,
-        "mean": rep.mean,
-        "worst_node": {"u": rep.worst_point.u, "v": rep.worst_point.v},
-        "tolerance": rep.tolerance,
-        "pass": rep.passed,
-        "n_points": rep.n_points,
-    }
+                 "tolerance": tol, "pass": False, "n_points": 0}
+    else:
+        worst = int(np.argmax(values))
+        sup = float(values[worst])
+        entry = {"name": name, "sup": sup, "mean": float(values.mean()),
+                 "worst_node": {"u": float(U[worst]), "v": float(V[worst])},
+                 "tolerance": tol, "pass": sup <= tol, "n_points": values.size}
     if keep_nodes:
-        flat_u = np.broadcast_to(U, values.shape).ravel()
-        flat_v = np.broadcast_to(V, values.shape).ravel()
-        entry["nodes"] = [
-            {"u": float(a), "v": float(b), "residual": float(r)}
-            for a, b, r in zip(flat_u, flat_v, np.asarray(values).ravel())]
+        entry["nodes"] = [{"u": float(a), "v": float(b), "residual": float(r)}
+                          for a, b, r in zip(U, V, values)]
     return entry
 
 

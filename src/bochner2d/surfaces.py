@@ -14,7 +14,10 @@ the exponent caps of the standard monomials of the surface's equations.
 Each family writes its embedding once, as two factor maps and their
 derivatives: every ambient coordinate is a product x_k(u, v) = p_k(u) q_k(v),
 ``u_factors`` gives (p, p') and ``v_factors`` (q, q'); the embedding is p q
-and its Jacobian ``d1`` is (p' q, p q').
+and its Jacobian ``d1`` is (p' q, p q').  Higher derivatives come from the
+factor maps on jets of their own coordinate, which have one derivative row:
+the metric's partials (``_axis_table``) and the second partials p''q, p'q',
+pq'' (``SurfaceSpec.embedding_hessian``).
 
 * torus(R, r): p(u) = (cos u, sin u, 1), q(v) = (w, w, r sin v), w = R + r cos v
 * sphere and ellipsoid(a, b, c): p(u) = (a sin u, b sin u, c cos u),
@@ -83,8 +86,8 @@ class _ChartMaps:
     """The embedding x_k(u, v) = p_k(u) q_k(v) as two factor maps, node axes last:
       u_factors -> (p, p'), each (n, ...) over the shape of u
       v_factors -> (q, q'), each (n, ...) over the shape of v
-    Both accept float64 or long-double arrays, or jets; on jets of (u, v) the
-    Jacobian's partials are the embedding's second and third partials."""
+    Both accept float64 or long-double arrays, or jets of their own
+    coordinate, whose partials are the factors' higher derivatives."""
     u_factors: Callable
     v_factors: Callable
 
@@ -94,10 +97,7 @@ class _ChartMaps:
         return self.u_factors(u)[0] * self.v_factors(v)[0]
 
     def d1(self, u, v):
-        """The Jacobian (n, 2, ...), columns d/du and d/dv, of arrays or of jets."""
-        if isinstance(u, _jets.Jet):
-            (p, dp), (q, dq) = self.u_factors(u), self.v_factors(v)
-            return _jets.stack([dp * q, p * dq], axis=1)
+        """The Jacobian (n, 2, ...), columns d/du and d/dv."""
         u, v = _aligned(u, v)
         (p, dp), (q, dq) = self.u_factors(u), self.v_factors(v)
         jac = np.empty((len(p), 2) + np.broadcast(u, v).shape, np.result_type(p, q))
@@ -136,11 +136,13 @@ class SurfaceSpec:
     def embedding_hessian(self, u, v):
         """Exact second chart partials of the embedding, shape (..., n, 3).
 
-        Rows (uu, uv, vv) are d_u J[:, (u, v)] and d_v J[:, v] of the
-        Jacobian's jet.
+        Rows (uu, uv, vv) are p''q, p'q' and pq'', with p'' and q'' the
+        partials of p' and q' on order-1 jets of their own coordinate.
         """
-        d = _jacobian_jet(self.maps, u, v, 1).d
-        return _public(np.concatenate([d[0], d[1][:, 1:]], axis=1), 2)
+        u, v = _aligned(*(np.asarray(x, dtype=float) for x in (u, v)))
+        (p, dp), (q, dq) = (factors(_jets.variable(x, 1)) for factors, x in
+                            ((self.maps.u_factors, u), (self.maps.v_factors, v)))
+        return _public(np.stack([dp.d[0] * q.v, dp.v * dq.v, p.v * dq.d[0]], axis=1), 2)
 
 
 @dataclass(frozen=True)
@@ -309,27 +311,16 @@ def ellipsoid(a, b, c, mode="analytic", step=DEFAULT_FD_STEP):
     return make_surface("ellipsoid", (a, b, c), mode, step)
 
 
-def _jacobian_jet(maps, u, v, order):
-    """The Jacobian J[a, i] as a jet of `order`, node axes last.
-
-    It is `d1` evaluated on the seed jets of (u, v): d_m J[a, i] is the
-    embedding's second partial in rows m + i of (uu, uv, vv), and row r of
-    the jet's second partials holds the third partials r + i of
-    (uuu, uuv, uvv, vvv).
-    """
-    return maps.d1(*_jets.variables(u, v, order))
-
-
 # derivative orders of the u and v tables in the rows (value, u, v, uu, uv, vv)
 _ROWS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
 def _axis_table(surface, factors, x, order):
     """(f'f', f'f, ff) of (f, f') = factors(x), (order + 1, 3, n, *x.shape), row k
-    its k-th derivative along x: exact from jets of the factors, or on fd by
-    long-double stencils at `surface.step`, rounded to float64.  Products
-    that overflow give inf or NaN without a warning: `_nondegenerate` names
-    their nodes."""
+    its k-th derivative along x: exact from the factors on a jet of x alone
+    (one derivative row), or on fd by long-double stencils at
+    `surface.step`, rounded to float64.  Products that overflow give inf or
+    NaN without a warning: `_nondegenerate` names their nodes."""
     def products(y):
         f, df = factors(y)
         return _jets.stack([df, df, f]) * _jets.stack([df, f, f])
@@ -338,8 +329,8 @@ def _axis_table(surface, factors, x, order):
     x = np.asarray(x, dtype=np.longdouble if fd else np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         if order and not fd:
-            jet = products(_jets.variables(x, 0.0)[0])
-            return np.stack([jet.v, jet.d[0], jet.dd[0]])[:order + 1]
+            jet = products(_jets.variable(x, order))
+            return np.concatenate([jet.v[None], jet.d, jet.dd][:order + 1])
         parts = (_stencils.along(products, x, surface.step, order) if order
                  else [products(x)])
         return np.asarray(np.stack(parts), dtype=np.float64)

@@ -3,9 +3,9 @@
 ``metric`` and its two routes are those that ``surfaces._assemble`` replaced
 with its per-axis factor tables: the first fundamental form J^T J of the
 Jacobian, its exact jet by the product rule over the Jacobian's jet
-(analytic backend), and the 4th-order long-double 2-D stencil of J^T J (fd
-backend), both node-last as ``_assemble`` returns them.  Tests bound the
-factored assembly against them.
+(``jacobian_jet``, on the node grid; analytic backend), and the 4th-order
+long-double 2-D stencil of J^T J (fd backend), both node-last as
+``_assemble`` returns them.  Tests bound the factored assembly against them.
 
 ``assemble_by_rows`` is the factored assembly in its first form: each
 table's three factor products as three jet products, and each row of
@@ -29,6 +29,22 @@ def first_form(maps, u, v):
     return gram(jac, jac)
 
 
+def jacobian_jet(maps, u, v, order):
+    """The Jacobian J[a, i] as a jet of `order`, node axes last.
+
+    It is (p' q, p q') of the factor maps evaluated on the seed jets of
+    (u, v) over their broadcast shape: d_m J[a, i] is the embedding's second
+    partial in rows m + i of (uu, uv, vv), and row r of the jet's second
+    partials holds the third partials r + i of (uuu, uuv, uvv, vvv).
+    """
+    u, v = _jets.variables(u, v, max(order, 1))
+    (p, dp), (q, dq) = maps.u_factors(u), maps.v_factors(v)
+    cols = (dp * q).truncated(order), (p * dq).truncated(order)
+    # the columns stacked on a new second value axis, behind the derivative axis
+    return _jets.Jet(*(np.stack([(c.v, c.d, c.dd)[k] for c in cols], axis=1 + min(k, 1))
+                       for k in range(order + 1)))
+
+
 def analytic_metric(maps, u, v, order):
     """(g, dg, ddg) to `order` from the Jacobian's jet, by the product rule.
 
@@ -36,7 +52,7 @@ def analytic_metric(maps, u, v, order):
     S = dJ^T J, and the mixed row of the second partials holds P + P^T with
     P = d_u J^T d_v J.
     """
-    jac = surf._jacobian_jet(maps, u, v, order)
+    jac = jacobian_jet(maps, u, v, order)
     g = gram(jac.v, jac.v)
     if order == 0:
         return g, None, None

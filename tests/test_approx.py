@@ -32,12 +32,12 @@ from bochner2d.errors import (
 import approx_oracle
 
 
-def _dense(samples):
-    """The samples' field on a grid VERIFY_FACTOR x denser per axis, the grid
-    on which `smooth_field` verifies a fit on theirs."""
+def _dense(samples, X):
+    """Field X, which `samples` sampled, on a grid VERIFY_FACTOR x denser per
+    axis, the grid on which `smooth_field` verifies a fit on theirs."""
     S, (nu, nv) = samples.surface, samples.grid_shape
     grid = surf.chart_grid(S, ap.VERIFY_FACTOR * nu, ap.VERIFY_FACTOR * nv)
-    return ap.sample_unit_field(S, samples.field, grid)
+    return ap.sample_unit_field(S, X, grid)
 
 
 class TestSampling:
@@ -446,23 +446,23 @@ class TestBenchShape:
 class TestFit:
     def test_exact_recovery_of_polynomial_field(self, clifford1):
         # the unit field of d/du is degree-1 in ambient coordinates
-        samples = ap.sample_unit_field(clifford1, op.coordinate_field(0),
-                                       surf.chart_grid(clifford1, 16, 16))
-        poly = ap._fit_and_verify(samples, 2, _dense(samples))[0]
+        X = op.coordinate_field(0)
+        samples = ap.sample_unit_field(clifford1, X, surf.chart_grid(clifford1, 16, 16))
+        poly = ap._fit_and_verify(samples, 2, _dense(samples, X))[0]
         assert poly.sup_error < 1e-8
 
     def test_degree_zero_has_positive_error(self, clifford1):
-        samples = ap.sample_unit_field(clifford1, op.coordinate_field(0),
-                                       surf.chart_grid(clifford1, 16, 16))
-        poly = ap._fit_and_verify(samples, 0, _dense(samples))[0]
+        X = op.coordinate_field(0)
+        samples = ap.sample_unit_field(clifford1, X, surf.chart_grid(clifford1, 16, 16))
+        poly = ap._fit_and_verify(samples, 0, _dense(samples, X))[0]
         assert poly.sup_error > 0.5
 
     def test_degree_ten_on_torus_stays_stable(self, torus21):
         # monomials are exactly dependent on the quartic surface; the
         # truncated solve must digest that and still certify the budget
-        samples = ap.sample_unit_field(torus21, kinked_mixture_field(),
-                                       surf.chart_grid(torus21, 64, 64))
-        poly = ap._fit_and_verify(samples, 10, _dense(samples))[0]
+        X = kinked_mixture_field()
+        samples = ap.sample_unit_field(torus21, X, surf.chart_grid(torus21, 64, 64))
+        poly = ap._fit_and_verify(samples, 10, _dense(samples, X))[0]
         assert poly.rcond < 1e-10
         assert poly.sup_error < 0.5
         assert np.all(np.isfinite(poly.coefficients))
@@ -489,7 +489,7 @@ class TestFit:
         S, X = _case(surface, field)
         degrees = ap.smooth_field(S, X, fit_grid=grid)[0].degrees_tried
         fit = ap.sample_unit_field(S, X, surf.chart_grid(S, *grid))
-        verify = _dense(fit)
+        verify = _dense(fit, X)
         assert verify.values.T.flags.c_contiguous
         for degree in degrees:
             poly, pred = ap._fit_and_verify(fit, degree, verify)
@@ -622,12 +622,12 @@ class TestProjection:
         assert abs(np.linalg.norm(out) - 1.0) < 1e-13
 
     def test_polynomial_projection_wrapper(self, clifford1):
-        samples = ap.sample_unit_field(clifford1, op.coordinate_field(0),
-                                       surf.chart_grid(clifford1, 8, 8))
-        poly = ap._fit_and_verify(samples, 2, _dense(samples))[0]
+        X = op.coordinate_field(0)
+        samples = ap.sample_unit_field(clifford1, X, surf.chart_grid(clifford1, 8, 8))
+        poly = ap._fit_and_verify(samples, 2, _dense(samples, X))[0]
         jac = clifford1.jacobian(0.4, 1.2)
         out = jac @ ap.chart_coefficients_field(clifford1, poly).coeff(0.4, 1.2)
-        expected = samples.field.coeff(0.4, 1.2)  # du has unit pushforward here
+        expected = X.coeff(0.4, 1.2)  # du has unit pushforward here
         ambient = jac @ expected / np.linalg.norm(jac @ expected)
         np.testing.assert_allclose(out, ambient, atol=1e-8)
 
@@ -726,9 +726,9 @@ class TestSmoothField:
 
 class TestCoefficientFile:
     def test_round_trip(self, clifford1, tmp_path):
-        samples = ap.sample_unit_field(clifford1, op.coordinate_field(0),
-                                       surf.chart_grid(clifford1, 8, 8))
-        poly = ap._fit_and_verify(samples, 2, _dense(samples))[0]
+        X = op.coordinate_field(0)
+        samples = ap.sample_unit_field(clifford1, X, surf.chart_grid(clifford1, 8, 8))
+        poly = ap._fit_and_verify(samples, 2, _dense(samples, X))[0]
         path = tmp_path / "coeffs.txt"
         ap.write_coefficient_file(poly, path)
         text = path.read_text().splitlines()
@@ -742,7 +742,7 @@ class TestCoefficientFile:
     def test_capped_fit_writes_every_graded_lex_term(self, clifford1, tmp_path):
         X = expression_field("1", "3.5*sin(2*u+0.7)*cos(3*v+2.1)")
         samples = ap.sample_unit_field(clifford1, X, surf.chart_grid(clifford1, 12, 12))
-        poly = ap._fit_and_verify(samples, 4, _dense(samples))[0]
+        poly = ap._fit_and_verify(samples, 4, _dense(samples, X))[0]
         outside = (poly.exponents[:, 0] > 1) | (poly.exponents[:, 2] > 1)
         assert poly.caps == clifford1.monomial_caps == (1, None, 1, None)
         assert poly.coefficients.shape == (4, comb(8, 4))
@@ -773,9 +773,9 @@ class TestCoefficientFile:
                               ap.evaluate_polynomial_field(poly, pts))
 
     def test_torus_file_stays_uncapped(self, torus21, tmp_path):
-        samples = ap.sample_unit_field(torus21, kinked_mixture_field(),
-                                       surf.chart_grid(torus21, 16, 16))
-        poly = ap._fit_and_verify(samples, 4, _dense(samples))[0]
+        X = kinked_mixture_field()
+        samples = ap.sample_unit_field(torus21, X, surf.chart_grid(torus21, 16, 16))
+        poly = ap._fit_and_verify(samples, 4, _dense(samples, X))[0]
         path = tmp_path / "t.txt"
         ap.write_coefficient_file(poly, path)
         assert poly.caps is None and ap.read_coefficient_file(path).caps is None

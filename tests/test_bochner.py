@@ -186,6 +186,14 @@ class TestTraceIdentity:
                 assert np.max(res) < 1e-6, (s.name, T.name)
 
 
+def companion_by_own_assembly(surface, T, u, v):
+    """`bochner._companion` of T at (u, v), shape (..., 2), on an order-0
+    metric assembly of its own, which T's values take too."""
+    g = _jets.Jet(surf._assemble(surface, u, v, 0)[0])
+    t = _jets.value(T.jet(surface, u, v, 0, g))
+    return bo._companion(_jets.value_last(g.v, 2), _jets.value_last(t, 1))
+
+
 class TestUnitFrameMatrix:
     def test_first_row_vanishes(self, all_surfaces):
         for s in all_surfaces:
@@ -197,8 +205,8 @@ class TestUnitFrameMatrix:
     @pytest.mark.parametrize("mode", ["analytic", "fd"])
     def test_one_metric_assembly_and_the_companion_route(self, metric_assemblies, mode):
         # E comes from the batch's metric and T, bit for bit what
-        # unit_frame_companion gives from its own assembly and T's values
-        # on it, one order-0 assembly
+        # `companion_by_own_assembly` gives from its own assembly and T's
+        # values on it, one order-0 assembly
         for kind, params in (("torus", (2.0, 1.0)), ("sphere", (1.0,)),
                              ("clifford_torus", (1.0,)), ("ellipsoid", (1.0, 1.3, 0.7))):
             s = surf.make_surface(kind, params, mode=mode)
@@ -211,7 +219,7 @@ class TestUnitFrameMatrix:
                 m = bo.unit_frame_operator_matrix(s, T, U, V)
                 assert metric_assemblies == [1], (s.name, T.name)
                 del metric_assemblies[:]
-                e = np.moveaxis(bo.unit_frame_companion(s, T, U, V), -1, 0)
+                e = np.moveaxis(companion_by_own_assembly(s, T, U, V), -1, 0)
                 assert metric_assemblies == [0], (s.name, T.name)
                 batch = bo._NodeBatch.of(s, T, U, V, order=1)
                 basis = np.stack([_jets.value(batch.x), e], axis=1)
@@ -222,9 +230,9 @@ class TestUnitFrameMatrix:
     def test_companion_is_unit_and_orthogonal(self, torus21):
         T = unit_mix(torus21)
         u, v = interior_points(torus21, 15)
-        e = bo.unit_frame_companion(torus21, T, u, v)
         g = surf._assemble(torus21, u, v, 0)[0]
         t = T.coeff(u, v)
+        e = bo._companion(_jets.value_last(g, 2), t)
         np.testing.assert_allclose(
             np.einsum("ij...,...i,...j->...", g, e, e), 1.0, atol=1e-12)
         np.testing.assert_allclose(
@@ -233,7 +241,8 @@ class TestUnitFrameMatrix:
     def test_companion_fallback_near_parallel(self, torus21):
         # T parallel to du forces the dv seed
         T = unit_du(torus21)
-        e = bo.unit_frame_companion(torus21, T, 0.3, 0.4)
+        g = surf._assemble(torus21, 0.3, 0.4, 0)[0]
+        e = bo._companion(_jets.value_last(g, 2), T.coeff(0.3, 0.4))
         assert abs(e[..., 1]) > 0.5
 
 
@@ -384,12 +393,14 @@ class TestEmptySelection:
 
 class TestReports:
     def test_residual_report_summary(self, torus21):
+        # the report entry `verify` builds from a check's residuals
         T = unit_du(torus21)
         g = surf.chart_grid(torus21, 16, 16)
         vals = bo.curvature_identity_residual(torus21, T, g.U, g.V)
-        rep = bo.residual_report("curvature_identity", vals, g.U, g.V, 1e-6)
-        assert rep.passed and rep.sup <= 1e-6 and rep.n_points == 256
-        assert rep.mean <= rep.sup
+        rep = cli._check_entry("curvature_identity", vals.ravel(), g.U.ravel(),
+                               g.V.ravel(), 1e-6, False)
+        assert rep["pass"] and rep["sup"] <= 1e-6 and rep["n_points"] == 256
+        assert rep["mean"] <= rep["sup"]
 
 
 class TestBatchComposition:

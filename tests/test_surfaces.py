@@ -222,7 +222,8 @@ def test_metric_invariants_all(all_surfaces):
 # Closed-form first, second and third chart partials of the three map
 # families, node axes last: d1 (n, 2, ...), d2 (n, 3, ...) rows (uu, uv, vv),
 # d3 (n, 4, ...) rows (uuu, uuv, uvv, vvv).  The package writes d1 only and
-# takes the rest from jets of it; these are the oracle for that route.
+# takes the rest from jets of the factor maps; these are the oracle for
+# that route, and for the node-grid Jacobian jet of ``metric_oracle``.
 
 def _stack(*comps):
     return np.stack(np.broadcast_arrays(*comps))
@@ -341,7 +342,7 @@ def test_embedding_derivative_closed_forms(all_surfaces):
         fd3_uvv = diff2(lambda a, b: diff1(s.maps.embed, a, b, 0, 1e-3),
                         u, v, 1, 5e-3)
         np.testing.assert_allclose(fd3_uvv, d3[:, 2], atol=1e-6, err_msg=s.name)
-        jac = surf._jacobian_jet(s.maps, u, v, 2)
+        jac = metric_oracle.jacobian_jet(s.maps, u, v, 2)
         _, d_ref, dd_ref = reference_jacobian_jet(s, u, v)
         assert np.array_equal(jac.d, d_ref), s.name
         assert np.array_equal(jac.dd, dd_ref), s.name
@@ -377,7 +378,7 @@ def test_jacobian_jet_equals_closed_forms(s, shapes, seed):
     v = rng.uniform(rect.v0, rect.v1, shapes[1])
     ref = reference_jacobian_jet(s, u, v)
     for order in (0, 1, 2):
-        jac = surf._jacobian_jet(s.maps, u, v, order)
+        jac = metric_oracle.jacobian_jet(s.maps, u, v, order)
         assert jac.order == order
         for mine, expected in zip((jac.v, jac.d, jac.dd), ref[:order + 1]):
             assert mine.shape == expected.shape
@@ -443,7 +444,7 @@ def test_symmetric_metric_jet_matches_generic_jet_einsum(all_surfaces):
         U, V = np.meshgrid(u, v[:5], indexing="ij")
         for uu, vv in ((u, v), (U, V), (u[0], v[0])):
             for order in (0, 1, 2):
-                jac = surf._jacobian_jet(s.maps, uu, vv, order)
+                jac = metric_oracle.jacobian_jet(s.maps, uu, vv, order)
                 g = _jets.einsum("ai...,aj...->ij...", jac, jac)
                 parts = metric_oracle.analytic_metric(s.maps, uu, vv, order)
                 mine = surf._assemble(s, uu, vv, order)[:3]
@@ -517,6 +518,25 @@ def test_assembly_is_the_per_row_assembly_bit_for_bit(s, mode, layout, seed):
                 continue
             assert (x.shape, x.dtype) == (y.shape, y.dtype), (s.name, order)
             assert x.tobytes() == y.tobytes(), (s.name, order)
+
+
+def test_axis_tables_differentiate_one_coordinate(monkeypatch, all_surfaces):
+    # every jet product and chain rule of an analytic order-2 assembly,
+    # from the grid's axes or its flat nodes, builds the cross row of jets
+    # with one derivative row: no partials in the other coordinate are built
+    lengths, original = [], _jets._cross
+
+    def spy(a_d, b_d, *args):
+        lengths.append((len(a_d), len(b_d)))
+        return original(a_d, b_d, *args)
+
+    monkeypatch.setattr(_jets, "_cross", spy)
+    for s in all_surfaces:
+        u, v = interior_points(s, 6, seed=2)
+        for uu, vv in ((u[:, None], v[None, :]), (u, v)):
+            del lengths[:]
+            surf._assemble(s, uu, vv, 2)
+            assert lengths and set(lengths) == {(1, 1)}, s.name
 
 
 def test_periodic_edges_identified(all_surfaces):
