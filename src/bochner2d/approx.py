@@ -20,7 +20,12 @@ at most 1, which cuts degree 8 from 495 columns to 145.  The torus stays
 uncapped (see ``surfaces.SurfaceKind``), so its quartic leaves the columns
 exactly dependent; the scaled normal equations are therefore solved by a
 truncated eigendecomposition: a minimum-norm least-squares solution that is
-immune to exact rank deficiency.
+immune to exact rank deficiency.  The chart grids are symmetric under
+reflections, so monomials of different parity under one are discretely
+orthogonal and the scaled gram is block diagonal up to rounding: the fit
+reads the blocks off its two factor grams and decomposes each on its own
+(see ``_fit``), the degree-10 torus gram of 286 columns in blocks of at
+most 56.
 
 The monomial basis is built one total degree at a time.  In graded
 lexicographic order, the degree-t monomials free of x_0..x_{j-1} are a suffix
@@ -52,21 +57,27 @@ capped layers at the nu points p(u_i) and at the nv points q(v_j) only,
 P (K, nu) and Q (K, nv).  The fit's basis is their face-splitting product,
 so its scaled gram is (Ps Ps^T) o (Qs Qs^T), K^2 (nu + nv) multiply-adds in
 place of K^2 nu nv, and its right-hand side is one GEMM of the values with
-Qs (see ``_normal_system``).  The verification predicts component c on the
-grid as (P * C_c[:, None])^T Q, one GEMM of nu x K x nv per component, in
-place of K products at each of the nu nv nodes, and the projection of that
-prediction takes J and the metric (``surfaces._assemble``) on the same two
-axes.  ``evaluate_polynomial_field`` serves arbitrary points: it streams
-them in EVAL_CHUNK blocks.
+Qs (see ``_normal_system``).  A factor that is 1 on its axis and equal
+factors leave P and Q with repeated rows, so both products are taken on
+their distinct rows alone (``_distinct_layers``) and gathered.  The
+verification predicts component c on the grid as (P * C_c[:, None])^T Q,
+one GEMM of nu x K x nv per component, in place of K products at each of
+the nu nv nodes, and the projection of that prediction takes J and the
+metric (``surfaces._assemble``) on the same two axes.
+``evaluate_polynomial_field`` serves arbitrary points: it streams them in
+EVAL_CHUNK blocks.
 
 Lifetimes.  Each degree tried is fitted, then verified, and the two stages
 never hold their arrays at the same time: ``_fit`` builds P, Q, the K x K
-gram and its eigendecomposition in its own frame and returns only the
-coefficients, so they are freed before the verification predicts the grid
-through its axes (``_grid_prediction``), whose tables hold K (nu + nv)
-doubles besides the prediction itself.  No stage holds a (K, m) basis of
-the grid's nodes: the degree-10 torus fit (K = 286) on a 32x32 grid peaks
-at about 1.5 MB, most of it two K x K matrices.  ``evaluate_polynomial_field``
+gram and the eigendecompositions of its blocks in its own frame and returns
+only the coefficients, so they are freed before the verification predicts
+the grid through its axes (``_grid_prediction``), whose tables hold
+K (nu + nv) doubles besides the prediction itself.  No stage holds a (K, m)
+basis of the grid's nodes: the degree-10 torus fit (K = 286) on a 32x32
+grid peaks at about 1.61 MB of traced allocations, most of it two K x K
+matrices, the gram and the gathered factor gram that multiplies into it;
+the links that give its blocks take K^2 bytes and the blocks' eigenvectors
+0.09 MB.  ``evaluate_polynomial_field``
 holds two degree layers of one EVAL_CHUNK block of its points at a time.
 """
 
@@ -287,15 +298,6 @@ def sample_unit_field(surface, X, grid):
         axes=(grid.u_nodes, grid.v_nodes))
 
 
-def _axis_layers(samples, degree, caps):
-    """The capped graded-lex basis at the points p(u_i) and at the points q(v_j)
-    of the samples' grid axes: P (K, nu) and Q (K, nv)."""
-    maps = samples.surface.maps
-    u_nodes, v_nodes = samples.axes
-    return tuple(np.concatenate(list(_monomial_layers(points, degree, caps=caps)))
-                 for points in (maps.u_factors(u_nodes)[0], maps.v_factors(v_nodes)[0]))
-
-
 def _square_sum(x):
     """sum_a x[a]^2 over the leading axis, in the order of a, at every node."""
     out = np.square(x[0])
@@ -304,8 +306,58 @@ def _square_sum(x):
     return out
 
 
+@lru_cache(maxsize=None)
+def _reduction(ambient_dim, degree, caps, variables):
+    """The monomials within the caps as monomials of fewer variables: (rows, index).
+
+    variables[j] is the variable of axis j, or -1 where its factor is 1, so
+    x^e is y^(e M) with M the 0/1 (ambient_dim, n_variables) matrix of
+    variables.  rows are the rows of the graded-lex basis of the variables
+    that some y^(e M) takes, ascending, and index[k] is the position in
+    rows of the k-th monomial's.  Both are read-only: the cache shares them.
+    """
+    merge = np.equal.outer(variables, np.arange(max(variables, default=-1) + 1))
+    rank = {e: i for i, e in enumerate(map(tuple, monomial_exponents(
+        merge.shape[1], degree).tolist()))}
+    reduced = monomial_exponents(ambient_dim, degree, caps) @ merge.astype(int)
+    rows, index = np.unique([rank[e] for e in map(tuple, reduced.tolist())],
+                            return_inverse=True)
+    for a in (rows, index):
+        a.flags.writeable = False
+    return rows, index
+
+
+def _distinct_layers(points, degree, caps):
+    """The capped graded-lex basis at points (n, m) as its distinct rows and an index.
+
+    A factor that is 1 at every point drops out of every monomial, and
+    equal factors multiply as one variable, so the basis is the rows, at
+    the index, of the basis of the remaining distinct factors (see
+    ``_reduction``): on the torus the 286 degree-10 monomials take 66
+    distinct rows on either axis.
+    """
+    keys = [row.tobytes() for row in points]      # equal bytes, equal factors
+    one = np.ones_like(points[0]).tobytes()
+    distinct = list(dict.fromkeys(k for k in keys if k != one))
+    variables = tuple(distinct.index(k) if k != one else -1 for k in keys)
+    rows, index = _reduction(len(points), degree, caps, variables)
+    reduced = points[[keys.index(k) for k in distinct]]
+    return np.concatenate(list(_monomial_layers(reduced, degree)))[rows], index
+
+
+def _axis_layers(samples, degree, caps):
+    """The capped graded-lex basis at the points p(u_i) and at the points q(v_j)
+    of the samples' grid axes, P (K, nu) and Q (K, nv), each as its distinct
+    rows and an index (see ``_distinct_layers``)."""
+    maps = samples.surface.maps
+    u_nodes, v_nodes = samples.axes
+    return tuple(_distinct_layers(points, degree, caps)
+                 for points in (maps.u_factors(u_nodes)[0], maps.v_factors(v_nodes)[0]))
+
+
 def _normal_system(samples, degree):
-    """The column-scaled normal equations (A, b) of the fit, and the column scales.
+    """The column-scaled normal equations (A, b) of the fit, the column scales
+    and the diagonal blocks of A (see ``_blocks``).
 
     The K columns are the monomials within the caps of the samples'
     surface, x^e = p(u)^e q(v)^e on the fit grid's axes: with P (K, nu) and
@@ -313,44 +365,106 @@ def _normal_system(samples, degree):
     is P_k Q_k^T and its scale max|P_k| max|Q_k| is its largest entry.  So
     the gram of the scaled columns is (Ps Ps^T) o (Qs Qs^T), and the
     right-hand side of component c, on the grid as Y_c (nu, nv), is
-    b[k, c] = sum_i Ps[k, i] (Y_c Qs^T)[i, k].
+    b[k, c] = (Ps Y_c Qs^T)[k, k].  P and Q are held as their distinct
+    rows and an index (``_distinct_layers``), so both products are taken
+    on the distinct rows and gathered: small enough for the BLAS to run
+    them on one thread, so that the system is the same at any thread count.
+    Columns k and l are linked unless entry (k, l) of Ps Ps^T or of Qs Qs^T
+    is within max(nu, nv) eps of the root of its two diagonal entries (see
+    ``_fit``), read off the distinct rows and gathered as booleans; the
+    blocks are the components of the links, a zero column on its own.
     """
-    P, Q = _axis_layers(samples, degree, samples.surface.monomial_caps)
+    (P, iu), (Q, iv) = _axis_layers(samples, degree, samples.surface.monomial_caps)
     ps, qs = np.max(np.abs(P), axis=1), np.max(np.abs(Q), axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = ps * qs               # NaN or inf where P_k Q_k^T is not finite
+        scale = ps[iu] * qs[iv]       # NaN or inf where P_k Q_k^T is not finite
     if not np.all(np.isfinite(scale)):
         raise RankDeficientFitError("monomial matrix contains non-finite entries")
 
-    live = (scale > 0.0)[:, None]     # a column that is zero in floating point stays zero
-    Ps, Qs = (np.divide(T, s[:, None], out=np.zeros_like(T), where=live)
+    Ps, Qs = (np.divide(T, s[:, None], out=np.zeros_like(T), where=(s > 0.0)[:, None])
               for T, s in ((P, ps), (Q, qs)))
-    A = Ps @ Ps.T
-    A *= Qs @ Qs.T
-    (K, nu), nv = P.shape, Q.shape[1]
+    Gu, Gv = Ps @ Ps.T, Qs @ Qs.T
+    A = Gu[iu][:, iu]
+    A *= Gv[iv][:, iv]
+    nu, nv = P.shape[1], Q.shape[1]
     values = samples.values.T.reshape(-1, nv)                   # (n nu, nv), node-last
-    b = np.einsum("ki,cik->kc", Ps, (values @ Qs.T).reshape(-1, nu, K))   # (K, n)
+    b = (Ps @ (values @ Qs.T).reshape(-1, nu, len(Qs)))[:, iu, iv].T     # (K, n)
+    gamma = max(nu, nv) * np.finfo(float).eps
+    link = _links(Gu, gamma)[iu][:, iu]
+    link &= _links(Gv, gamma)[iv][:, iv]
+    dead = scale == 0.0               # a column that is zero in floating point stays zero
+    A[dead] = A[:, dead] = b[dead] = 0.0
+    link[dead] = link[:, dead] = False
     if not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
         raise RankDeficientFitError("normal system contains non-finite entries")
-    return A, b, np.where(live[:, 0], scale, 1.0)
+    return A, b, np.where(dead, 1.0, scale), _blocks(link)
+
+
+def _links(G, gamma):
+    """Whether each entry of the gram G exceeds gamma times the root of its
+    two diagonal entries: the entries within that bound are rounding."""
+    d = np.sqrt(np.diagonal(G))
+    return np.abs(G) > gamma * np.multiply.outer(d, d)
+
+
+def _blocks(link):
+    """The diagonal blocks of a symmetric pattern, as index arrays grouped by size.
+
+    The blocks are the connected components of the boolean K x K link,
+    whose diagonal this sets, each in ascending index order.  Returns one
+    (n_blocks, size) array per block size, in ascending size; a pattern
+    with no zeros is one block, arange(K).
+    """
+    K = len(link)
+    np.fill_diagonal(link, True)
+    # each index starts at its least link and takes the least root among its
+    # links until none moves; the roots of the fixed point name the blocks
+    root = np.argmax(link, axis=1).astype(np.min_scalar_type(K))
+    while True:
+        nxt = np.where(link, root, K).min(axis=1)
+        if np.array_equal(nxt, root):
+            break
+        root = nxt
+    order = np.argsort(root, kind="stable")
+    sizes = np.bincount(root, minlength=K)
+    sizes = sizes[sizes > 0]                    # one per block, in root order
+    starts = np.cumsum(sizes) - sizes
+    return [order[starts[sizes == s][:, None] + np.arange(s)]
+            for s in sorted(set(sizes.tolist()))]
 
 
 def _fit(samples, degree):
     """Coefficients (n_components, K) of the truncated-eigh fit, and its rcond.
 
-    The normal system (see ``_normal_system``) and its eigendecomposition
-    live only in this frame, so they are freed before the verification grid
-    is evaluated.
+    The chart grids are symmetric (periodic axes equispaced from 0,
+    Gauss-Legendre axes symmetric about their midpoint), so monomials of
+    different parity under a reflection of the grid are discretely
+    orthogonal and the scaled gram is block diagonal up to rounding.  An
+    entry of a factor gram Ps Ps^T or Qs Qs^T that is zero in exact
+    arithmetic rounds to at most max(nu, nv) eps times the root of its two
+    diagonal entries, and so does its product with the other factor's
+    entry: the blocks that ``_normal_system`` returns drop those entries
+    of A, inside eigh's own backward error.  Each block is decomposed by
+    eigh, the blocks of one size in one stacked call, and the eigenvalues
+    below RCOND_CUTOFF times the largest of all blocks are discarded, as in one
+    eigh of the whole gram; a gram without a zero pattern is one block and
+    that one call.  The normal system (see ``_normal_system``) and its
+    eigendecompositions live only in this frame, so they are freed before
+    the verification grid is evaluated.
     """
-    A, b, scale = _normal_system(samples, degree)
-    w, Q = np.linalg.eigh(A)
-    wmax = float(w[-1])
+    A, b, scale, blocks = _normal_system(samples, degree)
+    blocks = [(idx, *np.linalg.eigh(A[idx[:, :, None], idx[:, None, :]]))
+              for idx in blocks]
+    wmax = max(float(w.max()) for _, w, _ in blocks)
     if wmax <= 0.0:
         raise RankDeficientFitError("scaled normal system is identically zero")
-    keep = w > RCOND_CUTOFF * wmax
-    inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-    coeff_scaled = Q @ (inv_w[:, None] * (Q.T @ b))
-    return (coeff_scaled / scale[:, None]).T, float(max(w[0], 0.0) / wmax)
+    wmin = min(float(w.min()) for _, w, _ in blocks)
+    coeff_scaled = np.empty_like(b)
+    for idx, w, V in blocks:
+        keep = w > RCOND_CUTOFF * wmax
+        inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
+        coeff_scaled[idx] = V @ (inv_w[..., None] * (np.swapaxes(V, 1, 2) @ b[idx]))
+    return (coeff_scaled / scale[:, None]).T, max(wmin, 0.0) / wmax
 
 
 def _sup_error(pred, values):
@@ -369,8 +483,11 @@ def _fit_and_verify(samples, degree, verify_samples):
 
     The fit is on `samples`' grid, the sup error on `verify_samples`' grid.
     The normal equations of the column-scaled monomial basis are solved by
-    eigendecomposition with relative cutoff RCOND_CUTOFF; directions below
-    the cutoff are discarded (minimum-norm solution).  RankDeficientFitError
+    eigendecomposition of the gram's diagonal blocks (see ``_fit``) with
+    cutoff RCOND_CUTOFF relative to the largest eigenvalue of all blocks;
+    directions below the cutoff are discarded (minimum-norm solution).
+    rcond is the least eigenvalue of all blocks, floored at 0, over that
+    largest one.  RankDeficientFitError
     is raised only when the system is degenerate beyond that remedy
     (non-finite data or an identically zero basis).  Returns the
     PolynomialField and its prediction on the verification grid.
@@ -403,7 +520,7 @@ def _grid_prediction(poly, samples):
     and component c on the grid is (P * C_c[:, None])^T Q, one small GEMM.
     The result is a view of node-last storage.
     """
-    P, Q = _axis_layers(samples, poly.degree, poly.caps)
+    P, Q = (rows[index] for rows, index in _axis_layers(samples, poly.degree, poly.caps))
     coeff = poly.coefficients[:, _within_caps(poly.exponents, poly.caps)]
     out = np.empty((coeff.shape[0], P.shape[1], Q.shape[1]))
     for c, row in enumerate(coeff):

@@ -457,18 +457,21 @@ def cmd_gauss_bonnet(args, surface, field, grid_shape, tols, report):
         "rule": total.rule, "resolution": list(total.resolution)}
 
     chi = integrate.chi_from_total(total.value,
-                                   tols.get("chi_margin", integrate.CHI_MARGIN))
+                                   tols.get("chi_margin", integrate.CHI_MARGIN),
+                                   error=total.estimated_error,
+                                   declared=surface.known_chi)
     report["chi"] = {"raw": _finite_or_none(chi.raw), "rounded": chi.rounded,
                      "margin": _finite_or_none(chi.margin),
                      "margin_limit": chi.margin_limit,
                      "indeterminate": chi.indeterminate}
-    if chi.rounded is None:
-        report["error"] = (f"total curvature is not finite ({total.value}), "
-                           f"so chi is indeterminate")
-    if surface.known_chi is not None:
-        # echoed for reference; the pass verdict rests on determinacy alone
-        report["chi"]["declared"] = surface.known_chi
-    passed = not chi.indeterminate
+    # the pass needs the rounding to survive its estimated error (in units of
+    # chi) and to meet the declared chi
+    if chi.declared is not None:
+        report["chi"].update(declared=chi.declared, agrees_with_declared=chi.agrees)
+    report["chi"]["estimated_error"] = _finite_or_none(chi.error)
+    if not chi.certified:
+        report["error"] = chi.failure()
+    passed = chi.certified
 
     if field is not None:
         div_tol = tols.get("divergence_theorem",

@@ -39,16 +39,48 @@ class ChiEstimate:
     """Euler characteristic from the total-curvature integral.
 
     A non-finite total rounds to no integer: rounded is None and the margin
-    infinite, so the estimate is indeterminate.
+    infinite, so the estimate is indeterminate.  The rounding holds only
+    when the margin plus the total's estimated error, in units of 2 pi,
+    stays below margin_limit; a NaN error, where an axis of 4 nodes has no
+    coarser grid to estimate it on, leaves chi indeterminate.  Where the
+    surface declares its chi, the rounded value must also agree with it.
     """
     raw: float
     rounded: Optional[int]
     margin: float
+    error: float                    # estimated error of raw, NaN where none
+    declared: Optional[int]
     margin_limit: float = CHI_MARGIN
 
     @property
     def indeterminate(self):
-        return bool(self.margin >= self.margin_limit)
+        return not bool(self.margin + self.error < self.margin_limit)
+
+    @property
+    def agrees(self):
+        """Whether rounded is the declared chi; None where none is declared."""
+        return None if self.declared is None else self.rounded == self.declared
+
+    @property
+    def certified(self):
+        return not self.indeterminate and self.agrees is not False
+
+    def failure(self):
+        """Why the estimate certifies no chi, or None where it does."""
+        if self.rounded is None:
+            return (f"total curvature is not finite ({self.raw * 2.0 * np.pi}), "
+                    f"so chi is indeterminate")
+        if np.isnan(self.error):
+            return (f"chi estimate {self.raw:.6f} has no error estimate, since an "
+                    f"axis of 4 nodes has no coarser grid; refine the grid")
+        if self.indeterminate:
+            return (f"chi estimate {self.raw:.6f} is {self.margin:.3g} from the "
+                    f"nearest integer with estimated error {self.error:.3g} "
+                    f"(limit {self.margin_limit:g}); refine the grid")
+        if self.agrees is False:
+            return (f"chi estimate {self.raw:.6f} rounds to {self.rounded}, not to "
+                    f"the declared {self.declared}")
+        return None
 
 
 def _integrands(surface, fs, grid):
@@ -109,26 +141,28 @@ def total_curvature(surface, grid):
 def euler_characteristic(surface, grid):
     """Round the total curvature over 2*pi to the nearest integer.
 
-    Raises ChiIndeterminateError when the raw value sits further than
-    CHI_MARGIN from every integer, which signals an under-resolved grid.
+    Raises ChiIndeterminateError, with the estimate, when the rounding is
+    not certified (``ChiEstimate.certified``): the raw value plus its
+    estimated error sits CHI_MARGIN or further from every integer, the grid
+    has no error estimate, or the integer is not the surface's declared chi.
+    Each signals an under-resolved grid.
     """
-    est = chi_from_total(total_curvature(surface, grid).value)
-    if est.indeterminate:
-        raise ChiIndeterminateError(
-            f"chi estimate {est.raw:.6f} is {est.margin:.3f} from the nearest "
-            f"integer (limit {est.margin_limit:g}); refine the grid", estimate=est)
+    total = total_curvature(surface, grid)
+    est = chi_from_total(total.value, error=total.estimated_error,
+                         declared=surface.known_chi)
+    if not est.certified:
+        raise ChiIndeterminateError(est.failure(), estimate=est)
     return est
 
 
-def chi_from_total(total, margin_limit=CHI_MARGIN):
-    """Round total / (2 pi) to the nearest integer, recording the margin."""
+def chi_from_total(total, margin_limit=CHI_MARGIN, *, error, declared):
+    """Round total / (2 pi) to the nearest integer, recording the margin; error
+    is the total's estimated error and declared the surface's chi, if any."""
     raw = total / (2.0 * np.pi)
-    if not np.isfinite(raw):
-        return ChiEstimate(raw=raw, rounded=None, margin=np.inf,
-                           margin_limit=margin_limit)
-    rounded = int(np.rint(raw))
-    return ChiEstimate(raw=raw, rounded=rounded, margin=abs(raw - rounded),
-                       margin_limit=margin_limit)
+    rounded = int(np.rint(raw)) if np.isfinite(raw) else None
+    margin = np.inf if rounded is None else abs(raw - rounded)
+    return ChiEstimate(raw=raw, rounded=rounded, margin=margin, margin_limit=margin_limit,
+                       error=error / (2.0 * np.pi), declared=declared)
 
 
 def divergence_theorem_residual(surface, X, grid):

@@ -9,8 +9,9 @@ are those of ``approx.evaluate_polynomial_field``, so tests compare the
 package with it bit for bit.  ``fit_and_verify`` is the flat fit that
 ``approx._fit`` replaced: ``normal_system`` builds the (K, m) basis on the
 fit grid's positions and its scaled gram node by node, where the package
-builds it from the grid's two axes, so tests compare the two by measured
-tolerances.  Its verification predicts the grid through the axes with the
+builds it from the grid's two axes, and ``eigh_solve`` decomposes the whole
+gram in one ``eigh``, where the package decomposes its diagonal blocks, so
+tests compare the two by measured tolerances.  Its verification predicts the grid through the axes with the
 same GEMM as ``approx._grid_prediction`` (``grid_prediction``), and its
 sup error is the plain ``np.max(np.linalg.norm(pred - values, axis=1))``.
 Like the package, they build only the monomials within a surface's
@@ -143,6 +144,19 @@ def normal_system(samples, degree):
     return A, b, scale
 
 
+def eigh_solve(A, b, scale):
+    """Coefficients (n_components, K) and rcond of the normal system by one
+    truncated eigh of the whole gram."""
+    w, Q = np.linalg.eigh(A)
+    wmax = float(w[-1])
+    if wmax <= 0.0:
+        raise RankDeficientFitError("scaled normal system is identically zero")
+    keep = w > ap.RCOND_CUTOFF * wmax
+    inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
+    coeff_scaled = Q @ (inv_w[:, None] * (Q.T @ b))
+    return (coeff_scaled / scale[:, None]).T, float(max(w[0], 0.0) / wmax)
+
+
 def fit_and_verify(samples, degree, verify_samples):
     """The fit on the flat grid and its prediction on the verify grid, in one frame."""
     if samples.positions.shape[0] == 0:
@@ -151,19 +165,10 @@ def fit_and_verify(samples, degree, verify_samples):
         raise ValueError("degree must be >= 0")
     n = samples.positions.shape[1]
     caps = samples.surface.monomial_caps
-    A, b, scale = normal_system(samples, degree)
-    w, Q = np.linalg.eigh(A)
-    wmax = float(w[-1])
-    if wmax <= 0.0:
-        raise RankDeficientFitError("scaled normal system is identically zero")
-    keep = w > ap.RCOND_CUTOFF * wmax
-    inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-    coeff_scaled = Q @ (inv_w[:, None] * (Q.T @ b))
+    kept, rcond = eigh_solve(*normal_system(samples, degree))
     exponents = ap.monomial_exponents(n, degree)
     coefficients = np.zeros((samples.values.shape[1], len(exponents)))
-    coefficients[:, ap._within_caps(exponents, caps)] = (coeff_scaled
-                                                         / scale[:, None]).T
-    rcond = float(max(w[0], 0.0) / wmax)
+    coefficients[:, ap._within_caps(exponents, caps)] = kept
 
     poly = ap.PolynomialField(
         ambient_dim=n, degree=degree, exponents=exponents,

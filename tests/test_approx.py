@@ -1,9 +1,14 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import replace
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -412,8 +417,11 @@ class TestStageLifetimes:
 
     def test_fit_holds_no_fit_grid_basis(self):
         # the degree-10 torus fit (286 columns) works on the grid's two
-        # axes: its gram and eigenvectors dominate, 1.5 MB measured, where
-        # the (K, m) basis of the 32x32 fit grid and its transpose took 5.75
+        # axes: the gram and the gathered factor gram that multiplies into
+        # it dominate, 1.61 MB measured (as with one eigh of the whole gram,
+        # whose eigenvectors the blocks' 0.09 MB and their links' 0.08 MB
+        # replaced), where the (K, m) basis of the 32x32 fit grid and its
+        # transpose took 5.75 MB
         S, X = _case(*BENCH_CASES[0][:2])
         fit = ap.sample_unit_field(S, X, surf.chart_grid(S, *BENCH_CASES[0][2]))
         assert _traced_peak(ap._fit, fit, 10) < 2 * 2**20
@@ -500,6 +508,197 @@ class TestFit:
         assert np.isnan(np.max(np.linalg.norm(pred - verify.values, axis=1)))
 
 
+def _fit_of(monkeypatch, A, b, scale):
+    """approx._fit of the given normal system, its blocks the components of
+    the entries of A that are not zero."""
+    monkeypatch.setattr(ap, "_normal_system",
+                        lambda samples, degree: (A, b, scale, ap._blocks(A != 0.0)))
+    return ap._fit(None, 0)
+
+
+# the fit's largest block per BENCH_CASES escalation, where one eigh of the
+# whole gram took 286 and 145 columns, and the degree it ends at
+LARGEST_BLOCK = (56, 15)
+FINAL_DEGREE = (10, 8)
+
+# The largest products the BENCH_CASES fits take: a distinct-row factor gram
+# Ps Ps^T (syrk) of 66 rows over 32 nodes (the torus at degree 10) and an eigh
+# of 56 columns.  With OpenBLAS 0.3.31 (Haswell kernels, 2 cores), random
+# products of these sizes gave the same bits at 1 and 2 threads, and so did
+# syrk up to 100 rows over 40 nodes and eigh up to 80 columns; syrk of 100
+# rows over 48 nodes or 153 over 24, and eigh of 100 columns, did not.  The
+# GEMMs of the right-hand side and the verification gave the same bits at
+# every size tried, 128 x 286 x 128 included.
+SINGLE_THREAD_SIZES = (66, 32, 56)
+
+
+def _blas_name():
+    """The name of numpy's BLAS, or None where numpy does not report it."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return None
+
+
+class TestBlockSolve:
+    @pytest.mark.parametrize("case,largest", zip(BENCH_CASES, LARGEST_BLOCK))
+    def test_eigh_sees_only_the_blocks(self, monkeypatch, case, largest):
+        # on the symmetric chart grids the gram splits by the parity of the
+        # monomials under the grid's reflections: torus degree 10 in blocks
+        # [20, 35 x 6, 56], Clifford degree 8 in 16 blocks of at most 15
+        sizes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(ap.np.linalg, "eigh",
+                            lambda a: sizes.append(a.shape[-1]) or eigh(a))
+        surface, field, grid = case
+        report = ap.smooth_field(*_case(surface, field), fit_grid=grid)[0]
+        assert report.passed and max(sizes) == largest
+
+    def test_blocks_are_the_connected_components(self):
+        # a chain 0 - 5 - 2 links through entries away from the diagonal, and
+        # an entry at the rounding level of its diagonal links nothing
+        G = np.diag([4.0, 1.0, 2.0, 3.0, 5.0, 6.0])
+        G[0, 5] = G[5, 0] = G[5, 2] = G[2, 5] = 0.5
+        G[1, 3] = G[3, 1] = 1e-3
+        G[4, 0] = G[0, 4] = 1e-17 * np.sqrt(20.0)
+        link = ap._links(G, 1e-16)
+        assert np.array_equal(link, (G != 0.0) & (G > 1e-16))
+        blocks = ap._blocks(link)
+        assert [b.tolist() for b in blocks] == [[[4]], [[1, 3]], [[0, 2, 5]]]
+        # a column linked to nothing is its own block
+        link[1, 3] = link[3, 1] = False
+        assert [b.tolist() for b in ap._blocks(link)] == [[[1], [3], [4]], [[0, 2, 5]]]
+
+    @pytest.mark.parametrize("K", [1, 10, 57, 286])
+    def test_a_gram_without_zero_pattern_is_one_eigh(self, monkeypatch, K):
+        rng = np.random.default_rng(K)
+        M = rng.standard_normal((K, K + 5))
+        A, b = M @ M.T, rng.standard_normal((K, 3))
+        scale = rng.uniform(0.5, 2.0, K)
+        coeff, rcond = _fit_of(monkeypatch, A, b, scale)
+        ref_coeff, ref_rcond = approx_oracle.eigh_solve(A, b, scale)
+        assert np.array_equal(coeff, ref_coeff) and rcond == ref_rcond
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_cutoff_is_relative_to_the_largest_block(self, monkeypatch, seed):
+        # a block whose eigenvalues all lie below RCOND_CUTOFF times the other
+        # block's largest is discarded whole, as by one eigh of the whole gram
+        rng = np.random.default_rng(seed)
+        M1, M2 = rng.standard_normal((9, 6)), 1e-6 * rng.standard_normal((7, 4))
+        A = np.zeros((10, 10))
+        A[:6, :6], A[6:, 6:] = M1.T @ M1, M2.T @ M2
+        order = rng.permutation(10)
+        A, b = A[order][:, order], rng.standard_normal((10, 3))
+        coeff, rcond = _fit_of(monkeypatch, A, b, np.ones(10))
+        ref, ref_rcond = approx_oracle.eigh_solve(A, b, np.ones(10))
+        assert not np.any(coeff[:, order >= 6])
+        assert np.max(np.abs(coeff - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # rcond is relative to the largest eigenvalue, which bounds the
+        # rounding of the whole gram's eigenvalues
+        assert rcond < ap.RCOND_CUTOFF and abs(rcond - ref_rcond) <= 16 * np.finfo(float).eps
+
+    def test_a_column_whose_scale_underflows_is_its_own_block(self, monkeypatch):
+        # column 2 is P_2 Q_2^T with max|P_2| max|Q_2| = 0 in floating point:
+        # it is zeroed, and although its scaled factor rows are not small, it
+        # links to nothing, so its zero block gets no coefficient
+        rng = np.random.default_rng(5)
+        P, Q = rng.standard_normal((3, 6)), rng.standard_normal((3, 5))
+        P[2] *= 1e-200
+        Q[2] *= 1e-200
+        rows = np.arange(3)
+        monkeypatch.setattr(ap, "_axis_layers",
+                            lambda samples, degree, caps: ((P, rows), (Q, rows)))
+        samples = SimpleNamespace(surface=SimpleNamespace(monomial_caps=None),
+                                  values=rng.standard_normal((30, 3)))
+        A, b, scale, blocks = ap._normal_system(samples, 0)
+        assert scale[2] == 1.0 and not np.any(A[2]) and not np.any(A[:, 2]) and not np.any(b[2])
+        assert [blk.tolist() for blk in blocks] == [[[2]], [[0, 1]]]
+        coeff = ap._fit(samples, 0)[0]
+        assert not np.any(coeff[:, 2]) and np.all(coeff[:, :2] != 0.0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_an_exact_null_direction_gives_the_minimum_norm_fit(self, monkeypatch,
+                                                               seed):
+        # two blocks of columns with disjoint rows, the first with a repeated
+        # column; relative gap to pinv measured at most 8.6e-15 over 200 seeds
+        rng = np.random.default_rng(seed)
+        M = np.zeros((70, 12))
+        M[:40, :6] = rng.standard_normal((40, 6))
+        M[:40, 6] = M[:40, 2]
+        M[40:, 7:] = rng.standard_normal((30, 5))
+        y = rng.standard_normal((70, 3))
+        coeff, rcond = _fit_of(monkeypatch, M.T @ M, M.T @ y, np.ones(12))
+        ref = (np.linalg.pinv(M) @ y).T
+        assert rcond < ap.RCOND_CUTOFF
+        assert np.max(np.abs(coeff - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_smooth_payload_is_the_same_at_one_and_two_blas_threads(self):
+        # The fit does not make its bits independent of the thread count; the
+        # BLAS does, for products small enough to run on one thread.  So this
+        # holds for OpenBLAS, whose thread count OPENBLAS_NUM_THREADS sets,
+        # and only while the fit's products stay within SINGLE_THREAD_SIZES;
+        # one eigh of the whole gram moved sup_errors by 9.8e-11 and 7.5e-12
+        # between 1 and 2 threads.
+        blas = _blas_name()
+        if blas is not None and "openblas" not in blas.lower():
+            pytest.skip(f"numpy's BLAS is {blas}, which OPENBLAS_NUM_THREADS does not set")
+        rows, nodes, columns = SINGLE_THREAD_SIZES
+        for (surface, field, grid), degree in zip(BENCH_CASES, FINAL_DEGREE):
+            S, X = _case(surface, field)
+            samples = ap.sample_unit_field(S, X, surf.chart_grid(S, *grid))
+            for layers, _ in ap._axis_layers(samples, degree, S.monomial_caps):
+                assert layers.shape[0] <= rows and layers.shape[1] <= nodes, (
+                    f"a factor gram of {layers.shape[0]} distinct rows over "
+                    f"{layers.shape[1]} nodes was not measured to run on one thread")
+        assert max(LARGEST_BLOCK) <= columns     # see test_eigh_sees_only_the_blocks
+
+        code = ("import contextlib, io, json, sys\n"
+                "from bochner2d import cli\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    out = io.StringIO()\n"
+                "    with contextlib.redirect_stdout(out):\n"
+                "        cli.main(argv)\n"
+                "    print(json.dumps(json.loads(out.getvalue())['smoothing']))\n")
+        argvs = [["smooth", "--surface", s, "--field", f, "--grid", f"{nu}x{nv}"]
+                 for s, f, (nu, nv) in BENCH_CASES]
+        src = Path(ap.__file__).resolve().parent.parent
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                                  capture_output=True, text=True, check=True, env=env)
+            runs.append([json.loads(line) for line in proc.stdout.splitlines()])
+        for one, two, degree in zip(*runs, FINAL_DEGREE):
+            assert one["degrees_tried"] == two["degrees_tried"] and one["pass"]
+            assert one["final_degree"] == degree
+            assert np.max(np.abs(np.subtract(one["sup_errors"], two["sup_errors"]))) <= 1e-12
+            assert abs(one["min_tangential_norm"] - two["min_tangential_norm"]) <= 1e-12
+
+
+class TestDistinctLayers:
+    @pytest.mark.parametrize("kind", sorted(FAMILY_PARAMS))
+    @pytest.mark.parametrize("degree", [0, 3, 10])
+    def test_distinct_rows_at_the_index_are_the_layers(self, kind, degree):
+        # the built-in factors that merge are neighbours, so their products
+        # are the same multiplies in the same order: equal to the bit
+        S = surf.make_surface(kind, FAMILY_PARAMS[kind])
+        caps = S.monomial_caps
+        for points in (S.maps.u_factors(np.linspace(0.1, 3.0, 7))[0],
+                       S.maps.v_factors(np.linspace(0.2, 6.0, 9))[0]):
+            rows, index = ap._distinct_layers(points, degree, caps)
+            full = np.concatenate(list(ap._monomial_layers(points, degree, caps)))
+            assert len(np.unique(rows, axis=0)) == len(rows) <= len(full)
+            assert np.array_equal(rows[index], full)
+
+    def test_unit_and_equal_factors_drop_out(self):
+        x = np.linspace(0.5, 2.0, 5)
+        points = np.stack([x, np.ones(5), np.sqrt(x), x])
+        rows, index = ap._distinct_layers(points, 4, None)
+        assert len(rows) == comb(2 + 4, 2) and len(index) == comb(4 + 4, 4)
+        full = np.concatenate(list(ap._monomial_layers(points, 4)))
+        np.testing.assert_allclose(rows[index], full, rtol=8 * np.finfo(float).eps)
+
+
 # entrywise gap between the axis-built and the flat normal system, relative
 # to the gram's largest entry: measured at most 18.8 eps (gram) and 22.8 eps
 # (right-hand side) over 3000 random cases of the property below
@@ -523,7 +722,7 @@ class TestAxisNormalSystem:
         angle = f"{k}*u+{l}*v+{phase:.6f}"
         X = parse_field(f"cos({angle}),sin({angle})")
         samples = ap.sample_unit_field(S, X, surf.chart_grid(S, nu, nv))
-        A, b, scale = ap._normal_system(samples, degree)
+        A, b, scale, blocks = ap._normal_system(samples, degree)
         ref_A, ref_b, ref_scale = approx_oracle.normal_system(samples, degree)
         # every scaled entry is at most 1 in size, so the constant column
         # gives the gram's largest entry, the node count, which also bounds
@@ -535,6 +734,13 @@ class TestAxisNormalSystem:
         assert np.max(np.abs(A - ref_A)) <= GRAM_GAP * top
         assert np.max(np.abs(b - ref_b)) <= GRAM_GAP * top
         np.testing.assert_allclose(scale, ref_scale, rtol=16 * np.finfo(float).eps)
+        # the entries outside the blocks are within their rounding bound,
+        # max(nu, nv) eps of the gram's largest entry, in the flat gram too
+        inside = np.zeros(A.shape, dtype=bool)
+        for idx in blocks:
+            inside[idx[:, :, None], idx[:, None, :]] = True
+        gamma = max(nu, nv) * np.finfo(float).eps
+        assert np.all(np.abs(ref_A[~inside]) <= (gamma + GRAM_GAP) * top)
         # and the smoothing run escalates the same way through either fit
         report = _smoothing_report(S, X, (nu, nv), degree)
         with pytest.MonkeyPatch.context() as mp:

@@ -241,6 +241,49 @@ class TestGaussBonnet:
         assert rep["chi"]["indeterminate"] is True
         assert "raw" in rep["chi"]
 
+    # each rounded within CHI_MARGIN of an integer, but of the wrong one: the
+    # integral's own estimate says the rounding means nothing, or there is no
+    # estimate on a 4-node axis
+    @pytest.mark.parametrize("surface,grid,rounded,reason", [
+        ("ellipsoid:1,5,0.2", "22x22", 1, "with estimated error 5.82 "),
+        ("ellipsoid:0.1,10,1", "16x16", 14, "with estimated error 3.38 "),
+        ("ellipsoid:1,1,0.02", "27x27", 9, "with estimated error 9.27 "),
+        ("ellipsoid:1,1,0.02", "35x35", 7, "with estimated error 7.11 "),
+        ("ellipsoid:1,1,0.02", "4x20", 0, "has no error estimate"),
+        ("ellipsoid:1,1,0.02", "27x4", 9, "has no error estimate"),
+    ])
+    def test_a_rounding_that_its_estimate_voids_fails_named(self, capsys, surface, grid,
+                                                           rounded, reason):
+        status, rep = run_json(capsys, "gauss-bonnet", "--surface", surface,
+                               "--grid", grid)
+        assert status == 1 and rep["overall_pass"] is False
+        chi = rep["chi"]
+        assert chi["margin"] < chi["margin_limit"]
+        assert (chi["rounded"], chi["declared"]) == (rounded, 2)
+        assert chi["indeterminate"] is True and chi["agrees_with_declared"] is False
+        assert reason in rep["error"] and rep["error"].endswith("; refine the grid")
+
+    def test_a_certified_rounding_reports_its_estimate(self, capsys):
+        status, rep = run_json(capsys, "gauss-bonnet", "--surface", "sphere:1",
+                               "--grid", "32x64")
+        assert status == 0 and "error" not in rep
+        chi, total = rep["chi"], rep["integrals"]["total_curvature"]
+        assert chi["agrees_with_declared"] is True
+        assert chi["estimated_error"] == total["estimated_error"] / (2 * np.pi)
+        assert chi["margin"] + chi["estimated_error"] < chi["margin_limit"]
+        assert list(chi)[-3:] == ["declared", "agrees_with_declared", "estimated_error"]
+
+    def test_a_determinate_wrong_chi_is_named(self, capsys, monkeypatch):
+        total = integrate.IntegralResult(value=2 * np.pi, resolution=(16, 16),
+                                         rule="gauss-legendre-mixed",
+                                         estimated_error=0.0)
+        monkeypatch.setattr(integrate, "total_curvature", lambda surface, grid: total)
+        status, rep = run_json(capsys, "gauss-bonnet", "--surface", "sphere:1",
+                               "--grid", "16x16")
+        assert status == 1 and rep["chi"]["indeterminate"] is False
+        assert rep["chi"]["agrees_with_declared"] is False
+        assert rep["error"] == "chi estimate 1.000000 rounds to 1, not to the declared 2"
+
     def test_sphere_with_field_shows_obstruction(self, capsys):
         status, rep = run_json(capsys, "gauss-bonnet", "--surface", "sphere:1",
                                "--field", "dv", "--grid", "32x64")

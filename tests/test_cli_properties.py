@@ -17,7 +17,10 @@
     there has a zero, at the poles that the chart leaves out, and the
     integral of div Y is 2 pi chi = 4 pi; (g) an expression field's jets of
     orders 0, 1 and 2 agree bit for bit where they overlap, and its order-0
-    value is its `coeff`.
+    value is its `coeff`; (h) `gauss-bonnet` never passes with a chi that is
+    not the declared one: over ellipsoid axes in [0.02, 10] and grids of 4
+    to 64 nodes per axis, a passing run rounds to the declared 2 with its
+    margin plus estimated error under the limit, and a failing one names why.
 """
 
 import contextlib
@@ -186,6 +189,25 @@ def test_gauss_bonnet_at_any_scale_ends_in_a_status(family, exponent):
     assert status in (0, 1, 2)
     if status == 0:
         assert report["chi"]["rounded"] == report["chi"]["declared"], params
+
+
+@settings(max_examples=40)
+@given(st.lists(st.floats(0.02, 10.0), min_size=3, max_size=3),
+       st.integers(4, 64), st.integers(4, 64))
+# passed with chi 1, 9 and 0 against the declared 2
+@example([1.0, 5.0, 0.2], 22, 22)
+@example([1.0, 1.0, 0.02], 27, 27)
+@example([1.0, 1.0, 0.02], 4, 20)
+def test_gauss_bonnet_never_passes_a_wrong_chi(axes, nu, nv):
+    params = ",".join(repr(a) for a in axes)
+    status, report = _run(["gauss-bonnet", "--surface", f"ellipsoid:{params}",
+                           "--grid", f"{nu}x{nv}"])
+    if status == 0:
+        chi = report["chi"]
+        assert chi["rounded"] == chi["declared"] == 2, (params, nu, nv, chi)
+        assert chi["margin"] + chi["estimated_error"] < chi["margin_limit"]
+    else:
+        assert status == 1 and report["error"], (params, nu, nv, report)
 
 
 @settings(max_examples=40)

@@ -138,17 +138,45 @@ class TestEulerCharacteristic:
         assert exc.value.estimate is not None
         assert exc.value.estimate.margin >= 0.01
 
+    @pytest.mark.parametrize("params,shape,reason", [
+        ((1.0, 5.0, 0.2), (22, 22), "with estimated error 5.82 "),
+        ((1.0, 1.0, 0.02), (4, 20), "has no error estimate"),
+    ])
+    def test_a_rounding_that_its_estimate_voids_is_indeterminate(self, params, shape,
+                                                                reason):
+        # within CHI_MARGIN of 1 and 0, where 2 is declared
+        S = surf.ellipsoid(*params)
+        with pytest.raises(ChiIndeterminateError, match=reason) as exc:
+            ig.euler_characteristic(S, surf.chart_grid(S, *shape))
+        est = exc.value.estimate
+        assert est.margin < ig.CHI_MARGIN and est.indeterminate
+        assert est.declared == 2 and est.agrees is False
+
+    def test_the_rounding_must_survive_the_error_and_meet_the_declared_chi(self):
+        total = 2 * np.pi * 1.996
+        assert ig.chi_from_total(total, error=2 * np.pi * 0.005, declared=None).certified
+        est = ig.chi_from_total(total, error=2 * np.pi * 0.006, declared=None)
+        assert est.indeterminate and "estimated error 0.006 " in est.failure()
+        est = ig.chi_from_total(total, error=np.nan, declared=None)
+        assert est.indeterminate and "refine the grid" in est.failure()
+        est = ig.chi_from_total(total, error=0.0, declared=0)
+        assert not est.indeterminate and not est.certified and est.agrees is False
+        assert est.failure() == "chi estimate 1.996000 rounds to 2, not to the declared 0"
+        est = ig.chi_from_total(total, error=0.0, declared=2)
+        assert est.certified and est.agrees and est.failure() is None
+
     def test_rounding_against_margin_limit(self):
-        est = ig.chi_from_total(2 * np.pi * 1.996)
+        est = ig.chi_from_total(2 * np.pi * 1.996, error=0.0, declared=None)
         assert est.rounded == 2
         assert est.margin == pytest.approx(0.004)
         assert est.margin_limit == ig.CHI_MARGIN
         assert not est.indeterminate
-        assert ig.chi_from_total(2 * np.pi * 1.996, margin_limit=0.004).indeterminate
+        assert ig.chi_from_total(2 * np.pi * 1.996, margin_limit=0.004,
+                                 error=0.0, declared=None).indeterminate
 
     @pytest.mark.parametrize("total", [np.inf, -np.inf, np.nan])
     def test_non_finite_total_is_indeterminate(self, total):
-        est = ig.chi_from_total(total)
+        est = ig.chi_from_total(total, error=0.0, declared=None)
         assert est.rounded is None and est.margin == np.inf
         assert est.indeterminate
 

@@ -90,3 +90,45 @@ def test_a_smooth_command_writes_its_coefficient_file_into_the_payload():
     assert smooth["code"] == 0 and smooth["coeff"].startswith("ambient_dim 3\n")
     assert json.loads(smooth["stdout"])["smoothing"]["coefficient_file"] == "<tmp>/0.txt"
     assert verify["code"] == 0 and verify["coeff"] is None
+
+
+def test_the_summary_takes_the_largest_move_per_key_over_all_commands():
+    def smooth(sup, errors, coeff, chi=None):
+        rep = {"smoothing": {"sup_error": sup, "sup_errors": errors, "pass": True}}
+        if chi is not None:
+            rep["chi"] = chi
+        return payload_diff.payload(result(rep, coeff=coeff), "/src", "/t")
+
+    head = "ambient_dim 3\ndegree 2\nmonomial_ordering graded-lexicographic\n"
+    head += "components 1\nterms 3\n"
+    pairs = [
+        (smooth(0.25, [0.5, 0.25], head + "2.0 -1.0 0.0\n"),
+         smooth(0.25 + 2e-10, [0.5, 0.25 + 2e-10], head + "2.0 -1.0 1e-9\n")),
+        (smooth(0.125, [0.5, 0.125], head + "4.0 0.5 0.0\n", {"raw": 2.0}),
+         smooth(0.125 + 3e-10, [0.5 + 1e-11, 0.125 + 3e-10], head + "4.0 0.5 4e-12\n",
+                {"raw": 2.0, "estimated_error": 1e-12, "agrees_with_declared": True})),
+    ]
+    lines = payload_diff.summary(pairs)
+    assert lines[0] == "largest moves over 2 differing commands:"
+    moves = dict(line.strip().split(": ") for line in lines[1:4])
+    assert {k: float(v) for k, v in moves.items()} == {
+        "smoothing.sup_error": 3e-10, "smoothing.sup_errors[0]": 1e-11,
+        "smoothing.sup_errors[1]": 3e-10}
+    assert lines[4:6] == ["  +chi.agrees_with_declared", "  +chi.estimated_error"]
+    assert lines[6] == "  coefficient files: 5e-10 relative to the largest entry"
+
+
+def test_a_coefficient_file_that_changes_shape_or_goes_missing_moves_infinitely():
+    head = "ambient_dim 3\ndegree 1\nmonomial_ordering graded-lexicographic\n"
+    one = head + "components 1\nterms 4\n1.0 0.0 0.0 0.5\n"
+    assert payload_diff.coefficient_move(one, one) == 0.0
+    assert payload_diff.coefficient_move(one, None) == math.inf
+    assert payload_diff.coefficient_move(one, one.replace("1\nterms", "2\nterms")) == math.inf
+    assert payload_diff.coefficient_move(one, one + "1.0 0.0 0.0 0.5\n") == math.inf
+    assert payload_diff.coefficient_move(one, one.replace("0.5", "0.75")) == 0.25
+
+
+def test_the_summary_of_identical_trees_moves_nothing():
+    assert payload_diff.summary([]) == [
+        "largest moves over 0 differing commands:",
+        "  coefficient files: 0 relative to the largest entry"]

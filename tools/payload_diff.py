@@ -23,8 +23,10 @@ any.  In stdout and stderr the tree's own ``src`` path is replaced by
 (the report's ``coefficient_file`` names it).  Every command starts with
 fresh warning registries, so a warning prints as it would in a fresh
 process.  The script prints each command whose payload differs, with the
-largest float difference per report key, and exits 1 if any differs, else
-0.
+largest float difference per report key, then a summary over all differing
+commands: the largest move per report key, the report keys that only one
+tree writes, and the largest move of a coefficient-file entry relative to
+the largest entry of its file.  It exits 1 if any payload differs, else 0.
 """
 
 import argparse
@@ -129,20 +131,26 @@ def payload(result, src, tmp):
             "coeff": result.get("coeff")}
 
 
-def float_differences(a, b, key="", into=None):
+def float_differences(a, b, key="", into=None, only=None):
     """{report key: largest |a - b|} over the numbers at the same place of two
     JSON values; list entries are keyed by their "name" where they have one.
     A number against a non-number, NaN against a number, or inf against a
-    different number counts as an infinite difference."""
+    different number counts as an infinite difference.  Given a set `only`,
+    a dict key that one value lacks is added to it, "+key" where a lacks it
+    and "-key" where b does, instead of being compared."""
     into = {} if into is None else into
     if isinstance(a, dict) and isinstance(b, dict):
         for k in a.keys() | b.keys():
-            float_differences(a.get(k), b.get(k), f"{key}.{k}" if key else k, into)
+            path = f"{key}.{k}" if key else k
+            if only is not None and (k in a) != (k in b):
+                only.add(("+" if k in b else "-") + path)
+                continue
+            float_differences(a.get(k), b.get(k), path, into, only)
     elif isinstance(a, list) and isinstance(b, list):
         for i in range(max(len(a), len(b))):
             x, y = (c[i] if i < len(c) else None for c in (a, b))
             name = x.get("name", i) if isinstance(x, dict) else i
-            float_differences(x, y, f"{key}[{name}]", into)
+            float_differences(x, y, f"{key}[{name}]", into, only)
     elif _number(a) or _number(b):
         diff = _difference(a, b)
         if diff:
@@ -179,6 +187,51 @@ def compare(parent, change):
     return lines
 
 
+def _coefficients(text):
+    """The header lines and the entries of a coefficient file's text."""
+    lines = text.splitlines()
+    return lines[:5], [[float(x) for x in line.split()] for line in lines[5:]]
+
+
+def coefficient_move(a, b):
+    """The largest |a - b| over the entries of two coefficient files' texts,
+    relative to the largest entry of a; inf where a file is missing, or
+    their headers or shapes differ."""
+    if a is None or b is None:
+        return math.inf
+    (head_a, rows_a), (head_b, rows_b) = _coefficients(a), _coefficients(b)
+    if head_a != head_b or [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return math.inf
+    pairs = [(x, y) for ra, rb in zip(rows_a, rows_b) for x, y in zip(ra, rb)]
+    top = max((abs(x) for x, _ in pairs), default=0.0)
+    move = max((_difference(x, y) for x, y in pairs), default=0.0)
+    return move / top if top else (math.inf if move else 0.0)
+
+
+def summary(pairs):
+    """Lines that sum up the differing (parent, change) payload pairs: the
+    largest move per report key over all of them, the report keys that only
+    one side writes, and the largest relative move of a coefficient-file
+    entry (``coefficient_move``)."""
+    moves, only, coeff = {}, set(), 0.0
+    for a, b in pairs:
+        if a["stdout"] != b["stdout"]:
+            try:
+                reports = json.loads(a["stdout"]), json.loads(b["stdout"])
+            except ValueError:
+                reports = None
+            if reports:
+                for k, d in float_differences(*reports, only=only).items():
+                    moves[k] = max(moves.get(k, 0.0), d)
+        if a["coeff"] != b["coeff"]:
+            coeff = max(coeff, coefficient_move(a["coeff"], b["coeff"]))
+    lines = [f"largest moves over {len(pairs)} differing commands:"]
+    lines += [f"  {k}: {d:.3g}" for k, d in sorted(moves.items())]
+    lines += [f"  {k}" for k in sorted(only, key=lambda k: (k[1:], k))]
+    lines.append(f"  coefficient files: {coeff:.3g} relative to the largest entry")
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="the parent checkout, or its src directory")
@@ -187,15 +240,16 @@ def main(argv=None):
     argvs = commands()
     parent = run_tree(source_dir(args.parent), argvs)
     change = run_tree(source_dir(args.change), argvs)
-    differing = 0
+    differing = []
     for argv, a, b in zip(argvs, parent, change):
         lines = compare(a, b)
         if lines:
-            differing += 1
+            differing.append((a, b))
             print(" ".join(argv))
             print("\n".join(lines))
-    print(f"{differing} of {len(argvs)} commands differ")
-    return int(differing > 0)
+    print("\n".join(summary(differing)))
+    print(f"{len(differing)} of {len(argvs)} commands differ")
+    return int(bool(differing))
 
 
 if __name__ == "__main__":
