@@ -36,7 +36,7 @@ exponent, so within the caps the part whose x_j exponent is below cap_j is
 again a suffix, and a capped layer is built the same way.  One cached table
 entry per layer (``_layer``) holds its exponent rows and the (j, k) pairs
 that build the next layer, each suffix length k counted on those rows:
-``monomial_exponents`` concatenates the rows, and ``_monomial_layers``
+``monomial_exponents`` concatenates the rows, and ``_next_layer``
 multiplies points by the pairs.
 
 Layout.  As in the derivative pipeline (see ``_jets``), the private arrays
@@ -52,38 +52,47 @@ Fit and verification on the grid's axes.  The fit and verification grids
 are tensor products of chart axes, and every built-in coordinate is a
 product x_k(u, v) = p_k(u) q_k(v) of the embedding's factor maps (see
 ``surfaces``), so a monomial is x^e = p(u)^e q(v)^e, as in sum
-factorization (Orszag, J. Comput. Phys. 37, 1980).  Both stages build the
-capped layers at the nu points p(u_i) and at the nv points q(v_j) only,
-P (K, nu) and Q (K, nv).  The fit's basis is their face-splitting product,
-so its scaled gram is (Ps Ps^T) o (Qs Qs^T), K^2 (nu + nv) multiply-adds in
-place of K^2 nu nv, and its right-hand side is one GEMM of the values with
-Qs (see ``_normal_system``).  A factor that is 1 on its axis and equal
-factors leave P and Q with repeated rows, so both products are taken on
-their distinct rows alone (``_distinct_layers``) and gathered.  The
-verification predicts component c on the grid as (P * C_c[:, None])^T Q,
-one GEMM of nu x K x nv per component, in place of K products at each of
-the nu nv nodes, and the projection of that prediction takes J and the
-metric (``surfaces._assemble``) on the same two axes.
+factorization (Orszag, J. Comput. Phys. 37, 1980).  Both stages take the
+capped basis at the nu points p(u_i) and at the nv points q(v_j) only,
+P (K, nu) and Q (K, nv).  A factor that is 1 on its axis and equal
+factors leave P and Q with repeated rows, so each axis of a grid's
+samples holds one table (``_AxisBasis``): the factor points, evaluated
+once, and the layers of their distinct factors, which every degree tried
+extends and gathers its distinct rows from.  The fit's basis is the
+face-splitting product of P and Q, so its scaled gram is (Ps Ps^T) o
+(Qs Qs^T), K^2 (nu + nv) multiply-adds in place of K^2 nu nv, and its
+right-hand side is one GEMM of the values with Qs (see
+``_normal_system``); both products are taken on the distinct rows and
+gathered.  The verification sums each component's coefficients onto the
+pairs of distinct rows and predicts the grid by two small GEMMs (see
+``_grid_prediction``), in place of K products at each of the nu nv nodes,
+and the projection of that prediction takes J and the metric
+(``surfaces._assemble``) on the same two axes.
 ``evaluate_polynomial_field`` serves arbitrary points: it streams them in
 EVAL_CHUNK blocks.
 
-Lifetimes.  Each degree tried is fitted, then verified, and the two stages
-never hold their arrays at the same time: ``_fit`` builds P, Q, the K x K
-gram and the eigendecompositions of its blocks in its own frame and returns
-only the coefficients, so they are freed before the verification predicts
-the grid through its axes (``_grid_prediction``), whose tables hold
-K (nu + nv) doubles besides the prediction itself.  No stage holds a (K, m)
-basis of the grid's nodes: the degree-10 torus fit (K = 286) on a 32x32
-grid peaks at about 1.61 MB of traced allocations, most of it two K x K
-matrices, the gram and the gathered factor gram that multiplies into it;
-the links that give its blocks take K^2 bytes and the blocks' eigenvectors
-0.09 MB.  ``evaluate_polynomial_field``
-holds two degree layers of one EVAL_CHUNK block of its points at a time.
+Lifetimes.  The axis tables and the positions are built on first read and
+kept with their samples (``AmbientFieldSamples``), so they live as long as
+one smoothing run, ``smooth_field``, and no longer: on the torus at degree
+10, 66 distinct rows per axis, about 67 KB per axis of the 128x128
+verification grid and 17 KB per axis of the 32x32 fit grid.  Each degree
+tried is fitted, then verified, and the two stages never hold their other
+arrays at the same time: ``_fit`` gathers P and Q's distinct rows and
+builds the K x K gram and the eigendecompositions of its blocks in its own
+frame and returns only the coefficients, so they are freed before the
+verification predicts the grid through its axes (``_grid_prediction``),
+whose sums take n_components nP nQ doubles besides the prediction itself.
+No stage holds a (K, m) basis of the grid's nodes: the degree-10 torus fit
+(K = 286) on a 32x32 grid peaks at about 1.61 MB of traced allocations,
+most of it two K x K matrices, the gram and the gathered factor gram that
+multiplies into it; the links that give its blocks take K^2 bytes and the
+blocks' eigenvectors 0.09 MB.  ``evaluate_polynomial_field`` holds two
+degree layers of one EVAL_CHUNK block of its points at a time.
 """
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -102,14 +111,31 @@ EVAL_CHUNK = 8192          # nodes per block when streaming large point sets
 
 @dataclass(frozen=True)
 class AmbientFieldSamples:
-    """Unit ambient tangent samples of a field on a chart grid."""
+    """Unit ambient tangent samples of a field on a chart grid.
+
+    The positions and the basis tables of the grid's two axes are built
+    from the axes on first read and kept with the samples, so a copy by
+    ``dataclasses.replace`` builds its own.
+    """
     surface: object
     grid_shape: tuple
     chart_u: np.ndarray
     chart_v: np.ndarray
-    positions: np.ndarray      # (m, n) ambient points
     values: np.ndarray         # (m, n) ambient vectors
     axes: tuple                # (u_nodes, v_nodes) of the grid; node i * nv + j
+
+    @cached_property
+    def positions(self):
+        """(m, n) ambient points: the embedding on the grid's axes, node-last."""
+        u, v = self.axes
+        positions = self.surface.maps.embed(u[:, None], v[None, :])      # (n, nu, nv)
+        return positions.reshape(len(positions), -1).T
+
+    @cached_property
+    def _bases(self):
+        """The ``_AxisBasis`` of each grid axis, at the points p(u_i) and q(v_j)."""
+        maps, (u, v) = self.surface.maps, self.axes
+        return _AxisBasis(maps.u_factors(u)[0]), _AxisBasis(maps.v_factors(v)[0])
 
 
 @dataclass(frozen=True)
@@ -215,17 +241,21 @@ def _monomial_layers(points, degree, caps=None):
     Only two layers are referenced at a time, so a consumer that reduces
     each block as it arrives holds O(max K_t * m) memory.
     """
-    n, m = points.shape
-    layer = np.ones((1, m))
+    layer = np.ones((1, points.shape[1]))
     yield layer
-    for _, sources in _layers(n, degree - 1, caps):
-        nxt = np.empty((sum(k for _, k in sources), m))
-        row = 0
-        for j, k in sources:
-            np.multiply(points[j], layer[-k:], out=nxt[row:row + k])
-            row += k
-        layer = nxt
+    for _, sources in _layers(len(points), degree - 1, caps):
+        layer = _next_layer(points, layer, sources)
         yield layer
+
+
+def _next_layer(points, layer, sources):
+    """The layer after `layer` (K_t, m): x_j times its last k rows, per source (j, k)."""
+    nxt = np.empty((sum(k for _, k in sources), layer.shape[1]))
+    row = 0
+    for j, k in sources:
+        np.multiply(points[j], layer[-k:], out=nxt[row:row + k])
+        row += k
+    return nxt
 
 
 def evaluate_polynomial_field(poly, points):
@@ -261,7 +291,7 @@ def sample_unit_field(surface, X, grid):
     `operators._vanishes`, with |J X|^2 = g(X, X) and |J|_F^2 = tr g) or is
     not finite anywhere on the grid; a field that divides by zero or
     overflows there is named by that error, not warned about.  The
-    positions are the embedding on the grid's axes.
+    positions are the embedding on the grid's axes, built on first read.
     """
     U, V = grid.U, grid.V
     u, v = grid.u_nodes[:, None], grid.v_nodes[None, :]
@@ -289,13 +319,9 @@ def sample_unit_field(surface, X, grid):
         raise ZeroFieldPointError(f"field {X.name!r} has {' and '.join(counts)}",
                                   points=pts)
     ambient /= norms
-    positions = surface.maps.embed(u, v)                        # (n, nu, nv)
-    n, m = surface.ambient_dim, U.size
     return AmbientFieldSamples(
-        surface=surface, grid_shape=(grid.nu, grid.nv),
-        chart_u=U.reshape(m), chart_v=V.reshape(m),
-        positions=positions.reshape(n, m).T, values=ambient.reshape(n, m).T,
-        axes=(grid.u_nodes, grid.v_nodes))
+        surface=surface, grid_shape=(grid.nu, grid.nv), chart_u=U.ravel(), chart_v=V.ravel(),
+        values=ambient.reshape(len(ambient), -1).T, axes=(grid.u_nodes, grid.v_nodes))
 
 
 def _square_sum(x):
@@ -327,32 +353,34 @@ def _reduction(ambient_dim, degree, caps, variables):
     return rows, index
 
 
-def _distinct_layers(points, degree, caps):
-    """The capped graded-lex basis at points (n, m) as its distinct rows and an index.
+class _AxisBasis:
+    """The graded-lex basis at the factor points (n, m) of one grid axis, grown
+    one layer at a time as the degrees tried ask for it.
 
     A factor that is 1 at every point drops out of every monomial, and
-    equal factors multiply as one variable, so the basis is the rows, at
-    the index, of the basis of the remaining distinct factors (see
-    ``_reduction``): on the torus the 286 degree-10 monomials take 66
-    distinct rows on either axis.
+    equal factors multiply as one variable, so the basis within any caps is
+    a gather of the basis of the remaining distinct factors, the reduced
+    points (see ``_reduction``): on the torus the 286 degree-10 monomials
+    take 66 distinct rows on either axis.  In graded-lex order the reduced
+    layers up to degree d are a prefix of those of any higher degree, so
+    the table keeps the layers it has built and only appends.
     """
-    keys = [row.tobytes() for row in points]      # equal bytes, equal factors
-    one = np.ones_like(points[0]).tobytes()
-    distinct = list(dict.fromkeys(k for k in keys if k != one))
-    variables = tuple(distinct.index(k) if k != one else -1 for k in keys)
-    rows, index = _reduction(len(points), degree, caps, variables)
-    reduced = points[[keys.index(k) for k in distinct]]
-    return np.concatenate(list(_monomial_layers(reduced, degree)))[rows], index
 
+    def __init__(self, points):
+        keys = [row.tobytes() for row in points]      # equal bytes, equal factors
+        one = np.ones_like(points[0]).tobytes()
+        distinct = list(dict.fromkeys(k for k in keys if k != one))
+        self.variables = tuple(distinct.index(k) if k != one else -1 for k in keys)
+        self.points = points[[keys.index(k) for k in distinct]]
+        self.layers = [np.ones((1, points.shape[1]))]
 
-def _axis_layers(samples, degree, caps):
-    """The capped graded-lex basis at the points p(u_i) and at the points q(v_j)
-    of the samples' grid axes, P (K, nu) and Q (K, nv), each as its distinct
-    rows and an index (see ``_distinct_layers``)."""
-    maps = samples.surface.maps
-    u_nodes, v_nodes = samples.axes
-    return tuple(_distinct_layers(points, degree, caps)
-                 for points in (maps.u_factors(u_nodes)[0], maps.v_factors(v_nodes)[0]))
+    def rows(self, degree, caps):
+        """The basis within caps up to degree as its distinct rows and an index,
+        the reduced layers that degree lacks appended first."""
+        for _, sources in _layers(len(self.points), degree - 1, None)[len(self.layers) - 1:]:
+            self.layers.append(_next_layer(self.points, self.layers[-1], sources))
+        rows, index = _reduction(len(self.variables), degree, caps, self.variables)
+        return np.concatenate(self.layers[:degree + 1])[rows], index
 
 
 def _normal_system(samples, degree):
@@ -366,7 +394,7 @@ def _normal_system(samples, degree):
     the gram of the scaled columns is (Ps Ps^T) o (Qs Qs^T), and the
     right-hand side of component c, on the grid as Y_c (nu, nv), is
     b[k, c] = (Ps Y_c Qs^T)[k, k].  P and Q are held as their distinct
-    rows and an index (``_distinct_layers``), so both products are taken
+    rows and an index (``_AxisBasis``), so both products are taken
     on the distinct rows and gathered: small enough for the BLAS to run
     them on one thread, so that the system is the same at any thread count.
     Columns k and l are linked unless entry (k, l) of Ps Ps^T or of Qs Qs^T
@@ -374,7 +402,7 @@ def _normal_system(samples, degree):
     ``_fit``), read off the distinct rows and gathered as booleans; the
     blocks are the components of the links, a zero column on its own.
     """
-    (P, iu), (Q, iv) = _axis_layers(samples, degree, samples.surface.monomial_caps)
+    (P, iu), (Q, iv) = (b.rows(degree, samples.surface.monomial_caps) for b in samples._bases)
     ps, qs = np.max(np.abs(P), axis=1), np.max(np.abs(Q), axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         scale = ps[iu] * qs[iv]       # NaN or inf where P_k Q_k^T is not finite
@@ -474,8 +502,7 @@ def _sup_error(pred, values):
     once, of the largest sum: sqrt is monotone, so this is
     np.max(np.linalg.norm(pred - values, axis=1)) to the bit, NaN included.
     """
-    diff = pred.T - values.T
-    return float(np.sqrt(np.max(_square_sum(diff))))
+    return float(np.sqrt(np.max(_square_sum(pred.T - values.T))))
 
 
 def _fit_and_verify(samples, degree, verify_samples):
@@ -515,17 +542,22 @@ def _grid_prediction(poly, samples):
     """Values of poly on the samples' tensor grid, (m, n_components), through its axes.
 
     Every ambient coordinate is p_k(u) q_k(v), so a monomial is
-    x^e = p(u)^e q(v)^e: the capped graded-lex layers built at the nu
-    points p(u_i) and at the nv points q(v_j) give P (K, nu) and Q (K, nv),
-    and component c on the grid is (P * C_c[:, None])^T Q, one small GEMM.
-    The result is a view of node-last storage.
+    x^e = p(u)^e q(v)^e, and component c on the grid is the sum over the
+    K monomials of C_c[k] p(u)^e_k q(v)^e_k.  The capped basis at the nu
+    points p(u_i) and at the nv points q(v_j) is held as distinct rows,
+    P (nP, nu) and Q (nQ, nv), and indexes iu and iv (``_AxisBasis``), so
+    that sum is P^T M_c Q, where M_c (nP, nQ) sums C_c onto the pairs
+    (iu[k], iv[k]) by bincount, in the order of k: on the torus at degree
+    10, 128 x 66 x 66 plus 128 x 66 x 128 multiply-adds per component in
+    place of 128 x 286 x 128 on the gathered rows.  The result is a view of
+    node-last storage.
     """
-    P, Q = (rows[index] for rows, index in _axis_layers(samples, poly.degree, poly.caps))
+    (P, iu), (Q, iv) = (basis.rows(poly.degree, poly.caps) for basis in samples._bases)
     coeff = poly.coefficients[:, _within_caps(poly.exponents, poly.caps)]
-    out = np.empty((coeff.shape[0], P.shape[1], Q.shape[1]))
-    for c, row in enumerate(coeff):
-        np.matmul((P * row[:, None]).T, Q, out=out[c])
-    return out.reshape(coeff.shape[0], -1).T
+    n, size = len(coeff), len(P) * len(Q)
+    M = np.bincount((np.arange(n)[:, None] * size + iu * len(Q) + iv).ravel(),
+                    weights=coeff.ravel(), minlength=n * size)
+    return (P.T @ M.reshape(n, len(P), len(Q)) @ Q).reshape(n, -1).T
 
 
 def _tangent_coefficients(surface, w, u, v):
@@ -598,11 +630,9 @@ def smooth_field(surface, X, max_degree=16, fit_grid=(64, 64)):
     g, _, _, det = surf._assemble(surface, u, v, 0)
     surf._require_nondegenerate(surface, g, det, u, v)
 
-    degrees = list(range(2, max_degree + 1, 2))
     best = best_pred = None
-    tried = []
-    errors = []
-    for d in degrees:
+    tried, errors = [], []
+    for d in range(2, max_degree + 1, 2):
         poly, pred = _fit_and_verify(fit_samples, d, verify_samples)
         tried.append(d)
         errors.append(poly.sup_error)
@@ -666,10 +696,7 @@ def read_coefficient_file(path):
     are read off its zero pattern (`_caps_of`).
     """
     with open(path) as fh:
-        header = {}
-        for _ in range(5):
-            key, val = fh.readline().split()
-            header[key] = val
+        header = dict(fh.readline().split() for _ in range(5))
         if header["monomial_ordering"] != "graded-lexicographic":
             raise ValueError("unsupported monomial ordering")
         n = int(header["ambient_dim"])

@@ -11,9 +11,12 @@ package with it bit for bit.  ``fit_and_verify`` is the flat fit that
 fit grid's positions and its scaled gram node by node, where the package
 builds it from the grid's two axes, and ``eigh_solve`` decomposes the whole
 gram in one ``eigh``, where the package decomposes its diagonal blocks, so
-tests compare the two by measured tolerances.  Its verification predicts the grid through the axes with the
-same GEMM as ``approx._grid_prediction`` (``grid_prediction``), and its
-sup error is the plain ``np.max(np.linalg.norm(pred - values, axis=1))``.
+tests compare the two by measured tolerances.  Its verification predicts
+the grid through the axes by one GEMM on all K rows of the basis,
+P^T diag(C_c) Q per component (``grid_prediction``), where
+``approx._grid_prediction`` sums the coefficients onto the pairs of
+distinct rows first, so tests compare the two by a rounding bound; its sup
+error is the plain ``np.max(np.linalg.norm(pred - values, axis=1))``.
 Like the package, they build only the monomials within a surface's
 exponent caps, and the fit scatters its coefficients into the full
 graded-lex row.  ``monomial_matrix`` builds the same basis by another

@@ -5,6 +5,8 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
+from collections import Counter
 from dataclasses import replace
 from math import comb
 from pathlib import Path
@@ -289,6 +291,18 @@ FAMILY_PARAMS = {"torus": (2.0, 1.0), "sphere": (1.0,), "clifford_torus": (1.0,)
                  "ellipsoid": (1.0, 1.3, 0.7)}
 
 
+def _prediction_bound(poly, samples):
+    """Per node and component, 32 eps sum_e |c_e| |p^e| |q^e| on the samples'
+    grid: the rounding allowed a prediction of poly there, (m, n_components)."""
+    S = samples.surface
+    P, Q = (np.concatenate(list(approx_oracle.monomial_layers(
+                np.abs(factors(axis)[0]), poly.degree, poly.caps)))
+            for factors, axis in zip((S.maps.u_factors, S.maps.v_factors), samples.axes))
+    kept = np.abs(poly.coefficients[:, _within(poly.exponents, poly.caps)])
+    return 32 * np.finfo(float).eps * np.stack(
+        [((P * c[:, None]).T @ Q).ravel() for c in kept], axis=1)
+
+
 class TestGridPrediction:
     @settings(max_examples=60)
     @given(kind=st.sampled_from(sorted(FAMILY_PARAMS)), degree=st.integers(0, 12),
@@ -322,13 +336,7 @@ class TestGridPrediction:
         pred = ap._grid_prediction(poly, samples)
         ref = ap.evaluate_polynomial_field(poly, samples.positions)
         assert pred.shape == ref.shape == (nu * nv, S.ambient_dim)
-        P, Q = (np.concatenate(list(approx_oracle.monomial_layers(
-                    np.abs(factors(axis)[0]), degree, caps)))
-                for factors, axis in zip((S.maps.u_factors, S.maps.v_factors), samples.axes))
-        kept = np.abs(coeff[:, _within(exps, caps)])
-        bound = 32 * np.finfo(float).eps * np.stack(
-            [((P * c[:, None]).T @ Q).ravel() for c in kept], axis=1)
-        assert np.all(np.abs(pred - ref) <= bound)
+        assert np.all(np.abs(pred - ref) <= _prediction_bound(poly, samples))
 
     def test_positions_are_the_embedding_on_the_grid(self, all_surfaces):
         for S in all_surfaces:
@@ -337,6 +345,23 @@ class TestGridPrediction:
             assert samples.axes[0] is grid.u_nodes and samples.axes[1] is grid.v_nodes
             assert np.array_equal(samples.positions,
                                   S.embed(grid.U, grid.V).reshape(-1, S.ambient_dim))
+
+    def test_positions_are_built_on_first_read(self, monkeypatch, torus21):
+        # sampling embeds nothing; the first read embeds the grid's axes once,
+        # node-last, and a copy with other axes embeds its own
+        calls = []
+        embed = surf._ChartMaps.embed
+        monkeypatch.setattr(surf._ChartMaps, "embed",
+                            lambda maps, u, v: calls.append(u) or embed(maps, u, v))
+        grid = surf.chart_grid(torus21, 6, 9)
+        samples = ap.sample_unit_field(torus21, op.coordinate_field(0), grid)
+        assert calls == []
+        positions = samples.positions
+        assert samples.positions is positions and len(calls) == 1
+        assert positions.shape == (54, 3) and positions.T.flags.c_contiguous
+        moved = replace(samples, axes=(grid.u_nodes + 0.25, grid.v_nodes))
+        assert np.array_equal(moved.positions,
+                              torus21.embed(grid.U + 0.25, grid.V).reshape(-1, 3))
 
 
 # the smooth workload's two cases: torus fit up to degree 10, clifford to 8
@@ -425,6 +450,86 @@ class TestStageLifetimes:
         S, X = _case(*BENCH_CASES[0][:2])
         fit = ap.sample_unit_field(S, X, surf.chart_grid(S, *BENCH_CASES[0][2]))
         assert _traced_peak(ap._fit, fit, 10) < 2 * 2**20
+
+
+class TestAxisTables:
+    """One basis table per grid axis and smoothing run (``approx._AxisBasis``)."""
+
+    @pytest.mark.parametrize("surface,field,grid", BENCH_CASES)
+    def test_each_axis_is_evaluated_and_grown_once_per_run(self, monkeypatch, surface,
+                                                          field, grid):
+        # the factor maps run once on each axis of the fit and the
+        # verification grids, 4 calls where a build per degree tried made
+        # 2 x 2 x degrees; every other caller passes them 2-D nodes.  Each of
+        # the 4 tables builds its layers 1..d once, d the last degree tried
+        S, X = _case(surface, field)
+        axis_calls = Counter()
+
+        def spy(name, factors):
+            def call(x):
+                if isinstance(x, np.ndarray) and x.ndim == 1:
+                    axis_calls[name] += 1
+                return factors(x)
+            return call
+
+        S = replace(S, maps=replace(S.maps, u_factors=spy("u", S.maps.u_factors),
+                                    v_factors=spy("v", S.maps.v_factors)))
+        grown = Counter()
+        next_layer = ap._next_layer
+        monkeypatch.setattr(ap, "_next_layer", lambda points, layer, sources: (
+            grown.update([id(points)]) or next_layer(points, layer, sources)))
+        report = ap.smooth_field(S, X, fit_grid=grid)[0]
+        assert report.passed and len(report.degrees_tried) >= 4
+        assert axis_calls == {"u": 2, "v": 2}
+        assert len(grown) == 4 and set(grown.values()) == {max(report.degrees_tried)}
+
+    def test_no_table_outlives_the_run(self, monkeypatch):
+        # the tables live with the run's samples and are freed, with no gc
+        # pass, when smooth_field returns: nothing else refers to them
+        made = []
+
+        class Tracked(ap._AxisBasis):
+            def __init__(self, points):
+                super().__init__(points)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(ap, "_AxisBasis", Tracked)
+        surface, field, grid = BENCH_CASES[0]
+        report, smooth, poly = ap.smooth_field(*_case(surface, field), fit_grid=grid)
+        assert report.passed and len(made) == 4
+        assert [ref() for ref in made] == [None] * 4
+
+    def test_a_replaced_copy_builds_its_own_tables(self):
+        # a copy with other axes takes none of the original's built tables
+        S, X = _case(*BENCH_CASES[1][:2])
+        caps = S.monomial_caps
+        samples = ap.sample_unit_field(S, X, surf.chart_grid(S, 8, 8))
+        ap._fit(samples, 4)
+        u_nodes, v_nodes = samples.axes
+        moved = replace(samples, axes=(u_nodes + 0.25, v_nodes))
+        assert moved._bases[0] is not samples._bases[0]
+        for table, factors, nodes in zip(moved._bases, (S.maps.u_factors, S.maps.v_factors),
+                                         moved.axes):
+            rows, index = table.rows(4, caps)
+            full = np.concatenate(list(ap._monomial_layers(factors(nodes)[0], 4, caps)))
+            assert np.array_equal(rows[index], full)
+        moved_rows = moved._bases[0].rows(4, caps)[0]
+        assert not np.array_equal(moved_rows, samples._bases[0].rows(4, caps)[0])
+
+    @pytest.mark.parametrize("surface,field,grid", BENCH_CASES)
+    def test_prediction_is_the_full_row_gemm_within_its_bound(self, surface, field, grid):
+        # the sums on distinct rows predict what P^T diag(C_c) Q on all K
+        # rows does, within the bound of TestGridPrediction, at every degree
+        # the run tries: measured at most 0.28 of the bound
+        S, X = _case(surface, field)
+        degrees = ap.smooth_field(S, X, fit_grid=grid)[0].degrees_tried
+        fit = ap.sample_unit_field(S, X, surf.chart_grid(S, *grid))
+        verify = _dense(fit, X)
+        for degree in degrees:
+            poly, pred = ap._fit_and_verify(fit, degree, verify)
+            ref = approx_oracle.grid_prediction(poly, verify)
+            assert pred.shape == ref.shape
+            assert np.all(np.abs(pred - ref) <= _prediction_bound(poly, verify)), degree
 
 
 class TestBenchShape:
@@ -528,7 +633,8 @@ FINAL_DEGREE = (10, 8)
 # syrk up to 100 rows over 40 nodes and eigh up to 80 columns; syrk of 100
 # rows over 48 nodes or 153 over 24, and eigh of 100 columns, did not.  The
 # GEMMs of the right-hand side and the verification gave the same bits at
-# every size tried, 128 x 286 x 128 included.
+# every size tried, 128 x 286 x 128 included; the verification now takes
+# 128 x 66 x 66 and 128 x 66 x 128 on the distinct rows.
 SINGLE_THREAD_SIZES = (66, 32, 56)
 
 
@@ -606,10 +712,10 @@ class TestBlockSolve:
         P[2] *= 1e-200
         Q[2] *= 1e-200
         rows = np.arange(3)
-        monkeypatch.setattr(ap, "_axis_layers",
-                            lambda samples, degree, caps: ((P, rows), (Q, rows)))
+        bases = tuple(SimpleNamespace(rows=lambda degree, caps, T=T: (T, rows))
+                      for T in (P, Q))
         samples = SimpleNamespace(surface=SimpleNamespace(monomial_caps=None),
-                                  values=rng.standard_normal((30, 3)))
+                                  values=rng.standard_normal((30, 3)), _bases=bases)
         A, b, scale, blocks = ap._normal_system(samples, 0)
         assert scale[2] == 1.0 and not np.any(A[2]) and not np.any(A[:, 2]) and not np.any(b[2])
         assert [blk.tolist() for blk in blocks] == [[[2]], [[0, 1]]]
@@ -646,7 +752,7 @@ class TestBlockSolve:
         for (surface, field, grid), degree in zip(BENCH_CASES, FINAL_DEGREE):
             S, X = _case(surface, field)
             samples = ap.sample_unit_field(S, X, surf.chart_grid(S, *grid))
-            for layers, _ in ap._axis_layers(samples, degree, S.monomial_caps):
+            for layers, _ in (b.rows(degree, S.monomial_caps) for b in samples._bases):
                 assert layers.shape[0] <= rows and layers.shape[1] <= nodes, (
                     f"a factor gram of {layers.shape[0]} distinct rows over "
                     f"{layers.shape[1]} nodes was not measured to run on one thread")
@@ -675,6 +781,11 @@ class TestBlockSolve:
             assert abs(one["min_tangential_norm"] - two["min_tangential_norm"]) <= 1e-12
 
 
+def _factor_points(S):
+    return (S.maps.u_factors(np.linspace(0.1, 3.0, 7))[0],
+            S.maps.v_factors(np.linspace(0.2, 6.0, 9))[0])
+
+
 class TestDistinctLayers:
     @pytest.mark.parametrize("kind", sorted(FAMILY_PARAMS))
     @pytest.mark.parametrize("degree", [0, 3, 10])
@@ -683,9 +794,8 @@ class TestDistinctLayers:
         # are the same multiplies in the same order: equal to the bit
         S = surf.make_surface(kind, FAMILY_PARAMS[kind])
         caps = S.monomial_caps
-        for points in (S.maps.u_factors(np.linspace(0.1, 3.0, 7))[0],
-                       S.maps.v_factors(np.linspace(0.2, 6.0, 9))[0]):
-            rows, index = ap._distinct_layers(points, degree, caps)
+        for points in _factor_points(S):
+            rows, index = ap._AxisBasis(points).rows(degree, caps)
             full = np.concatenate(list(ap._monomial_layers(points, degree, caps)))
             assert len(np.unique(rows, axis=0)) == len(rows) <= len(full)
             assert np.array_equal(rows[index], full)
@@ -693,10 +803,25 @@ class TestDistinctLayers:
     def test_unit_and_equal_factors_drop_out(self):
         x = np.linspace(0.5, 2.0, 5)
         points = np.stack([x, np.ones(5), np.sqrt(x), x])
-        rows, index = ap._distinct_layers(points, 4, None)
+        rows, index = ap._AxisBasis(points).rows(4, None)
         assert len(rows) == comb(2 + 4, 2) and len(index) == comb(4 + 4, 4)
         full = np.concatenate(list(ap._monomial_layers(points, 4)))
         np.testing.assert_allclose(rows[index], full, rtol=8 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("kind", sorted(FAMILY_PARAMS))
+    def test_a_grown_table_is_a_fresh_one(self, kind):
+        # the degrees asked for extend one table; each degree's rows and
+        # index are those of a table built for that degree alone, to the bit
+        S = surf.make_surface(kind, FAMILY_PARAMS[kind])
+        for caps in (None, S.monomial_caps):
+            for points in _factor_points(S):
+                table = ap._AxisBasis(points)
+                for degree in (2, 4, 3, 10, 0):
+                    rows, index = table.rows(degree, caps)
+                    ref_rows, ref_index = ap._AxisBasis(points).rows(degree, caps)
+                    assert np.array_equal(rows, ref_rows)
+                    assert np.array_equal(index, ref_index)
+                assert len(table.layers) == 11
 
 
 # entrywise gap between the axis-built and the flat normal system, relative
