@@ -23,9 +23,9 @@ truncated eigendecomposition: a minimum-norm least-squares solution that is
 immune to exact rank deficiency.  The chart grids are symmetric under
 reflections, so monomials of different parity under one are discretely
 orthogonal and the scaled gram is block diagonal up to rounding: the fit
-reads the blocks off its two factor grams and decomposes each on its own
-(see ``_fit``), the degree-10 torus gram of 286 columns in blocks of at
-most 56.
+reads the blocks and their grams off its two factor grams and decomposes
+each on its own (see ``_fit``), the degree-10 torus gram of 286 columns in
+blocks of at most 56.
 
 The monomial basis is built one total degree at a time.  In graded
 lexicographic order, the degree-t monomials free of x_0..x_{j-1} are a suffix
@@ -60,14 +60,14 @@ samples holds one table (``_AxisBasis``): the factor points, evaluated
 once, and the layers of their distinct factors, which every degree tried
 extends and gathers its distinct rows from.  The fit's basis is the
 face-splitting product of P and Q, so its scaled gram is (Ps Ps^T) o
-(Qs Qs^T), K^2 (nu + nv) multiply-adds in place of K^2 nu nv, and its
-right-hand side is one GEMM of the values with Qs (see
-``_normal_system``); both products are taken on the distinct rows and
-gathered.  The verification sums each component's coefficients onto the
-pairs of distinct rows and predicts the grid by two small GEMMs (see
-``_grid_prediction``), in place of K products at each of the nu nv nodes,
-and the projection of that prediction takes J and the metric
-(``surfaces._assemble``) on the same two axes.
+(Qs Qs^T), and its right-hand side is one GEMM of the values with Qs
+(see ``_normal_system``); both products are taken on the distinct rows,
+and the gram's diagonal blocks are gathered from the two factor grams, in
+place of K^2 nu nv multiply-adds.  The verification sums each component's
+coefficients onto the pairs of distinct rows and predicts the grid by two
+small GEMMs (see ``_grid_prediction``), in place of K products at each of
+the nu nv nodes, and the projection of that prediction takes J and the
+metric (``surfaces._assemble``) on the same two axes.
 ``evaluate_polynomial_field`` serves arbitrary points: it streams them in
 EVAL_CHUNK blocks.
 
@@ -78,15 +78,16 @@ one smoothing run, ``smooth_field``, and no longer: on the torus at degree
 verification grid and 17 KB per axis of the 32x32 fit grid.  Each degree
 tried is fitted, then verified, and the two stages never hold their other
 arrays at the same time: ``_fit`` gathers P and Q's distinct rows and
-builds the K x K gram and the eigendecompositions of its blocks in its own
-frame and returns only the coefficients, so they are freed before the
-verification predicts the grid through its axes (``_grid_prediction``),
-whose sums take n_components nP nQ doubles besides the prediction itself.
-No stage holds a (K, m) basis of the grid's nodes: the degree-10 torus fit
-(K = 286) on a 32x32 grid peaks at about 1.61 MB of traced allocations,
-most of it two K x K matrices, the gram and the gathered factor gram that
-multiplies into it; the links that give its blocks take K^2 bytes and the
-blocks' eigenvectors 0.09 MB.  ``evaluate_polynomial_field`` holds two
+builds the grams of the diagonal blocks and their eigendecompositions in
+its own frame and returns only the coefficients, so they are freed before
+the verification predicts the grid through its axes
+(``_grid_prediction``), whose sums take n_components nP nQ doubles besides
+the prediction itself.  No stage holds a (K, m) basis of the grid's
+nodes, and the fit holds no K x K array: the degree-10 torus fit
+(K = 286) on a 32x32 grid peaks at about 0.40 MB of traced allocations,
+in ``_normal_system``: the distinct rows, the two 66 x 66 factor grams,
+the right-hand side's n_components nP nQ products and the blocks' grams,
+none of them above 0.11 MB.  ``evaluate_polynomial_field`` holds two
 degree layers of one EVAL_CHUNK block of its points at a time.
 """
 
@@ -384,8 +385,10 @@ class _AxisBasis:
 
 
 def _normal_system(samples, degree):
-    """The column-scaled normal equations (A, b) of the fit, the column scales
-    and the diagonal blocks of A (see ``_blocks``).
+    """The column-scaled normal equations of the fit by diagonal blocks:
+    (grams, b, scale, blocks), one stacked (n_blocks, s, s) gram for each
+    (n_blocks, s) array of ``blocks`` (see ``_blocks``), the right-hand
+    side b (K, n) and the column scales.
 
     The K columns are the monomials within the caps of the samples'
     surface, x^e = p(u)^e q(v)^e on the fit grid's axes: with P (K, nu) and
@@ -397,10 +400,13 @@ def _normal_system(samples, degree):
     rows and an index (``_AxisBasis``), so both products are taken
     on the distinct rows and gathered: small enough for the BLAS to run
     them on one thread, so that the system is the same at any thread count.
-    Columns k and l are linked unless entry (k, l) of Ps Ps^T or of Qs Qs^T
-    is within max(nu, nv) eps of the root of its two diagonal entries (see
-    ``_fit``), read off the distinct rows and gathered as booleans; the
-    blocks are the components of the links, a zero column on its own.
+    Two rows of a factor gram are linked unless their entry is within
+    max(nu, nv) eps of the root of their two diagonal entries (see
+    ``_fit``).  Column k's block is the pair of components, in the links
+    of Ps Ps^T and of Qs Qs^T, of its rows there (``_components``); a
+    block's gram is gathered from the two factor grams, and no K x K array
+    is made.  A column whose scale is zero is a block of its own, with a
+    zero gram and a zero right-hand side.
     """
     (P, iu), (Q, iv) = (b.rows(degree, samples.surface.monomial_caps) for b in samples._bases)
     ps, qs = np.max(np.abs(P), axis=1), np.max(np.abs(Q), axis=1)
@@ -412,20 +418,19 @@ def _normal_system(samples, degree):
     Ps, Qs = (np.divide(T, s[:, None], out=np.zeros_like(T), where=(s > 0.0)[:, None])
               for T, s in ((P, ps), (Q, qs)))
     Gu, Gv = Ps @ Ps.T, Qs @ Qs.T
-    A = Gu[iu][:, iu]
-    A *= Gv[iv][:, iv]
     nu, nv = P.shape[1], Q.shape[1]
     values = samples.values.T.reshape(-1, nv)                   # (n nu, nv), node-last
     b = (Ps @ (values @ Qs.T).reshape(-1, nu, len(Qs)))[:, iu, iv].T     # (K, n)
     gamma = max(nu, nv) * np.finfo(float).eps
-    link = _links(Gu, gamma)[iu][:, iu]
-    link &= _links(Gv, gamma)[iv][:, iv]
+    label = _components(_links(Gu, gamma))[iu] * len(Q) + _components(_links(Gv, gamma))[iv]
     dead = scale == 0.0               # a column that is zero in floating point stays zero
-    A[dead] = A[:, dead] = b[dead] = 0.0
-    link[dead] = link[:, dead] = False
-    if not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
+    b[dead] = 0.0
+    blocks = _blocks(np.where(dead, len(P) * len(Q) + np.arange(len(iu)), label))
+    grams = [Gu[iu[i][..., None], iu[i][:, None]] * Gv[iv[i][..., None], iv[i][:, None]]
+             * ~dead[i][:, None] for i in blocks]
+    if not all(np.all(np.isfinite(A)) for A in grams) or not np.all(np.isfinite(b)):
         raise RankDeficientFitError("normal system contains non-finite entries")
-    return A, b, np.where(dead, 1.0, scale), _blocks(link)
+    return grams, b, np.where(dead, 1.0, scale), blocks
 
 
 def _links(G, gamma):
@@ -435,27 +440,30 @@ def _links(G, gamma):
     return np.abs(G) > gamma * np.multiply.outer(d, d)
 
 
-def _blocks(link):
-    """The diagonal blocks of a symmetric pattern, as index arrays grouped by size.
-
-    The blocks are the connected components of the boolean K x K link,
-    whose diagonal this sets, each in ascending index order.  Returns one
-    (n_blocks, size) array per block size, in ascending size; a pattern
-    with no zeros is one block, arange(K).
-    """
-    K = len(link)
+def _components(link):
+    """The connected components of a symmetric boolean pattern, whose
+    diagonal this sets: each index's label is the least index in its
+    component."""
     np.fill_diagonal(link, True)
     # each index starts at its least link and takes the least root among its
-    # links until none moves; the roots of the fixed point name the blocks
-    root = np.argmax(link, axis=1).astype(np.min_scalar_type(K))
-    while True:
-        nxt = np.where(link, root, K).min(axis=1)
-        if np.array_equal(nxt, root):
-            break
-        root = nxt
-    order = np.argsort(root, kind="stable")
-    sizes = np.bincount(root, minlength=K)
-    sizes = sizes[sizes > 0]                    # one per block, in root order
+    # links until none moves
+    root, nxt = None, np.argmax(link, axis=1)
+    while not np.array_equal(nxt, root):
+        root, nxt = nxt, np.where(link, nxt, len(link)).min(axis=1)
+    return root
+
+
+def _blocks(labels):
+    """The indices of each of the non-negative integer labels, as index
+    arrays grouped by size.
+
+    Each block is in ascending index order.  Returns one (n_blocks, size)
+    array per block size, in ascending size, its blocks in ascending label
+    order; a single label is one block, arange(K).
+    """
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels)
+    sizes = sizes[sizes > 0]                    # one per block, in label order
     starts = np.cumsum(sizes) - sizes
     return [order[starts[sizes == s][:, None] + np.arange(s)]
             for s in sorted(set(sizes.tolist()))]
@@ -470,25 +478,27 @@ def _fit(samples, degree):
     orthogonal and the scaled gram is block diagonal up to rounding.  An
     entry of a factor gram Ps Ps^T or Qs Qs^T that is zero in exact
     arithmetic rounds to at most max(nu, nv) eps times the root of its two
-    diagonal entries, and so does its product with the other factor's
-    entry: the blocks that ``_normal_system`` returns drop those entries
-    of A, inside eigh's own backward error.  Each block is decomposed by
-    eigh, the blocks of one size in one stacked call, and the eigenvalues
-    below RCOND_CUTOFF times the largest of all blocks are discarded, as in one
-    eigh of the whole gram; a gram without a zero pattern is one block and
-    that one call.  The normal system (see ``_normal_system``) and its
-    eigendecompositions live only in this frame, so they are freed before
-    the verification grid is evaluated.
+    diagonal entries.  Two rows in different components of a factor's
+    links are not linked directly either, so their entry is within that
+    bound, and by Cauchy-Schwarz on the other factor so is the entry of
+    the gram it multiplies into, relative to the root of the gram's own
+    two diagonal entries: the blocks that ``_normal_system`` returns drop
+    those entries, inside eigh's own backward error.  Each block is
+    decomposed by eigh, the blocks of one size in one stacked call, and
+    the eigenvalues below RCOND_CUTOFF times the largest of all blocks are
+    discarded, as in one eigh of the whole gram; a gram without a zero
+    pattern is one block and that one call.  The grams of the blocks (see
+    ``_normal_system``) and their eigendecompositions live only in this
+    frame, so they are freed before the verification grid is evaluated.
     """
-    A, b, scale, blocks = _normal_system(samples, degree)
-    blocks = [(idx, *np.linalg.eigh(A[idx[:, :, None], idx[:, None, :]]))
-              for idx in blocks]
-    wmax = max(float(w.max()) for _, w, _ in blocks)
+    grams, b, scale, blocks = _normal_system(samples, degree)
+    eighs = [np.linalg.eigh(A) for A in grams]
+    wmax = max(float(w.max()) for w, _ in eighs)
     if wmax <= 0.0:
         raise RankDeficientFitError("scaled normal system is identically zero")
-    wmin = min(float(w.min()) for _, w, _ in blocks)
+    wmin = min(float(w.min()) for w, _ in eighs)
     coeff_scaled = np.empty_like(b)
-    for idx, w, V in blocks:
+    for idx, (w, V) in zip(blocks, eighs):
         keep = w > RCOND_CUTOFF * wmax
         inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
         coeff_scaled[idx] = V @ (inv_w[..., None] * (np.swapaxes(V, 1, 2) @ b[idx]))
@@ -693,16 +703,21 @@ def read_coefficient_file(path):
     """Inverse of write_coefficient_file; sup_error metadata is not stored.
 
     The file holds the full graded-lex row, so the caps of the fit's basis
-    are read off its zero pattern (`_caps_of`).
+    are read off its zero pattern (`_caps_of`).  The header is checked
+    before any basis is built: each of its five keys once, the ordering,
+    ambient_dim >= 1 and degree >= 0, and a term count that matches them;
+    a file that fails raises ValueError.
     """
     with open(path) as fh:
+        counts = ("ambient_dim", "degree", "components", "terms")
         header = dict(fh.readline().split() for _ in range(5))
+        if header.keys() != {"monomial_ordering", *counts}:
+            raise ValueError("coefficient file header lacks a key or repeats one")
         if header["monomial_ordering"] != "graded-lexicographic":
             raise ValueError("unsupported monomial ordering")
-        n = int(header["ambient_dim"])
-        degree = int(header["degree"])
-        ncomp = int(header["components"])
-        nterms = int(header["terms"])
+        n, degree, ncomp, nterms = (int(header[key]) for key in counts)
+        if n < 1 or degree < 0:
+            raise ValueError("coefficient file needs ambient_dim >= 1 and degree >= 0")
         rows = [np.array([float(t) for t in fh.readline().split()])
                 for _ in range(ncomp)]
     coeff = np.vstack(rows)

@@ -17,6 +17,12 @@ P^T diag(C_c) Q per component (``grid_prediction``), where
 ``approx._grid_prediction`` sums the coefficients onto the pairs of
 distinct rows first, so tests compare the two by a rounding bound; its sup
 error is the plain ``np.max(np.linalg.norm(pred - values, axis=1))``.
+``reference_blocks`` is the partition of the fit's columns that
+``approx._normal_system`` took from a K x K link matrix: columns linked
+where both factor grams link their rows, and the connected components of
+those links over all K columns (``link_components``), where the package
+pairs the components of each factor gram's own links, a partition that
+is the same or coarser.
 Like the package, they build only the monomials within a surface's
 exponent caps, and the fit scatters its coefficients into the full
 graded-lex row.  ``monomial_matrix`` builds the same basis by another
@@ -194,3 +200,50 @@ def grid_prediction(poly, samples):
     coeff = poly.coefficients[:, ap._within_caps(poly.exponents, poly.caps)]
     out = np.stack([(P * row[:, None]).T @ Q for row in coeff])
     return out.reshape(len(coeff), -1).T
+
+
+def reference_blocks(samples, degree):
+    """The K x K link partition of the fit's columns, grouped by size as
+    ``approx._blocks`` groups its blocks.
+
+    Columns k and l are linked where the factor grams Ps Ps^T and Qs Qs^T
+    on the distinct rows both link their rows (``approx._links``), the two
+    link matrices gathered to K x K and ANDed; a column whose scale is zero
+    is linked to nothing.
+    """
+    (P, iu), (Q, iv) = (b.rows(degree, samples.surface.monomial_caps)
+                        for b in samples._bases)
+    ps, qs = np.max(np.abs(P), axis=1), np.max(np.abs(Q), axis=1)
+    Ps, Qs = (np.divide(T, s[:, None], out=np.zeros_like(T), where=(s > 0.0)[:, None])
+              for T, s in ((P, ps), (Q, qs)))
+    gamma = max(P.shape[1], Q.shape[1]) * np.finfo(float).eps
+    link = ap._links(Ps @ Ps.T, gamma)[iu][:, iu]
+    link &= ap._links(Qs @ Qs.T, gamma)[iv][:, iv]
+    dead = ps[iu] * qs[iv] == 0.0
+    link[dead] = link[:, dead] = False
+    return link_components(link)
+
+
+def link_components(link):
+    """The connected components of a symmetric boolean K x K pattern, whose
+    diagonal this sets, as index arrays grouped by size.
+
+    Each index starts at its least link and takes the least root among its
+    links until none moves; the roots of the fixed point name the blocks,
+    each in ascending index order.  Returns one (n_blocks, size) array per
+    block size, in ascending size, the blocks of a size in root order.
+    """
+    K = len(link)
+    np.fill_diagonal(link, True)
+    root = np.argmax(link, axis=1)
+    while True:
+        nxt = np.where(link, root, K).min(axis=1)
+        if np.array_equal(nxt, root):
+            break
+        root = nxt
+    order = np.argsort(root, kind="stable")
+    sizes = np.bincount(root, minlength=K)
+    sizes = sizes[sizes > 0]                    # one per block, in root order
+    starts = np.cumsum(sizes) - sizes
+    return [order[starts[sizes == s][:, None] + np.arange(s)]
+            for s in sorted(set(sizes.tolist()))]

@@ -442,14 +442,24 @@ class TestStageLifetimes:
 
     def test_fit_holds_no_fit_grid_basis(self):
         # the degree-10 torus fit (286 columns) works on the grid's two
-        # axes: the gram and the gathered factor gram that multiplies into
-        # it dominate, 1.61 MB measured (as with one eigh of the whole gram,
-        # whose eigenvectors the blocks' 0.09 MB and their links' 0.08 MB
-        # replaced), where the (K, m) basis of the 32x32 fit grid and its
-        # transpose took 5.75 MB
+        # axes: on fresh samples, their axis tables included, 0.44-0.47 MB
+        # measured (1.61-1.67 MB with the K x K gram, the gathered factor
+        # gram that multiplied into it and the K x K links), where the
+        # (K, m) basis of the 32x32 fit grid and its transpose took 5.75 MB
         S, X = _case(*BENCH_CASES[0][:2])
         fit = ap.sample_unit_field(S, X, surf.chart_grid(S, *BENCH_CASES[0][2]))
         assert _traced_peak(ap._fit, fit, 10) < 2 * 2**20
+
+    def test_fit_holds_no_array_of_all_column_pairs(self):
+        # each block's gram is gathered from the two 66 x 66 factor grams:
+        # 0.40 MB measured, where the K x K gram, the gathered factor gram
+        # that multiplied into it and the K x K links took 1.61 MB.  The
+        # first fit builds the samples' axis tables, so the traced one
+        # holds only the fit's own arrays
+        S, X = _case(*BENCH_CASES[0][:2])
+        fit = ap.sample_unit_field(S, X, surf.chart_grid(S, *BENCH_CASES[0][2]))
+        K = len(ap._fit(fit, 10)[0][0])
+        assert K == 286 and _traced_peak(ap._fit, fit, 10) < K * K * 8
 
 
 class TestAxisTables:
@@ -615,10 +625,39 @@ class TestFit:
 
 def _fit_of(monkeypatch, A, b, scale):
     """approx._fit of the given normal system, its blocks the components of
-    the entries of A that are not zero."""
+    the entries of A that are not zero, their grams gathered from A."""
+    blocks = ap._blocks(ap._components(A != 0.0))
+    grams = [A[idx[..., None], idx[:, None]] for idx in blocks]
     monkeypatch.setattr(ap, "_normal_system",
-                        lambda samples, degree: (A, b, scale, ap._blocks(A != 0.0)))
+                        lambda samples, degree: (grams, b, scale, blocks))
     return ap._fit(None, 0)
+
+
+def _assembled(grams, blocks):
+    """The K x K gram whose diagonal blocks are the given grams, zero outside."""
+    K = sum(idx.size for idx in blocks)
+    A = np.zeros((K, K))
+    for gram, idx in zip(grams, blocks):
+        A[idx[..., None], idx[:, None]] = gram
+    return A
+
+
+def _block_ids(blocks):
+    """Each column's block, numbered in the order of ``blocks``, of a partition
+    of the columns; -1 marks a column in no block."""
+    ids = np.full(sum(idx.size for idx in blocks), -1)
+    start = 0
+    for idx in blocks:
+        ids[idx] = start + np.arange(len(idx))[:, None]
+        start += len(idx)
+    return ids
+
+
+def _is_union_of(blocks, finer):
+    """Whether every block of ``blocks`` is a union of whole ``finer`` blocks,
+    both partitions of the same columns."""
+    ids = _block_ids(blocks)
+    return np.all(ids >= 0) and all(np.all(ids[idx] == ids[idx[:, :1]]) for idx in finer)
 
 
 # the fit's largest block per BENCH_CASES escalation, where one eigh of the
@@ -661,19 +700,31 @@ class TestBlockSolve:
         assert report.passed and max(sizes) == largest
 
     def test_blocks_are_the_connected_components(self):
-        # a chain 0 - 5 - 2 links through entries away from the diagonal, and
-        # an entry at the rounding level of its diagonal links nothing
+        # on one factor gram: a chain 0 - 5 - 2 links through entries away
+        # from the diagonal, and an entry at the rounding level of its
+        # diagonal links nothing
         G = np.diag([4.0, 1.0, 2.0, 3.0, 5.0, 6.0])
         G[0, 5] = G[5, 0] = G[5, 2] = G[2, 5] = 0.5
         G[1, 3] = G[3, 1] = 1e-3
         G[4, 0] = G[0, 4] = 1e-17 * np.sqrt(20.0)
         link = ap._links(G, 1e-16)
         assert np.array_equal(link, (G != 0.0) & (G > 1e-16))
-        blocks = ap._blocks(link)
+        roots = ap._components(link)
+        assert roots.tolist() == [0, 1, 0, 1, 4, 0]
+        blocks = ap._blocks(roots)
         assert [b.tolist() for b in blocks] == [[[4]], [[1, 3]], [[0, 2, 5]]]
         # a column linked to nothing is its own block
         link[1, 3] = link[3, 1] = False
-        assert [b.tolist() for b in ap._blocks(link)] == [[[1], [3], [4]], [[0, 2, 5]]]
+        assert [b.tolist() for b in ap._blocks(ap._components(link))] == [
+            [[1], [3], [4]], [[0, 2, 5]]]
+
+    def test_blocks_group_equal_labels(self):
+        # any labels: each block in ascending column order, the blocks of a
+        # size in ascending label order, the sizes ascending
+        labels = np.array([9, 2, 9, 7, 2, 9, 0])
+        assert [b.tolist() for b in ap._blocks(labels)] == [
+            [[6], [3]], [[1, 4]], [[0, 2, 5]]]
+        assert [b.tolist() for b in ap._blocks(np.zeros(4, dtype=int))] == [[[0, 1, 2, 3]]]
 
     @pytest.mark.parametrize("K", [1, 10, 57, 286])
     def test_a_gram_without_zero_pattern_is_one_eigh(self, monkeypatch, K):
@@ -716,9 +767,11 @@ class TestBlockSolve:
                       for T in (P, Q))
         samples = SimpleNamespace(surface=SimpleNamespace(monomial_caps=None),
                                   values=rng.standard_normal((30, 3)), _bases=bases)
-        A, b, scale, blocks = ap._normal_system(samples, 0)
+        grams, b, scale, blocks = ap._normal_system(samples, 0)
+        A = _assembled(grams, blocks)
         assert scale[2] == 1.0 and not np.any(A[2]) and not np.any(A[:, 2]) and not np.any(b[2])
-        assert [blk.tolist() for blk in blocks] == [[[2]], [[0, 1]]]
+        # the blocks of one size may come in any order
+        assert [sorted(blk.tolist()) for blk in blocks] == [[[2]], [[0, 1]]]
         coeff = ap._fit(samples, 0)[0]
         assert not np.any(coeff[:, 2]) and np.all(coeff[:, :2] != 0.0)
 
@@ -847,7 +900,7 @@ class TestAxisNormalSystem:
         angle = f"{k}*u+{l}*v+{phase:.6f}"
         X = parse_field(f"cos({angle}),sin({angle})")
         samples = ap.sample_unit_field(S, X, surf.chart_grid(S, nu, nv))
-        A, b, scale, blocks = ap._normal_system(samples, degree)
+        grams, b, scale, blocks = ap._normal_system(samples, degree)
         ref_A, ref_b, ref_scale = approx_oracle.normal_system(samples, degree)
         # every scaled entry is at most 1 in size, so the constant column
         # gives the gram's largest entry, the node count, which also bounds
@@ -855,17 +908,27 @@ class TestAxisNormalSystem:
         # field orthogonal to every column
         top = np.max(np.abs(ref_A))
         assert top == nu * nv
-        assert A.shape == ref_A.shape and b.shape == ref_b.shape
-        assert np.max(np.abs(A - ref_A)) <= GRAM_GAP * top
+        # the blocks partition the K columns, and each block's gram is the
+        # flat gram at the block's indices
+        K = len(ref_A)
+        assert np.array_equal(np.sort(np.concatenate([i.ravel() for i in blocks])),
+                              np.arange(K))
+        assert b.shape == ref_b.shape
+        for A, idx in zip(grams, blocks):
+            assert A.shape == idx.shape + idx.shape[-1:]
+            assert np.max(np.abs(A - ref_A[idx[..., None], idx[:, None]])) <= GRAM_GAP * top
         assert np.max(np.abs(b - ref_b)) <= GRAM_GAP * top
         np.testing.assert_allclose(scale, ref_scale, rtol=16 * np.finfo(float).eps)
         # the entries outside the blocks are within their rounding bound,
         # max(nu, nv) eps of the gram's largest entry, in the flat gram too
-        inside = np.zeros(A.shape, dtype=bool)
+        inside = np.zeros((K, K), dtype=bool)
         for idx in blocks:
             inside[idx[:, :, None], idx[:, None, :]] = True
         gamma = max(nu, nv) * np.finfo(float).eps
         assert np.all(np.abs(ref_A[~inside]) <= (gamma + GRAM_GAP) * top)
+        # the pairs of factor components never split a block of the K x K
+        # links; they may join some where a factor's component is no clique
+        assert _is_union_of(blocks, approx_oracle.reference_blocks(samples, degree))
         # and the smoothing run escalates the same way through either fit
         report = _smoothing_report(S, X, (nu, nv), degree)
         with pytest.MonkeyPatch.context() as mp:
@@ -873,6 +936,19 @@ class TestAxisNormalSystem:
             ref = _smoothing_report(S, X, (nu, nv), degree)
         assert (report.degrees_tried, report.final_degree, report.passed) == (
             ref.degrees_tried, ref.final_degree, ref.passed)
+
+
+    @pytest.mark.parametrize("surface,field,grid", BENCH_CASES)
+    def test_bench_blocks_are_the_link_components(self, surface, field, grid):
+        # on the benchmark's cases the pairs of factor components are exactly
+        # the components of the K x K links, at every degree tried
+        S, X = _case(surface, field)
+        degrees = ap.smooth_field(S, X, fit_grid=grid)[0].degrees_tried
+        samples = ap.sample_unit_field(S, X, surf.chart_grid(S, *grid))
+        for degree in degrees:
+            blocks = ap._normal_system(samples, degree)[3]
+            ref = approx_oracle.reference_blocks(samples, degree)
+            assert _is_union_of(blocks, ref) and _is_union_of(ref, blocks), degree
 
 
 def _inverse_projection(surface, vectors, u, v):
@@ -1156,6 +1232,28 @@ class TestCoefficientFile:
                         "graded-lexicographic\ncomponents 1\nterms 3\n1 2 3\n")
         cached = ap._layer.cache_info().currsize
         with pytest.raises(ValueError, match="inconsistent with its header"):
+            ap.read_coefficient_file(path)
+        assert ap._layer.cache_info().currsize == cached
+
+    @pytest.mark.parametrize("header,message", [
+        # a missing key raised KeyError
+        ("ambient_dim 3\ndegree 1\ndegree 1\ncomponents 1\nterms 4\n",
+         "lacks a key or repeats one"),
+        # a repeated key stood in for a missing one, and raised KeyError
+        ("ambient_dim 3\ndegree 1\nmonomial_ordering graded-lexicographic\n"
+         "components 1\ncomponents 1\n", "lacks a key or repeats one"),
+        # read as a PolynomialField of degree -1, caps (0, 0, 0)
+        ("ambient_dim 3\ndegree -1\nmonomial_ordering graded-lexicographic\n"
+         "components 1\nterms 0\n", "needs ambient_dim >= 1 and degree >= 0"),
+        # read as a constant in no coordinates
+        ("ambient_dim 0\ndegree 2\nmonomial_ordering graded-lexicographic\n"
+         "components 1\nterms 1\n", "needs ambient_dim >= 1 and degree >= 0")],
+        ids=["missing-key", "repeated-key", "negative-degree", "no-axes"])
+    def test_header_keys_and_ranges_are_checked(self, tmp_path, header, message):
+        path = tmp_path / "c.txt"
+        path.write_text(header + "1 2 3 4\n")
+        cached = ap._layer.cache_info().currsize
+        with pytest.raises(ValueError, match=message):
             ap.read_coefficient_file(path)
         assert ap._layer.cache_info().currsize == cached
 
