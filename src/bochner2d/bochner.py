@@ -18,9 +18,10 @@ assembly, the Levi-Civita connection from it, and the jet of the field,
 which takes that same metric jet.  Each residual formula is written once
 on a batch.  The public residual functions build one batch each;
 `chained_residuals` builds one for all four; the `verify` command makes a
-single pass per tile of the grid for all its checks, and `gauss-bonnet`
-takes K and div(grad_T T - (div T) T) from one batch per quadrature grid
-(`gauss_bonnet_integrands`), both on the metric jet the caller assembled.
+single pass per tile of the grid for all its checks, on the metric that
+the pass assembles on the tile's axes, and `gauss-bonnet` takes K and
+div(grad_T T - (div T) T) from one batch per quadrature grid
+(`gauss_bonnet_integrands`), on the metric jet its caller assembled.
 
 The unit field T = X / g(X, X)^(1/2) comes with a failure code per node
 from one rule (`_failure_codes`).  The public routes raise
@@ -299,20 +300,21 @@ def chained_residuals(surface, T, u, v):
 VERIFY_CHECKS = ("bochner", "trace_identity", "divergence_product_rule",
                  "curvature_identity", "product_rule")
 # those whose identity holds for a unit T only, as in their residual functions
-_UNIT_CHECKS = ("trace_identity", "curvature_identity")
+UNIT_CHECKS = ("trace_identity", "curvature_identity")
 
 
-def _verify_pass(surface, X, f, Y, u, v, metric=None, floor=ZERO_FLOOR):
-    """Every residual of `verify` at one node batch, from one metric assembly.
+def _verify_pass(surface, X, f, Y, u, v, floor):
+    """Every residual of `verify` at the nodes (u, v), from one metric assembly.
 
-    `metric` is the caller's order-2 `surfaces._assemble` tuple (g, dg, ddg,
-    det g) at (u, v), or None to assemble it here.  Returns shape (..., 8):
-    the four residuals of the chain for the unit field T of X,
-    |div(fY) - Y(f) - f div(Y)|, |g(T,T) - 1| (`_unit_failures`), det g, and
-    the node's failure code (`_node_failures`): _DEGENERATE_METRIC where
-    `surfaces._nondegenerate` fails, else its `_failure_codes` at `floor`.
-    The row's residuals and deviation are NaN where the code is not 0.
-    Nothing raises where the metric or T is not usable.
+    u and v are any broadcastable node arrays, such as a tile's axes of
+    shapes (rows, 1) and (1, cols): the order-2 metric is assembled on them
+    and the pass runs on the flattened nodes.  Returns shape (..., 8) over
+    their broadcast shape: the four residuals of the chain for the unit
+    field T of X, |div(fY) - Y(f) - f div(Y)|, |g(T,T) - 1|
+    (`_node_failures`), det g, and the node's failure code: _DEGENERATE_METRIC
+    where `surfaces._nondegenerate` fails, else its `_failure_codes` at
+    `floor`.  The row's residuals and deviation are NaN where the code is
+    not 0.  Nothing raises where the metric or T is not usable.
 
     A node's row does not depend on the other nodes of the batch.  A lone
     node is evaluated as a pair of copies of itself: with a node axis of
@@ -321,8 +323,10 @@ def _verify_pass(surface, X, f, Y, u, v, metric=None, floor=ZERO_FLOOR):
     shape = np.broadcast(u, v).shape
     if np.prod(shape) == 1:
         pair = (np.full(2, float(np.ravel(x)[0])) for x in (u, v))
-        return _verify_pass(surface, X, f, Y, *pair, None, floor)[0].reshape(shape + (8,))
-    g, dg, ddg, det = _assemble(surface, u, v, 2) if metric is None else metric
+        return _verify_pass(surface, X, f, Y, *pair, floor)[0].reshape(shape + (8,))
+    g, dg, ddg, det = (x.reshape(x.shape[:x.ndim - len(shape)] + (-1,))
+                       for x in _assemble(surface, u, v, 2))
+    u, v = (x.ravel() for x in np.broadcast_arrays(u, v))
     degenerate = ~_nondegenerate(g, det)
     g = _jets.Jet(g, dg, ddg)
     if degenerate.any():    # NaN from here on, which no term warns of
@@ -338,36 +342,28 @@ def _verify_pass(surface, X, f, Y, u, v, metric=None, floor=ZERO_FLOOR):
     rows = np.stack([*_chain(batch), product_rule, _unit_deviation(g.v, unit.v),
                      det, codes], -1)
     rows[flagged, :-2] = np.nan
-    return rows
-
-
-def _unit_failures(name, values):
-    """The nodes where a check of `verify` fails because field `name` is not unit.
-
-    `values` holds one row of `_verify_pass` per node.  Returns one
-    {node index: message} per check of VERIFY_CHECKS, empty for the checks
-    that do not need a unit T; the message is the NotUnitFieldError that the
-    check's residual function raises at that node alone.
-    """
-    deviation = values[:, -3]
-    failed = {int(i): _not_unit_message(name, float(deviation[i]))
-              for i in np.flatnonzero(deviation > UNIT_TOL)}
-    return [failed if check in _UNIT_CHECKS else {} for check in VERIFY_CHECKS]
+    return rows.reshape(shape + (8,))
 
 
 def _node_failures(surface, X, floor, values, U, V):
-    """{node index: message} of the nodes U, V whose row of `_verify_pass` in
-    `values` has a failure code; the message is the error that the node
-    raises alone: `local_geometry`'s DegenerateMetricError where the metric
-    is degenerate, else the ZeroFieldPointError of `normalize_field`'s field."""
-    det, codes = values[:, -2], values[:, -1]
+    """The failing nodes among U, V, whose rows of `_verify_pass` are `values`,
+    as two {node index: message}: the nodes with a failure code, and those
+    plus the nodes where T = X / |X| is not unit, for the checks of
+    UNIT_CHECKS.  The message is the error that the node raises alone:
+    `local_geometry`'s DegenerateMetricError where the metric is degenerate,
+    else the ZeroFieldPointError of `normalize_field`'s field, or the
+    NotUnitFieldError of the check's residual function."""
+    deviation, det, codes = values[:, -3], values[:, -2], values[:, -1]
     flagged = np.flatnonzero(codes > 0)
     alone = (codes[flagged, None] == np.arange(5)).astype(int)   # one node of one code
-    return {i: str(_degenerate_error(surface, d, u, v)) if c == _DEGENERATE_METRIC
-            else _field_message(X.name, floor, counts, ChartPoint(u, v))
-            for i, c, counts, d, u, v in zip(
-                flagged.tolist(), codes[flagged].tolist(), alone.tolist(),
-                det[flagged].tolist(), U[flagged].tolist(), V[flagged].tolist())}
+    named = {i: str(_degenerate_error(surface, d, u, v)) if c == _DEGENERATE_METRIC
+             else _field_message(X.name, floor, counts, ChartPoint(u, v))
+             for i, c, counts, d, u, v in zip(
+                 flagged.tolist(), codes[flagged].tolist(), alone.tolist(),
+                 det[flagged].tolist(), U[flagged].tolist(), V[flagged].tolist())}
+    not_unit = {int(i): _not_unit_message(f"unit({X.name})", float(deviation[i]))
+                for i in np.flatnonzero(deviation > UNIT_TOL)}
+    return named, {**named, **not_unit}
 
 
 def gauss_bonnet_integrands(surface, T, u, v, g=None):

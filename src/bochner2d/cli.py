@@ -359,25 +359,20 @@ def _product_rule_pair():
 
 def _verify_sweep(surface, field, grid, floor):
     """verify's pass over the guarded grid in tiles of at most BATCH_NODES nodes,
-    whole rows or chunks of one row: per tile with guarded nodes, one order-2
-    metric assembly on its axes and one `bochner._verify_pass` on it at the
-    guarded nodes, whose last column is each node's failure code.  Returns
-    the guarded nodes' U, V and rows, in grid order."""
+    whole rows or chunks of one row: one `bochner._verify_pass` per tile, on
+    its axes, whose last column is each node's failure code.  Returns the
+    guarded nodes' U, V and rows, in grid order."""
     run = functools.partial(bochner._verify_pass, surface, field, *_product_rule_pair())
-    tiles = []
-    rows, cols = max(1, BATCH_NODES // grid.nv), min(grid.nv, BATCH_NODES)
-    for i, j in itertools.product(range(0, grid.nu, rows), range(0, grid.nv, cols)):
-        u, v = grid.u_nodes[i:i + rows, None], grid.v_nodes[None, j:j + cols]
-        U, V = grid.U[i:i + rows, j:j + cols], grid.V[i:i + rows, j:j + cols]
-        mask = surf.guarded_mask(surface, U, V)
-        if not mask.any():          # polar rows within the guard band
-            continue
-        whole = mask.all()          # then the tile's arrays, not a copy
-        metric = [x.reshape(x.shape[:-2] + (-1,)) if whole else
-                  np.ascontiguousarray(x[..., mask]) for x in surf._assemble(surface, u, v, 2)]
-        U, V = U[mask], V[mask]
-        tiles.append((U, V, run(U, V, metric, floor)))
-    return (np.concatenate(x) for x in zip(*tiles))
+    # the guard bounds u and v apart, so the guarded nodes are the grid of the
+    # guarded u and v nodes; the chart's midpoint is guarded unless no node is
+    rect = surface.chart_rect
+    u = grid.u_nodes[surf.guarded_mask(surface, grid.u_nodes, (rect.v0 + rect.v1) / 2)]
+    v = grid.v_nodes[surf.guarded_mask(surface, (rect.u0 + rect.u1) / 2, grid.v_nodes)]
+    rows, cols = max(1, BATCH_NODES // v.size), min(v.size, BATCH_NODES)
+    tiles = [run(u[i:i + rows, None], v[None, j:j + cols], floor).reshape(-1, 8)
+             for i, j in itertools.product(range(0, u.size, rows), range(0, v.size, cols))]
+    U, V = np.meshgrid(u, v, indexing="ij")
+    return U.ravel(), V.ravel(), np.concatenate(tiles)
 
 
 def cmd_verify(args, surface, field, grid_shape, tols, report):
@@ -407,12 +402,10 @@ def cmd_verify(args, surface, field, grid_shape, tols, report):
 
     pr_tol = (PRODUCT_RULE_TOL if surface.derivative_mode == "analytic" else base)
     passed = report["n_zero_field_nodes"] == 0
-    errors = bochner._node_failures(surface, field, floor, values, U, V)
-    for k, (name, unit_failed) in enumerate(zip(
-            bochner.VERIFY_CHECKS,
-            bochner._unit_failures(f"unit({field.name})", values))):
+    named, unit_named = bochner._node_failures(surface, field, floor, values, U, V)
+    for k, name in enumerate(bochner.VERIFY_CHECKS):
         tol = tols.get(name, pr_tol if name == "product_rule" else base)
-        errs = {**errors, **unit_failed}
+        errs = unit_named if name in bochner.UNIT_CHECKS else named
         ok = np.isfinite(values[:, k])
         ok[list(errs)] = False
         # the named failures in node order, then the other non-finite residuals
@@ -597,7 +590,8 @@ def main(argv=None):
     The shared options are parsed here, in one order for every command, and
     the report's header, verdict and timings are written here too; a handler
     adds only its own keys and returns whether everything it checked passed.
-    An --out or --coeff-out target is checked before the command runs.
+    An --out or --coeff-out target is checked before the command runs, and
+    the two must not name the same file.
 
     The argument parser (`build_parser`), the Gauss-Legendre rule of each
     node count (`surfaces.chart_grid`) and the allocator policy
@@ -613,10 +607,13 @@ def main(argv=None):
     handlers = {"verify": cmd_verify, "gauss-bonnet": cmd_gauss_bonnet,
                 "smooth": cmd_smooth}
     try:
-        for option, path in (("--out", args.out),
-                             ("--coeff-out", getattr(args, "coeff_out", None))):
+        coeff_out = getattr(args, "coeff_out", None)
+        for option, path in (("--out", args.out), ("--coeff-out", coeff_out)):
             if path:
                 _check_writable(option, path)
+        if args.out and coeff_out and (os.path.realpath(args.out)
+                                       == os.path.realpath(coeff_out)):
+            raise ConfigError(f"--out and --coeff-out name the same file {coeff_out}")
         surface = parse_surface(args.surface, parse_backend(args.backend))
         field = None if args.field is None else parse_field(args.field)
         grid_shape = parse_grid(args.grid)

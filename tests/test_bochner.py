@@ -428,11 +428,37 @@ class TestBatchComposition:
                   & (field_norm(s, X, g.U, g.V) >= bo.ZERO_FLOOR))
         U, V = g.U[usable], g.V[usable]
         f, Y = cli._product_rule_pair()
-        full = bo._verify_pass(s, X, f, Y, U, V)
+        full = bo._verify_pass(s, X, f, Y, U, V, bo.ZERO_FLOOR)
         order = data.draw(st.permutations(range(U.size)))
         idx = np.array(order[:data.draw(st.integers(1, U.size))])
-        part = bo._verify_pass(s, X, f, Y, U[idx], V[idx])
+        part = bo._verify_pass(s, X, f, Y, U[idx], V[idx], bo.ZERO_FLOOR)
         assert np.array_equal(part, full[idx], equal_nan=True)
+
+    @settings(max_examples=60)
+    @given(surface=st.sampled_from(("torus:2,1", "sphere:1", "clifford:1",
+                                    "ellipsoid:1,1.3,0.7", "sphere:1e-38")),
+           backend=st.sampled_from(("analytic", "fd")),
+           field=st.sampled_from(("du", "du+dv", "0,1e38", "sin(u)+2,cos(v)",
+                                  "sin(u),0", "1e200*sin(u)+1,0")),
+           shape=st.sampled_from(("tile", "row", "column", "node")),
+           data=st.data())
+    def test_tile_axes_match_their_flat_nodes(self, surface, backend, field, shape,
+                                              data):
+        # a tile's pass on its axes (r, 1) and (1, c) gives, node by node, the
+        # rows of the pass on the same nodes passed flat
+        s = cli.parse_surface(surface, cli.parse_backend(backend))
+        X = cli.parse_field(field)
+        g = surf.chart_grid(s, 12, 12)
+        r = 1 if shape in ("row", "node") else data.draw(st.integers(2, 12))
+        c = 1 if shape in ("column", "node") else data.draw(st.integers(2, 12))
+        i, j = data.draw(st.integers(0, 12 - r)), data.draw(st.integers(0, 12 - c))
+        u, v = g.u_nodes[i:i + r, None], g.v_nodes[None, j:j + c]
+        f, Y = cli._product_rule_pair()
+        tile = bo._verify_pass(s, X, f, Y, u, v, bo.ZERO_FLOOR)
+        U, V = (x.ravel() for x in np.meshgrid(u, v, indexing="ij"))
+        flat = bo._verify_pass(s, X, f, Y, U, V, bo.ZERO_FLOOR)
+        assert tile.shape == (r, c, 8)
+        assert np.array_equal(tile.reshape(-1, 8), flat, equal_nan=True)
 
 
 def concatenated_failure_codes(n2, trace, floor, unit):
@@ -508,8 +534,8 @@ class TestFailureCodes:
         mask = surf.guarded_mask(s, g.U, g.V)
         U, V = g.U[mask], g.V[mask]
         f, Y = cli._product_rule_pair()
-        rows = bo._verify_pass(s, X, f, Y, U, V)
-        failed = bo._node_failures(s, X, bo.ZERO_FLOOR, rows, U, V)
+        rows = bo._verify_pass(s, X, f, Y, U, V, bo.ZERO_FLOOR)
+        failed, _ = bo._node_failures(s, X, bo.ZERO_FLOOR, rows, U, V)
         flagged = rows[:, -1] > 0
         assert list(failed) == np.flatnonzero(flagged).tolist()
         assert np.isnan(rows[flagged, :-2]).all()
@@ -517,8 +543,8 @@ class TestFailureCodes:
             assert message == alone(U[i], V[i])
         kept = np.flatnonzero(~flagged)
         if kept.size:
-            assert np.array_equal(bo._verify_pass(s, X, f, Y, U[kept], V[kept]),
-                                  rows[kept], equal_nan=True)
+            kept_rows = bo._verify_pass(s, X, f, Y, U[kept], V[kept], bo.ZERO_FLOOR)
+            assert np.array_equal(kept_rows, rows[kept], equal_nan=True)
 
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -532,9 +558,8 @@ class TestFailureCodes:
 
 class TestDegenerateCode:
     """`_verify_pass` gives a node whose metric is degenerate the failure code
-    _DEGENERATE_METRIC, on its own assembly or the caller's, without a
-    warning, and `_node_failures` names it with the DegenerateMetricError
-    that `local_geometry` raises at that node alone."""
+    _DEGENERATE_METRIC without a warning, and `_node_failures` names it with
+    the DegenerateMetricError that `local_geometry` raises at that node alone."""
 
     @pytest.mark.parametrize("backend", ["analytic", "fd"])
     @pytest.mark.parametrize("surface,field", [
@@ -547,14 +572,12 @@ class TestDegenerateCode:
         X = cli.parse_field(field)
         f, Y = cli._product_rule_pair()
         U, V = guarded_grid(s, 12, 12)
-        rows = bo._verify_pass(s, X, f, Y, U, V)
-        given = bo._verify_pass(s, X, f, Y, U, V, surf._assemble(s, U, V, 2))
-        assert np.array_equal(rows, given, equal_nan=True)
+        rows = bo._verify_pass(s, X, f, Y, U, V, bo.ZERO_FLOOR)
 
         degenerate = rows[:, -1] == bo._DEGENERATE_METRIC
         assert degenerate.any()
         assert np.isnan(rows[degenerate, :-2]).all()
-        failed = bo._node_failures(s, X, bo.ZERO_FLOOR, rows, U, V)
+        failed, _ = bo._node_failures(s, X, bo.ZERO_FLOOR, rows, U, V)
         for i, (u, v) in enumerate(zip(U, V)):
             try:
                 op.local_geometry(s, [u], [v])

@@ -113,7 +113,7 @@ class TestVerify:
 
         def poisoned(*args):
             out = np.array(original(*args), dtype=float)
-            out[:n_bad, column] = np.nan
+            out.reshape(-1, 8)[:n_bad, column] = np.nan     # the first nodes of the tile
             return out
 
         monkeypatch.setattr(cli.bochner, "_verify_pass", poisoned)
@@ -211,6 +211,23 @@ class TestUnwritableOutput:
             cli.main([*self.COMMANDS[command], "--coeff-out", str(tmp_path / "p.txt")])
         assert exc.value.code == 2
         assert "unrecognized arguments: --coeff-out" in capsys.readouterr().err
+        assert not (tmp_path / "p.txt").exists()
+
+    @pytest.mark.parametrize("spelling", ["relative", "symlink"])
+    def test_out_and_coeff_out_must_differ(self, capsys, monkeypatch, tmp_path, spelling):
+        # the report would overwrite the coefficient file that it names
+        monkeypatch.chdir(tmp_path)
+        out = "./p.txt"
+        if spelling == "symlink":
+            out = "link.txt"
+            (tmp_path / out).symlink_to(tmp_path / "p.txt")
+        monkeypatch.setattr(cli, "parse_surface", _not_reached)
+        status = cli.main([*self.COMMANDS["smooth"], "--out", out, "--coeff-out", "p.txt"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == ("config error: --out and --coeff-out name the same "
+                                "file p.txt\n")
         assert not (tmp_path / "p.txt").exists()
 
 
@@ -572,7 +589,7 @@ class TestOnePassPerTile:
         original, calls = cli.bochner._verify_pass, []
 
         def counted(*args):
-            calls.append(np.stack([args[4], args[5]], axis=-1))
+            calls.append(np.stack(np.broadcast_arrays(args[4], args[5]), -1).reshape(-1, 2))
             return original(*args)
 
         monkeypatch.setattr(cli.bochner, "_verify_pass", counted)

@@ -87,8 +87,8 @@ def outputs(s, X, u, v):
     T = bo.normalize_field(s, X)
     grid = surf.chart_grid(s, 8, 8)
     return {
-        "verify rows": lambda: bo._verify_pass(s, X, f, Y, u, v),
-        "verify rows, X in the product rule": lambda: bo._verify_pass(s, X, f, X, u, v),
+        "verify rows": lambda: bo._verify_pass(s, X, f, Y, u, v, bo.ZERO_FLOOR),
+        "verify rows, X in the product rule": lambda: bo._verify_pass(s, X, f, X, u, v, bo.ZERO_FLOOR),
         "gauss_bonnet_integrands": lambda: bo.gauss_bonnet_integrands(s, T, u, v),
         "bochner_residual": lambda: bo.bochner_residual(s, X, u, v),
         "trace_identity_residual": lambda: bo.trace_identity_residual(s, X, u, v),

@@ -77,7 +77,9 @@ def test_a_report_that_is_not_json_is_compared_as_text():
 
 def test_the_commands_cover_the_bench_sessions_and_the_degenerate_inputs():
     argvs = payload_diff.commands()
-    assert len(argvs) == 4 * 3 * (6 + 3 + 2) + 4 * 3 * 2
+    assert len(argvs) == 4 * 3 * (6 + 3 + 2) + 2 * 2 + 4 * 3 * 2
+    assert ["verify", "--surface", "torus:2,1", "--field", "dv", "--grid", "4x4097",
+            "--backend", "fd"] in argvs
     assert argvs[-1] == ["smooth", "--surface", "torus:1e200,1e199", "--field", "du",
                          "--grid", "16x16", "--backend", "fd"]
 

@@ -10,6 +10,7 @@ command in-process through ``cli.main``:
 * every command of sessions 0-3, seeds 1-3, of the benchmark's three
   workloads, as ``bench/workloads.py`` of the repository holding this script
   draws them (read only);
+* ``verify`` on each of TILE_INPUTS, on both backends;
 * ``verify``, ``gauss-bonnet`` and ``smooth`` at 16x16 on each of
   DEGENERATE_INPUTS, on both backends.
 
@@ -42,6 +43,12 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SESSIONS, SEEDS = range(4), range(1, 4)
 WORKLOADS = ("exact", "stencil", "smooth")
+# verify's tile shapes that the sessions lack: a guard band that drops whole
+# rows (352 of 16000 nodes), and rows of one tile plus a one-node tile
+TILE_INPUTS = [
+    ("--surface", "sphere:1", "--field", "dv", "--grid", "2000x8"),
+    ("--surface", "torus:2,1", "--field", "dv", "--grid", "4x4097"),
+]
 # a metric degenerate at some or all nodes: det g below DET_MIN everywhere,
 # below it near the poles, above DET_MAX, and NaN where g overflows
 DEGENERATE_INPUTS = [
@@ -78,6 +85,9 @@ def commands():
     spec.loader.exec_module(workloads)
     argvs = [argv for workload in WORKLOADS for seed in SEEDS for session in SESSIONS
              for argv in workloads.session_commands(workload, seed, session)]
+    for inputs in TILE_INPUTS:
+        for backend in ("analytic", "fd"):
+            argvs.append(["verify", *inputs, "--backend", backend])
     for inputs in DEGENERATE_INPUTS:
         for command in ("verify", "gauss-bonnet", "smooth"):
             for backend in ("analytic", "fd"):
