@@ -31,7 +31,14 @@ constant differentiates the jets alone.  A constant broadcasts against the
 value and must not add axes to it.  A constant field's jet is such a
 constant (``operators.constant_field``); ``value`` reads the value of
 either.  Jets are never modified in place.
+
+No tile-sized array is copied that a result does not keep: ``einsum`` adds
+the derivative terms of a partial in place into the first, which is a fresh
+array, and ``stack`` and the cross rows of a second-order product fill one
+preallocated block (``_fill``) instead of stacking copies.
 """
+
+import functools
 
 import numpy as np
 
@@ -42,8 +49,8 @@ def _cross(a_d, b_d, product=np.multiply):
     if len(a_d) == 1:
         return 2 * product(a_d[0], b_d[0])[None]
     (a0, a1), (b0, b1) = a_d, b_d
-    return np.stack([2 * product(a0, b0), product(a0, b1) + product(a1, b0),
-                     2 * product(a1, b1)])
+    return _fill([2 * product(a0, b0), product(a0, b1) + product(a1, b0),
+                  2 * product(a1, b1)], 0)
 
 
 def _both(x, y, op):
@@ -172,7 +179,9 @@ def einsum(subscripts, *operands):
     Every term must end with an ellipsis for the node axes; the letter Z is
     reserved for the derivative axis, which the derivative terms put in front.
     Constant operands contribute no derivative terms.  With one operand, a
-    transposition gives views of its parts.
+    transposition gives views of its parts.  The derivative terms of a
+    partial are added in order, in place into the first, so the sum makes no
+    copy of its own and equals ``sum()`` from 0 up to the sign of a zero.
     """
     inputs, output = subscripts.split("->")
     terms = inputs.split(",")
@@ -195,25 +204,35 @@ def einsum(subscripts, *operands):
     v = np.einsum(subscripts, *vals)
     if order == 0:
         return Jet(v)
-    if len(operands) == 1:
-        return Jet(v, *(derivative(0, x) for x in (operands[0].d, operands[0].dd)[:order]))
-    d = sum(derivative(k, operands[k].d) for k in jets)
+    # a term of two or more operands is a fresh array, into which the sum
+    # accumulates in place; one operand's one term is a view of its partials
+    d = functools.reduce(np.ndarray.__iadd__, (derivative(k, operands[k].d) for k in jets))
     if order == 1:
         return Jet(v, d)
-    dd = sum(derivative(k, operands[k].dd) for k in jets)
+    dd = functools.reduce(np.ndarray.__iadd__, (derivative(k, operands[k].dd) for k in jets))
     for n, k in enumerate(jets):
         for m in jets[n + 1:]:
-            dd = dd + pair(k, m)
+            dd += pair(k, m)
     return Jet(v, d, dd)
 
 
 def stack(parts):
     """Jets of one shape, or broadcastable arrays, stacked along a new first value axis."""
     if not isinstance(parts[0], Jet):
-        return np.stack(np.broadcast_arrays(*parts))
+        return _fill(np.broadcast_arrays(*parts), 0)
     order = min(p.order for p in parts)
-    return Jet(*(np.stack([(p.v, p.d, p.dd)[k] for p in parts], axis=min(k, 1))
+    return Jet(*(_fill([(p.v, p.d, p.dd)[k] for p in parts], min(k, 1))
                  for k in range(order + 1)))
+
+
+def _fill(arrays, axis):
+    """np.stack(arrays, axis), axis 0 or 1, of arrays of one shape, written
+    into one new block."""
+    shape = arrays[0].shape
+    out = np.empty(shape[:axis] + (len(arrays),) + shape[axis:], np.result_type(*arrays))
+    for n, x in enumerate(arrays):
+        out.swapaxes(0, axis)[n] = x
+    return out
 
 
 def value(x):

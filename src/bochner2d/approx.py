@@ -377,11 +377,14 @@ class _AxisBasis:
 
     def rows(self, degree, caps):
         """The basis within caps up to degree as its distinct rows and an index,
-        the reduced layers that degree lacks appended first."""
+        the reduced layers that degree lacks appended first.  Where every
+        reduced row is used, as on uncapped tables, the rows are the layers'
+        concatenation itself, not a gather of it."""
         for _, sources in _layers(len(self.points), degree - 1, None)[len(self.layers) - 1:]:
             self.layers.append(_next_layer(self.points, self.layers[-1], sources))
         rows, index = _reduction(len(self.variables), degree, caps, self.variables)
-        return np.concatenate(self.layers[:degree + 1])[rows], index
+        basis = np.concatenate(self.layers[:degree + 1])
+        return (basis if len(rows) == len(basis) else basis[rows]), index
 
 
 def _normal_system(samples, degree):

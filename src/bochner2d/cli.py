@@ -15,13 +15,18 @@ smooth       -- run the polynomial smoothing pipeline and report its sup
 Reports are JSON (schema 1) on stdout, optionally duplicated to --out; CSV
 emits flat per-node residual rows for plotting.  Exit status: 0 exactly when
 the report's "overall_pass" is true, 1 when a check failed or the run met a
-named failure, 2 configuration error (stderr only).  Identical
+named failure (a failed allocation among them: one stderr line naming the
+grid), 2 configuration error (stderr only).  Identical
 configurations produce byte-identical JSON except for the "timings" section.
 
 --tol NAME=VAL takes the names of TOLERANCE_NAMES, any other being a
 configuration error: verify takes bochner, trace_identity,
 divergence_product_rule, curvature_identity, product_rule and zero_floor;
-gauss-bonnet chi_margin and divergence_theorem; smooth none.  A field norm
+gauss-bonnet chi_margin and divergence_theorem; smooth none.  A value that
+certifies nothing is a configuration error too: a negative one, which no
+residual meets, a NaN or infinite one, which JSON cannot carry, and a
+chi_margin outside (0, 0.5), since every total lies within 0.5 of an
+integer and a margin of 0.5 or more leaves no total indeterminate.  A field norm
 below zero_floor relative to the chart's scale, g(X, X) < zero_floor^2
 tr(g) / 2, which for an isometric chart is g(X, X) < zero_floor^2, or not
 finite (NaN, or an overflow to inf) leaves no unit field at its node (the
@@ -227,7 +232,8 @@ def parse_grid(text):
 
 
 def parse_tols(pairs, accepted):
-    """NAME=VAL overrides as {name: value}; each name must be in `accepted`."""
+    """NAME=VAL overrides as {name: value}; each name must be in `accepted`,
+    each value finite and not negative, and chi_margin in (0, 0.5)."""
     out = {}
     for pair in pairs or ():
         name, _, val = pair.partition("=")
@@ -238,11 +244,14 @@ def parse_tols(pairs, accepted):
             out[name] = float(val)
         except ValueError as exc:
             raise ConfigError(f"bad tolerance value in {pair!r}") from exc
-        if not np.isfinite(out[name]):  # JSON has neither; a NaN chi margin passes all
-            raise ConfigError(f"tolerance value in {pair!r} must be finite")
         if name not in accepted:
             raise ConfigError(f"unknown tolerance {name!r}; accepted names: "
                               f"{', '.join(accepted) or 'none'}")
+        # NaN fails too: JSON has neither NaN nor inf, and a NaN chi margin passes all
+        chi = name == "chi_margin"
+        if not (0 < out[name] < 0.5 if chi else 0 <= out[name] < np.inf):
+            raise ConfigError(f"tolerance value in {pair!r} must " + (
+                "lie in (0, 0.5)" if chi else "be finite and not negative"))
     return out
 
 
@@ -398,7 +407,8 @@ def cmd_verify(args, surface, field, grid_shape, tols, report):
                 f" and vanishes at {n_low} node(s)" if n_low else "")
         report["error"] = "no usable grid nodes: " + reason
         return False
-    U, V, values = U[~zero], V[~zero], values[~zero]
+    if zero.any():
+        U, V, values = U[~zero], V[~zero], values[~zero]
 
     pr_tol = (PRODUCT_RULE_TOL if surface.derivative_mode == "analytic" else base)
     passed = report["n_zero_field_nodes"] == 0
@@ -410,7 +420,8 @@ def cmd_verify(args, surface, field, grid_shape, tols, report):
         ok[list(errs)] = False
         # the named failures in node order, then the other non-finite residuals
         listed = sorted(np.flatnonzero(~ok), key=lambda i: i not in errs)[:64]
-        entry = _check_entry(name, values[ok, k], U[ok], V[ok], tol, keep_nodes)
+        nodes = (values[:, k], U, V) if ok.all() else (values[ok, k], U[ok], V[ok])
+        entry = _check_entry(name, *nodes, tol, keep_nodes)
         if listed:
             entry["failed_nodes"] = [{"u": float(U[i]), "v": float(V[i]),
                                       "error": errs.get(i, "non-finite residual")}
@@ -634,11 +645,11 @@ def main(argv=None):
     except ZeroFieldPointError as exc:
         sys.stderr.write(f"zero-field-point: {exc}\n")
         return 1
-    except GeometryError as exc:
+    except (GeometryError, _WriteError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except _WriteError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory on grid {args.grid}: {exc}\n")
         return 1
     return 0 if passed else 1
 

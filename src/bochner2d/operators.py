@@ -4,7 +4,11 @@
 objects: g, its inverse and partials, det g, the Christoffel symbols and
 their partials, K and Ric, all from one order-2 metric assembly.  The
 field operators and ``bochner``'s node batch work on the private jets
-behind it.
+behind it.  The connection (``_levi_civita``) is contracted from the metric
+jet's own arrays, its partials by the product and quotient rules written
+out, and Ric (``_ricci``) from the 8 components R^i_kij of the curvature
+tensor that its trace reads: the same operations, in the same order, as the
+jet arithmetic and the full tensor they replace, so the same bits.
 
 Chart-coefficient conventions.  Public functions take and return the value
 axes trailing, after the node axes (...):
@@ -44,7 +48,7 @@ import numpy as np
 
 from . import _jets, _stencils
 from .errors import NotUnitFieldError
-from .surfaces import _assemble, _require_nondegenerate, cofactor_signs
+from .surfaces import _assemble, _det, _require_nondegenerate, cofactor_signs
 
 UNIT_TOL = 1e-8  # allowed deviation of g(T, T) from 1 for unit-field inputs
 
@@ -199,15 +203,34 @@ def _metric(surface, u, v, order, g=None):
 
 
 def _levi_civita(g):
-    """Christoffel symbols and d_i log sqrt(det g), one order below the jet g."""
-    low = g.truncated(g.order - 1)      # all that g^-1 needs
-    det = low[0, 0] * low[1, 1] - low[0, 1] * low[1, 0]
-    half_inv = low[::-1, ::-1] * (0.5 * cofactor_signs(det.v.ndim)) / det[None, None]
-    dg = _jets.gradient(g)                  # dg[m, i, j] = d_m g_ij
-    # S[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    s = _jets.einsum("ijl...->lij...", dg) + _jets.einsum("jil...->lij...", dg) - dg
-    return (_jets.einsum("kl...,lij...->kij...", half_inv, s),
-            _jets.einsum("ab...,iab...->i...", half_inv, dg))
+    """Christoffel symbols and d_i log sqrt(det g), one order below the jet g.
+
+    From det g, g^-1 / 2 and S[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij as
+    G^k_ij = (g^-1 / 2)^kl S_lij and d_i log sqrt(det g) = (g^-1 / 2)^ab d_i g_ab,
+    their partials by the product and quotient rules written out on g's
+    arrays, term for term as `_jets` would differentiate them.
+    """
+    v, d = g.v, g.d
+    det = _det(v)
+    signs = 0.5 * cofactor_signs(det.ndim)
+    half_inv = v[::-1, ::-1] * signs / det
+    s = np.einsum("ijl...->lij...", d) + np.einsum("jil...->lij...", d) - d
+    gamma = np.einsum("kl...,lij...->kij...", half_inv, s)
+    dlogs = np.einsum("ab...,iab...->i...", half_inv, d)
+    if g.order < 2:
+        return _jets.Jet(gamma), _jets.Jet(dlogs)
+    dd = _jets.gradient(g).d                # dd[n, m, i, j] = d_n d_m g_ij
+    d_det = ((d[:, 0, 0] * v[1, 1] + v[0, 0] * d[:, 1, 1])
+             - (d[:, 0, 1] * v[1, 0] + v[0, 1] * d[:, 1, 0]))
+    d_half = d[:, ::-1, ::-1] * signs
+    d_half -= half_inv * d_det[:, None, None]
+    d_half /= det
+    d_s = np.einsum("Zijl...->Zlij...", dd) + np.einsum("Zjil...->Zlij...", dd) - dd
+    d_gamma = np.einsum("Zkl...,lij...->Zkij...", d_half, s)
+    d_gamma += np.einsum("kl...,Zlij...->Zkij...", half_inv, d_s)
+    d_dlogs = np.einsum("Zab...,iab...->Zi...", d_half, d)
+    d_dlogs += np.einsum("ab...,Ziab...->Zi...", half_inv, dd)
+    return _jets.Jet(gamma, d_gamma), _jets.Jet(dlogs, d_dlogs)
 
 
 def _covariant_gradient(x, gamma):
@@ -266,16 +289,15 @@ def gauss_curvature_at(surface, u, v):
     return _gauss_curvature(_metric(surface, u, v, 2))
 
 
-def _riemann(gamma):
-    quad = np.einsum("lim...,mjk...->lkij...", gamma.v, gamma.v)
-    return (np.einsum("iljk...->lkij...", gamma.d)
-            - np.einsum("jlik...->lkij...", gamma.d)
-            + quad - np.einsum("lkji...->lkij...", quad))
-
-
 def _ricci(gamma):
-    """Ric_{kj} by contracting the curvature tensor of the connection."""
-    return np.einsum("ikij...->kj...", _riemann(gamma))
+    """Ric_kj = R^i_kij from the connection jet gamma (order >= 1), with
+    R^l_kij = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik: only
+    the 8 components R^i_kij of the curvature tensor that the trace reads
+    are formed, each as ((d_i G - d_j G) + G G) - G G, then summed over i."""
+    quad = np.einsum("lim...,mjk...->lkij...", gamma.v, gamma.v)
+    r = (np.einsum("iijk...->ikj...", gamma.d) - np.einsum("jiik...->ikj...", gamma.d)
+         + np.einsum("ikij...->ikj...", quad) - np.einsum("ikji...->ikj...", quad))
+    return r[0] + r[1]
 
 
 @dataclass(frozen=True)

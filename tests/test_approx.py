@@ -861,6 +861,25 @@ class TestDistinctLayers:
         full = np.concatenate(list(ap._monomial_layers(points, 4)))
         np.testing.assert_allclose(rows[index], full, rtol=8 * np.finfo(float).eps)
 
+    @pytest.mark.parametrize("degree", [2, 10])
+    def test_uncapped_rows_are_the_layers_without_a_gather(self, degree):
+        # on the torus every reduced row is used, on both axes and at every
+        # degree: the rows are the concatenated layers, one block of their
+        # size, and no gathered copy of it
+        S = surf.make_surface("torus", FAMILY_PARAMS["torus"])
+        x = np.linspace(0.1, 3.0, 400)
+        for points in (S.maps.u_factors(x)[0], S.maps.v_factors(x)[0]):
+            table = ap._AxisBasis(points)
+            table.rows(degree, S.monomial_caps)          # layers and reduction built
+            tracemalloc.start()
+            try:
+                rows = table.rows(degree, S.monomial_caps)[0]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(rows, np.concatenate(table.layers[:degree + 1]))
+            assert peak < 1.5 * rows.nbytes
+
     @pytest.mark.parametrize("kind", sorted(FAMILY_PARAMS))
     def test_a_grown_table_is_a_fresh_one(self, kind):
         # the degrees asked for extend one table; each degree's rows and

@@ -661,6 +661,32 @@ class TestConfigErrors:
         assert captured.err == (f"config error: unknown tolerance {name!r}; "
                                 f"accepted names: {accepted}\n")
 
+    @pytest.mark.parametrize("command,tol", [
+        ("verify", "bochner=-1"), ("verify", "zero_floor=-1e-9"),
+        ("gauss-bonnet", "divergence_theorem=-0.5"),
+    ])
+    def test_negative_tolerance(self, capsys, command, tol):
+        # no residual meets it: the run could only fail its check
+        status = cli.main([command, "--surface", "torus:2,1", "--field", "du",
+                           "--grid", "8x8", "--tol", tol])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == (f"config error: tolerance value in {tol!r} "
+                                f"must be finite and not negative\n")
+
+    @pytest.mark.parametrize("margin", ["0", "0.5", "0.9", "1e300"])
+    def test_chi_margin_outside_zero_to_one_half(self, capsys, margin):
+        # every total lies within 0.5 of an integer, so a margin of 0.5 or
+        # more leaves no total indeterminate, and 0 leaves every one
+        status = cli.main(["gauss-bonnet", "--surface", "torus:2,1", "--grid", "8x8",
+                           "--tol", f"chi_margin={margin}"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == (f"config error: tolerance value in "
+                                f"'chi_margin={margin}' must lie in (0, 0.5)\n")
+
     @pytest.mark.parametrize("command", ["verify", "gauss-bonnet"])
     def test_accepted_tolerance_names_are_echoed(self, capsys, command):
         names = cli.TOLERANCE_NAMES[command]
@@ -700,6 +726,20 @@ class TestConfigErrors:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error:")
         assert captured.out == ""
+
+
+class TestFailedAllocation:
+    @pytest.mark.parametrize("command", ["verify", "gauss-bonnet"])
+    def test_is_one_named_line(self, capsys, command):
+        # the v axis alone would take 320 TB, beyond a 47-bit address space,
+        # so the allocation is refused at once and takes no memory
+        status = cli.main([command, "--surface", "torus:2,1", "--field", "du",
+                           "--grid", "4x40000000000000"])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory on grid 4x40000000000000: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 @pytest.fixture

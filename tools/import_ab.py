@@ -11,21 +11,22 @@ script (read only, not imported): the time of ``import bochner2d.cli`` plus
 runs first alternates from pair to pair, the parent first in pair 1.
 
 The script prints the seconds of each pair, each tree's median and
-quartiles, and in how many pairs the change read lower.
+quartiles, and in how many pairs the change read lower, by the summary
+helpers of ``paired`` that ``ab.py`` uses too.
 """
 
 import argparse
 import ast
 import os
-import statistics
 import subprocess
 import sys
 from pathlib import Path
 
+import paired
+from paired import report, summary  # noqa: F401  (summary is re-exported)
 from payload_diff import source_dir
 
 REPO = Path(__file__).resolve().parent.parent
-TREES = ("parent", "change")
 
 
 def setup_code(path=REPO / "bench" / "run.py"):
@@ -54,34 +55,8 @@ def time_import(src, code):
 
 def measure(pairs, run):
     """[(parent seconds, change seconds)] of `pairs` pairs, run(k) timing tree
-    k of TREES once; pair n runs the parent first when n is even."""
-    times = []
-    for n in range(pairs):
-        first = n % 2
-        pair = {k: run(k) for k in (first, 1 - first)}
-        times.append((pair[0], pair[1]))
-    return times
-
-
-def summary(times):
-    """Each tree's (first quartile, median, third quartile) of `times`, and the
-    number of pairs in which the change read lower than the parent."""
-    spread = {}
-    for k, tree in enumerate(TREES):
-        q1, _, q3 = statistics.quantiles([t[k] for t in times], n=4, method="inclusive")
-        spread[tree] = (q1, statistics.median(t[k] for t in times), q3)
-    return spread, sum(change < parent for parent, change in times)
-
-
-def report(times):
-    """The printed lines: one per pair, then the summary."""
-    lines = [f"pair {n + 1:3d}  first {TREES[n % 2]:6s}  parent {p:.4f} s  change {c:.4f} s"
-             for n, (p, c) in enumerate(times)]
-    spread, lower = summary(times)
-    lines += [f"{tree}: median {med:.4f} s [{q1:.4f}, {q3:.4f}]"
-              for tree, (q1, med, q3) in spread.items()]
-    lines.append(f"change lower in {lower}/{len(times)} pairs")
-    return lines
+    k of paired.TREES once; pair n runs the parent first when n is even."""
+    return paired.measure(pairs, lambda k, n: run(k))
 
 
 def main(argv=None):
