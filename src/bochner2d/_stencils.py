@@ -11,7 +11,8 @@ one array.  At order 1 f is called on the line along u and on the four
 off-centre points along v, 9 points per node.  ``along`` differences f(x)
 of one chart coordinate, the metric's factor tables (see ``surfaces``), on
 5 points per point.  Both walk the flattened points in blocks of
-BLOCK_NODES, a `verify` tile, which bounds the stencil points' memory: a
+BLOCK_NODES, the size of a tile of `surfaces.sweep`, which bounds the
+stencil points' memory for callers that pass more nodes than a tile: a
 block's 25 x 4096 grid points take about 0.8 MB per value component.
 
 f must return an array in the node-last layout of ``_jets``: value axes

@@ -20,8 +20,8 @@ on a batch.  The public residual functions build one batch each;
 `chained_residuals` builds one for all four; the `verify` command makes a
 single pass per tile of the grid for all its checks, on the metric that
 the pass assembles on the tile's axes, and `gauss-bonnet` takes K and
-div(grad_T T - (div T) T) from one batch per quadrature grid
-(`gauss_bonnet_integrands`), on the metric jet its caller assembled.
+div(grad_T T - (div T) T) from one batch per tile of each quadrature grid
+(`gauss_bonnet_integrands`), on the metric jet its caller assembled there.
 
 The unit field T = X / g(X, X)^(1/2) comes with a failure code per node
 from one rule (`_failure_codes`).  The public routes raise

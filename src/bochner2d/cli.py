@@ -5,12 +5,15 @@ Subcommands
 verify       -- normalize the selected field and sweep the identity chain
                 (Bochner, trace, product-rule link, curvature-divergence)
                 and a scalar product rule over a guarded grid, in one pass
-                and one metric assembly per tile of BATCH_NODES grid nodes
+                per tile
 gauss-bonnet -- total-curvature integral, Euler-characteristic estimate and,
                 when a field is given, the divergence-theorem residual of its
                 curvature-potential field
 smooth       -- run the polynomial smoothing pipeline and report its sup
                 errors, sampled on the verification grid, against the budget
+
+verify and gauss-bonnet walk their grids by `surfaces.sweep`, in tiles of at
+most `surfaces.BATCH_NODES` grid nodes, with one metric assembly per tile.
 
 Reports are JSON (schema 1) on stdout, optionally duplicated to --out; CSV
 emits flat per-node residual rows for plotting.  Exit status: 0 exactly when
@@ -45,7 +48,6 @@ import argparse
 import ast
 import ctypes
 import functools
-import itertools
 import json
 import os
 import sys
@@ -70,7 +72,6 @@ from .errors import (
 
 SCHEMA_VERSION = 1
 PRODUCT_RULE_TOL = 1e-8
-BATCH_NODES = 4096      # nodes per verify pass; bounds the memory of its jets
 # glibc's mallopt parameters and the values _retain_freed_memory pins them at
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD = 32 << 20   # glibc's ceiling for its dynamic mmap threshold on 64-bit
@@ -367,21 +368,20 @@ def _product_rule_pair():
 
 
 def _verify_sweep(surface, field, grid, floor):
-    """verify's pass over the guarded grid in tiles of at most BATCH_NODES nodes,
-    whole rows or chunks of one row: one `bochner._verify_pass` per tile, on
-    its axes, whose last column is each node's failure code.  Returns the
-    guarded nodes' U, V and rows, in grid order."""
-    run = functools.partial(bochner._verify_pass, surface, field, *_product_rule_pair())
+    """verify's pass over the guarded grid by `surfaces.sweep`: one
+    `bochner._verify_pass` per tile, on its axes, whose last column is each
+    node's failure code.  Returns the guarded nodes' U, V and rows, in grid
+    order."""
+    pair = _product_rule_pair()
     # the guard bounds u and v apart, so the guarded nodes are the grid of the
     # guarded u and v nodes; the chart's midpoint is guarded unless no node is
     rect = surface.chart_rect
     u = grid.u_nodes[surf.guarded_mask(surface, grid.u_nodes, (rect.v0 + rect.v1) / 2)]
     v = grid.v_nodes[surf.guarded_mask(surface, (rect.u0 + rect.u1) / 2, grid.v_nodes)]
-    rows, cols = max(1, BATCH_NODES // v.size), min(v.size, BATCH_NODES)
-    tiles = [run(u[i:i + rows, None], v[None, j:j + cols], floor).reshape(-1, 8)
-             for i, j in itertools.product(range(0, u.size, rows), range(0, v.size, cols))]
+    values, = surf.sweep(u, v, lambda uu, vv: (
+        bochner._verify_pass(surface, field, *pair, uu, vv, floor),))
     U, V = np.meshgrid(u, v, indexing="ij")
-    return U.ravel(), V.ravel(), np.concatenate(tiles)
+    return U.ravel(), V.ravel(), values.reshape(-1, 8)
 
 
 def cmd_verify(args, surface, field, grid_shape, tols, report):
@@ -437,7 +437,7 @@ def cmd_gauss_bonnet(args, surface, field, grid_shape, tols, report):
     report["integrals"] = {}
     grid = surf.chart_grid(surface, *grid_shape)
     # with a field, K and div(grad_T T - (div T) T) come from one metric
-    # assembly per quadrature grid
+    # assembly per tile of each quadrature grid
     try:
         if field is not None:
             unit = bochner.normalize_field(surface, field)

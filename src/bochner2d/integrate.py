@@ -2,9 +2,11 @@
 
 Periodic chart axes use the equispaced trapezoidal rule; non-periodic axes
 use Gauss-Legendre nodes, which never touch the chart-singular ends.  The
-integrands and the area element come from one metric assembly on the grid's
-axes, (nu, 1) and (1, nv), and the weighted reduction is an ordinary numpy
-sum, so results are reproducible bit-for-bit for a given grid.
+integrands and the area element come from one metric assembly per tile of
+the grid (`surfaces.sweep`), on the tile's axes, (rows, 1) and (1, cols),
+into arrays over the whole grid, and the weighted reduction is an ordinary
+numpy sum over them, so results are reproducible bit-for-bit for a given
+grid, whatever its tiles.
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import _jets, surfaces as surf
-from .errors import ChiIndeterminateError
+from .errors import ChiIndeterminateError, GeometryError
 from .operators import _divergence, _gauss_curvature, _levi_civita, _metric
 from .surfaces import chart_grid
 
@@ -84,12 +86,21 @@ class ChiEstimate:
 
 
 def _integrands(surface, fs, grid):
-    """fs's integrands on the grid's axes and the area element, from one metric
-    assembly, whose jet fs gets unless degenerate (fs's own then raises)."""
-    u, v = grid.u_nodes[:, None], grid.v_nodes[None, :]
-    g, dg, ddg, det = surf._assemble(surface, u, v, 2)
-    jet = _jets.Jet(g, dg, ddg) if np.all(surf._nondegenerate(g, det)) else None
-    return [np.asarray(vals, dtype=float) for vals in fs(u, v, jet)], np.sqrt(det)
+    """fs's integrands on the grid, then the area element, as (nu, nv) arrays
+    that `surfaces.sweep` fills tile by tile, from one metric assembly per
+    tile, whose jet fs gets unless degenerate (fs's own then raises).  A
+    GeometryError of a tile is raised again from the whole grid, evaluated
+    once, so that it counts and names the grid's failing nodes."""
+    def tile(u, v):
+        g, dg, ddg, det = surf._assemble(surface, u, v, 2)
+        jet = _jets.Jet(g, dg, ddg) if np.all(surf._nondegenerate(g, det)) else None
+        return (*fs(u, v, jet), np.sqrt(det))
+
+    try:
+        return surf.sweep(grid.u_nodes, grid.v_nodes, tile)
+    except GeometryError:
+        tile(grid.u_nodes[:, None], grid.v_nodes[None, :])
+        raise
 
 
 def _weighted_sums(grid, vals, area_elem):
@@ -99,24 +110,26 @@ def _weighted_sums(grid, vals, area_elem):
 def surface_integrals(surface, fs, grid):
     """Integrals of each scalar that fs(u, v, g) returns, against the area element.
 
-    fs is evaluated once per grid (the given one and the coarser one of the
-    error estimate), on its axes u (nu, 1) and v (1, nv), with the metric
-    jet g of the area element or None, so integrands that share their
-    pointwise work, the metric included, share it here too.  Where the
-    coarse nodes are every other fine node, as on periodic axes with even
-    counts, the coarse integrands and area element are read off the fine
-    ones instead.  Returns one IntegralResult per integrand."""
-    vals, area_elem = _integrands(surface, fs, grid)
+    fs is evaluated once per tile of each grid (the given one and the
+    coarser one of the error estimate), on the tile's axes u (rows, 1) and
+    v (1, cols), with the metric jet g of the area element or None, so
+    integrands that share their pointwise work, the metric included, share
+    it here too.  fs's integrands are arrays over the tile's nodes, or
+    broadcast to them.  Where the coarse nodes are every other fine node,
+    as on periodic axes with even counts, the coarse integrands and area
+    element are read off the fine ones instead.  Returns one IntegralResult
+    per integrand."""
+    *vals, area_elem = _integrands(surface, fs, grid)
     values = _weighted_sums(grid, vals, area_elem)
     rough = [np.nan] * len(values)
     if min(grid.nu, grid.nv) > 4:
         coarse = chart_grid(surface, max(4, grid.nu // 2), max(4, grid.nv // 2))
         sub = np.s_[::2, ::2]
         if np.array_equal(coarse.U, grid.U[sub]) and np.array_equal(coarse.V, grid.V[sub]):
-            coarse_vals = [np.broadcast_to(f, grid.U.shape)[sub] for f in vals]
+            coarse_vals = [f[sub] for f in vals]
             coarse_area = area_elem[sub]
         else:
-            coarse_vals, coarse_area = _integrands(surface, fs, coarse)
+            *coarse_vals, coarse_area = _integrands(surface, fs, coarse)
         rough = _weighted_sums(coarse, coarse_vals, coarse_area)
     return [IntegralResult(value=value, resolution=(grid.nu, grid.nv),
                            rule=grid.rule, estimated_error=abs(value - r))

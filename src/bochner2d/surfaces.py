@@ -30,7 +30,9 @@ tensor grid passed as its axes, (nu, 1) and (1, nv), its trig, jets and
 stencils run on nu + nv points, as does anything that is a product over
 the coordinates, such as a monomial x^e = p(u)^e q(v)^e (see ``approx``).
 ``derivative_mode`` selects exact partials ("analytic") or 4th-order
-central differences in extended precision ("fd").
+central differences in extended precision ("fd").  ``sweep`` walks a grid
+passed as its axes in tiles of whole rows, or of chunks of one row, of at
+most BATCH_NODES nodes, which bounds the memory of what runs on a tile.
 
 The maps and the assembly keep the nodes as the trailing axes (the private
 layout of ``_jets``); ``SurfaceSpec`` methods and ``operators.local_geometry``
@@ -55,6 +57,7 @@ DET_MIN = np.sqrt(np.finfo(float).tiny)  # at or below this, (det g)^2 in K unde
 DET_MAX = np.sqrt(np.finfo(float).max)   # above this, (det g)^2 in K overflows
 GUARD_BAND = 1e-3        # half-width of the excluded band at non-periodic chart ends
 DEFAULT_FD_STEP = 1e-3   # balances truncation vs round-off for second derivatives
+BATCH_NODES = 4096       # nodes per tile of `sweep`; bounds the memory of its jets
 # the inverse of a symmetric 2x2 matrix g is g[::-1, ::-1] * signs / det g, with
 # signs = COFACTOR_SIGNS shaped by `cofactor_signs` to broadcast over the nodes
 COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -458,3 +461,23 @@ def guarded_mask(surface, u, v):
     if not rect.periodic_v:
         mask &= (v >= rect.v0 + GUARD_BAND) & (v <= rect.v1 - GUARD_BAND)
     return mask
+
+
+def sweep(u, v, fn):
+    """fn over the grid of the axes u and v, in tiles of at most BATCH_NODES nodes.
+
+    The tiles are whole rows, or chunks of one row where a row holds more
+    than BATCH_NODES nodes, in grid order.  fn takes a tile's axes, of
+    shapes (rows, 1) and (1, cols), and returns a sequence of arrays, each
+    over the tile's nodes with any trailing value axes.  Returns one
+    float64 array (u.size, v.size, ...) per output, filled tile by tile.
+    """
+    rows, cols = max(1, BATCH_NODES // v.size), min(v.size, BATCH_NODES)
+    outs = None
+    for i in range(0, u.size, rows):
+        for j in range(0, v.size, cols):
+            vals = fn(u[i:i + rows, None], v[None, j:j + cols])
+            outs = outs or [np.empty((u.size, v.size) + np.shape(x)[2:]) for x in vals]
+            for out, x in zip(outs, vals):
+                out[i:i + rows, j:j + cols] = x
+    return outs

@@ -406,8 +406,8 @@ class TestReports:
 class TestBatchComposition:
     """A node's residuals do not depend on the other nodes of its batch.
 
-    `verify` evaluates tiles of at most `cli.BATCH_NODES` nodes, and its sup
-    must equal the public residual functions' max bit for bit; both hold
+    `verify` evaluates tiles of at most `surfaces.BATCH_NODES` nodes, and its
+    sup must equal the public residual functions' max bit for bit; both hold
     only if every node's arithmetic is independent of which nodes share its
     batch and where it sits in it.
     """

@@ -772,7 +772,7 @@ class TestMetricAssemblies:
         # order-0 assembly is made
         assert metric_assemblies == [2]
 
-    def test_gauss_bonnet_assembles_once_per_grid(self, capsys, metric_assemblies):
+    def test_gauss_bonnet_on_one_tile_assembles_once(self, capsys, metric_assemblies):
         status, _ = run_json(capsys, "gauss-bonnet", "--surface", "torus:2,1",
                              "--field", "du", "--grid", "64x64")
         assert status == 0
@@ -794,8 +794,25 @@ class TestMetricAssemblies:
                                "--field", "du", "--grid", "128x128")
         assert status == 0
         nodes = rep["checks"][0]["n_points"]
-        assert nodes == 128 * 128 > cli.BATCH_NODES
-        assert metric_assemblies == [2] * -(-nodes // cli.BATCH_NODES)
+        assert nodes == 128 * 128 > surf.BATCH_NODES
+        assert metric_assemblies == [2] * -(-nodes // surf.BATCH_NODES)
+
+    @pytest.mark.parametrize("argv,assemblies", [
+        # four tiles of 32 rows; the coarse half is read off them
+        (("--surface", "torus:2,1", "--field", "du"), 4),
+        # four tiles, then the coarse 64x64 grid of Gauss-Legendre rows as one
+        (("--surface", "sphere:1"), 4 + 1),
+    ])
+    def test_gauss_bonnet_assembles_once_per_tile(self, capsys, monkeypatch,
+                                                  metric_assemblies, argv, assemblies):
+        # and no assembly, so no jet, spans more than a tile's nodes
+        sizes, counted = [], surf._assemble
+        monkeypatch.setattr(surf, "_assemble", lambda surface, u, v, order: (
+            sizes.append(np.broadcast(u, v).size) or counted(surface, u, v, order)))
+        status, _ = run_json(capsys, "gauss-bonnet", *argv, "--grid", "128x128")
+        assert status == 0
+        assert metric_assemblies == [2] * assemblies
+        assert sizes == [surf.BATCH_NODES] * assemblies == [64 * 64] * assemblies
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_verify_screens_an_all_degenerate_block(self, capsys, metric_assemblies):
@@ -879,14 +896,26 @@ def _tiling_cases():
 
     At 1 and 7 nodes per tile every row of these grids is wider than a
     tile; the 4x5000 grid's rows are wider than the default tile too, and
-    run at 64 and 4096 only (at 7 it takes about 2800 tiles).
+    run at 64 and 4096 only (at 7 it takes about 2800 tiles).  The
+    gauss-bonnet cases come first: with and without a field, on periodic
+    and Gauss-Legendre charts, with coarse grids nested in the fine one
+    (even periodic counts) or not, then with zero-field nodes and
+    degenerate metrics, which fail.
     """
     every = (1, 7, 64, 4096)
-    cases = [(("verify", "--surface", surface, "--field", field, "--grid", "8x9",
-               "--backend", backend), every)
-             for surface, field in (("torus:2,1", "du+dv"), ("sphere:1", "dv"),
-                                    ("clifford:1", "du"), ("ellipsoid:1,1.3,0.7", "dv"))
-             for backend in ("analytic", "fd")]
+    gauss_bonnet = [("--surface", "torus:2,1", "--field", "du+dv", "--grid", "8x9"),
+                    ("--surface", "torus:2,1", "--grid", "8x8"),
+                    ("--surface", "sphere:1", "--field", "dv", "--grid", "9x8"),
+                    ("--surface", "ellipsoid:1,1.3,0.7", "--grid", "8x9"),
+                    ("--surface", "torus:2,1", "--field", "sin(u),0", "--grid", "8x9"),
+                    *((*argv, "--grid", "8x8") for argv in DEGENERATE_INPUTS)]
+    cases = [(("gauss-bonnet", *argv, "--backend", backend), every)
+             for argv in gauss_bonnet for backend in ("analytic", "fd")]
+    cases += [(("verify", "--surface", surface, "--field", field, "--grid", "8x9",
+                "--backend", backend), every)
+              for surface, field in (("torus:2,1", "du+dv"), ("sphere:1", "dv"),
+                                     ("clifford:1", "du"), ("ellipsoid:1,1.3,0.7", "dv"))
+              for backend in ("analytic", "fd")]
     cases += [(("verify", "--surface", "torus:2,1", "--field", "du", "--grid", "4x5000",
                 "--backend", backend), (64, 4096)) for backend in ("analytic", "fd")]
     # Gauss-Legendre rows within the polar guard band (72 rows reach it),
@@ -901,7 +930,8 @@ def _tiling_cases():
 
 
 class TestTiling:
-    """verify's payload does not depend on the tiles it walks its grid in."""
+    """The payloads of verify and gauss-bonnet do not depend on the tiles of
+    `surfaces.sweep` that they walk their grids in."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("argv,batches", _tiling_cases(),
@@ -910,11 +940,12 @@ class TestTiling:
                                                   batches):
         payloads = set()
         for batch in batches:
-            monkeypatch.setattr(cli, "BATCH_NODES", batch)
+            monkeypatch.setattr(surf, "BATCH_NODES", batch)
             status, out = run_cli(capsys, *argv)
             payloads.add((status, out[:out.index('"timings"')]))
         assert len(payloads) == 1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_cases_reach_what_they_name(self, capsys):
         # the guard band leaves out polar rows, the field has zero nodes
         last = -2 * len(DEGENERATE_INPUTS)      # the two cases before the degenerate ones
@@ -922,6 +953,11 @@ class TestTiling:
                    for argv, _ in _tiling_cases()[last - 2:last]}
         assert reports["sphere:1du"]["checks"][0]["n_points"] < 72 * 4
         assert reports["torus:2,1sin(u),0"]["n_zero_field_nodes"] > 0
+        # gauss-bonnet's zero-field and degenerate cases fail, naming a node
+        cases = [argv for argv, _ in _tiling_cases()
+                 if argv[0] == "gauss-bonnet" and argv[-1] == "analytic"]
+        named = ["failed_node" in run_json(capsys, *argv)[1] for argv in cases]
+        assert named == [False] * 4 + [True] * (1 + len(DEGENERATE_INPUTS))
 
 
 class TestProcessConstants:

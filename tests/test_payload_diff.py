@@ -3,7 +3,10 @@
 import importlib.util
 import json
 import math
+import shutil
 from pathlib import Path
+
+import pytest
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "payload_diff.py"
 _SPEC = importlib.util.spec_from_file_location("payload_diff", _PATH)
@@ -77,9 +80,10 @@ def test_a_report_that_is_not_json_is_compared_as_text():
 
 def test_the_commands_cover_the_bench_sessions_and_the_degenerate_inputs():
     argvs = payload_diff.commands()
-    assert len(argvs) == 4 * 3 * (6 + 3 + 2) + 2 * 2 + 4 * 3 * 2
-    assert ["verify", "--surface", "torus:2,1", "--field", "dv", "--grid", "4x4097",
-            "--backend", "fd"] in argvs
+    assert len(argvs) == 4 * 3 * (6 + 3 + 2) + 2 * 2 + 5 * 2 + 4 * 3 * 2
+    for command in ("verify", "gauss-bonnet"):
+        assert [command, "--surface", "torus:2,1", "--field", "dv", "--grid", "4x4097",
+                "--backend", "fd"] in argvs
     assert argvs[-1] == ["smooth", "--surface", "torus:1e200,1e199", "--field", "du",
                          "--grid", "16x16", "--backend", "fd"]
 
@@ -92,6 +96,29 @@ def test_a_smooth_command_writes_its_coefficient_file_into_the_payload():
     assert smooth["code"] == 0 and smooth["coeff"].startswith("ambient_dim 3\n")
     assert json.loads(smooth["stdout"])["smoothing"]["coefficient_file"] == "<tmp>/0.txt"
     assert verify["code"] == 0 and verify["coeff"] is None
+
+
+def test_a_tree_runs_its_own_package_from_inside_another_trees_src(tmp_path,
+                                                                   monkeypatch):
+    # `python -c` puts the working directory first on the import path: run
+    # from the repository's src, a copy of it must still import itself
+    repo_src = payload_diff.source_dir(Path(__file__).resolve().parent.parent)
+    shutil.copytree(repo_src / "bochner2d", tmp_path / "src" / "bochner2d",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "bochner2d" / "cli.py"
+    cli.write_text(cli.read_text().replace("SCHEMA_VERSION = 1\n", "SCHEMA_VERSION = 99\n"))
+    monkeypatch.chdir(repo_src)
+    verify, = payload_diff.run_tree(
+        payload_diff.source_dir(tmp_path),
+        [["verify", "--surface", "torus:2,1", "--field", "du", "--grid", "4x4"]])
+    assert verify["code"] == 0 and json.loads(verify["stdout"])["schema"] == 99
+
+
+def test_a_child_that_imports_another_package_is_refused(tmp_path):
+    fake = "import sys, types\nsys.modules['bochner2d'] = types.ModuleType('bochner2d')\n"
+    fake += "sys.modules['bochner2d'].__file__ = '/elsewhere/bochner2d/__init__.py'\n"
+    with pytest.raises(SystemExit, match="/elsewhere/bochner2d"):
+        payload_diff.run_python(tmp_path, fake)
 
 
 def test_the_summary_takes_the_largest_move_per_key_over_all_commands():

@@ -669,3 +669,28 @@ def test_guarded_mask(sphere1, torus21):
     assert surf.guarded_mask(sphere1, u, 0.3).tolist() == [False, False, True, True,
                                                             True, False, False]
     assert np.all(surf.guarded_mask(torus21, u, 0.3))
+
+
+@pytest.mark.parametrize("nu,nv,batch,tiles", [
+    (5, 3, 7, [(0, 0, 2, 3), (2, 0, 2, 3), (4, 0, 1, 3)]),       # whole rows
+    (2, 10, 4, [(0, 0, 1, 4), (0, 4, 1, 4), (0, 8, 1, 2),         # chunks of a row
+                (1, 0, 1, 4), (1, 4, 1, 4), (1, 8, 1, 2)]),
+    (3, 4, 1, [(i, j, 1, 1) for i in range(3) for j in range(4)]),
+])
+def test_sweep_fills_the_grid_tile_by_tile(monkeypatch, nu, nv, batch, tiles):
+    # in grid order, each tile of at most `batch` nodes, every output placed
+    # where the whole grid's evaluation puts it, value axes trailing
+    monkeypatch.setattr(surf, "BATCH_NODES", batch)
+    u, v = np.linspace(0.0, 1.0, nu), np.linspace(2.0, 3.0, nv)
+    seen = []
+
+    def fn(uu, vv):
+        seen.append((np.flatnonzero(u == uu[0, 0])[0], np.flatnonzero(v == vv[0, 0])[0],
+                     uu.shape[0], vv.shape[1]))
+        assert uu.shape[1] == vv.shape[0] == 1
+        return uu + 10 * vv, np.stack(np.broadcast_arrays(uu, vv), axis=-1)
+
+    total, pairs = surf.sweep(u, v, fn)
+    assert seen == tiles
+    np.testing.assert_array_equal(total, u[:, None] + 10 * v[None, :])
+    np.testing.assert_array_equal(pairs, np.stack(np.meshgrid(u, v, indexing="ij"), -1))

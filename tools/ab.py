@@ -21,13 +21,11 @@ helpers of ``paired`` that ``import_ab.py`` uses too.
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import paired
-from payload_diff import source_dir
+from payload_diff import run_python, source_dir
 
 REPO = Path(__file__).resolve().parent.parent
 # metric key of the child's output -> (printed name, unit, decimals, scale)
@@ -36,15 +34,14 @@ METRICS = {"session_p50": ("session_s_p50", "ms", 3, 1e3),
            "peak_rss_mb": ("peak_rss_mb", "MB", 1, 1.0)}
 CHILD = """\
 import json, resource, statistics, sys
-src, repo, workload, seed, seconds = sys.argv[1:]
-sys.path[:0] = [src, repo]
+repo, workload, seed, seconds = sys.argv[1:]
+sys.path.append(repo)
 import bochner2d
 from bench.run import MIN_SESSIONS, Runner, tail
 runner = Runner(workload, int(seed))
 runner.session(0)
 times = [sum(c) for c in runner.timed(float(seconds), MIN_SESSIONS)]
-print(json.dumps({"module": bochner2d.__file__, "failed": runner.failed,
-                  "problems": runner.problems[:3],
+print(json.dumps({"failed": runner.failed, "problems": runner.problems[:3],
                   "session_p50": statistics.median(times), "session_tail": tail(times)[0],
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
 """
@@ -52,14 +49,9 @@ print(json.dumps({"module": bochner2d.__file__, "failed": runner.failed,
 
 def run_sessions(src, workload, seed, seconds):
     """The metrics of one tree's timed sessions, from a fresh interpreter that
-    imports bochner2d from `src`."""
-    env = {k: v for k, v in os.environ.items() if k not in ("BOCHNER_THREADS", "PYTHONPATH")}
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(src), str(REPO), workload,
-                           str(seed), str(seconds)],
-                          cwd=REPO, env=env, capture_output=True, text=True, check=True)
+    imports bochner2d from `src` (`payload_diff.run_python`)."""
+    proc = run_python(src, CHILD, str(REPO), workload, str(seed), str(seconds))
     out = json.loads(proc.stdout.splitlines()[-1])
-    if src.resolve() not in Path(out["module"]).resolve().parents:
-        raise SystemExit(f"the sessions imported bochner2d from {out['module']}, not {src}")
     if out["failed"]:
         raise SystemExit(f"{out['failed']} failed command(s) on {src}: {out['problems']}")
     return out

@@ -17,14 +17,12 @@ helpers of ``paired`` that ``ab.py`` uses too.
 
 import argparse
 import ast
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import paired
 from paired import report, summary  # noqa: F401  (summary is re-exported)
-from payload_diff import source_dir
+from payload_diff import run_python, source_dir
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -40,17 +38,9 @@ def setup_code(path=REPO / "bench" / "run.py"):
 
 
 def time_import(src, code):
-    """The seconds that `code` prints, run in a fresh interpreter with only
-    `src` on the import path; it prints them and the imported module's file,
-    which must lie under `src`."""
-    env = {k: v for k, v in os.environ.items() if k not in ("BOCHNER_THREADS", "PYTHONPATH")}
-    env["PYTHONPATH"] = str(src)
-    proc = subprocess.run([sys.executable, "-c", code], cwd=src.parent, env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    seconds, path = proc.stdout.split()
-    if src.resolve() not in Path(path).resolve().parents:
-        raise SystemExit(f"the set-up code imported bochner2d from {path}, not {src}")
-    return float(seconds)
+    """The seconds that `code` prints first, run in a fresh interpreter with
+    only `src` on the import path (`payload_diff.run_python`)."""
+    return float(run_python(src, code, timeout=120).stdout.split()[0])
 
 
 def measure(pairs, run):

@@ -4,13 +4,15 @@
 
 Each argument is a checkout of the repository (a directory holding
 ``src/bochner2d``) or its ``src`` directory.  Each tree runs in its own
-subprocess, with only its own ``src`` on the import path, and runs every
-command in-process through ``cli.main``:
+subprocess, with only its own ``src`` on the import path (``run_python``,
+which ``ab.py`` and ``import_ab.py`` use too), and runs every command
+in-process through ``cli.main``:
 
 * every command of sessions 0-3, seeds 1-3, of the benchmark's three
   workloads, as ``bench/workloads.py`` of the repository holding this script
   draws them (read only);
-* ``verify`` on each of TILE_INPUTS, on both backends;
+* ``verify`` on each of TILE_INPUTS, and ``gauss-bonnet`` on each of
+  GAUSS_BONNET_INPUTS, on both backends;
 * ``verify``, ``gauss-bonnet`` and ``smooth`` at 16x16 on each of
   DEGENERATE_INPUTS, on both backends.
 
@@ -49,6 +51,16 @@ TILE_INPUTS = [
     ("--surface", "sphere:1", "--field", "dv", "--grid", "2000x8"),
     ("--surface", "torus:2,1", "--field", "dv", "--grid", "4x4097"),
 ]
+# gauss-bonnet's grids of more than one tile: whole rows, rows of one tile plus
+# a one-node tile, zero-field nodes in many tiles, and a metric whose det g is
+# below DET_MIN, or NaN, in every tile
+GAUSS_BONNET_INPUTS = [
+    ("--surface", "sphere:1", "--grid", "2000x8"),
+    ("--surface", "torus:2,1", "--field", "dv", "--grid", "4x4097"),
+    ("--surface", "torus:2,1", "--field", "sin(u),0", "--grid", "128x128"),
+    ("--surface", "sphere:1e-40", "--field", "1e40,0", "--grid", "128x128"),
+    ("--surface", "torus:1e200,1e199", "--field", "du", "--grid", "128x128"),
+]
 # a metric degenerate at some or all nodes: det g below DET_MIN everywhere,
 # below it near the poles, above DET_MAX, and NaN where g overflows
 DEGENERATE_INPUTS = [
@@ -85,9 +97,10 @@ def commands():
     spec.loader.exec_module(workloads)
     argvs = [argv for workload in WORKLOADS for seed in SEEDS for session in SESSIONS
              for argv in workloads.session_commands(workload, seed, session)]
-    for inputs in TILE_INPUTS:
+    for command, inputs in [*(("verify", x) for x in TILE_INPUTS),
+                            *(("gauss-bonnet", x) for x in GAUSS_BONNET_INPUTS)]:
         for backend in ("analytic", "fd"):
-            argvs.append(["verify", *inputs, "--backend", backend])
+            argvs.append([command, *inputs, "--backend", backend])
     for inputs in DEGENERATE_INPUTS:
         for command in ("verify", "gauss-bonnet", "smooth"):
             for backend in ("analytic", "fd"):
@@ -104,18 +117,43 @@ def source_dir(tree):
     return src
 
 
+# appended to a child's code: where the child imported bochner2d from, into a
+# file of its working directory
+_IMPORTED_FROM = """
+import pathlib as _pathlib, sys as _sys
+_pathlib.Path("bochner2d.path").write_text(_sys.modules["bochner2d"].__file__)
+"""
+
+
+def run_python(src, code, *args, **kwargs):
+    """`python -c code *args` with the package `bochner2d` of src, the directory
+    that holds it, as a completed process with text output, raising on a
+    non-zero exit.  The child runs in a fresh temporary directory, since
+    `-c` puts the working directory ahead of PYTHONPATH on the import path,
+    with src alone on PYTHONPATH and BOCHNER_THREADS unset.  Raises
+    SystemExit unless the code imported bochner2d from src.  kwargs go to
+    `subprocess.run`."""
+    env = {k: v for k, v in os.environ.items() if k not in ("BOCHNER_THREADS", "PYTHONPATH")}
+    env["PYTHONPATH"] = str(src)
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run([sys.executable, "-c", code + _IMPORTED_FROM, *args],
+                              cwd=cwd, env=env, capture_output=True, text=True,
+                              check=True, **kwargs)
+        module = Path(cwd, "bochner2d.path").read_text()
+    if Path(src).resolve() not in Path(module).resolve().parents:
+        raise SystemExit(f"the child imported bochner2d from {module}, not from {src}")
+    return proc
+
+
 def run_tree(src, argvs):
     """One payload per argv, from a subprocess that imports bochner2d from src;
     a `smooth` command writes its coefficient file into a temporary directory."""
-    env = dict(os.environ, PYTHONPATH=str(src))
     with tempfile.TemporaryDirectory() as tmp:
         coeff = [Path(tmp, f"{i}.txt") if argv[0] == "smooth" else None
                  for i, argv in enumerate(argvs)]
         runs = [argv + ["--coeff-out", str(path)] if path else argv
                 for argv, path in zip(argvs, coeff)]
-        proc = subprocess.run([sys.executable, "-c", _WORKER], input=json.dumps(runs),
-                              capture_output=True, text=True, env=env, check=True)
-        results = json.loads(proc.stdout)
+        results = json.loads(run_python(src, _WORKER, input=json.dumps(runs)).stdout)
         for result, path in zip(results, coeff):
             result["coeff"] = path.read_text() if path and path.exists() else None
     return [payload(r, str(src), tmp) for r in results]
